@@ -1,262 +1,131 @@
-"""Self-describing npz checkpoints.
+"""Run-state checkpoints: the arrays training changed, not the structure.
 
-Every checkpoint is a single .npz whose "manifest" entry is a JSON
-description of the stored objects and whose remaining entries are the
-raw float64 arrays, so parameter round-trips are bit-exact.
+A run is a pure function of (config, seed), so the config fixes the
+shape of the model and the flow. A checkpoint is one .npz holding the
+arrays that ``state_arrays`` names, both memories, the partial result
+matrix and a JSON "meta" entry. Resuming rebuilds the run from its
+config and seed and copies the arrays back bit-exactly; flow
+permutations are not stored, since the "flow-init" fork redraws them.
+A checkpoint resumes only the config that wrote it: an array that is
+missing, extra or reshaped raises a ConfigurationError naming it.
 """
 
 import json
+import os
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
 from .exceptions import ConfigurationError
-from .flow import BatchNorm, Coupling, FlowStack, Permutation
-from .model import ContinualModel
-from .nn import Network
 from .pipeline import ErMemory, SyntheticMemory
 from .rng import Rng
 
-
-def _network_arrays(net: Network, prefix: str, arrays: dict):
-    for i, (p, _) in enumerate(net.parameters()):
-        arrays[f"{prefix}/p{i}"] = p
+_MEMORIES = {"synthetic_memory": SyntheticMemory, "er_memory": ErMemory}
 
 
-def _load_network(manifest: dict, prefix: str, data) -> Network:
-    net = Network.from_manifest(manifest)
-    values = []
-    i = 0
-    while f"{prefix}/p{i}" in data:
-        values.append(np.array(data[f"{prefix}/p{i}"]))
-        i += 1
-    net.set_params(values)
-    return net
-
-
-# ---------------------------------------------------------------------------
-# flow
-
-
-def flow_manifest(flow: FlowStack) -> dict:
-    levels = []
-    for layers in flow.levels:
-        level = []
-        for layer in layers:
-            if isinstance(layer, Permutation):
-                level.append({"kind": "permutation", "dim": layer.dim})
-            elif isinstance(layer, BatchNorm):
-                level.append({
-                    "kind": "batchnorm", "dim": layer.dim,
-                    "momentum": layer.momentum, "eps": layer.eps,
-                    "initialized": layer.initialized,
-                })
-            elif isinstance(layer, Coupling):
-                level.append({
-                    "kind": "coupling", "dim": layer.dim, "hidden": layer.hidden,
-                    "cond_width": layer.cond_width,
-                })
-            else:
-                raise ConfigurationError(f"cannot serialize layer {type(layer).__name__}")
-        levels.append(level)
-    return {"dim": flow.dim, "cond_width": flow.cond_width, "levels": levels}
-
-
-def flow_arrays(flow: FlowStack, prefix: str = "flow") -> dict:
+def state_arrays(state) -> dict:
+    """Name -> live array, for every array training changes: the
+    parameters of each model network and of the flow, and the running
+    statistics of each flow batch norm."""
     arrays = {}
-    for li, layers in enumerate(flow.levels):
-        for bi, layer in enumerate(layers):
-            key = f"{prefix}/l{li}/b{bi}"
-            if isinstance(layer, Permutation):
-                arrays[f"{key}/perm"] = layer.perm
-            elif isinstance(layer, BatchNorm):
-                arrays[f"{key}/mean"] = layer.mean
-                arrays[f"{key}/var"] = layer.var
-            elif isinstance(layer, Coupling) and layer.b_dim > 0:
-                _network_arrays(layer.scale_net, f"{key}/s", arrays)
-                _network_arrays(layer.translate_net, f"{key}/t", arrays)
+    for name, net in state.model.all_networks().items():
+        for i, (p, _) in enumerate(net.parameters()):
+            arrays[f"model/{name}/p{i}"] = p
+    if state.flow is not None:
+        for i, (p, _) in enumerate(state.flow.parameters()):
+            arrays[f"flow/p{i}"] = p
+        for i, bn in enumerate(state.flow.batch_norms()):
+            arrays[f"flow/bn{i}/mean"] = bn.mean
+            arrays[f"flow/bn{i}/var"] = bn.var
     return arrays
 
 
-def flow_from_state(manifest: dict, data, prefix: str = "flow") -> FlowStack:
-    dummy = Rng(0)
-    levels = []
-    for li, level_spec in enumerate(manifest["levels"]):
-        layers = []
-        for bi, spec in enumerate(level_spec):
-            key = f"{prefix}/l{li}/b{bi}"
-            if spec["kind"] == "permutation":
-                layer = Permutation(spec["dim"], dummy)
-                layer.perm = np.array(data[f"{key}/perm"])
-                layer.inv = np.argsort(layer.perm)
-            elif spec["kind"] == "batchnorm":
-                layer = BatchNorm(spec["dim"], momentum=spec["momentum"], eps=spec["eps"])
-                layer.mean[...] = np.array(data[f"{key}/mean"])
-                layer.var[...] = np.array(data[f"{key}/var"])
-                layer.initialized = bool(spec["initialized"])
-            elif spec["kind"] == "coupling":
-                layer = Coupling(spec["dim"], spec["hidden"], dummy,
-                                 cond_width=spec["cond_width"])
-                if layer.b_dim > 0:
-                    for net, tag in ((layer.scale_net, "s"), (layer.translate_net, "t")):
-                        values = []
-                        i = 0
-                        while f"{key}/{tag}/p{i}" in data:
-                            values.append(np.array(data[f"{key}/{tag}/p{i}"]))
-                            i += 1
-                        net.set_params(values)
-            else:
-                raise ConfigurationError(f"unknown flow layer kind {spec['kind']!r}")
-            layers.append(layer)
-        levels.append(layers)
-    return FlowStack(levels, manifest["dim"], cond_width=manifest["cond_width"])
-
-
-def save_flow(flow: FlowStack, path):
-    arrays = flow_arrays(flow)
-    arrays["manifest"] = np.array(json.dumps({"flow": flow_manifest(flow)}))
-    np.savez(path, **arrays)
-
-
-def load_flow(path) -> FlowStack:
-    with np.load(path, allow_pickle=False) as data:
-        manifest = json.loads(str(data["manifest"][()]))
-        return flow_from_state(manifest["flow"], data)
-
-
-# ---------------------------------------------------------------------------
-# model
-
-
-def model_manifest(model: ContinualModel) -> dict:
-    return {
-        "input_shape": list(model.input_shape),
-        "embedding_dim": model.embedding_dim,
-        "num_classes": model.num_classes,
-        "head_hidden": list(model.head_hidden),
-        "head_dropout": model.head_dropout,
-        "decoder_conditioned": model.decoder_conditioned,
-        "flow_conditioned": model.flow_conditioned,
-        "head_classes": {str(k): v for k, v in model.head_classes.items()},
-        "networks": {name: net.manifest() for name, net in model.all_networks().items()},
-    }
-
-
-def model_arrays(model: ContinualModel, prefix: str = "model") -> dict:
-    arrays = {}
-    for name, net in model.all_networks().items():
-        _network_arrays(net, f"{prefix}/{name}", arrays)
-    return arrays
-
-
-def model_from_state(manifest: dict, data, prefix: str = "model") -> ContinualModel:
-    nets = {
-        name: _load_network(m, f"{prefix}/{name}", data)
-        for name, m in manifest["networks"].items()
-    }
-    model = ContinualModel(
-        nets["encoder"], nets["proj_classify"], nets["proj_reconstruct"], nets["decoder"],
-        input_shape=tuple(manifest["input_shape"]),
-        embedding_dim=manifest["embedding_dim"],
-        num_classes=manifest["num_classes"],
-        head_hidden=tuple(manifest["head_hidden"]),
-        head_dropout=manifest["head_dropout"],
-        decoder_conditioned=manifest["decoder_conditioned"],
-        flow_conditioned=manifest["flow_conditioned"],
-    )
-    for key, n_classes in manifest["head_classes"].items():
-        task_id = int(key)
-        model.heads[task_id] = nets[f"head_{task_id}"]
-        model.head_classes[task_id] = n_classes
-    return model
-
-
-def save_model(model: ContinualModel, path):
-    arrays = model_arrays(model)
-    arrays["manifest"] = np.array(json.dumps({"model": model_manifest(model)}))
-    np.savez(path, **arrays)
-
-
-def load_model(path) -> ContinualModel:
-    with np.load(path, allow_pickle=False) as data:
-        manifest = json.loads(str(data["manifest"][()]))
-        return model_from_state(manifest["model"], data)
-
-
-# ---------------------------------------------------------------------------
-# whole-run state
+def atomic_write(path, write):
+    """Call ``write(fh)`` on a binary temp file beside ``path``, then move
+    it over ``path``: an interrupt leaves the old file or the new one,
+    never a truncated one. The temp name starts with a dot, so no
+    ``state_*`` or ``run_*`` glob picks it up."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def save_run_state(path, state, result_matrix, extra: dict):
     """Persist everything needed to resume after the last finished task:
-    model, flow, both memories, the partial result matrix and a free-form
-    JSON block (seed, partial metrics, timings)."""
-    manifest = {
-        "model": model_manifest(state.model),
+    the state arrays, both memories, the partial result matrix and a
+    free-form JSON block (seed, partial metrics)."""
+    meta = {
         "completed_tasks": state.completed_tasks,
+        "head_classes": {str(k): v for k, v in state.model.head_classes.items()},
         "timings": state.timings,
         "extra": extra,
     }
-    arrays = model_arrays(state.model)
+    arrays = state_arrays(state)
     arrays["result_matrix"] = np.asarray(result_matrix, dtype=float)
-    if state.flow is not None:
-        manifest["flow"] = flow_manifest(state.flow)
-        arrays.update(flow_arrays(state.flow))
-    if state.synthetic_memory is not None:
-        mem = state.synthetic_memory
-        manifest["synthetic_memory"] = {
-            "source_task": mem.source_task,
-            "has_classes": mem.classes is not None,
-        }
-        arrays["synmem/images"] = mem.images
-        arrays["synmem/embeddings"] = mem.embeddings
-        if mem.classes is not None:
-            arrays["synmem/classes"] = mem.classes
-    if state.er_memory is not None:
-        manifest["er_memory"] = {"has_embeddings": state.er_memory.embeddings is not None}
-        arrays["ermem/images"] = state.er_memory.images
-        arrays["ermem/y_global"] = state.er_memory.y_global
-        arrays["ermem/y_task"] = state.er_memory.y_task
-        arrays["ermem/task_ids"] = state.er_memory.task_ids
-        if state.er_memory.embeddings is not None:
-            arrays["ermem/embeddings"] = state.er_memory.embeddings
-    arrays["manifest"] = np.array(json.dumps(manifest))
-    np.savez(path, **arrays)
+    for attr in _MEMORIES:
+        memory = getattr(state, attr)
+        if memory is not None:
+            for f in fields(memory):
+                value = getattr(memory, f.name)
+                if value is not None:
+                    arrays[f"{attr}/{f.name}"] = np.asarray(value)
+    arrays["meta"] = np.array(json.dumps(meta))
+    atomic_write(path, lambda fh: np.savez(fh, **arrays))
 
 
 def load_run_state(path):
-    """Return a dict with the restored pieces; the caller reattaches the
-    stream, train config and rng (all re-derivable from config + seed)."""
+    """Read a checkpoint into a dict: "completed_tasks", "result_matrix",
+    "timings", "extra", "head_classes", the named "arrays" and both
+    memories. ``restore_run_state`` puts it into a rebuilt run."""
     with np.load(path, allow_pickle=False) as data:
-        manifest = json.loads(str(data["manifest"][()]))
+        if "meta" not in data.files:
+            raise ConfigurationError(f"{path}: no 'meta' entry; not a checkpoint of this format")
+        meta = json.loads(str(data["meta"][()]))
         out = {
-            "model": model_from_state(manifest["model"], data),
-            "flow": None,
-            "completed_tasks": manifest["completed_tasks"],
-            "timings": manifest["timings"],
-            "extra": manifest["extra"],
-            "result_matrix": np.array(data["result_matrix"]),
-            "synthetic_memory": None,
-            "er_memory": None,
+            "completed_tasks": meta["completed_tasks"],
+            "head_classes": {int(k): v for k, v in meta["head_classes"].items()},
+            "timings": meta["timings"],
+            "extra": meta["extra"],
+            "result_matrix": data["result_matrix"],
+            "arrays": {k: data[k] for k in data.files if k.startswith(("model/", "flow/"))},
         }
-        if "flow" in manifest:
-            out["flow"] = flow_from_state(manifest["flow"], data)
-        if "synthetic_memory" in manifest:
-            info = manifest["synthetic_memory"]
-            classes = np.array(data["synmem/classes"]) if info["has_classes"] else None
-            out["synthetic_memory"] = SyntheticMemory(
-                np.array(data["synmem/images"]),
-                np.array(data["synmem/embeddings"]),
-                classes,
-                info["source_task"],
-            )
-        if "er_memory" in manifest:
-            info = manifest["er_memory"]
-            embeddings = np.array(data["ermem/embeddings"]) if info["has_embeddings"] else None
-            out["er_memory"] = ErMemory(
-                np.array(data["ermem/images"]),
-                np.array(data["ermem/y_global"]),
-                np.array(data["ermem/y_task"]),
-                np.array(data["ermem/task_ids"]),
-                embeddings,
-            )
+        for attr, cls in _MEMORIES.items():
+            values = {f.name: data.get(f"{attr}/{f.name}") for f in fields(cls)}
+            if all(v is None for v in values.values()):
+                out[attr] = None
+                continue
+            out[attr] = cls(**{k: v.item() if v is not None and v.ndim == 0 else v
+                               for k, v in values.items()})
         return out
+
+
+def restore_run_state(state, restored):
+    """Copy a loaded checkpoint into ``state``, freshly built from the
+    (config, seed) that wrote it."""
+    for task_id, n_classes in restored["head_classes"].items():
+        # the initial weights are overwritten below, so any rng will do
+        state.model.ensure_head(task_id, n_classes, Rng(0))
+    want, got = state_arrays(state), restored["arrays"]
+    for name in [*want, *sorted(got.keys() - want.keys())]:
+        saved = got[name].shape if name in got else "absent"
+        needed = want[name].shape if name in want else "absent"
+        if saved != needed:
+            raise ConfigurationError(
+                f"checkpoint array {name!r} is {saved} in the file, {needed} in this run")
+    for name, array in want.items():
+        array[...] = got[name]
+    if state.flow is not None:
+        # checkpoints follow finished tasks, whose flow phase set them all
+        for bn in state.flow.batch_norms():
+            bn.initialized = True
+    state.completed_tasks = restored["completed_tasks"]
+    state.timings = restored["timings"]
+    for attr in _MEMORIES:
+        setattr(state, attr, restored[attr])
+    return state

@@ -13,6 +13,7 @@ from .exceptions import ConfigurationError
 from .pipeline import STRATEGIES, TrainConfig
 
 CONDITIONING_MODES = ("both", "decoder", "flow", "none")
+_NOT_HASHED = {"out_dir", "seeds", "checkpoints"}
 
 
 @dataclass
@@ -108,8 +109,14 @@ class ExperimentConfig:
         ).validate()
 
     def canonical_text(self) -> str:
+        """The fields that can change a record, one ``key = value`` line
+        each. Where records go, which seeds a sweep runs and whether
+        checkpoints are kept leave every record as it is, so they are
+        left out: the hash names the experiment, not the run."""
         lines = []
         for f in sorted(fields(self), key=lambda f: f.name):
+            if f.name in _NOT_HASHED:
+                continue
             value = getattr(self, f.name)
             if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)

@@ -8,9 +8,8 @@ dataset contents, the classes-per-task count and the seed.
 """
 
 import gzip
-import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,12 +45,6 @@ class LabeledDataset:
     def sample_shape(self):
         return self.x.shape[1:]
 
-    def content_hash(self) -> str:
-        h = hashlib.blake2b(digest_size=16)
-        h.update(np.ascontiguousarray(self.x).tobytes())
-        h.update(np.ascontiguousarray(self.y).tobytes())
-        return h.hexdigest()
-
 
 @dataclass
 class Task:
@@ -71,8 +64,6 @@ class TaskStream:
     tasks: list
     num_classes: int
     classes_per_task: int
-    seed: int = 0
-    dataset_hash: str = ""
 
     def __len__(self):
         return len(self.tasks)
@@ -249,8 +240,6 @@ def build_task_stream(dataset: LabeledDataset, classes_per_task: int, seed: int)
         tasks=tasks,
         num_classes=num_classes,
         classes_per_task=classes_per_task,
-        seed=seed,
-        dataset_hash=dataset.content_hash(),
     )
 
 

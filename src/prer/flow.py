@@ -384,6 +384,10 @@ class FlowStack:
                 pairs.extend(layer.parameters())
         return pairs
 
+    def batch_norms(self):
+        return [layer for layers in self.levels for layer in layers
+                if isinstance(layer, BatchNorm)]
+
     def zero_grads(self):
         for _, g in self.parameters():
             g[...] = 0.0

@@ -110,7 +110,7 @@ def memory_footprint(method: str, num_tasks: int, samples_per_task: int,
     for value in (num_tasks, samples_per_task, image_floats, embedding_floats, model_params):
         if value < 0:
             raise ConfigurationError("footprint inputs must be non-negative")
-    if method in ("replay", "gem"):
+    if method == "replay":
         return float(num_tasks * samples_per_task * image_floats)
     if method == "er":
         return float(num_tasks * samples_per_task * (image_floats + embedding_floats))

@@ -122,10 +122,6 @@ class ContinualModel:
             nets[f"head_{task_id}"] = head
         return nets
 
-    def zero_all_grads(self):
-        for net in self.all_networks().values():
-            net.zero_grads()
-
     def param_count(self):
         return sum(net.param_count() for net in self.all_networks().values())
 

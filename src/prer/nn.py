@@ -64,9 +64,6 @@ class Layer:
     def param_count(self) -> int:
         return sum(p.size for p in self.params)
 
-    def spec(self) -> dict:
-        raise NotImplementedError
-
 
 class Dense(Layer):
     """Affine map y = x W^T + b with weight shape (out, in)."""
@@ -93,20 +90,6 @@ class Dense(Layer):
         self.grads[1] += grad.sum(axis=0)
         return grad @ self.w
 
-    def spec(self):
-        return {"kind": "dense", "in_dim": self.in_dim, "out_dim": self.out_dim}
-
-    @classmethod
-    def from_spec(cls, spec):
-        layer = cls.__new__(cls)
-        Layer.__init__(layer)
-        layer.in_dim = spec["in_dim"]
-        layer.out_dim = spec["out_dim"]
-        layer.w = np.zeros((layer.out_dim, layer.in_dim))
-        layer.b = np.zeros(layer.out_dim)
-        layer._register(layer.w, layer.b)
-        return layer
-
 
 class Relu(Layer):
     def forward(self, x, train=False, rng=None, cond=None):
@@ -116,13 +99,6 @@ class Relu(Layer):
     def backward(self, grad):
         mask = self._take_cache()
         return np.where(mask, grad, 0.0)
-
-    def spec(self):
-        return {"kind": "relu"}
-
-    @classmethod
-    def from_spec(cls, spec):
-        return cls()
 
 
 class Dropout(Layer):
@@ -150,13 +126,6 @@ class Dropout(Layer):
         mask = self._take_cache()
         return grad * mask
 
-    def spec(self):
-        return {"kind": "dropout", "drop_prob": self.drop_prob}
-
-    @classmethod
-    def from_spec(cls, spec):
-        return cls(spec["drop_prob"])
-
 
 class Flatten(Layer):
     def forward(self, x, train=False, rng=None, cond=None):
@@ -166,13 +135,6 @@ class Flatten(Layer):
     def backward(self, grad):
         shape = self._take_cache()
         return grad.reshape(shape)
-
-    def spec(self):
-        return {"kind": "flatten"}
-
-    @classmethod
-    def from_spec(cls, spec):
-        return cls()
 
 
 class ConcatCondition(Layer):
@@ -198,13 +160,6 @@ class ConcatCondition(Layer):
     def backward(self, grad):
         width = self._take_cache()
         return grad[:, :width]
-
-    def spec(self):
-        return {"kind": "concat_condition", "cond_dim": self.cond_dim}
-
-    @classmethod
-    def from_spec(cls, spec):
-        return cls(spec["cond_dim"])
 
 
 class Conv2d(Layer):
@@ -277,48 +232,6 @@ class Conv2d(Layer):
         h, w = x_shape[2], x_shape[3]
         return dxp[:, :, ph0:ph0 + h, pw0:pw0 + w]
 
-    def spec(self):
-        return {
-            "kind": "conv2d",
-            "in_channels": self.in_channels,
-            "out_channels": self.out_channels,
-            "kernel": [self.kh, self.kw],
-            "stride": self.stride,
-            "padding": self.padding,
-        }
-
-    @classmethod
-    def from_spec(cls, spec):
-        layer = cls.__new__(cls)
-        Layer.__init__(layer)
-        layer.in_channels = spec["in_channels"]
-        layer.out_channels = spec["out_channels"]
-        layer.kh, layer.kw = spec["kernel"]
-        layer.stride = spec["stride"]
-        layer.padding = spec["padding"]
-        layer.w = np.zeros((layer.out_channels, layer.in_channels, layer.kh, layer.kw))
-        layer.b = np.zeros(layer.out_channels)
-        layer._register(layer.w, layer.b)
-        return layer
-
-
-_LAYER_KINDS = {
-    "dense": Dense,
-    "relu": Relu,
-    "dropout": Dropout,
-    "flatten": Flatten,
-    "concat_condition": ConcatCondition,
-    "conv2d": Conv2d,
-}
-
-
-def layer_from_spec(spec: dict) -> Layer:
-    try:
-        cls = _LAYER_KINDS[spec["kind"]]
-    except KeyError:
-        raise ConfigurationError(f"unknown layer kind {spec.get('kind')!r}") from None
-    return cls.from_spec(spec)
-
 
 class Network:
     """An ordered stack of layers sharing one forward/backward pass."""
@@ -368,25 +281,6 @@ class Network:
 
     def get_params(self):
         return [p.copy() for p, _ in self.parameters()]
-
-    def set_params(self, values):
-        pairs = self.parameters()
-        if len(values) != len(pairs):
-            raise ConfigurationError(
-                f"{self.name}: expected {len(pairs)} parameter arrays, got {len(values)}"
-            )
-        for (p, _), v in zip(pairs, values):
-            if p.shape != v.shape:
-                raise ConfigurationError(f"{self.name}: shape mismatch restoring parameters")
-            p[...] = v
-
-    def manifest(self):
-        return {"name": self.name, "layers": [l.spec() for l in self.layers]}
-
-    @classmethod
-    def from_manifest(cls, manifest):
-        layers = [layer_from_spec(s) for s in manifest["layers"]]
-        return cls(layers, name=manifest.get("name", "net"))
 
 
 # ---------------------------------------------------------------------------

@@ -170,13 +170,10 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None, resume=False)
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         ckpt_path = _checkpoint_path(out_dir, cfg, strategy, seed)
     if resume and ckpt_path is not None and ckpt_path.exists():
+        # the model and flow just built from (config, seed) have the shapes
+        # the checkpoint was written from; only their arrays are restored
         restored = checkpoint.load_run_state(ckpt_path)
-        state.model = model = restored["model"]
-        state.flow = flow = restored["flow"]
-        state.completed_tasks = restored["completed_tasks"]
-        state.synthetic_memory = restored["synthetic_memory"]
-        state.er_memory = restored["er_memory"]
-        state.timings = restored["timings"]
+        checkpoint.restore_run_state(state, restored)
         r = restored["result_matrix"]
         d_t = {int(k): v for k, v in restored["extra"].get("d_t", {}).items()}
         q_t = {int(k): v for k, v in restored["extra"].get("q_t", {}).items()}
@@ -252,7 +249,7 @@ def write_record(record: RunRecord, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = record_path(out, record)
-    path.write_text(record.to_json(), encoding="utf-8")
+    checkpoint.atomic_write(path, lambda fh: fh.write(record.to_json().encode("utf-8")))
     return path
 
 

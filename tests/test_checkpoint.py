@@ -1,38 +1,61 @@
-"""Checkpoint round-trips: flow and model parameters must come back
+"""Checkpoint round-trips: a state saved, loaded and restored into a
+state freshly built from the same (config, seed) must come back
 bit-exact, and a resumed run must continue from the stored task."""
 
 import numpy as np
+import pytest
 
-from prer.checkpoint import (
-    load_flow,
-    load_model,
-    load_run_state,
-    save_flow,
-    save_model,
-    save_run_state,
-)
+from prer.checkpoint import load_run_state, restore_run_state, save_run_state
 from prer.data import build_task_stream, split_train_test, synth_blobs
+from prer.exceptions import ConfigurationError
 from prer.flow import build_flow
 from prer.model import build_mlp_model, one_hot
 from prer.pipeline import RunState, TrainConfig, strategy_train_task
 from prer.rng import Rng
 
 
-def trained_flow(seed=1, cond_width=0):
-    flow = build_flow(6, 2, 3, Rng(seed), cond_width=cond_width)
+def fresh_state(seed=1, cond_width=0, decoder_conditioned=False, encoder_hidden=(10,),
+                with_flow=True):
+    """What the runner builds from a config: a model, and a flow from the
+    seed's "flow-init" fork, so the permutations match across rebuilds."""
+    model = build_mlp_model((6,), 4, Rng(seed), embedding_dim=6,
+                            encoder_hidden=encoder_hidden,
+                            decoder_conditioned=decoder_conditioned)
+    flow = None
+    if with_flow:
+        flow = build_flow(6, 2, 3, Rng(seed).fork("flow-init"), cond_width=cond_width)
+    return RunState(model=model, flow=flow, stream=None, cfg=TrainConfig(), rng=Rng(seed))
+
+
+def trained_state(seed=1, **kwargs):
+    """A fresh state with two heads, random parameters everywhere and
+    batch-norm statistics from one train-mode pass."""
+    state = fresh_state(seed, **kwargs)
+    state.model.ensure_head(1, 2, Rng(7))
+    state.model.ensure_head(2, 2, Rng(8))
     rng = Rng(seed + 100)
-    for p, _ in flow.parameters():
+    pairs = [pair for net in state.model.all_networks().values() for pair in net.parameters()]
+    if state.flow is not None:
+        pairs += state.flow.parameters()
+    for p, _ in pairs:
         p[...] = rng.uniform(-0.5, 0.5, p.shape)
-    cond = one_hot(rng.integers(0, cond_width, size=64), cond_width) if cond_width else None
-    flow.normalize(rng.normal(size=(64, 6)), cond=cond, train=True)
-    return flow
+    if state.flow is not None:
+        cw = state.flow.cond_width
+        cond = one_hot(rng.integers(0, cw, size=64), cw) if cw else None
+        state.flow.normalize(rng.normal(size=(64, 6)), cond=cond, train=True)
+    state.completed_tasks = 2
+    return state
+
+
+def roundtrip(state, tmp_path, seed=1, **kwargs):
+    path = tmp_path / "state.npz"
+    save_run_state(path, state, np.full((2, 2), np.nan), {"seed": seed})
+    return restore_run_state(fresh_state(seed, **kwargs), load_run_state(path))
 
 
 def test_flow_roundtrip_bit_exact(tmp_path):
-    flow = trained_flow()
-    path = tmp_path / "flow.npz"
-    save_flow(flow, path)
-    restored = load_flow(path)
+    flow = trained_state().flow
+    restored = roundtrip(trained_state(), tmp_path).flow
     for (p, _), (q, _) in zip(flow.parameters(), restored.parameters()):
         assert np.array_equal(p, q)
     z = Rng(2).normal(size=(8, 6))
@@ -45,23 +68,18 @@ def test_flow_roundtrip_bit_exact(tmp_path):
 
 
 def test_conditioned_flow_roundtrip(tmp_path):
-    flow = trained_flow(seed=4, cond_width=3)
-    path = tmp_path / "flow.npz"
-    save_flow(flow, path)
-    restored = load_flow(path)
+    flow = trained_state(seed=4, cond_width=3).flow
+    restored = roundtrip(trained_state(seed=4, cond_width=3), tmp_path,
+                         seed=4, cond_width=3).flow
     z = Rng(5).normal(size=(4, 6))
     cond = one_hot([0, 1, 2, 0], 3)
     assert np.array_equal(flow.log_prob(z, cond=cond), restored.log_prob(z, cond=cond))
 
 
 def test_model_roundtrip(tmp_path):
-    model = build_mlp_model((6,), 4, Rng(6), embedding_dim=5, encoder_hidden=(10,),
-                            decoder_conditioned=True)
-    model.ensure_head(1, 2, Rng(7))
-    model.ensure_head(2, 2, Rng(8))
-    path = tmp_path / "model.npz"
-    save_model(model, path)
-    restored = load_model(path)
+    model = trained_state(seed=6, decoder_conditioned=True).model
+    restored = roundtrip(trained_state(seed=6, decoder_conditioned=True), tmp_path,
+                         seed=6, decoder_conditioned=True).model
     x = Rng(9).normal(size=(5, 6))
     assert np.array_equal(model.encode_classify(x), restored.encode_classify(x))
     assert np.array_equal(model.classify(x, 2), restored.classify(x, 2))
@@ -72,23 +90,33 @@ def test_model_roundtrip(tmp_path):
     assert restored.head_classes == {1: 2, 2: 2}
 
 
-def run_tasks(seed, n_tasks, checkpoint_path=None, resume_state=None):
+def test_restore_rejects_another_config(tmp_path):
+    path = tmp_path / "state.npz"
+    save_run_state(path, trained_state(), np.full((2, 2), np.nan), {})
+    restored = load_run_state(path)
+    with pytest.raises(ConfigurationError,
+                       match=r"'model/encoder/p0' is \(10, 6\) in the file, \(12, 6\) in this run"):
+        restore_run_state(fresh_state(encoder_hidden=(12,)), restored)
+    with pytest.raises(ConfigurationError,
+                       match=r"'flow/bn0/mean' is \(6,\) in the file, absent in this run"):
+        restore_run_state(fresh_state(with_flow=False), restored)
+    other_format = tmp_path / "other.npz"
+    np.savez(other_format, manifest=np.array("{}"), result_matrix=np.zeros((2, 2)))
+    with pytest.raises(ConfigurationError, match="no 'meta' entry"):
+        load_run_state(other_format)
+
+
+def run_tasks(seed, n_tasks, checkpoint_path=None, resume_path=None):
     ds = synth_blobs(classes=4, per_class=60, dim=6, separation=5.0, seed=seed)
     train, test = split_train_test(ds, seed)
     stream = build_task_stream(train, 2, seed)
     cfg = TrainConfig(strategy="prer", classifier_epochs=4, ae_max_epochs=8,
                       flow_max_epochs=8, memory_size=40, batch_size=32).validate()
-    if resume_state is None:
-        model = build_mlp_model((6,), 4, Rng(seed), embedding_dim=4, encoder_hidden=(12,))
-        flow = build_flow(4, 1, 5, Rng(seed).fork("flow-init"))
-        state = RunState(model=model, flow=flow, stream=stream, cfg=cfg, rng=Rng(seed))
-    else:
-        state = RunState(model=resume_state["model"], flow=resume_state["flow"],
-                         stream=stream, cfg=cfg, rng=Rng(seed),
-                         completed_tasks=resume_state["completed_tasks"],
-                         synthetic_memory=resume_state["synthetic_memory"],
-                         er_memory=resume_state["er_memory"],
-                         timings=resume_state["timings"])
+    model = build_mlp_model((6,), 4, Rng(seed), embedding_dim=4, encoder_hidden=(12,))
+    flow = build_flow(4, 1, 5, Rng(seed).fork("flow-init"))
+    state = RunState(model=model, flow=flow, stream=stream, cfg=cfg, rng=Rng(seed))
+    if resume_path is not None:
+        restore_run_state(state, load_run_state(resume_path))
     for task in stream.tasks[state.completed_tasks:n_tasks]:
         strategy_train_task("prer", state, task)
     if checkpoint_path is not None:
@@ -100,13 +128,13 @@ def test_run_state_resume_matches_straight_run(tmp_path):
     # train both tasks in one go
     straight = run_tasks(11, n_tasks=2)
 
-    # train task 1, checkpoint, restore, train task 2
+    # train task 1, checkpoint, restore into a rebuilt state, train task 2
     path = tmp_path / "state.npz"
     run_tasks(11, n_tasks=1, checkpoint_path=path)
     restored = load_run_state(path)
     assert restored["completed_tasks"] == 1
     assert restored["extra"] == {"seed": 11}
-    resumed = run_tasks(11, n_tasks=2, resume_state=restored)
+    resumed = run_tasks(11, n_tasks=2, resume_path=path)
 
     for (p, _), (q, _) in zip(straight.model.encoder.parameters(),
                               resumed.model.encoder.parameters()):

@@ -1,9 +1,13 @@
 """Tests for the experiment runner: record determinism, aggregation,
 round-trips and the config surface."""
 
+import io
+
 import numpy as np
 import pytest
 
+from prer import runner
+from prer.checkpoint import load_run_state, state_arrays
 from prer.config import ExperimentConfig, load_config, parse_config_text
 from prer.exceptions import ConfigurationError
 from prer.runner import (
@@ -85,11 +89,92 @@ def test_record_json_roundtrip(tmp_path):
     assert loaded == [record]
 
 
-def test_checkpoint_resume_reproduces_record(tmp_path):
-    cfg = tiny_config(checkpoints=True)
-    full = run_experiment(cfg, seed=1, out_dir=tmp_path)
+THREE_TASKS = "blobs:classes=6,dim=6,sep=5,per_class=40"
+
+
+class Crash(Exception):
+    """Stands in for an interrupt."""
+
+
+def trained_tasks(monkeypatch, crash_at=None):
+    """Route the runner's per-task training through a wrapper that logs
+    each task index and the run state, and raises on task `crash_at`."""
+    train = runner.strategy_train_task
+    log = {"tasks": [], "state": None}
+
+    def wrapper(strategy, state, task):
+        if task.index == crash_at:
+            raise Crash
+        log["tasks"].append(task.index)
+        log["state"] = state
+        return train(strategy, state, task)
+
+    monkeypatch.setattr(runner, "strategy_train_task", wrapper)
+    return log
+
+
+def final_arrays(state):
+    """Every array the run ends with: the state arrays and the ER memory.
+    Records of small runs round accuracies coarsely, these do not."""
+    arrays = dict(state_arrays(state))
+    if state.er_memory is not None:
+        arrays.update({f"er/{k}": v for k, v in vars(state.er_memory).items()
+                       if v is not None})
+    return arrays
+
+
+@pytest.mark.parametrize("strategy,conditioning", [
+    ("naive", "decoder"), ("replay", "decoder"), ("er", "decoder"), ("prer", "decoder"),
+    ("prer_r", "both"), ("prer_r", "flow"), ("prer_r", "none"),
+])
+def test_checkpoint_resume_reproduces_record(tmp_path, monkeypatch, strategy, conditioning):
+    cfg = tiny_config(dataset=THREE_TASKS, strategy=strategy, conditioning=conditioning,
+                      checkpoints=True)
+    with monkeypatch.context() as patch:
+        log = trained_tasks(patch)
+        straight = without_wallclock(run_experiment(cfg, seed=1))
+    expected = final_arrays(log["state"])
+    for crash_at in (2, 3):
+        out = tmp_path / f"crash{crash_at}"
+        with monkeypatch.context() as patch:
+            trained_tasks(patch, crash_at)
+            with pytest.raises(Crash):
+                run_experiment(cfg, seed=1, out_dir=out)
+        with monkeypatch.context() as patch:
+            log = trained_tasks(patch)
+            resumed = run_experiment(cfg, seed=1, out_dir=out, resume=True)
+        assert log["tasks"] == list(range(crash_at, 4))
+        assert without_wallclock(resumed) == straight
+        got = final_arrays(log["state"])
+        assert got.keys() == expected.keys()
+        for name, array in expected.items():
+            assert np.array_equal(got[name], array), name
+
+
+def test_interrupted_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
+    cfg = tiny_config(dataset=THREE_TASKS, checkpoints=True)
+    straight = without_wallclock(run_experiment(cfg, seed=1))
+    savez = np.savez
+    calls = []
+
+    def interrupted_savez(fh, **arrays):
+        calls.append(fh)
+        if len(calls) == 2:  # the second checkpoint stops halfway through
+            buf = io.BytesIO()
+            savez(buf, **arrays)
+            fh.write(buf.getvalue()[:buf.tell() // 2])
+            raise Crash
+        savez(fh, **arrays)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "savez", interrupted_savez)
+        with pytest.raises(Crash):
+            run_experiment(cfg, seed=1, out_dir=tmp_path)
+    [path] = tmp_path.iterdir()  # the first checkpoint, and no temp file
+    assert path.name.startswith("state_prer_")
+    assert load_run_state(path)["completed_tasks"] == 1
     resumed = run_experiment(cfg, seed=1, out_dir=tmp_path, resume=True)
-    assert without_wallclock(resumed) == without_wallclock(full)
+    assert without_wallclock(resumed) == straight
 
 
 def test_conv_encoder_run_on_idx_images(tmp_path):
@@ -225,6 +310,11 @@ def test_flow_topology_bounds_and_override():
 def test_config_hash_stable_and_sensitive():
     assert tiny_config().config_hash() == tiny_config().config_hash()
     assert tiny_config().config_hash() != tiny_config(beta=0.9).config_hash()
+    # where records go, which seeds a sweep runs and checkpointing change no record
+    assert tiny_config(out_dir="runs/a").config_hash() == \
+        tiny_config(out_dir="runs/b").config_hash()
+    assert tiny_config(seeds=(3,), checkpoints=True).config_hash() == \
+        tiny_config().config_hash()
 
 
 def test_load_config_file(tmp_path):

@@ -1,0 +1,138 @@
+"""Check that the working tree writes the same run records as a base revision.
+
+    python3 tools/compare_records.py --base REV
+
+Extracts REV with ``git archive`` into a temp directory, then runs one
+small grid under each tree's ``src/``, each tree in its own process with
+the four BLAS thread variables set to 1. The grid is ``configs/blobs.cfg``
+at seed 1 (taken from this checkout, so both trees read the same config):
+
+- all five strategies under the config's conditioning;
+- prer and prer_r with conditioning both, flow and none;
+- prer_r with conditioning both and ``checkpoints = true``, crashed at the
+  start of task 3 and resumed from its checkpoint.
+
+Records are compared without ``timings`` and ``config_hash``, the same
+rule as ``bench/checks.digest``. Exits 1 on any difference. Uses only the
+standard library here; the workers import the program and numpy.
+"""
+
+import argparse
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BASE_CONFIG = ROOT / "configs" / "blobs.cfg"
+SEED = 1
+CRASH_AT = 3
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+IGNORED = ("timings", "config_hash")
+
+
+def grid():
+    """(name, config overrides, crash task or None), in run order."""
+    runs = [(s, {"strategy": s}, None) for s in ("naive", "replay", "er", "prer", "prer_r")]
+    for strategy in ("prer", "prer_r"):
+        for mode in ("both", "flow", "none"):
+            runs.append((f"{strategy}-{mode}", {"strategy": strategy, "conditioning": mode},
+                         None))
+    runs.append((f"prer_r-both-resumed-at-task{CRASH_AT}",
+                 {"strategy": "prer_r", "conditioning": "both", "checkpoints": "true"},
+                 CRASH_AT))
+    return runs
+
+
+class _Crash(Exception):
+    pass
+
+
+def worker():
+    """Run the grid read from stdin under the ``prer`` on sys.path and print
+    {name: record} as JSON."""
+    from dataclasses import asdict
+
+    from prer import config, runner
+
+    job = json.load(sys.stdin)
+    out = {}
+    train = runner.strategy_train_task
+    for name, overrides, crash_at in job["runs"]:
+        text = job["config"] + "".join(f"\n{k} = {v}" for k, v in overrides.items())
+        cfg = config.parse_config_text(text)
+        with tempfile.TemporaryDirectory() as out_dir:
+            if crash_at is not None:
+                def crashing(strategy, state, task):
+                    if task.index == crash_at:
+                        raise _Crash
+                    return train(strategy, state, task)
+                runner.strategy_train_task = crashing
+                try:
+                    runner.run_experiment(cfg, SEED, out_dir=out_dir)
+                except _Crash:
+                    pass
+                finally:
+                    runner.strategy_train_task = train
+            record = runner.run_experiment(cfg, SEED, out_dir=out_dir,
+                                           resume=crash_at is not None)
+        out[name] = {k: v for k, v in asdict(record).items() if k not in IGNORED}
+    json.dump(out, sys.stdout, sort_keys=True)
+
+
+def run_tree(tree: Path, job: dict) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **{v: "1" for v in THREAD_VARS})
+    proc = subprocess.run([sys.executable, __file__, "--worker"], input=json.dumps(job),
+                          capture_output=True, text=True, env=env, cwd=tree, check=False)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"grid failed under {tree}")
+    return json.loads(proc.stdout)
+
+
+def differences(base: dict, head: dict) -> list:
+    lines = []
+    for name in base.keys() | head.keys():
+        a, b = base.get(name), head.get(name)
+        if a is None or b is None:
+            lines.append(f"{name}: only in {'base' if b is None else 'working tree'}")
+            continue
+        for key in sorted(a.keys() | b.keys()):
+            if a.get(key) != b.get(key):
+                lines.append(f"{name}.{key}: base {a.get(key)!r} != working tree {b.get(key)!r}")
+    return sorted(lines)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", help="git revision to compare against")
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        return worker()
+    if not args.base:
+        parser.error("--base is required")
+    job = {"config": BASE_CONFIG.read_text(encoding="utf-8"), "runs": grid()}
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "archive", args.base], cwd=ROOT,
+                                 capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        base = run_tree(Path(tmp), job)
+    head = run_tree(ROOT, job)
+    diffs = differences(base, head)
+    for line in diffs:
+        print(line)
+    print(f"{len(head)} runs compared against {args.base}: "
+          f"{'records differ' if diffs else 'records identical'} "
+          f"(ignoring {', '.join(IGNORED)})")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
