@@ -2,10 +2,13 @@
 
 A run is a pure function of (config, seed), so the config fixes the
 shape of the model and the flow. A checkpoint is one .npz holding the
-arrays that ``state_arrays`` names, both memories, the partial result
-matrix and a JSON "meta" entry. Resuming rebuilds the run from its
-config and seed and copies the arrays back bit-exactly; flow
-permutations are not stored, since the "flow-init" fork redraws them.
+arrays that ``state_arrays`` names, the ER memory of real rows, the
+partial result matrix and a JSON "meta" entry. Resuming rebuilds the run
+from its config and seed and copies the arrays back bit-exactly. Flow
+permutations are not stored, since the "flow-init" fork redraws them,
+and neither is the synthetic memory, since every task after the first
+regenerates it from the flow before reading it (files that hold one
+still load; the entries are ignored).
 A checkpoint resumes only the config that wrote it: an array that is
 missing, extra or reshaped raises a ConfigurationError naming it.
 """
@@ -18,10 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import ConfigurationError
-from .pipeline import ErMemory, SyntheticMemory
+from .pipeline import ErMemory
 from .rng import Rng
-
-_MEMORIES = {"synthetic_memory": SyntheticMemory, "er_memory": ErMemory}
 
 
 def state_arrays(state) -> dict:
@@ -58,7 +59,7 @@ def atomic_write(path, write):
 
 def save_run_state(path, state, result_matrix, extra: dict):
     """Persist everything needed to resume after the last finished task:
-    the state arrays, both memories, the partial result matrix and a
+    the state arrays, the ER memory, the partial result matrix and a
     free-form JSON block (seed, partial metrics)."""
     meta = {
         "completed_tasks": state.completed_tasks,
@@ -68,21 +69,19 @@ def save_run_state(path, state, result_matrix, extra: dict):
     }
     arrays = state_arrays(state)
     arrays["result_matrix"] = np.asarray(result_matrix, dtype=float)
-    for attr in _MEMORIES:
-        memory = getattr(state, attr)
-        if memory is not None:
-            for f in fields(memory):
-                value = getattr(memory, f.name)
-                if value is not None:
-                    arrays[f"{attr}/{f.name}"] = np.asarray(value)
+    if state.er_memory is not None:
+        for f in fields(ErMemory):
+            value = getattr(state.er_memory, f.name)
+            if value is not None:
+                arrays[f"er_memory/{f.name}"] = value
     arrays["meta"] = np.array(json.dumps(meta))
     atomic_write(path, lambda fh: np.savez(fh, **arrays))
 
 
 def load_run_state(path):
     """Read a checkpoint into a dict: "completed_tasks", "result_matrix",
-    "timings", "extra", "head_classes", the named "arrays" and both
-    memories. ``restore_run_state`` puts it into a rebuilt run."""
+    "timings", "extra", "head_classes", the named "arrays" and
+    "er_memory". ``restore_run_state`` puts it into a rebuilt run."""
     with np.load(path, allow_pickle=False) as data:
         if "meta" not in data.files:
             raise ConfigurationError(f"{path}: no 'meta' entry; not a checkpoint of this format")
@@ -95,13 +94,8 @@ def load_run_state(path):
             "result_matrix": data["result_matrix"],
             "arrays": {k: data[k] for k in data.files if k.startswith(("model/", "flow/"))},
         }
-        for attr, cls in _MEMORIES.items():
-            values = {f.name: data.get(f"{attr}/{f.name}") for f in fields(cls)}
-            if all(v is None for v in values.values()):
-                out[attr] = None
-                continue
-            out[attr] = cls(**{k: v.item() if v is not None and v.ndim == 0 else v
-                               for k, v in values.items()})
+        memory = {f.name: data.get(f"er_memory/{f.name}") for f in fields(ErMemory)}
+        out["er_memory"] = ErMemory(**memory) if memory["images"] is not None else None
         return out
 
 
@@ -126,6 +120,5 @@ def restore_run_state(state, restored):
             bn.initialized = True
     state.completed_tasks = restored["completed_tasks"]
     state.timings = restored["timings"]
-    for attr in _MEMORIES:
-        setattr(state, attr, restored[attr])
+    state.er_memory = restored["er_memory"]
     return state

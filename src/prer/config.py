@@ -1,16 +1,16 @@
 """Experiment configuration: a flat key = value text format.
 
 Lines are ``key = value``; blank lines and ``#`` comments are ignored.
-Lists are comma separated. The exact key set is documented in the README
-and in the field list below; unknown keys are rejected so typos fail
-loudly.
+The keys are the fields of ``ExperimentConfig`` and each value is read
+as its field's type (``tuple`` fields are comma-separated integers).
+Unknown keys and unreadable values fail with the key and the line.
 """
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .exceptions import ConfigurationError
-from .pipeline import STRATEGIES, TrainConfig
+from .pipeline import STRATEGIES
 
 CONDITIONING_MODES = ("both", "decoder", "flow", "none")
 _NOT_HASHED = {"out_dir", "seeds", "checkpoints"}
@@ -81,7 +81,18 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     "flow_blocks outside 5..10; set flow_bounds_override = true to allow"
                 )
-        self.train_config()  # validates the shared fields
+        if not 0.0 <= self.replay_fraction < 1.0:
+            raise ConfigurationError("replay fraction must be in [0, 1)")
+        if self.beta < 0.0:
+            raise ConfigurationError("beta must be >= 0")
+        if self.memory_size < 0:
+            raise ConfigurationError("memory size must be >= 0")
+        if min(self.classifier_epochs, self.ae_max_epochs, self.flow_max_epochs) < 1:
+            raise ConfigurationError("epoch counts must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigurationError("batch size must be >= 1")
+        if not 0.0 <= self.validation_fraction < 1.0:
+            raise ConfigurationError("validation fraction must be in [0, 1)")
         return self
 
     @property
@@ -91,22 +102,6 @@ class ExperimentConfig:
     @property
     def flow_conditioned(self):
         return self.conditioning in ("both", "flow")
-
-    def train_config(self, strategy=None) -> TrainConfig:
-        return TrainConfig(
-            strategy=strategy or self.strategy,
-            classifier_epochs=self.classifier_epochs,
-            ae_max_epochs=self.ae_max_epochs,
-            flow_max_epochs=self.flow_max_epochs,
-            patience=self.patience,
-            min_delta=self.min_delta,
-            beta=self.beta,
-            memory_size=self.memory_size,
-            replay_fraction=self.replay_fraction,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            validation_fraction=self.validation_fraction,
-        ).validate()
 
     def canonical_text(self) -> str:
         """The fields that can change a record, one ``key = value`` line
@@ -127,40 +122,16 @@ class ExperimentConfig:
         return hashlib.blake2b(self.canonical_text().encode(), digest_size=8).hexdigest()
 
 
-_INT_TUPLES = {"seeds", "encoder_hidden", "conv_channels", "decoder_hidden", "head_hidden"}
-_BOOLS = {"flow_bounds_override", "checkpoints"}
-_STRINGS = {"dataset", "strategy", "conditioning", "encoder", "out_dir"}
-_INTS = {
-    "c_m", "embedding_dim", "classifier_epochs", "ae_max_epochs", "flow_max_epochs",
-    "patience", "memory_size", "batch_size", "flow_levels", "flow_blocks",
-    "flow_hidden_multiplier", "coverage_cap",
-}
-_FLOATS = {
-    "min_delta", "beta", "replay_fraction", "lr", "validation_fraction",
-    "head_dropout", "bn_momentum", "bn_eps",
-}
+_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _parse_value(key: str, raw: str):
-    if key in _STRINGS:
-        return raw
-    if key in _BOOLS:
-        lowered = raw.lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise ConfigurationError(f"{key}: expected a boolean, got {raw!r}")
-    if key in _INTS:
-        return int(raw)
-    if key in _FLOATS:
-        return float(raw)
-    if key in _INT_TUPLES:
-        raw = raw.strip()
-        if not raw:
-            return ()
-        return tuple(int(v.strip()) for v in raw.split(","))
-    raise ConfigurationError(f"unknown config key {key!r}")
+def _parse_value(kind, raw: str):
+    if kind is bool:
+        return _BOOLS[raw.lower()]
+    if kind is tuple:
+        return tuple(int(v) for v in raw.split(",")) if raw else ()
+    return kind(raw)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -172,8 +143,15 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigurationError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
-        key = key.strip()
-        values[key] = _parse_value(key, raw.strip())
+        key, raw = key.strip(), raw.strip()
+        if key not in _TYPES:
+            raise ConfigurationError(f"line {lineno}: unknown config key {key!r}")
+        try:
+            values[key] = _parse_value(_TYPES[key], raw)
+        except (KeyError, ValueError):
+            raise ConfigurationError(
+                f"line {lineno}: {key} = {raw!r} is not a valid {_TYPES[key].__name__}"
+            ) from None
     cfg = ExperimentConfig(**values)
     return cfg.validate()
 

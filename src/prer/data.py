@@ -247,39 +247,52 @@ def build_task_stream(dataset: LabeledDataset, classes_per_task: int, seed: int)
 # config-string addressing
 
 
+_SPEC_ARGS = {
+    "blobs": {"classes": int, "per_class": int, "dim": int, "sep": float, "span": int},
+    "mnist": {"images": str, "labels": str, "dir": str},
+}
+
+
 def parse_dataset_spec(spec: str, seed: int) -> LabeledDataset:
     """Build a dataset from a config string such as
     ``blobs:classes=10,dim=20,sep=6,per_class=200`` or
     ``mnist:images=PATH,labels=PATH``."""
     kind, _, argstr = spec.partition(":")
-    args = {}
-    if argstr:
-        for item in argstr.split(","):
-            key, _, value = item.partition("=")
-            if not key or not value:
-                raise ConfigurationError(f"malformed dataset argument {item!r}")
-            args[key.strip()] = value.strip()
+    if kind not in _SPEC_ARGS:
+        raise ConfigurationError(f"unknown dataset kind {kind!r}")
+    types, args = _SPEC_ARGS[kind], {}
+    for item in argstr.split(",") if argstr else ():
+        key, _, value = (part.strip() for part in item.partition("="))
+        if not key or not value:
+            raise ConfigurationError(f"malformed dataset argument {item!r}")
+        if key not in types:
+            raise ConfigurationError(
+                f"unknown {kind} argument {key!r}; expected one of {', '.join(types)}")
+        try:
+            args[key] = types[key](value)
+        except ValueError:
+            raise ConfigurationError(
+                f"{kind} argument {key} = {value!r} is not a valid {types[key].__name__}"
+            ) from None
     if kind == "blobs":
         return synth_blobs(
-            classes=int(args.get("classes", 10)),
-            per_class=int(args.get("per_class", 200)),
-            dim=int(args.get("dim", 20)),
-            separation=float(args.get("sep", 6.0)),
+            classes=args.get("classes", 10),
+            per_class=args.get("per_class", 200),
+            dim=args.get("dim", 20),
+            separation=args.get("sep", 6.0),
             seed=seed,
-            span=int(args["span"]) if "span" in args else None,
+            span=args.get("span"),
         )
-    if kind == "mnist":
-        if "dir" in args:
-            base = args["dir"].rstrip("/")
-            for suffix in ("", ".gz"):
-                images = f"{base}/train-images-idx3-ubyte{suffix}"
-                labels = f"{base}/train-labels-idx1-ubyte{suffix}"
-                try:
-                    return load_mnist(images, labels)
-                except FileNotFoundError:
-                    continue
-            raise ConfigurationError(f"no MNIST IDX files found under {base}")
-        if "images" not in args or "labels" not in args:
-            raise ConfigurationError("mnist spec needs images=PATH,labels=PATH or dir=PATH")
-        return load_mnist(args["images"], args["labels"])
-    raise ConfigurationError(f"unknown dataset kind {kind!r}")
+    if "dir" in args:
+        base = args["dir"].rstrip("/")
+        for suffix in ("", ".gz"):
+            images = f"{base}/train-images-idx3-ubyte{suffix}"
+            labels = f"{base}/train-labels-idx1-ubyte{suffix}"
+            try:
+                return load_mnist(images, labels)
+            except FileNotFoundError:
+                continue
+        raise ConfigurationError(f"no MNIST IDX files found under {base}")
+    if "images" not in args or "labels" not in args:
+        raise ConfigurationError("mnist spec needs images=PATH,labels=PATH or dir=PATH")
+    return load_mnist(args["images"], args["labels"])

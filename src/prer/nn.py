@@ -330,18 +330,6 @@ def _warn_zero_vector():
         _zero_cosine_logged = True
 
 
-def cosine_distance(a, b) -> float:
-    """1 - cos(a, b) in [0, 2]. A zero vector is treated as orthogonal."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        _warn_zero_vector()
-        return 1.0
-    cos = np.clip(a @ b / (na * nb), -1.0, 1.0)
-    return float(1.0 - cos)
-
-
 def row_cosine_similarity(a, b) -> np.ndarray:
     """Per-row cosine similarity of two (n, d) arrays; zero rows give 0."""
     a = np.atleast_2d(np.asarray(a, dtype=float))

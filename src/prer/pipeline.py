@@ -9,6 +9,7 @@ at task end, the synthetic memory is regenerated at every task start.
 """
 
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,40 +21,18 @@ from .metrics import KnnProbe
 from .model import ContinualModel, one_hot
 from .rng import Rng
 
-STRATEGIES = ("naive", "replay", "er", "prer", "prer_r")
-
-
-@dataclass
-class TrainConfig:
-    strategy: str = "prer"
-    classifier_epochs: int = 20
-    ae_max_epochs: int = 150
-    flow_max_epochs: int = 150
-    patience: int = 5
-    min_delta: float = 1e-4
-    beta: float = 1.0
-    memory_size: int = 200
-    replay_fraction: float = 0.5
-    batch_size: int = 64
-    lr: float = 0.001
-    validation_fraction: float = 0.1
-
-    def validate(self):
-        if self.strategy not in STRATEGIES:
-            raise ConfigurationError(f"unknown strategy {self.strategy!r}")
-        if not 0.0 <= self.replay_fraction < 1.0:
-            raise ConfigurationError("replay fraction must be in [0, 1)")
-        if self.beta < 0.0:
-            raise ConfigurationError("beta must be >= 0")
-        if self.memory_size < 0:
-            raise ConfigurationError("memory size must be >= 0")
-        if min(self.classifier_epochs, self.ae_max_epochs, self.flow_max_epochs) < 1:
-            raise ConfigurationError("epoch counts must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch size must be >= 1")
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise ConfigurationError("validation fraction must be in [0, 1)")
-        return self
+# what each strategy is made of: does it keep a flow (and train phases 2
+# and 3 on synthetic memory), apply the embedding-retention penalty to
+# its memory rows, replay them into the classifier's mini-batches; a
+# strategy without a flow keeps real rows, with embeddings for a penalty
+Strategy = namedtuple("Strategy", "flow penalty replay")
+STRATEGIES = {
+    "naive": Strategy(flow=False, penalty=False, replay=False),
+    "replay": Strategy(flow=False, penalty=False, replay=True),
+    "er": Strategy(flow=False, penalty=True, replay=False),
+    "prer": Strategy(flow=True, penalty=True, replay=False),
+    "prer_r": Strategy(flow=True, penalty=False, replay=True),
+}
 
 
 @dataclass
@@ -127,17 +106,42 @@ def _batches(n, batch_size, rng):
         yield order[start:start + batch_size]
 
 
-def classifier_loss(model: ContinualModel, x, y_task, task_id: int, beta: float = 0.0,
-                    memory_images=None, memory_embeddings=None) -> dict:
-    """Evaluate the classification loss, optionally with the embedding
-    retention penalty, without touching any gradients."""
-    logits = model.classify(x, task_id)
-    ce = nn.cross_entropy(logits, y_task)
-    reg = 0.0
-    if beta > 0.0 and memory_images is not None and len(memory_images):
-        z = model.encode_classify(memory_images)
-        reg = nn.mean_cosine_distance(z, memory_embeddings)
-    return {"total": ce + beta * reg, "cross_entropy": ce, "regularizer": reg}
+def _overwrite_rows(batch, memory, fraction, rng):
+    """The batch arrays with their first ceil(fraction * n) rows replaced
+    by rows drawn, with one draw for all of them, from the memory arrays
+    paired with them; a batch array whose memory array is None is kept."""
+    n = len(batch[0])
+    k = min(int(np.ceil(fraction * n)), n)
+    pick = rng.choice(len(memory[0]), size=k, replace=len(memory[0]) < k)
+    out = []
+    for rows, source in zip(batch, memory):
+        if source is not None:
+            rows = rows.copy()
+            rows[:k] = source[pick]
+        out.append(rows)
+    return out
+
+
+def _check_finite(phase, task, epoch, loss, pairs):
+    """Stop a phase whose epoch loss or parameters have left the finite
+    numbers. Both are checked: a Relu maps NaN to 0, so a NaN input row
+    can ruin the weights behind it and leave the loss finite."""
+    if not np.isfinite(loss):
+        what = f"loss {loss}"
+    elif not all(np.isfinite(p).all() for p, _ in pairs):
+        what = "non-finite parameters"
+    else:
+        return
+    raise DivergenceError(f"{phase} phase, task {task.index}, epoch {epoch}: {what}")
+
+
+def _uses_memory(memory, cfg, conditioned, what):
+    """Whether a phase mixes `memory` into its batches; a conditioned
+    network needs the classes the memory was generated for."""
+    use = memory is not None and len(memory) > 0 and cfg.replay_fraction > 0.0
+    if use and conditioned and memory.classes is None:
+        raise ConfigurationError(f"{what} is conditioned but the memory carries no classes")
+    return use
 
 
 def _grouped_classifier_step(model, current_task_id, x, y_task, task_ids, dropout_rng):
@@ -163,7 +167,7 @@ def _grouped_classifier_step(model, current_task_id, x, y_task, task_ids, dropou
     return total
 
 
-def train_classifier_phase(model: ContinualModel, task, cfg: TrainConfig, rng: Rng,
+def train_classifier_phase(model: ContinualModel, task, cfg, rng: Rng,
                            penalty=None, replay=None) -> dict:
     """Phase 1. Trains the backbone, the classification projection and
     the current task head. `penalty` is (images, embeddings) for the
@@ -195,7 +199,7 @@ def train_classifier_phase(model: ContinualModel, task, cfg: TrainConfig, rng: R
     best_acc = -1.0
     best_params = None
     history = []
-    for _ in range(cfg.classifier_epochs):
+    for epoch in range(cfg.classifier_epochs):
         epoch_loss, steps = 0.0, 0
         for idx in _batches(len(x_fit), cfg.batch_size, batch_rng):
             xb, yb = x_fit[idx], y_fit[idx]
@@ -204,17 +208,12 @@ def train_classifier_phase(model: ContinualModel, task, cfg: TrainConfig, rng: R
             head.zero_grads()
 
             if use_replay:
-                rep_x, rep_y, rep_t = replay
-                k = min(int(np.ceil(cfg.replay_fraction * len(idx))), len(idx))
-                pick = mem_rng.choice(len(rep_x), size=k, replace=len(rep_x) < k)
-                xb = xb.copy()
-                yb = yb.copy()
-                tids = np.full(len(xb), task.index)
-                xb[:k] = rep_x[pick]
-                yb[:k] = rep_y[pick]
-                tids[:k] = rep_t[pick]
+                tids = np.full(len(idx), task.index)
+                xb, yb, tids = _overwrite_rows((xb, yb, tids), replay,
+                                               cfg.replay_fraction, mem_rng)
                 loss = _grouped_classifier_step(model, task.index, xb, yb, tids, dropout_rng)
             else:
+                # one head for every row: no per-task grouping to pay for
                 logits = model.classify(xb, task.index, train=True, rng=dropout_rng)
                 loss = nn.cross_entropy(logits, yb)
                 dlogits = nn.cross_entropy_grad(logits, yb)
@@ -236,6 +235,7 @@ def train_classifier_phase(model: ContinualModel, task, cfg: TrainConfig, rng: R
             adam.step()
             epoch_loss += loss
             steps += 1
+        _check_finite("classifier", task, epoch, epoch_loss, pairs)
         history.append(epoch_loss / max(steps, 1))
 
         if len(val_idx):
@@ -252,7 +252,7 @@ def train_classifier_phase(model: ContinualModel, task, cfg: TrainConfig, rng: R
     return {"loss_history": history, "best_val_accuracy": best_acc}
 
 
-def train_autoencoder_phase(model: ContinualModel, task, cfg: TrainConfig, rng: Rng,
+def train_autoencoder_phase(model: ContinualModel, task, cfg, rng: Rng,
                             memory: SyntheticMemory | None = None) -> dict:
     """Phase 2. Trains the reconstruction projection and the decoder on
     pixel MSE; the backbone and the classification projection stay
@@ -260,9 +260,7 @@ def train_autoencoder_phase(model: ContinualModel, task, cfg: TrainConfig, rng: 
     memory images."""
     if len(task) == 0:
         raise ConfigurationError(f"task {task.index} has no training data")
-    use_memory = memory is not None and len(memory) > 0 and cfg.replay_fraction > 0.0
-    if use_memory and model.decoder_conditioned and memory.classes is None:
-        raise ConfigurationError("decoder is conditioned but the memory carries no classes")
+    use_memory = _uses_memory(memory, cfg, model.decoder_conditioned, "decoder")
 
     pairs = model.autoencoder_parameters()
     adam = nn.Adam(pairs, lr=cfg.lr)
@@ -271,20 +269,13 @@ def train_autoencoder_phase(model: ContinualModel, task, cfg: TrainConfig, rng: 
     stop = EarlyStop(cfg.patience, cfg.min_delta)
 
     history = []
-    for _ in range(cfg.ae_max_epochs):
+    for epoch in range(cfg.ae_max_epochs):
         epoch_loss, steps = 0.0, 0
         for idx in _batches(len(task), cfg.batch_size, batch_rng):
-            xb = task.x[idx]
-            y_cond = task.y_global[idx]
+            xb, y_cond = task.x[idx], task.y_global[idx]
             if use_memory:
-                k = min(int(np.ceil(cfg.replay_fraction * len(idx))), len(idx))
-                pick = mem_rng.choice(len(memory), size=k, replace=len(memory) < k)
-                xb = xb.copy()
-                xb[:k] = memory.images[pick]
-                if memory.classes is not None:
-                    y_cond = y_cond.copy()
-                    y_cond[:k] = memory.classes[pick]
-
+                xb, y_cond = _overwrite_rows((xb, y_cond), (memory.images, memory.classes),
+                                             cfg.replay_fraction, mem_rng)
             model.proj_reconstruct.zero_grads()
             model.decoder.zero_grads()
             h = model.encoder.forward(xb)  # frozen: no backward into the backbone
@@ -299,6 +290,7 @@ def train_autoencoder_phase(model: ContinualModel, task, cfg: TrainConfig, rng: 
             adam.step()
             epoch_loss += loss
             steps += 1
+        _check_finite("autoencoder", task, epoch, epoch_loss, pairs)
         mean_loss = epoch_loss / max(steps, 1)
         history.append(mean_loss)
         if stop.update(mean_loss):
@@ -306,18 +298,17 @@ def train_autoencoder_phase(model: ContinualModel, task, cfg: TrainConfig, rng: 
     return {"loss_history": history, "epochs": len(history)}
 
 
-def train_flow_phase(flow: FlowStack, model: ContinualModel, task, cfg: TrainConfig,
+def train_flow_phase(flow: FlowStack, model: ContinualModel, task, cfg,
                      rng: Rng, memory: SyntheticMemory | None = None) -> dict:
     """Phase 3. Fits the single persistent flow to the reconstruction
     embeddings of the current task, mixed with memory images so that the
     density keeps covering earlier tasks."""
     if len(task) == 0:
         raise ConfigurationError(f"task {task.index} has no training data")
-    use_memory = memory is not None and len(memory) > 0 and cfg.replay_fraction > 0.0
-    if use_memory and model.flow_conditioned and memory.classes is None:
-        raise ConfigurationError("flow is conditioned but the memory carries no classes")
+    use_memory = _uses_memory(memory, cfg, model.flow_conditioned, "flow")
 
-    adam = nn.Adam(flow.parameters(), lr=cfg.lr)
+    pairs = flow.parameters()
+    adam = nn.Adam(pairs, lr=cfg.lr)
     batch_rng = rng.fork("batches")
     mem_rng = rng.fork("memory")
     stop = EarlyStop(cfg.patience, cfg.min_delta)
@@ -328,16 +319,10 @@ def train_flow_phase(flow: FlowStack, model: ContinualModel, task, cfg: TrainCon
         for idx in _batches(len(task), cfg.batch_size, batch_rng):
             if len(idx) < 2:  # batch norm needs a real batch
                 continue
-            xb = task.x[idx]
-            y_cond = task.y_global[idx]
+            xb, y_cond = task.x[idx], task.y_global[idx]
             if use_memory:
-                k = min(int(np.ceil(cfg.replay_fraction * len(idx))), len(idx))
-                pick = mem_rng.choice(len(memory), size=k, replace=len(memory) < k)
-                xb = xb.copy()
-                xb[:k] = memory.images[pick]
-                if memory.classes is not None:
-                    y_cond = y_cond.copy()
-                    y_cond[:k] = memory.classes[pick]
+                xb, y_cond = _overwrite_rows((xb, y_cond), (memory.images, memory.classes),
+                                             cfg.replay_fraction, mem_rng)
             z = model.encode_reconstruct(xb)
             cond = one_hot(y_cond, model.num_classes) if model.flow_conditioned else None
             flow.zero_grads()
@@ -345,17 +330,13 @@ def train_flow_phase(flow: FlowStack, model: ContinualModel, task, cfg: TrainCon
                 loss = nll_loss_and_backward(flow, z, cond=cond, train=True)
             except DivergenceError as err:
                 raise DivergenceError(
-                    f"flow phase, task {task.index}, epoch {epoch}: {err}"
-                ) from None
-            if not np.isfinite(loss):
-                raise DivergenceError(
-                    f"flow NLL diverged on task {task.index}, epoch {epoch}"
-                )
+                    f"flow phase, task {task.index}, epoch {epoch}: {err}") from None
             adam.step()
             epoch_loss += loss
             steps += 1
         if steps == 0:
             raise ConfigurationError("task too small for flow training at this batch size")
+        _check_finite("flow", task, epoch, epoch_loss, pairs)
         mean_loss = epoch_loss / steps
         history.append(mean_loss)
         if stop.update(mean_loss):
@@ -411,7 +392,7 @@ class RunState:
     model: ContinualModel
     flow: FlowStack | None
     stream: object
-    cfg: TrainConfig
+    cfg: object  # the run's ExperimentConfig
     rng: Rng
     completed_tasks: int = 0
     synthetic_memory: SyntheticMemory | None = None
@@ -432,23 +413,23 @@ def _past_task_probe(state: RunState, through_task: int) -> KnnProbe:
     return KnnProbe(k=5).fit(np.concatenate(xs), np.concatenate(ys))
 
 
-def strategy_train_task(strategy: str, state: RunState, task) -> RunState:
-    """Train one task under the given strategy and advance the state."""
-    if strategy not in STRATEGIES:
-        raise ConfigurationError(f"unknown strategy {strategy!r}")
-    if task.index != state.completed_tasks + 1:
+def strategy_train_task(state: RunState, task) -> RunState:
+    """Train one task under the strategy of ``state.cfg`` and advance the
+    state."""
+    cfg, model, t = state.cfg, state.model, task.index
+    if cfg.strategy not in STRATEGIES:
+        raise ConfigurationError(f"unknown strategy {cfg.strategy!r}")
+    strategy = STRATEGIES[cfg.strategy]
+    if t != state.completed_tasks + 1:
         raise StateError(
             f"tasks must be trained in order; expected task {state.completed_tasks + 1}, "
-            f"got {task.index}"
+            f"got {t}"
         )
-    cfg = state.cfg
-    model = state.model
-    t = task.index
     rng_t = state.rng.fork(f"task{t}")
 
-    if strategy in ("prer", "prer_r"):
+    if strategy.flow:
         if state.flow is None:
-            raise ConfigurationError(f"strategy {strategy!r} needs a flow")
+            raise ConfigurationError(f"strategy {cfg.strategy!r} needs a flow")
         if t > 1 and cfg.memory_size > 0:
             start = time.perf_counter()
             conditioned = model.flow_conditioned or model.decoder_conditioned
@@ -461,23 +442,22 @@ def strategy_train_task(strategy: str, state: RunState, task) -> RunState:
             )
             state._time("memory", time.perf_counter() - start)
 
-    penalty = None
-    replay = None
-    memory = state.synthetic_memory
-    if strategy == "er" and state.er_memory is not None and len(state.er_memory):
-        penalty = (state.er_memory.images, state.er_memory.embeddings)
-    elif strategy == "prer" and memory is not None and len(memory):
+    memory = state.synthetic_memory if strategy.flow else state.er_memory
+    has_rows = memory is not None and len(memory) > 0
+    penalty = replay = None
+    if has_rows and strategy.penalty:
         penalty = (memory.images, memory.embeddings)
-    elif strategy == "replay" and state.er_memory is not None and len(state.er_memory):
-        replay = (state.er_memory.images, state.er_memory.y_task, state.er_memory.task_ids)
-    elif strategy == "prer_r" and memory is not None and len(memory):
-        # replay labels must describe what a generated image actually
-        # contains, and the requested condition class is only a request;
-        # the nearest-class probe over real past-task embeddings labels
-        # the content itself, so it is used in every conditioning mode
-        labels = _past_task_probe(state, t).predict(memory.embeddings)
-        y_task = np.array([state.stream.within_task_label(y) for y in labels])
-        task_ids = np.array([state.stream.task_of_class(y) for y in labels])
+    elif has_rows and strategy.replay:
+        if strategy.flow:
+            # replay labels must describe what a generated image actually
+            # contains, and the requested condition class is only a request;
+            # the nearest-class probe over real past-task embeddings labels
+            # the content itself, so it is used in every conditioning mode
+            labels = _past_task_probe(state, t).predict(memory.embeddings)
+            y_task = np.array([state.stream.within_task_label(y) for y in labels])
+            task_ids = np.array([state.stream.task_of_class(y) for y in labels])
+        else:
+            y_task, task_ids = memory.y_task, memory.task_ids
         replay = (memory.images, y_task, task_ids)
 
     start = time.perf_counter()
@@ -485,21 +465,19 @@ def strategy_train_task(strategy: str, state: RunState, task) -> RunState:
                            penalty=penalty, replay=replay)
     state._time("classifier", time.perf_counter() - start)
 
-    if strategy in ("prer", "prer_r"):
+    if strategy.flow:
         start = time.perf_counter()
         train_autoencoder_phase(model, task, cfg, rng_t.fork("autoencoder"), memory=memory)
         state._time("autoencoder", time.perf_counter() - start)
         start = time.perf_counter()
         train_flow_phase(state.flow, model, task, cfg, rng_t.fork("flow"), memory=memory)
         state._time("flow", time.perf_counter() - start)
-
-    if strategy in ("replay", "er"):
+    elif strategy.penalty or strategy.replay:
+        # real rows of the finished task, with their embeddings for a penalty
         k = min(cfg.memory_size, len(task))
         if k > 0:
             pick = rng_t.fork("store").choice(len(task), size=k, replace=False)
-            embeddings = None
-            if strategy == "er":
-                embeddings = model.encode_classify(task.x[pick])
+            embeddings = model.encode_classify(task.x[pick]) if strategy.penalty else None
             state.er_memory = ErMemory.add_task(
                 state.er_memory, task.x[pick], task.y_global[pick],
                 task.y_task[pick], t, embeddings,

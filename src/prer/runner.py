@@ -20,7 +20,7 @@ from .data import build_task_stream, parse_dataset_spec, split_train_test
 from .exceptions import ConfigurationError
 from .flow import build_flow
 from .model import build_conv_model, build_mlp_model, one_hot
-from .pipeline import RunState, strategy_train_task
+from .pipeline import STRATEGIES, RunState, strategy_train_task
 from .rng import Rng
 
 
@@ -145,7 +145,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None, resume=False)
     cfg.validate()
     nn.reset_run_warnings()
     strategy = cfg.strategy
-    train_cfg = cfg.train_config()
+    keeps_flow = STRATEGIES[strategy].flow
 
     dataset = parse_dataset_spec(cfg.dataset, seed)
     train_set, test_set = split_train_test(dataset, seed)
@@ -158,11 +158,11 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None, resume=False)
     model = build_model_from_config(cfg, dataset.sample_shape, num_classes,
                                     rng.fork("model-init"))
     flow = None
-    if strategy in ("prer", "prer_r"):
+    if keeps_flow:
         flow = build_flow_from_config(cfg, num_classes, rng.fork("flow-init"))
 
     r = np.full((num_tasks, num_tasks), np.nan)
-    state = RunState(model=model, flow=flow, stream=train_stream, cfg=train_cfg, rng=rng)
+    state = RunState(model=model, flow=flow, stream=train_stream, cfg=cfg, rng=rng)
     d_t, q_t = {}, {}
 
     ckpt_path = None
@@ -179,13 +179,13 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None, resume=False)
         q_t = {int(k): v for k, v in restored["extra"].get("q_t", {}).items()}
 
     for task in train_stream.tasks[state.completed_tasks:]:
-        strategy_train_task(strategy, state, task)
+        strategy_train_task(state, task)
         t = task.index
 
         start = time.perf_counter()
         for j in range(1, t + 1):
             r[t - 1, j - 1] = metrics.task_accuracy(model, test_stream.tasks[j - 1])
-        if strategy in ("prer", "prer_r"):
+        if keeps_flow:
             d_t[t] = _coverage(state, train_stream, t, cfg.coverage_cap,
                                rng.fork(f"coverage{t}"))
             if state.synthetic_memory is not None and len(state.synthetic_memory):
@@ -205,15 +205,10 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None, resume=False)
     decoder_params = model.decoder.param_count()
     flow_params = flow.param_count() if flow is not None else 0
     footprints = {
-        "naive": 0.0,
-        "replay": metrics.memory_footprint("replay", num_tasks, cfg.memory_size, image_floats),
-        "er": metrics.memory_footprint("er", num_tasks, cfg.memory_size, image_floats,
-                                       cfg.embedding_dim),
-        "prer": metrics.memory_footprint("prer", num_tasks, cfg.memory_size, image_floats,
-                                         cfg.embedding_dim,
-                                         decoder_params + flow_params),
+        name: metrics.memory_footprint(name, num_tasks, cfg.memory_size, image_floats,
+                                       cfg.embedding_dim, decoder_params + flow_params)
+        for name in STRATEGIES
     }
-    footprints["prer_r"] = footprints["prer"]
 
     r_matrix = [[None if math.isnan(v) else float(v) for v in row] for row in r]
     return RunRecord(

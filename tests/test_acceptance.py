@@ -29,7 +29,6 @@ from prer.metrics import (
 from prer.model import build_mlp_model, one_hot
 from prer.pipeline import (
     RunState,
-    TrainConfig,
     class_schedule,
     generate_memory,
     strategy_train_task,
@@ -388,8 +387,8 @@ def test_c9_generation_quality(prer_records):
             encoder_hidden=(32,), head_hidden=(16,), decoder_conditioned=True)
         flow = build_flow(2, 1, 5, rng.fork("flow-init"))
         state = RunState(model=model, flow=flow, stream=stream,
-                         cfg=cfg.train_config(), rng=rng)
-        strategy_train_task("prer", state, stream.tasks[0])
+                         cfg=cfg, rng=rng)
+        strategy_train_task(state, stream.tasks[0])
         schedule = class_schedule([0, 1], 100, rng.fork("schedule"))
         memory = generate_memory(flow, model, 100, schedule, rng.fork("gen"),
                                  task_index=2)

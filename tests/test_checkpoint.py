@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from prer.checkpoint import load_run_state, restore_run_state, save_run_state
+from prer.config import ExperimentConfig
 from prer.data import build_task_stream, split_train_test, synth_blobs
 from prer.exceptions import ConfigurationError
 from prer.flow import build_flow
 from prer.model import build_mlp_model, one_hot
-from prer.pipeline import RunState, TrainConfig, strategy_train_task
+from prer.pipeline import RunState, strategy_train_task
 from prer.rng import Rng
 
 
@@ -24,7 +25,7 @@ def fresh_state(seed=1, cond_width=0, decoder_conditioned=False, encoder_hidden=
     flow = None
     if with_flow:
         flow = build_flow(6, 2, 3, Rng(seed).fork("flow-init"), cond_width=cond_width)
-    return RunState(model=model, flow=flow, stream=None, cfg=TrainConfig(), rng=Rng(seed))
+    return RunState(model=model, flow=flow, stream=None, cfg=ExperimentConfig(), rng=Rng(seed))
 
 
 def trained_state(seed=1, **kwargs):
@@ -110,7 +111,7 @@ def run_tasks(seed, n_tasks, checkpoint_path=None, resume_path=None):
     ds = synth_blobs(classes=4, per_class=60, dim=6, separation=5.0, seed=seed)
     train, test = split_train_test(ds, seed)
     stream = build_task_stream(train, 2, seed)
-    cfg = TrainConfig(strategy="prer", classifier_epochs=4, ae_max_epochs=8,
+    cfg = ExperimentConfig(strategy="prer", classifier_epochs=4, ae_max_epochs=8,
                       flow_max_epochs=8, memory_size=40, batch_size=32).validate()
     model = build_mlp_model((6,), 4, Rng(seed), embedding_dim=4, encoder_hidden=(12,))
     flow = build_flow(4, 1, 5, Rng(seed).fork("flow-init"))
@@ -118,7 +119,7 @@ def run_tasks(seed, n_tasks, checkpoint_path=None, resume_path=None):
     if resume_path is not None:
         restore_run_state(state, load_run_state(resume_path))
     for task in stream.tasks[state.completed_tasks:n_tasks]:
-        strategy_train_task("prer", state, task)
+        strategy_train_task(state, task)
     if checkpoint_path is not None:
         save_run_state(checkpoint_path, state, np.full((2, 2), np.nan), {"seed": seed})
     return state

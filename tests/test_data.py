@@ -225,3 +225,9 @@ def test_parse_dataset_spec():
         parse_dataset_spec("unknown:foo=1", seed=24)
     with pytest.raises(ConfigurationError):
         parse_dataset_spec("blobs:classes", seed=24)
+    with pytest.raises(ConfigurationError, match="blobs argument classes = 'x' is not a valid int"):
+        parse_dataset_spec("blobs:classes=x", seed=24)
+    with pytest.raises(ConfigurationError, match="unknown blobs argument 'clases'"):
+        parse_dataset_spec("blobs:clases=4", seed=24)
+    with pytest.raises(ConfigurationError, match="unknown mnist argument 'image'"):
+        parse_dataset_spec("mnist:image=a,labels=b", seed=24)

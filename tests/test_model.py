@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from prer import nn
+from prer.config import ExperimentConfig
 from prer.data import Task
 from prer.exceptions import ConfigurationError
 from prer.model import build_conv_model, build_mlp_model, one_hot
-from prer.pipeline import TrainConfig, train_autoencoder_phase
+from prer.pipeline import train_autoencoder_phase
 from prer.rng import Rng
 
 
@@ -110,7 +111,7 @@ def test_autoencoder_phase_freezes_encoder_and_classifier_projection():
     task = make_task(x, y)
     enc_before = model.encoder.get_params()
     fc_before = model.proj_classify.get_params()
-    cfg = TrainConfig(strategy="prer", ae_max_epochs=10).validate()
+    cfg = ExperimentConfig(strategy="prer", ae_max_epochs=10).validate()
     train_autoencoder_phase(model, task, cfg, Rng(14))
     for before, (p, g) in zip(enc_before, model.encoder.parameters()):
         assert np.array_equal(before, p)
@@ -126,7 +127,7 @@ def test_autoencoder_overfits_four_samples():
     x = rng.random(size=(4, 6))
     y = np.array([0, 1, 2, 3])
     task = make_task(x, y, classes=(0, 1, 2, 3))
-    cfg = TrainConfig(strategy="prer", ae_max_epochs=4000, batch_size=4,
+    cfg = ExperimentConfig(strategy="prer", ae_max_epochs=4000, batch_size=4,
                       patience=200, min_delta=1e-9).validate()
     train_autoencoder_phase(model, task, cfg, Rng(17))
     x_hat = model.reconstruct(x)

@@ -233,19 +233,20 @@ def test_mse_hand_computed():
 
 
 def test_cosine_distance_self_and_orthogonal():
+    # one-row inputs: the mean over rows is that row's distance
     rng = Rng(8)
     for _ in range(5):
-        v = rng.normal(size=6)
-        assert nn.cosine_distance(v, v) == pytest.approx(0.0, abs=1e-12)
-    assert nn.cosine_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
-    assert nn.cosine_distance([1.0, 0.0], [-1.0, 0.0]) == pytest.approx(2.0)
+        v = rng.normal(size=(1, 6))
+        assert nn.mean_cosine_distance(v, v) == pytest.approx(0.0, abs=1e-12)
+    assert nn.mean_cosine_distance([[1.0, 0.0]], [[0.0, 1.0]]) == pytest.approx(1.0)
+    assert nn.mean_cosine_distance([[1.0, 0.0]], [[-1.0, 0.0]]) == pytest.approx(2.0)
 
 
 def test_cosine_zero_vector_convention_logged_once(caplog):
     nn.reset_run_warnings()
     with caplog.at_level(logging.WARNING, logger="prer.nn"):
-        assert nn.cosine_distance([0.0, 0.0], [1.0, 0.0]) == 1.0
-        assert nn.cosine_distance([0.0, 0.0], [0.0, 0.0]) == 1.0
+        assert nn.mean_cosine_distance([[0.0, 0.0]], [[1.0, 0.0]]) == 1.0
+        assert nn.mean_cosine_distance([[0.0, 0.0]], [[0.0, 0.0]]) == 1.0
     warnings = [r for r in caplog.records if "zero vector" in r.message]
     assert len(warnings) == 1
 

@@ -4,9 +4,9 @@ equivalences, memory construction and end-to-end conditioning probes."""
 import numpy as np
 import pytest
 
-from prer import nn
+from prer.config import ExperimentConfig
 from prer.data import build_task_stream, split_train_test, synth_blobs
-from prer.exceptions import ConfigurationError, StateError
+from prer.exceptions import ConfigurationError, DivergenceError, StateError
 from prer.flow import build_flow
 from prer.metrics import task_accuracy
 from prer.model import build_mlp_model, one_hot
@@ -14,9 +14,7 @@ from prer.pipeline import (
     ErMemory,
     RunState,
     SyntheticMemory,
-    TrainConfig,
     class_schedule,
-    classifier_loss,
     generate_memory,
     strategy_train_task,
     train_autoencoder_phase,
@@ -52,7 +50,7 @@ def make_state(seed, strategy="prer", conditioning="decoder", **cfg_kwargs):
     defaults = dict(strategy=strategy, classifier_epochs=10, ae_max_epochs=40,
                     flow_max_epochs=40, memory_size=120, batch_size=32)
     defaults.update(cfg_kwargs)
-    cfg = TrainConfig(**defaults).validate()
+    cfg = ExperimentConfig(**defaults).validate()
     state = RunState(model=model, flow=flow, stream=train_stream, cfg=cfg, rng=Rng(seed))
     return state, train_stream, test_stream
 
@@ -65,61 +63,63 @@ def classifier_params(model, task_id):
 # loss reductions
 
 
+def train_one_task(seed, penalty=None, **cfg_kwargs):
+    """Classifier parameters and loss history after phase 1 on task 1."""
+    state, train_stream, _ = make_state(seed, strategy="er", classifier_epochs=3, **cfg_kwargs)
+    stats = train_classifier_phase(state.model, train_stream.tasks[0], state.cfg, Rng(seed),
+                                   penalty=penalty)
+    return stats["loss_history"], classifier_params(state.model, 1)
+
+
+def same_training(a, b):
+    return a[0] == b[0] and all(np.array_equal(p, q) for p, q in zip(a[1], b[1]))
+
+
 def test_loss_reduces_to_plain_cross_entropy_without_memory():
-    model = make_model(1)
-    model.ensure_head(1, 2, Rng(2))
-    x = Rng(3).normal(size=(16, 8))
-    y = Rng(4).integers(0, 2, size=16)
-    with_memory = classifier_loss(model, x, y, 1, beta=1.0)
-    plain = nn.cross_entropy(model.classify(x, 1), y)
-    assert abs(with_memory["total"] - plain) < 1e-12
-    assert with_memory["regularizer"] == 0.0
+    empty = (np.empty((0, 8)), np.empty((0, 8)))
+    plain = train_one_task(1)
+    assert same_training(train_one_task(1, penalty=empty, beta=1.0), plain)
 
 
 def test_removing_penalty_term_reproduces_plain_loss_exactly():
-    model = make_model(5)
-    model.ensure_head(1, 2, Rng(6))
     rng = Rng(7)
-    x = rng.normal(size=(16, 8))
-    y = rng.integers(0, 2, size=16)
-    mem_x = rng.normal(size=(10, 8))
-    mem_z = rng.normal(size=(10, 8))
-    full = classifier_loss(model, x, y, 1, beta=1.0,
-                           memory_images=mem_x, memory_embeddings=mem_z)
-    reduced = classifier_loss(model, x, y, 1, beta=0.0,
-                              memory_images=mem_x, memory_embeddings=mem_z)
-    assert full["regularizer"] > 0.0
-    assert abs(full["total"] - (full["cross_entropy"] + full["regularizer"])) < 1e-12
-    assert abs(reduced["total"] - full["cross_entropy"]) < 1e-12
+    penalty = (rng.normal(size=(10, 8)), rng.normal(size=(10, 8)))
+    plain = train_one_task(5)
+    assert same_training(train_one_task(5, penalty=penalty, beta=0.0), plain)
+    full = train_one_task(5, penalty=penalty, beta=1.0)
+    assert not same_training(full, plain)
+    assert full[0][0] > plain[0][0]  # the first epoch adds a positive distance
 
 
 # ---------------------------------------------------------------------------
 # trajectory equivalences
 
 
-def test_beta_zero_matches_naive_trajectory():
-    results = {}
-    for strategy, beta in (("naive", 1.0), ("prer", 0.0)):
-        state, train_stream, _ = make_state(11, strategy=strategy, beta=beta,
-                                            classifier_epochs=4, ae_max_epochs=8,
-                                            flow_max_epochs=8)
+@pytest.mark.parametrize("strategy,knob", [
+    ("er", "beta"), ("prer", "beta"), ("replay", "replay_fraction"),
+    ("prer_r", "replay_fraction"),
+])
+def test_beta_zero_matches_naive_trajectory(strategy, knob):
+    # each strategy's memory reaches the classifier through one knob: at
+    # 0 it trains as naive does, bit for bit; at the default it does not
+    def trained(strategy, **kwargs):
+        state, train_stream, _ = make_state(11, strategy=strategy, classifier_epochs=4,
+                                            ae_max_epochs=8, flow_max_epochs=8, **kwargs)
         for task in train_stream.tasks[:2]:
-            strategy_train_task(strategy, state, task)
-        results[strategy] = (
-            state.model.encoder.get_params()
-            + state.model.proj_classify.get_params()
-            + state.model.heads[1].get_params()
-            + state.model.heads[2].get_params()
-        )
-    for a, b in zip(results["naive"], results["prer"]):
-        assert np.array_equal(a, b)
+            strategy_train_task(state, task)
+        return (state.model.encoder.get_params() + state.model.proj_classify.get_params()
+                + state.model.heads[1].get_params() + state.model.heads[2].get_params())
+
+    naive = trained("naive")
+    assert all(np.array_equal(a, b) for a, b in zip(naive, trained(strategy, **{knob: 0.0})))
+    assert not all(np.array_equal(a, b) for a, b in zip(naive, trained(strategy)))
 
 
 def test_replay_and_er_match_naive_on_first_task():
     finals = {}
     for strategy in ("naive", "replay", "er"):
         state, train_stream, _ = make_state(12, strategy=strategy, classifier_epochs=5)
-        strategy_train_task(strategy, state, train_stream.tasks[0])
+        strategy_train_task(state, train_stream.tasks[0])
         finals[strategy] = classifier_params(state.model, 1)
     for strategy in ("replay", "er"):
         for a, b in zip(finals["naive"], finals[strategy]):
@@ -133,7 +133,7 @@ def test_beta_one_retains_first_task_at_least_as_well_as_beta_zero():
             state, train_stream, test_stream = make_state(
                 20 + seed, strategy="prer", beta=beta, classifier_epochs=10)
             for task in train_stream.tasks[:2]:
-                strategy_train_task("prer", state, task)
+                strategy_train_task(state, task)
             acc[beta].append(task_accuracy(state.model, test_stream.tasks[0]))
     assert np.mean(acc[1.0]) >= np.mean(acc[0.0])
 
@@ -155,7 +155,7 @@ def test_autoencoder_replay_requires_conditioning_classes():
     model = make_model(14, conditioning="decoder")
     _, train_stream, _ = make_state(14)
     task = train_stream.tasks[0]
-    cfg = TrainConfig(strategy="prer", ae_max_epochs=2).validate()
+    cfg = ExperimentConfig(strategy="prer", ae_max_epochs=2).validate()
     bad_memory = SyntheticMemory(np.zeros((4, 8)), np.zeros((4, 8)), None, source_task=2)
     with pytest.raises(ConfigurationError):
         train_autoencoder_phase(model, task, cfg, Rng(1), memory=bad_memory)
@@ -172,7 +172,6 @@ def test_flow_phase_decreases_nll():
 
 
 def test_flow_phase_divergence_carries_task_context():
-    from prer.exceptions import DivergenceError
     state, train_stream, _ = make_state(16)
     task = train_stream.tasks[0]
     # a translation net shooting to 1e200 overflows the prior term
@@ -180,6 +179,25 @@ def test_flow_phase_divergence_carries_task_context():
     coupling.translate_net.layers[-1].b[...] = 1e200
     with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="task 1"):
         train_flow_phase(state.flow, state.model, task, state.cfg, Rng(5))
+
+
+@pytest.mark.parametrize("phase", ["classifier", "autoencoder", "flow"])
+def test_nan_row_stops_every_phase(phase):
+    # no validation split, so the NaN row is surely trained on, and no
+    # hidden encoder layer, whose Relu would turn it into zeros
+    state, train_stream, _ = make_state(17, validation_fraction=0.0)
+    state.model = build_mlp_model((8,), 4, Rng(17), embedding_dim=8, encoder_hidden=(),
+                                  head_hidden=(16,))
+    task = train_stream.tasks[0]
+    task.x[5] = np.nan
+    train = {
+        "classifier": lambda: train_classifier_phase(state.model, task, state.cfg, Rng(1)),
+        "autoencoder": lambda: train_autoencoder_phase(state.model, task, state.cfg, Rng(1)),
+        "flow": lambda: train_flow_phase(state.flow, state.model, task, state.cfg, Rng(1)),
+    }[phase]
+    with np.errstate(invalid="ignore", over="ignore"), \
+            pytest.raises(DivergenceError, match=f"^{phase} phase, task 1, epoch 0: "):
+        train()
 
 
 def test_mnist_scale_flow_parameter_count():
@@ -198,12 +216,12 @@ def conditioned_state(seed, n_tasks=1):
     train_stream, test_stream = make_streams(seed, per_class=120)
     model = make_model(seed, conditioning="flow")
     flow = build_flow(model.embedding_dim, 1, 5, Rng(seed).fork("flow-init"), cond_width=4)
-    cfg = TrainConfig(strategy="prer", classifier_epochs=25, ae_max_epochs=150,
+    cfg = ExperimentConfig(strategy="prer", classifier_epochs=25, ae_max_epochs=150,
                       flow_max_epochs=600, memory_size=120, batch_size=32,
                       patience=15, min_delta=1e-5).validate()
     state = RunState(model=model, flow=flow, stream=train_stream, cfg=cfg, rng=Rng(seed))
     for task in train_stream.tasks[:n_tasks]:
-        strategy_train_task("prer", state, task)
+        strategy_train_task(state, task)
     return state, train_stream, test_stream
 
 
@@ -230,7 +248,7 @@ def test_zero_memory_degenerates_to_naive():
                                             classifier_epochs=4, ae_max_epochs=6,
                                             flow_max_epochs=6, **kwargs)
         for task in train_stream.tasks[:2]:
-            strategy_train_task(strategy, state, task)
+            strategy_train_task(state, task)
         finals[strategy] = (
             state.model.encoder.get_params() + state.model.proj_classify.get_params()
         )
@@ -264,7 +282,7 @@ def test_flow_samples_survive_second_task():
 
 
 def test_er_default_memory_size_matches_reference_setup():
-    assert TrainConfig().memory_size == 200
+    assert ExperimentConfig().memory_size == 200
 
 
 def test_naive_stream_shows_negative_bwt():
@@ -277,11 +295,11 @@ def test_naive_stream_shows_negative_bwt():
                                                  per_class=100, sep=5.0, span=3)
         model = build_mlp_model((20,), 10, Rng(seed), embedding_dim=2,
                                 encoder_hidden=(32,), head_hidden=(16,))
-        cfg = TrainConfig(strategy="naive", classifier_epochs=30, batch_size=64).validate()
+        cfg = ExperimentConfig(strategy="naive", classifier_epochs=30, batch_size=64).validate()
         state = RunState(model=model, flow=None, stream=train_stream, cfg=cfg, rng=Rng(seed))
         r = np.full((5, 5), np.nan)
         for task in train_stream.tasks:
-            strategy_train_task("naive", state, task)
+            strategy_train_task(state, task)
             for j in range(task.index):
                 r[task.index - 1, j] = task_accuracy(state.model, test_stream.tasks[j])
         from prer.metrics import bwt
@@ -291,23 +309,24 @@ def test_naive_stream_shows_negative_bwt():
 
 def test_unknown_strategy_rejected():
     state, train_stream, _ = make_state(31)
-    with pytest.raises(ConfigurationError):
-        strategy_train_task("sgd", state, train_stream.tasks[0])
+    state.cfg.strategy = "sgd"  # set after validation, which would refuse it
+    with pytest.raises(ConfigurationError, match="unknown strategy 'sgd'"):
+        strategy_train_task(state, train_stream.tasks[0])
 
 
 def test_tasks_must_run_in_order():
     state, train_stream, _ = make_state(32)
     with pytest.raises(StateError):
-        strategy_train_task("prer", state, train_stream.tasks[1])
+        strategy_train_task(state, train_stream.tasks[1])
 
 
 def test_er_memory_grows_per_task_and_stores_embeddings():
     state, train_stream, _ = make_state(33, strategy="er", classifier_epochs=3,
                                         memory_size=40)
-    strategy_train_task("er", state, train_stream.tasks[0])
+    strategy_train_task(state, train_stream.tasks[0])
     assert len(state.er_memory) == 40
     assert state.er_memory.embeddings is not None
-    strategy_train_task("er", state, train_stream.tasks[1])
+    strategy_train_task(state, train_stream.tasks[1])
     assert len(state.er_memory) == 80
     assert set(state.er_memory.task_ids) == {1, 2}
 
@@ -315,7 +334,7 @@ def test_er_memory_grows_per_task_and_stores_embeddings():
 def test_replay_memory_has_no_embeddings():
     state, train_stream, _ = make_state(34, strategy="replay", classifier_epochs=3,
                                         memory_size=25)
-    strategy_train_task("replay", state, train_stream.tasks[0])
+    strategy_train_task(state, train_stream.tasks[0])
     assert state.er_memory.embeddings is None
     assert np.array_equal(state.er_memory.y_global,
                           state.er_memory.y_task + 0)  # task 1 offset is 0
@@ -323,9 +342,9 @@ def test_replay_memory_has_no_embeddings():
 
 def test_past_heads_never_mutated():
     state, train_stream, _ = make_state(35, strategy="replay", classifier_epochs=5)
-    strategy_train_task("replay", state, train_stream.tasks[0])
+    strategy_train_task(state, train_stream.tasks[0])
     head1_before = state.model.heads[1].get_params()
-    strategy_train_task("replay", state, train_stream.tasks[1])
+    strategy_train_task(state, train_stream.tasks[1])
     for a, b in zip(head1_before, state.model.heads[1].get_params()):
         assert np.array_equal(a, b)
 
@@ -336,7 +355,7 @@ def test_single_flow_and_decoder_persist_across_tasks():
     flow_id = id(state.flow)
     decoder_id = id(state.model.decoder)
     for task in train_stream.tasks[:2]:
-        strategy_train_task("prer", state, task)
+        strategy_train_task(state, task)
     assert id(state.flow) == flow_id
     assert id(state.model.decoder) == decoder_id
 
@@ -359,7 +378,7 @@ def interference_state(seed, strategy, conditioning="decoder"):
     if strategy in ("prer", "prer_r"):
         flow = build_flow(2, 1, 5, Rng(seed).fork("flow-init"),
                           cond_width=10 if conditioning in ("both", "flow") else 0)
-    cfg = TrainConfig(strategy=strategy, classifier_epochs=30, batch_size=64,
+    cfg = ExperimentConfig(strategy=strategy, classifier_epochs=30, batch_size=64,
                       memory_size=150).validate()
     state = RunState(model=model, flow=flow, stream=train_stream, cfg=cfg, rng=Rng(seed))
     return state, train_stream, test_stream
@@ -369,7 +388,7 @@ def stream_bwt(state, strategy, train_stream, test_stream):
     m = len(train_stream.tasks)
     r = np.full((m, m), np.nan)
     for task in train_stream.tasks:
-        strategy_train_task(strategy, state, task)
+        strategy_train_task(state, task)
         for j in range(task.index):
             r[task.index - 1, j] = task_accuracy(state.model, test_stream.tasks[j])
     from prer.metrics import bwt
@@ -399,7 +418,7 @@ def test_prer_r_unconditioned_uses_probe_labels():
     # from the nearest-class probe over real past-task embeddings
     state, tr, te = interference_state(5, "prer_r", conditioning="none")
     for task in tr.tasks[:3]:
-        strategy_train_task("prer_r", state, task)
+        strategy_train_task(state, task)
     assert state.synthetic_memory.classes is None
     assert state.completed_tasks == 3
 
@@ -408,7 +427,7 @@ def test_autoencoder_rho_zero_trains_on_task_only():
     model = make_model(40)
     train_stream, _ = make_streams(40)
     task = train_stream.tasks[0]
-    cfg = TrainConfig(strategy="prer", ae_max_epochs=10, replay_fraction=0.0).validate()
+    cfg = ExperimentConfig(strategy="prer", ae_max_epochs=10, replay_fraction=0.0).validate()
     memory = SyntheticMemory(np.zeros((5, 8)), np.zeros((5, 8)),
                              np.zeros(5, dtype=int), source_task=2)
     stats = train_autoencoder_phase(model, task, cfg, Rng(41), memory=memory)

@@ -102,12 +102,13 @@ def trained_tasks(monkeypatch, crash_at=None):
     train = runner.strategy_train_task
     log = {"tasks": [], "state": None}
 
-    def wrapper(strategy, state, task):
+    def wrapper(*args):
+        state, task = args[-2:]
         if task.index == crash_at:
             raise Crash
         log["tasks"].append(task.index)
         log["state"] = state
-        return train(strategy, state, task)
+        return train(*args)
 
     monkeypatch.setattr(runner, "strategy_train_task", wrapper)
     return log
@@ -283,6 +284,31 @@ def test_parse_config_rejects_unknown_key():
 def test_parse_config_rejects_bad_line():
     with pytest.raises(ConfigurationError, match="line 1"):
         parse_config_text("just some words")
+
+
+@pytest.mark.parametrize("line,pattern", [
+    ("batch_size = abc", r"line 2: batch_size = 'abc' is not a valid int"),
+    ("beta = nope", r"line 2: beta = 'nope' is not a valid float"),
+    ("seeds = 1,a", r"line 2: seeds = '1,a' is not a valid tuple"),
+    ("checkpoints = maybe", r"line 2: checkpoints = 'maybe' is not a valid bool"),
+])
+def test_parse_config_rejects_bad_value(line, pattern):
+    with pytest.raises(ConfigurationError, match=pattern):
+        parse_config_text(f"strategy = er\n{line}\n")
+
+
+def test_config_text_round_trips_every_hashed_field():
+    cfg = tiny_config(strategy="prer_r", conditioning="both", encoder="conv",
+                      conv_channels=(3, 5), decoder_hidden=(), head_dropout=0.25,
+                      lr=0.003, flow_bounds_override=True, flow_blocks=3)
+    text = cfg.canonical_text()
+    assert "decoder_hidden = \n" in text
+    parsed = parse_config_text(text)
+    assert parsed.canonical_text() == text
+    for line in text.splitlines():
+        key = line.split(" = ")[0]
+        assert getattr(parsed, key) == getattr(cfg, key), key
+        assert type(getattr(parsed, key)) is type(getattr(cfg, key)), key
 
 
 def test_config_validation():

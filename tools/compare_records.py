@@ -9,8 +9,9 @@ at seed 1 (taken from this checkout, so both trees read the same config):
 
 - all five strategies under the config's conditioning;
 - prer and prer_r with conditioning both, flow and none;
-- prer_r with conditioning both and ``checkpoints = true``, crashed at the
-  start of task 3 and resumed from its checkpoint.
+- prer under the config's conditioning and prer_r with conditioning both,
+  each with ``checkpoints = true``, crashed at the start of task 3 and
+  resumed from its checkpoint.
 
 Records are compared without ``timings`` and ``config_hash``, the same
 rule as ``bench/checks.digest``. Exits 1 on any difference. Uses only the
@@ -43,6 +44,8 @@ def grid():
         for mode in ("both", "flow", "none"):
             runs.append((f"{strategy}-{mode}", {"strategy": strategy, "conditioning": mode},
                          None))
+    runs.append((f"prer-resumed-at-task{CRASH_AT}",
+                 {"strategy": "prer", "checkpoints": "true"}, CRASH_AT))
     runs.append((f"prer_r-both-resumed-at-task{CRASH_AT}",
                  {"strategy": "prer_r", "conditioning": "both", "checkpoints": "true"},
                  CRASH_AT))
@@ -68,10 +71,12 @@ def worker():
         cfg = config.parse_config_text(text)
         with tempfile.TemporaryDirectory() as out_dir:
             if crash_at is not None:
-                def crashing(strategy, state, task):
-                    if task.index == crash_at:
+                # the task is the last argument under either signature,
+                # (strategy, state, task) or (state, task)
+                def crashing(*args):
+                    if args[-1].index == crash_at:
                         raise _Crash
-                    return train(strategy, state, task)
+                    return train(*args)
                 runner.strategy_train_task = crashing
                 try:
                     runner.run_experiment(cfg, SEED, out_dir=out_dir)
