@@ -93,6 +93,20 @@ class ExperimentConfig:
             raise ConfigurationError("batch size must be >= 1")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ConfigurationError("validation fraction must be in [0, 1)")
+        # written so that a NaN fails too
+        if not self.lr > 0.0:
+            raise ConfigurationError(f"lr must be > 0, got {self.lr}")
+        if not self.min_delta >= 0.0:
+            raise ConfigurationError(f"min_delta must be >= 0, got {self.min_delta}")
+        if not 0.0 <= self.head_dropout < 1.0:
+            raise ConfigurationError(f"head_dropout must be in [0, 1), got {self.head_dropout}")
+        for key in ("patience", "embedding_dim", "coverage_cap", "flow_hidden_multiplier"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("encoder_hidden", "head_hidden", "decoder_hidden", "conv_channels"):
+            widths = getattr(self, key)
+            if any(width < 1 for width in widths):
+                raise ConfigurationError(f"{key} entries must be >= 1, got {widths}")
         return self
 
     @property

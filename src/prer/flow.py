@@ -221,6 +221,10 @@ class Coupling:
         if direction == GENERATING:
             out_b = np.exp(log_s) * b + t
             logdet = log_s.sum(axis=1)
+            # sampling is never backpropagated: what the nets cached would
+            # only keep a large sample's hidden activations resident
+            self.scale_net.drop_caches()
+            self.translate_net.drop_caches()
             self._cache = None
         else:
             out_b = (b - t) * np.exp(-log_s)

@@ -44,22 +44,35 @@ def bwt(r: np.ndarray) -> float:
 # set coverage
 
 
+# Row chunks of every pairwise-distance computation are sized so that one
+# chunk's largest intermediate holds at most this many float64s (2 MB);
+# a chunk's rows get the same per-element arithmetic as a one-shot pass,
+# so the budget moves memory, never results. Larger budgets measured no
+# faster: a small chunk stays in cache.
+CHUNK_FLOATS = 2 ** 18
+
+
+def _row_chunks(n, floats_per_row):
+    """Slices covering range(n), each at most CHUNK_FLOATS // floats_per_row
+    rows long (at least one row)."""
+    step = max(1, CHUNK_FLOATS // max(floats_per_row, 1))
+    for start in range(0, n, step):
+        yield slice(start, start + step)
+
+
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Symmetric Hausdorff distance between two point sets (Euclidean)."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if len(a) == 0 or len(b) == 0:
         raise ConfigurationError("Hausdorff distance needs non-empty sets")
-    # row-chunked so the (n, m, d) broadcast never exceeds ~32 MB; the
-    # per-element arithmetic stays identical to the one-shot version, so
-    # d(a, b) == d(b, a) holds bitwise
-    chunk = max(1, int(4e6 / max(len(b) * a.shape[1], 1)))
+    # the exact difference form (not the matmul expansion) keeps
+    # d(a, b) == d(b, a) bitwise; chunked because it broadcasts (n, m, d)
     min_ab = np.empty(len(a))
     min_ba = np.full(len(b), np.inf)
-    for start in range(0, len(a), chunk):
-        d2 = ((a[start:start + chunk, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-        d = np.sqrt(d2)
-        min_ab[start:start + chunk] = d.min(axis=1)
+    for rows in _row_chunks(len(a), len(b) * a.shape[1]):
+        d = np.sqrt(((a[rows, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+        min_ab[rows] = d.min(axis=1)
         min_ba = np.minimum(min_ba, d.min(axis=0))
     return float(max(min_ab.max(), min_ba.max()))
 
@@ -139,20 +152,31 @@ class KnnProbe:
         self._y = np.asarray(y, dtype=int)
         if len(self._x) == 0:
             raise ConfigurationError("cannot fit a probe on an empty set")
+        if self._y.min() < 0:
+            raise ConfigurationError("probe labels must be non-negative")
         return self
 
     def predict(self, x) -> np.ndarray:
+        """The majority label of each row's k nearest fitted points; a tied
+        vote goes to the smallest label."""
         if self._x is None:
             raise ConfigurationError("probe used before fit")
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        # |x - y|^2 expanded through a matmul keeps memory at (n, m)
-        d2 = ((x ** 2).sum(axis=1)[:, None] + (self._x ** 2).sum(axis=1)[None, :]
-              - 2.0 * x @ self._x.T)
         k = min(self.k, len(self._x))
-        nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        sq_fit = (self._x ** 2).sum(axis=1)[None, :]
+        num_labels = self._y.max() + 1
         out = np.empty(len(x), dtype=int)
-        for i, idx in enumerate(nearest):
-            out[i] = np.bincount(self._y[idx]).argmax()
+        for rows in _row_chunks(len(x), len(self._x)):
+            xc = x[rows]
+            # |x - y|^2 expanded through a matmul keeps memory at (chunk, m)
+            d2 = (xc ** 2).sum(axis=1)[:, None] + sq_fit - 2.0 * xc @ self._x.T
+            nearest = self._y[np.argpartition(d2, k - 1, axis=1)[:, :k]]
+            del d2  # before the next chunk allocates its own
+            votes = np.zeros((len(xc), num_labels), dtype=np.intp)
+            row = np.arange(len(xc))
+            for j in range(k):
+                votes[row, nearest[:, j]] += 1
+            out[rows] = votes.argmax(axis=1)
         return out
 
 

@@ -94,7 +94,7 @@ class Dense(Layer):
 class Relu(Layer):
     def forward(self, x, train=False, rng=None, cond=None):
         self._cache = x > 0
-        return np.where(self._cache, x, 0.0)
+        return np.maximum(x, 0.0)  # NaN stays NaN; -0.0 becomes 0.0
 
     def backward(self, grad):
         mask = self._take_cache()
@@ -276,6 +276,12 @@ class Network:
         for layer in self.layers:
             layer.zero_grads()
 
+    def drop_caches(self):
+        """Forget every layer's cached forward pass, for a pass that will
+        never be backpropagated."""
+        for layer in self.layers:
+            layer._cache = None
+
     def param_count(self):
         return sum(layer.param_count() for layer in self.layers)
 
@@ -375,6 +381,13 @@ class Adam:
 
     def __init__(self, param_grad_pairs, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
         self.pairs = list(param_grad_pairs)
+        # gradients are only ever updated in place, so shapes checked
+        # here hold for every step
+        for p, g in self.pairs:
+            if g.shape != p.shape:
+                raise ConfigurationError(
+                    f"gradient shape {g.shape} does not match parameter shape {p.shape}"
+                )
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
@@ -383,22 +396,11 @@ class Adam:
         self.m = [np.zeros_like(p) for p, _ in self.pairs]
         self.v = [np.zeros_like(p) for p, _ in self.pairs]
 
-    def step(self, grads=None):
-        if grads is None:
-            grads = [g for _, g in self.pairs]
-        if len(grads) != len(self.pairs):
-            raise ConfigurationError(
-                f"expected {len(self.pairs)} gradient arrays, got {len(grads)}"
-            )
-        for (p, _), g in zip(self.pairs, grads):
-            if g.shape != p.shape:
-                raise ConfigurationError(
-                    f"gradient shape {g.shape} does not match parameter shape {p.shape}"
-                )
+    def step(self):
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for (p, _), g, m, v in zip(self.pairs, grads, self.m, self.v):
+        for (p, g), m, v in zip(self.pairs, self.m, self.v):
             m[...] = self.beta1 * m + (1.0 - self.beta1) * g
             v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
             p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)

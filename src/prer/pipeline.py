@@ -124,8 +124,9 @@ def _overwrite_rows(batch, memory, fraction, rng):
 
 def _check_finite(phase, task, epoch, loss, pairs):
     """Stop a phase whose epoch loss or parameters have left the finite
-    numbers. Both are checked: a Relu maps NaN to 0, so a NaN input row
-    can ruin the weights behind it and leave the loss finite."""
+    numbers. Both are checked: the loss of a step is taken before its
+    update, so the last update of an epoch can leave non-finite weights
+    behind a finite epoch loss."""
     if not np.isfinite(loss):
         what = f"loss {loss}"
     elif not all(np.isfinite(p).all() for p, _ in pairs):

@@ -141,21 +141,31 @@ def _checkpoint_path(out_dir, cfg, strategy, seed) -> Path:
     return Path(out_dir) / f"state_{strategy}_{cfg.config_hash()}_seed{seed}.npz"
 
 
+def _task_streams(cfg, seed):
+    """The train and test task streams of the run's dataset, and its
+    sample shape. Every copy of the rows is dropped once the next one
+    holds them: only the streams live on into training."""
+    dataset = parse_dataset_spec(cfg.dataset, seed)
+    sample_shape = dataset.sample_shape
+    train_set, test_set = split_train_test(dataset, seed)
+    del dataset
+    train_stream = build_task_stream(train_set, cfg.c_m, seed)
+    del train_set
+    return train_stream, build_task_stream(test_set, cfg.c_m, seed), sample_shape
+
+
 def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None, resume=False) -> RunRecord:
     cfg.validate()
     nn.reset_run_warnings()
     strategy = cfg.strategy
     keeps_flow = STRATEGIES[strategy].flow
 
-    dataset = parse_dataset_spec(cfg.dataset, seed)
-    train_set, test_set = split_train_test(dataset, seed)
-    train_stream = build_task_stream(train_set, cfg.c_m, seed)
-    test_stream = build_task_stream(test_set, cfg.c_m, seed)
+    train_stream, test_stream, sample_shape = _task_streams(cfg, seed)
     num_tasks = len(train_stream)
     num_classes = train_stream.num_classes
 
     rng = Rng(seed)
-    model = build_model_from_config(cfg, dataset.sample_shape, num_classes,
+    model = build_model_from_config(cfg, sample_shape, num_classes,
                                     rng.fork("model-init"))
     flow = None
     if keeps_flow:
@@ -201,7 +211,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None, resume=False)
             }
             checkpoint.save_run_state(ckpt_path, state, r, extra)
 
-    image_floats = int(np.prod(dataset.sample_shape))
+    image_floats = int(np.prod(sample_shape))
     decoder_params = model.decoder.param_count()
     flow_params = flow.param_count() if flow is not None else 0
     footprints = {

@@ -237,6 +237,19 @@ def test_log_prob_of_samples_is_finite():
     assert np.isfinite(stack.log_prob(samples)).all()
 
 
+def test_sampling_leaves_no_layer_cache():
+    stack = build_flow(6, 2, 3, Rng(21))
+    randomize(stack)
+    initialize_batchnorms(stack)  # a normalizing pass fills the caches
+    stack.sample(50, Rng(23))
+    layers = [layer for level in stack.levels for coupling in level
+              if isinstance(coupling, Coupling)
+              for net in (coupling.scale_net, coupling.translate_net)
+              for layer in net.layers]
+    assert len(layers) == 2 * 3 * 2 * 3  # levels, blocks, nets, Dense/Relu/Dense
+    assert all(layer._cache is None for layer in layers)
+
+
 def test_bijectivity_random_stacks():
     for seed in range(10):
         rng = Rng(100 + seed)

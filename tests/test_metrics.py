@@ -1,9 +1,12 @@
 """Tests for the metric suite: accuracy/BWT over the result matrix,
 Hausdorff coverage, generation quality and memory accounting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from prer import metrics
 from prer.exceptions import ConfigurationError
 from prer.metrics import (
     KnnProbe,
@@ -86,6 +89,18 @@ def test_hausdorff_singletons():
 
 def test_hausdorff_asymmetric_example():
     assert hausdorff_distance([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]]) == 1.0
+
+
+def test_hausdorff_same_bits_under_any_chunk_budget(monkeypatch):
+    rng = Rng(5)
+    a, b = rng.normal(size=(37, 4)), rng.normal(size=(23, 4))
+    values = set()
+    for budget in (1, 4 * 23, 50 * 23 * 4, 10**9):
+        monkeypatch.setattr(metrics, "CHUNK_FLOATS", budget)
+        values.add((hausdorff_distance(a, b), hausdorff_distance(b, a)))
+    assert len(values) == 1
+    (ab, ba), = values
+    assert ab == ba
 
 
 def test_hausdorff_symmetry_and_triangle():
@@ -192,3 +207,46 @@ def test_knn_probe_majority_vote():
 def test_knn_probe_unfit_rejected():
     with pytest.raises(ConfigurationError):
         KnnProbe().predict([[0.0]])
+
+
+def one_shot_knn(fit_x, fit_y, x, k):
+    """The probe without chunks: one dense distance matrix, then a
+    bincount vote per row. Returns the labels and the vote counts."""
+    d2 = ((x ** 2).sum(axis=1)[:, None] + (fit_x ** 2).sum(axis=1)[None, :]
+          - 2.0 * x @ fit_x.T)
+    nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    votes = [np.bincount(fit_y[idx]) for idx in nearest]
+    return np.array([v.argmax() for v in votes]), votes
+
+
+@pytest.mark.parametrize("k", [2, 4, 5])
+def test_knn_probe_chunks_match_one_shot_vote(monkeypatch, k):
+    rng = Rng(12)
+    # 60 points on a 3 x 3 grid repeat, so distances tie; four classes
+    # among k neighbours make tied votes as well
+    fit_x = rng.integers(0, 3, size=(60, 2)).astype(float)
+    fit_y = rng.integers(0, 4, size=60)
+    x = np.concatenate([fit_x[:25], rng.integers(0, 3, size=(45, 2)).astype(float)])
+    monkeypatch.setattr(metrics, "CHUNK_FLOATS", 7 * len(fit_x))  # 7-row chunks
+    expected, votes = one_shot_knn(fit_x, fit_y, x, k)
+    assert any((v == v.max()).sum() > 1 for v in votes), "no tied vote exercised"
+    assert np.array_equal(KnnProbe(k=k).fit(fit_x, fit_y).predict(x), expected)
+
+
+def test_knn_probe_memory_stays_within_its_budget():
+    rng = Rng(13)
+    probe = KnnProbe(k=5).fit(rng.normal(size=(3000, 100)), rng.integers(0, 10, size=3000))
+    x = rng.normal(size=(9000, 100))
+    tracemalloc.start()
+    try:
+        probe.predict(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense (9000, 3000) distance matrix alone is 216 MB
+    assert peak < 4 * 8 * metrics.CHUNK_FLOATS
+
+
+def test_knn_probe_rejects_negative_labels():
+    with pytest.raises(ConfigurationError, match="non-negative"):
+        KnnProbe().fit([[0.0], [1.0]], [0, -1])

@@ -37,6 +37,13 @@ def test_relu_forward():
     assert np.array_equal(out, [[0.0, 0.0, 2.0]])
 
 
+def test_relu_propagates_nan_and_clears_negative_zero():
+    out = Network([Relu()]).forward(np.array([[np.nan, -1.0, -0.0, 2.0]]))
+    assert np.isnan(out[0, 0])
+    assert np.array_equal(out[0, 1:], [0.0, 0.0, 2.0])
+    assert not np.signbit(out[0, 1:]).any()
+
+
 def test_dense_forward_hand_computed():
     net = Network([make_dense([[1.0, 1.0], [0.0, 1.0]], [0.5, 0.0])])
     out = net.forward(np.array([2.0, 3.0]))
@@ -191,11 +198,8 @@ def test_adam_statefulness():
 
 def test_adam_shape_mismatch():
     p, g = make_scalar_param(1.0)
-    adam = Adam([(p, g)])
-    with pytest.raises(ConfigurationError):
-        adam.step([np.zeros(2)])
-    with pytest.raises(ConfigurationError):
-        adam.step([np.zeros(1), np.zeros(1)])
+    with pytest.raises(ConfigurationError, match="does not match"):
+        Adam([(p, g), (np.zeros(2), np.zeros(3))])
 
 
 def test_reset_matches_fresh_state():

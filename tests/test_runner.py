@@ -2,6 +2,7 @@
 round-trips and the config surface."""
 
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +74,24 @@ def test_prer_record_contains_per_task_metrics():
     assert record.memory_floats == record.footprints["prer"]
     assert record.footprints["replay"] == 2 * 30 * 6
     assert record.footprints["er"] == 2 * 30 * (6 + 4)
+
+
+def test_prer_memory_stays_constant_as_tasks_grow():
+    """A single decoder and flow whatever the stream's length, where the
+    rehearsal memories grow by one task's rows per task. Without
+    conditioning: a conditioned decoder or flow takes a one-hot of every
+    class, so it grows with the class count."""
+    memory = {}
+    for classes in (10, 20):
+        for strategy in ("prer", "replay", "er"):
+            cfg = tiny_config(dataset=f"blobs:classes={classes},dim=6,sep=5,per_class=10",
+                              strategy=strategy, conditioning="none", memory_size=4,
+                              classifier_epochs=1, ae_max_epochs=1, flow_max_epochs=1)
+            record = run_experiment(cfg, seed=1)
+            memory[strategy, record.num_tasks] = record.memory_floats
+    assert memory["prer", 5] == memory["prer", 10] > 0
+    for strategy in ("replay", "er"):
+        assert memory[strategy, 10] == 2 * memory[strategy, 5] > 0
 
 
 def test_naive_record_footprint_zero():
@@ -322,6 +341,32 @@ def test_config_validation():
         tiny_config(conditioning="sideways")
     with pytest.raises(ConfigurationError):
         tiny_config(c_m=1)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("patience", 0),
+    ("lr", 0.0),
+    ("lr", float("nan")),
+    ("min_delta", -1e-4),
+    ("embedding_dim", 0),
+    ("coverage_cap", 0),
+    ("flow_hidden_multiplier", 0),
+    ("encoder_hidden", (12, 0)),
+    ("head_hidden", (0,)),
+    ("decoder_hidden", (-1,)),
+    ("conv_channels", (8, 0)),
+    ("head_dropout", 1.0),
+    ("head_dropout", -0.1),
+])
+def test_config_rejects_nonsense_value_naming_the_key(key, value):
+    with pytest.raises(ConfigurationError, match=key):
+        tiny_config(**{key: value})
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parent.parent / "configs").glob("*.cfg")),
+                         ids=lambda path: path.name)
+def test_shipped_configs_validate(path):
+    load_config(path)  # validates
 
 
 def test_flow_topology_bounds_and_override():
