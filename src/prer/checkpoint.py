@@ -26,16 +26,12 @@ from .rng import Rng
 
 
 def state_arrays(state) -> dict:
-    """Name -> live array, for every array training changes: the
-    parameters of each model network and of the flow, and the running
-    statistics of each flow batch norm."""
-    arrays = {}
-    for name, net in state.model.all_networks().items():
-        for i, (p, _) in enumerate(net.parameters()):
-            arrays[f"model/{name}/p{i}"] = p
+    """Name -> live array, for every array training changes: the flat
+    parameter vector of each model network and of the flow, and the
+    running statistics of each flow batch norm."""
+    arrays = {f"model/{name}": net.params for name, net in state.model.all_networks().items()}
     if state.flow is not None:
-        for i, (p, _) in enumerate(state.flow.parameters()):
-            arrays[f"flow/p{i}"] = p
+        arrays["flow/params"] = state.flow.params
         for i, bn in enumerate(state.flow.batch_norms()):
             arrays[f"flow/bn{i}/mean"] = bn.mean
             arrays[f"flow/bn{i}/var"] = bn.var

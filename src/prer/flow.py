@@ -19,7 +19,7 @@ the caches), training concurrently with anything is not supported.
 import numpy as np
 
 from .exceptions import ConfigurationError, DivergenceError, StateError
-from .nn import Dense, Network, Relu
+from .nn import Dense, Network, Relu, bind_slices
 from .rng import Rng
 
 NORMALIZING = "normalizing"
@@ -66,12 +66,6 @@ class Permutation:
 
     def backward_normalizing(self, grad, grad_logdet):
         return grad[:, self.inv]
-
-    def param_count(self):
-        return 0
-
-    def parameters(self):
-        return []
 
 
 class BatchNorm:
@@ -137,12 +131,6 @@ class BatchNorm:
             raise StateError("BatchNorm.backward called without a cached forward pass")
         denom, self._cache = self._cache, None
         return grad / denom
-
-    def param_count(self):
-        return 0
-
-    def parameters(self):
-        return []
 
 
 class Coupling:
@@ -249,15 +237,8 @@ class Coupling:
         da += d_net_in[:, :self.a_dim]
         return np.concatenate([da, d_in_b], axis=1)
 
-    def param_count(self):
-        if self.b_dim == 0:
-            return 0
-        return self.scale_net.param_count() + self.translate_net.param_count()
-
-    def parameters(self):
-        if self.b_dim == 0:
-            return []
-        return self.scale_net.parameters() + self.translate_net.parameters()
+    def networks(self):
+        return [] if self.b_dim == 0 else [self.scale_net, self.translate_net]
 
 
 class FlowStack:
@@ -267,7 +248,8 @@ class FlowStack:
     At the end of every non-final level the vector is split: the first
     half is emitted straight to the output, the rest continues into the
     next level. The emitted chunks concatenated in level order form the
-    prior variable, so the total dimensionality never changes.
+    prior variable, so the total dimensionality never changes. All
+    coupling nets live in two flat vectors, ``params`` and ``grads``.
     """
 
     def __init__(self, levels, dim: int, cond_width: int = 0):
@@ -296,6 +278,8 @@ class FlowStack:
                         f"level {lvl} expects width {width}, layer {type(layer).__name__} "
                         f"has width {layer.dim}"
                     )
+        # every coupling net moves into the flow's own pair of buffers
+        self.params, self.grads = bind_slices(self.networks())
 
     def _layer_cond(self, layer, cond):
         return cond if getattr(layer, "cond_width", 0) else None
@@ -381,23 +365,24 @@ class FlowStack:
         u = rng.normal(size=(n, self.dim))
         return self.generate(u, cond=cond)
 
+    def networks(self):
+        """The coupling nets, in level and layer order: the layout of the
+        flat buffers."""
+        return [net for layers in self.levels for layer in layers
+                if isinstance(layer, Coupling) for net in layer.networks()]
+
     def parameters(self):
-        pairs = []
-        for layers in self.levels:
-            for layer in layers:
-                pairs.extend(layer.parameters())
-        return pairs
+        return [(self.params, self.grads)]
 
     def batch_norms(self):
         return [layer for layers in self.levels for layer in layers
                 if isinstance(layer, BatchNorm)]
 
     def zero_grads(self):
-        for _, g in self.parameters():
-            g[...] = 0.0
+        self.grads[...] = 0.0
 
     def param_count(self):
-        return sum(layer.param_count() for layers in self.levels for layer in layers)
+        return self.params.size
 
     def level_summary(self):
         return [

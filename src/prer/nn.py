@@ -31,17 +31,14 @@ def glorot_uniform(fan_in, fan_out, shape, rng: Rng) -> np.ndarray:
 
 
 class Layer:
-    """Base layer: float64 parameters with matching gradient buffers."""
+    """Base layer. The attributes named in ``param_names`` hold its
+    parameters, views of its network's flat buffers as ``grads`` are."""
+
+    param_names = ()
 
     def __init__(self):
-        self.params: list[np.ndarray] = []
         self.grads: list[np.ndarray] = []
         self._cache = None
-
-    def _register(self, *arrays):
-        for a in arrays:
-            self.params.append(a)
-            self.grads.append(np.zeros_like(a))
 
     def forward(self, x, train=False, rng=None, cond=None):
         raise NotImplementedError
@@ -57,16 +54,41 @@ class Layer:
         cache, self._cache = self._cache, None
         return cache
 
-    def zero_grads(self):
-        for g in self.grads:
-            g[...] = 0.0
+    def bind(self, params, grads):
+        """Copy the parameters into the 1-D buffer ``params``; they and
+        ``grads`` become reshaped views of the two buffers."""
+        self.grads, start = [], 0
+        for name in self.param_names:
+            value = getattr(self, name)
+            view = params[start:start + value.size].reshape(value.shape)
+            view[...] = value
+            setattr(self, name, view)
+            self.grads.append(grads[start:start + value.size].reshape(value.shape))
+            start += value.size
 
     def param_count(self) -> int:
-        return sum(p.size for p in self.params)
+        return sum(getattr(self, name).size for name in self.param_names)
+
+
+def bind_slices(parts, params=None, grads=None):
+    """Bind each part (a layer or a network) to its consecutive slice of
+    the 1-D buffers ``params`` and ``grads``, which are allocated, the
+    gradients zeroed, when not given; returns both."""
+    if params is None:
+        n = sum(part.param_count() for part in parts)
+        params, grads = np.empty(n), np.zeros(n)
+    start = 0
+    for part in parts:
+        stop = start + part.param_count()
+        part.bind(params[start:stop], grads[start:stop])
+        start = stop
+    return params, grads
 
 
 class Dense(Layer):
     """Affine map y = x W^T + b with weight shape (out, in)."""
+
+    param_names = ("w", "b")
 
     def __init__(self, in_dim: int, out_dim: int, rng: Rng):
         super().__init__()
@@ -74,7 +96,6 @@ class Dense(Layer):
         self.out_dim = int(out_dim)
         self.w = glorot_uniform(in_dim, out_dim, (out_dim, in_dim), rng)
         self.b = np.zeros(out_dim)
-        self._register(self.w, self.b)
 
     def forward(self, x, train=False, rng=None, cond=None):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
@@ -166,6 +187,8 @@ class Conv2d(Layer):
     """2-D convolution over (batch, channels, height, width) inputs,
     implemented via im2col. Padding is "valid" or "same"."""
 
+    param_names = ("w", "b")
+
     def __init__(self, in_channels, out_channels, kernel_size, rng: Rng,
                  stride=1, padding="valid"):
         super().__init__()
@@ -183,7 +206,6 @@ class Conv2d(Layer):
         fan_out = out_channels * kh * kw
         self.w = glorot_uniform(fan_in, fan_out, (out_channels, in_channels, kh, kw), rng)
         self.b = np.zeros(out_channels)
-        self._register(self.w, self.b)
 
     def _pads(self, size, k):
         if self.padding == "valid":
@@ -234,11 +256,13 @@ class Conv2d(Layer):
 
 
 class Network:
-    """An ordered stack of layers sharing one forward/backward pass."""
+    """An ordered stack of layers sharing one forward/backward pass; the
+    layers view its two flat vectors, ``params`` and ``grads``."""
 
     def __init__(self, layers, name="net"):
         self.layers = list(layers)
         self.name = name
+        self.params, self.grads = bind_slices(self.layers)
         self._has_condition = any(isinstance(l, ConcatCondition) for l in self.layers)
 
     def forward(self, x, train=False, rng=None, cond=None):
@@ -266,15 +290,15 @@ class Network:
             grad = layer.backward(grad)
         return grad
 
+    def bind(self, params, grads):
+        """Move the network into 1-D ``params`` and ``grads`` buffers."""
+        self.params, self.grads = bind_slices(self.layers, params, grads)
+
     def parameters(self):
-        pairs = []
-        for layer in self.layers:
-            pairs.extend(zip(layer.params, layer.grads))
-        return pairs
+        return [(self.params, self.grads)]
 
     def zero_grads(self):
-        for layer in self.layers:
-            layer.zero_grads()
+        self.grads[...] = 0.0
 
     def drop_caches(self):
         """Forget every layer's cached forward pass, for a pass that will
@@ -283,10 +307,7 @@ class Network:
             layer._cache = None
 
     def param_count(self):
-        return sum(layer.param_count() for layer in self.layers)
-
-    def get_params(self):
-        return [p.copy() for p, _ in self.parameters()]
+        return self.params.size
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +398,8 @@ def mean_cosine_distance_grad(a, b) -> np.ndarray:
 
 
 class Adam:
-    """Adam with bias correction over a fixed list of (param, grad) pairs."""
+    """Adam with bias correction over a fixed list of (param, grad) pairs:
+    the flat buffers of the networks, or the flow, that a phase trains."""
 
     def __init__(self, param_grad_pairs, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
         self.pairs = list(param_grad_pairs)
@@ -404,10 +426,3 @@ class Adam:
             m[...] = self.beta1 * m + (1.0 - self.beta1) * g
             v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
             p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-
-    def reset(self):
-        """Zero the moments and the step counter; the learning rate is kept."""
-        self.t = 0
-        for m, v in zip(self.m, self.v):
-            m[...] = 0.0
-            v[...] = 0.0

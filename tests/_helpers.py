@@ -3,6 +3,7 @@ builders used across the suite."""
 
 import numpy as np
 
+from prer.flow import FlowStack
 from prer.nn import (
     ConcatCondition,
     Conv2d,
@@ -13,6 +14,41 @@ from prer.nn import (
     Relu,
 )
 from prer.rng import Rng
+
+
+def array_pairs(owner):
+    """(parameter, gradient) views, one pair per Dense/Conv2d weight and
+    bias of a network, or of every coupling net of a flow, in buffer
+    order."""
+    nets = owner.networks() if isinstance(owner, FlowStack) else [owner]
+    return [(getattr(layer, name), g) for net in nets for layer in net.layers
+            for name, g in zip(layer.param_names, layer.grads)]
+
+
+def get_params(net):
+    """Copies of every parameter array of a network, in buffer order."""
+    return [p.copy() for p, _ in array_pairs(net)]
+
+
+class ReferenceAdam:
+    """Adam run as a Python loop over separate arrays: the per-array
+    update the flat optimizer must reproduce bit for bit."""
+
+    def __init__(self, pairs, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.pairs = list(pairs)
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p) for p, _ in self.pairs]
+        self.v = [np.zeros_like(p) for p, _ in self.pairs]
+
+    def step(self):
+        self.t += 1
+        b1c = 1.0 - self.beta1 ** self.t
+        b2c = 1.0 - self.beta2 ** self.t
+        for (p, g), m, v in zip(self.pairs, self.m, self.v):
+            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
+            v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
+            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
 def rel_err(a, b, floor=1e-7):
@@ -46,7 +82,7 @@ def check_network_gradients(net: Network, x, *, cond=None, train=False,
         dx = dx[0]
 
     worst = 0.0
-    for p, g in net.parameters():
+    for p, g in array_pairs(net):
         flat_p = p.ravel()
         flat_g = g.ravel()
         n = flat_p.size

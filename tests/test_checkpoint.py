@@ -5,7 +5,8 @@ bit-exact, and a resumed run must continue from the stored task."""
 import numpy as np
 import pytest
 
-from prer.checkpoint import load_run_state, restore_run_state, save_run_state
+from _helpers import array_pairs
+from prer.checkpoint import load_run_state, restore_run_state, save_run_state, state_arrays
 from prer.config import ExperimentConfig
 from prer.data import build_task_stream, split_train_test, synth_blobs
 from prer.exceptions import ConfigurationError
@@ -96,7 +97,7 @@ def test_restore_rejects_another_config(tmp_path):
     save_run_state(path, trained_state(), np.full((2, 2), np.nan), {})
     restored = load_run_state(path)
     with pytest.raises(ConfigurationError,
-                       match=r"'model/encoder/p0' is \(10, 6\) in the file, \(12, 6\) in this run"):
+                       match=r"'model/encoder' is \(70,\) in the file, \(84,\) in this run"):
         restore_run_state(fresh_state(encoder_hidden=(12,)), restored)
     with pytest.raises(ConfigurationError,
                        match=r"'flow/bn0/mean' is \(6,\) in the file, absent in this run"):
@@ -105,6 +106,35 @@ def test_restore_rejects_another_config(tmp_path):
     np.savez(other_format, manifest=np.array("{}"), result_matrix=np.zeros((2, 2)))
     with pytest.raises(ConfigurationError, match="no 'meta' entry"):
         load_run_state(other_format)
+
+
+def test_per_array_layout_is_refused(tmp_path):
+    # the layout before flat parameter buffers: one entry per weight and bias
+    state = trained_state()
+    path = tmp_path / "state.npz"
+    save_run_state(path, state, np.full((2, 2), np.nan), {})
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files if not k.startswith(("model/", "flow/p"))}
+    for name, net in state.model.all_networks().items():
+        for i, (p, _) in enumerate(array_pairs(net)):
+            arrays[f"model/{name}/p{i}"] = p
+    for i, (p, _) in enumerate(array_pairs(state.flow)):
+        arrays[f"flow/p{i}"] = p
+    np.savez(path, **arrays)
+    with pytest.raises(ConfigurationError,
+                       match=r"'model/encoder' is absent in the file, \(70,\) in this run"):
+        restore_run_state(fresh_state(), load_run_state(path))
+
+
+def test_state_arrays_hold_one_vector_per_owner():
+    state = trained_state()
+    arrays = state_arrays(state)
+    params = {name: a for name, a in arrays.items() if "/bn" not in name}
+    assert sorted(params) == ["flow/params", "model/decoder", "model/encoder", "model/head_1",
+                              "model/head_2", "model/proj_classify", "model/proj_reconstruct"]
+    assert sum(a.size for a in params.values()) == (state.model.param_count()
+                                                     + state.flow.param_count())
+    assert len(arrays) - len(params) == 2 * len(state.flow.batch_norms())
 
 
 def run_tasks(seed, n_tasks, checkpoint_path=None, resume_path=None):

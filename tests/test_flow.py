@@ -4,7 +4,7 @@ log-determinants, multi-scale routing, sampling and conditioning."""
 import numpy as np
 import pytest
 
-from _helpers import auc_score, rel_err
+from _helpers import array_pairs, auc_score, rel_err
 from prer import nn
 from prer.exceptions import ConfigurationError, DivergenceError, StateError
 from prer.flow import (
@@ -105,7 +105,7 @@ def test_coupling_width_one_degenerates_to_identity():
     y, ld = layer.apply(x, NORMALIZING)
     assert np.array_equal(y, x)
     assert np.allclose(ld, 0.0)
-    assert layer.param_count() == 0
+    assert layer.networks() == []
 
 
 def test_coupling_divergence_reports():
@@ -321,7 +321,7 @@ def test_nll_gradient_matches_finite_differences():
     z = Rng(29).normal(size=(16, 4))
     stack.zero_grads()
     nll_loss_and_backward(stack, z, train=False)
-    pairs = stack.parameters()
+    pairs = array_pairs(stack)
     check_rng = Rng(30)
     h = 1e-6
     for p, g in pairs[:6]:

@@ -4,6 +4,7 @@ contracts, freezing behaviour and the parameter partition."""
 import numpy as np
 import pytest
 
+from _helpers import array_pairs, get_params
 from prer import nn
 from prer.config import ExperimentConfig
 from prer.data import Task
@@ -109,14 +110,14 @@ def test_autoencoder_phase_freezes_encoder_and_classifier_projection():
     x = rng.normal(size=(40, 6))
     y = rng.integers(0, 2, size=40)
     task = make_task(x, y)
-    enc_before = model.encoder.get_params()
-    fc_before = model.proj_classify.get_params()
+    enc_before = get_params(model.encoder)
+    fc_before = get_params(model.proj_classify)
     cfg = ExperimentConfig(strategy="prer", ae_max_epochs=10).validate()
     train_autoencoder_phase(model, task, cfg, Rng(14))
-    for before, (p, g) in zip(enc_before, model.encoder.parameters()):
+    for before, (p, g) in zip(enc_before, array_pairs(model.encoder)):
         assert np.array_equal(before, p)
         assert np.all(g == 0.0)
-    for before, (p, g) in zip(fc_before, model.proj_classify.parameters()):
+    for before, (p, g) in zip(fc_before, array_pairs(model.proj_classify)):
         assert np.array_equal(before, p)
         assert np.all(g == 0.0)
 

@@ -6,7 +6,7 @@ import logging
 import numpy as np
 import pytest
 
-from _helpers import check_network_gradients, random_layer_instance, rel_err
+from _helpers import check_network_gradients, get_params, random_layer_instance, rel_err
 from prer import nn
 from prer.exceptions import ConfigurationError, StateError
 from prer.nn import Adam, Dense, Dropout, Flatten, Network, Relu
@@ -202,28 +202,6 @@ def test_adam_shape_mismatch():
         Adam([(p, g), (np.zeros(2), np.zeros(3))])
 
 
-def test_reset_matches_fresh_state():
-    rng = Rng(7)
-    grads = rng.normal(size=3)
-
-    p1, g1 = np.zeros(3), np.zeros(3)
-    adam1 = Adam([(p1, g1)], lr=0.001)
-    g1[...] = rng.normal(size=3)
-    for _ in range(100):
-        adam1.step()
-    adam1.reset()
-    assert adam1.t == 0
-    assert adam1.lr == 0.001
-    p1[...] = 0.0
-    g1[...] = grads
-    adam1.step()
-
-    p2, g2 = np.zeros(3), grads.copy()
-    adam2 = Adam([(p2, g2)], lr=0.001)
-    adam2.step()
-    assert np.array_equal(p1, p2)
-
-
 # ---------------------------------------------------------------------------
 # losses
 
@@ -303,7 +281,7 @@ def test_training_determinism_bitwise():
             logits = net.forward(x, train=True, rng=drop_rng)
             net.backward(nn.cross_entropy_grad(logits, y))
             adam.step()
-        return net.get_params()
+        return get_params(net)
 
     for p1, p2 in zip(run(123), run(123)):
         assert np.array_equal(p1, p2)

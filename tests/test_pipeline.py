@@ -4,6 +4,7 @@ equivalences, memory construction and end-to-end conditioning probes."""
 import numpy as np
 import pytest
 
+from _helpers import get_params
 from prer.config import ExperimentConfig
 from prer.data import build_task_stream, split_train_test, synth_blobs
 from prer.exceptions import ConfigurationError, DivergenceError, StateError
@@ -107,8 +108,8 @@ def test_beta_zero_matches_naive_trajectory(strategy, knob):
                                             ae_max_epochs=8, flow_max_epochs=8, **kwargs)
         for task in train_stream.tasks[:2]:
             strategy_train_task(state, task)
-        return (state.model.encoder.get_params() + state.model.proj_classify.get_params()
-                + state.model.heads[1].get_params() + state.model.heads[2].get_params())
+        return (get_params(state.model.encoder) + get_params(state.model.proj_classify)
+                + get_params(state.model.heads[1]) + get_params(state.model.heads[2]))
 
     naive = trained("naive")
     assert all(np.array_equal(a, b) for a, b in zip(naive, trained(strategy, **{knob: 0.0})))
@@ -250,7 +251,7 @@ def test_zero_memory_degenerates_to_naive():
         for task in train_stream.tasks[:2]:
             strategy_train_task(state, task)
         finals[strategy] = (
-            state.model.encoder.get_params() + state.model.proj_classify.get_params()
+            get_params(state.model.encoder) + get_params(state.model.proj_classify)
         )
     for a, b in zip(finals["naive"], finals["prer"]):
         assert np.array_equal(a, b)
@@ -343,9 +344,9 @@ def test_replay_memory_has_no_embeddings():
 def test_past_heads_never_mutated():
     state, train_stream, _ = make_state(35, strategy="replay", classifier_epochs=5)
     strategy_train_task(state, train_stream.tasks[0])
-    head1_before = state.model.heads[1].get_params()
+    head1_before = get_params(state.model.heads[1])
     strategy_train_task(state, train_stream.tasks[1])
-    for a, b in zip(head1_before, state.model.heads[1].get_params()):
+    for a, b in zip(head1_before, get_params(state.model.heads[1])):
         assert np.array_equal(a, b)
 
 

@@ -11,7 +11,10 @@ at seed 1 (taken from this checkout, so both trees read the same config):
 - prer and prer_r with conditioning both, flow and none;
 - prer under the config's conditioning and prer_r with conditioning both,
   each with ``checkpoints = true``, crashed at the start of task 3 and
-  resumed from its checkpoint.
+  resumed from its checkpoint;
+- prer with the conv encoder on a tiny IDX image pair of 4 classes, which
+  the worker writes into its temp dir and reads by relative path, so
+  both trees read the same files under the same dataset string.
 
 Records are compared without ``timings`` and ``config_hash``, the same
 rule as ``bench/checks.digest``. Exits 1 on any difference. Uses only the
@@ -35,6 +38,7 @@ CRASH_AT = 3
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 IGNORED = ("timings", "config_hash")
+IDX_FILES = ("images-idx3-ubyte", "labels-idx1-ubyte")
 
 
 def grid():
@@ -49,7 +53,30 @@ def grid():
     runs.append((f"prer_r-both-resumed-at-task{CRASH_AT}",
                  {"strategy": "prer_r", "conditioning": "both", "checkpoints": "true"},
                  CRASH_AT))
+    runs.append(("prer-conv", {
+        "strategy": "prer", "encoder": "conv", "conv_channels": "4,8",
+        "dataset": "mnist:images={},labels={}".format(*IDX_FILES),
+        "embedding_dim": 6, "decoder_hidden": 24, "classifier_epochs": 4,
+        "ae_max_epochs": 8, "flow_max_epochs": 8, "memory_size": 10, "coverage_cap": 10,
+    }, None))
     return runs
+
+
+def write_idx_pair(directory):
+    """48 random 6x6 uint8 images in 4 classes, each class with a bright
+    row of its own, as an IDX image file and an IDX label file."""
+    import struct
+
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    images = rng.integers(0, 256, size=(48, 6, 6)).astype(np.uint8)
+    labels = (np.arange(48) % 4).astype(np.uint8)
+    for c in range(4):
+        images[labels == c, c, :] = 255
+    image_file, label_file = (Path(directory) / name for name in IDX_FILES)
+    image_file.write_bytes(struct.pack(">IIII", 0x803, 48, 6, 6) + images.tobytes())
+    label_file.write_bytes(struct.pack(">II", 0x801, 48) + labels.tobytes())
 
 
 class _Crash(Exception):
@@ -66,27 +93,30 @@ def worker():
     job = json.load(sys.stdin)
     out = {}
     train = runner.strategy_train_task
-    for name, overrides, crash_at in job["runs"]:
-        text = job["config"] + "".join(f"\n{k} = {v}" for k, v in overrides.items())
-        cfg = config.parse_config_text(text)
-        with tempfile.TemporaryDirectory() as out_dir:
-            if crash_at is not None:
-                # the task is the last argument under either signature,
-                # (strategy, state, task) or (state, task)
-                def crashing(*args):
-                    if args[-1].index == crash_at:
-                        raise _Crash
-                    return train(*args)
-                runner.strategy_train_task = crashing
-                try:
-                    runner.run_experiment(cfg, SEED, out_dir=out_dir)
-                except _Crash:
-                    pass
-                finally:
-                    runner.strategy_train_task = train
-            record = runner.run_experiment(cfg, SEED, out_dir=out_dir,
-                                           resume=crash_at is not None)
-        out[name] = {k: v for k, v in asdict(record).items() if k not in IGNORED}
+    with tempfile.TemporaryDirectory() as data_dir:
+        write_idx_pair(data_dir)
+        os.chdir(data_dir)  # the conv run names its IDX files relative to here
+        for name, overrides, crash_at in job["runs"]:
+            text = job["config"] + "".join(f"\n{k} = {v}" for k, v in overrides.items())
+            cfg = config.parse_config_text(text)
+            with tempfile.TemporaryDirectory() as out_dir:
+                if crash_at is not None:
+                    # the task is the last argument under either signature,
+                    # (strategy, state, task) or (state, task)
+                    def crashing(*args):
+                        if args[-1].index == crash_at:
+                            raise _Crash
+                        return train(*args)
+                    runner.strategy_train_task = crashing
+                    try:
+                        runner.run_experiment(cfg, SEED, out_dir=out_dir)
+                    except _Crash:
+                        pass
+                    finally:
+                        runner.strategy_train_task = train
+                record = runner.run_experiment(cfg, SEED, out_dir=out_dir,
+                                               resume=crash_at is not None)
+            out[name] = {k: v for k, v in asdict(record).items() if k not in IGNORED}
     json.dump(out, sys.stdout, sort_keys=True)
 
 
