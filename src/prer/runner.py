@@ -214,9 +214,11 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None, resume=False)
     image_floats = int(np.prod(sample_shape))
     decoder_params = model.decoder.param_count()
     flow_params = flow.param_count() if flow is not None else 0
+    # every record prices each strategy under this config, flow kept or not
+    flow_cost = flow_params or build_flow_from_config(cfg, num_classes, Rng(0)).param_count()
     footprints = {
         name: metrics.memory_footprint(name, num_tasks, cfg.memory_size, image_floats,
-                                       cfg.embedding_dim, decoder_params + flow_params)
+                                       cfg.embedding_dim, decoder_params + flow_cost)
         for name in STRATEGIES
     }
 

@@ -11,6 +11,7 @@ from prer import runner
 from prer.checkpoint import load_run_state, state_arrays
 from prer.config import ExperimentConfig, load_config, parse_config_text
 from prer.exceptions import ConfigurationError
+from prer.pipeline import STRATEGIES
 from prer.runner import (
     RunRecord,
     aggregate,
@@ -98,6 +99,14 @@ def test_naive_record_footprint_zero():
     record = run_experiment(tiny_config(strategy="naive"), seed=1)
     assert record.memory_floats == 0.0
     assert record.q_t == {}
+
+
+def test_every_strategy_reports_the_same_footprints():
+    records = [run_experiment(tiny_config(strategy=s), seed=1) for s in STRATEGIES]
+    assert all(r.footprints == records[0].footprints for r in records)
+    assert records[0].footprints["prer"] > 0
+    # flow_params describes the run's own flow: none for naive, replay and er
+    assert [r.flow_params > 0 for r in records] == [STRATEGIES[s].flow for s in STRATEGIES]
 
 
 def test_record_json_roundtrip(tmp_path):
