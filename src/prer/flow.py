@@ -278,7 +278,6 @@ class FlowStack:
                         f"level {lvl} expects width {width}, layer {type(layer).__name__} "
                         f"has width {layer.dim}"
                     )
-        # every coupling net moves into the flow's own pair of buffers
         self.params, self.grads = bind_slices(self.networks())
 
     def _layer_cond(self, layer, cond):

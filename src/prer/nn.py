@@ -32,7 +32,8 @@ def glorot_uniform(fan_in, fan_out, shape, rng: Rng) -> np.ndarray:
 
 class Layer:
     """Base layer. The attributes named in ``param_names`` hold its
-    parameters, views of its network's flat buffers as ``grads`` are."""
+    parameters; once its network binds it, they and ``grads`` are views
+    of the network's flat buffers."""
 
     param_names = ()
 
