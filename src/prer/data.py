@@ -170,14 +170,12 @@ def synth_blobs(classes: int, per_class: int, dim: int, separation: float,
             combo = rng.normal(size=span)
             combo /= np.linalg.norm(combo)
             directions[p] = basis @ combo
-    xs, ys = [], []
+    x = np.empty((classes * per_class, dim))
     for k in range(classes):
         center = separation * directions[k // 2] * (1.0 if k % 2 == 0 else -1.0)
-        xs.append(center + rng.normal(size=(per_class, dim)))
-        ys.append(np.full(per_class, k, dtype=np.int64))
-    if not xs or per_class == 0:
-        return LabeledDataset(np.empty((0, dim)), np.empty(0, dtype=np.int64), name="blobs")
-    return LabeledDataset(np.concatenate(xs), np.concatenate(ys), name="blobs")
+        x[k * per_class:(k + 1) * per_class] = center + rng.normal(size=(per_class, dim))
+    y = np.repeat(np.arange(classes, dtype=np.int64), per_class)
+    return LabeledDataset(x, y, name="blobs")
 
 
 # ---------------------------------------------------------------------------

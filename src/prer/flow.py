@@ -377,9 +377,6 @@ class FlowStack:
         return [layer for layers in self.levels for layer in layers
                 if isinstance(layer, BatchNorm)]
 
-    def zero_grads(self):
-        self.grads[...] = 0.0
-
     def param_count(self):
         return self.params.size
 

@@ -298,9 +298,6 @@ class Network:
     def parameters(self):
         return [(self.params, self.grads)]
 
-    def zero_grads(self):
-        self.grads[...] = 0.0
-
     def drop_caches(self):
         """Forget every layer's cached forward pass, for a pass that will
         never be backpropagated."""

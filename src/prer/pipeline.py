@@ -10,6 +10,7 @@ at task end, the synthetic memory is regenerated at every task start.
 
 import time
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,18 +123,51 @@ def _overwrite_rows(batch, memory, fraction, rng):
     return out
 
 
-def _check_finite(phase, task, epoch, loss, pairs):
+def _check_finite(loss, pairs):
     """Stop a phase whose epoch loss or parameters have left the finite
     numbers. Both are checked: the loss of a step is taken before its
     update, so the last update of an epoch can leave non-finite weights
     behind a finite epoch loss."""
     if not np.isfinite(loss):
-        what = f"loss {loss}"
-    elif not all(np.isfinite(p).all() for p, _ in pairs):
-        what = "non-finite parameters"
-    else:
-        return
-    raise DivergenceError(f"{phase} phase, task {task.index}, epoch {epoch}: {what}")
+        raise DivergenceError(f"loss {loss}")
+    if not all(np.isfinite(p).all() for p, _ in pairs):
+        raise DivergenceError("non-finite parameters")
+
+
+def _train_epochs(phase, task, cfg, rng, pairs, max_epochs, n_rows, step, end_epoch):
+    """The epoch loop of every phase. Each epoch shuffles `n_rows` rows
+    into mini-batches from the "batches" fork; before each `step(idx)` the
+    gradients of `pairs` are zeroed, and after it Adam updates them, unless
+    the step returned None for a batch it skipped. `end_epoch(mean_loss)`
+    runs after each epoch and stops the phase by returning True. Returns
+    the mean step loss of every epoch run."""
+    adam = nn.Adam(pairs, lr=cfg.lr)
+    batch_rng = rng.fork("batches")
+    history = []
+    for epoch in range(max_epochs):
+        epoch_loss, steps = 0.0, 0
+        try:
+            for idx in _batches(n_rows, cfg.batch_size, batch_rng):
+                for _, grad in pairs:
+                    grad[...] = 0.0
+                loss = step(idx)
+                if loss is None:
+                    continue
+                adam.step()
+                epoch_loss += loss
+                steps += 1
+            if steps == 0:
+                raise ConfigurationError(
+                    f"task {task.index} too small for {phase} training "
+                    f"at batch size {cfg.batch_size}")
+            _check_finite(epoch_loss, pairs)
+        except DivergenceError as err:
+            raise DivergenceError(
+                f"{phase} phase, task {task.index}, epoch {epoch}: {err}") from None
+        history.append(epoch_loss / steps)
+        if end_epoch(history[-1]):
+            break
+    return history
 
 
 def _uses_memory(memory, cfg, conditioned, what):
@@ -180,7 +214,6 @@ def train_classifier_phase(model: ContinualModel, task, cfg, rng: Rng,
     model.ensure_head(task.index, len(task.classes), rng.fork("head-init"))
     head = model.head(task.index)
     pairs = model.classifier_parameters(task.index)
-    adam = nn.Adam(pairs, lr=cfg.lr)
 
     n_val = int(len(task) * cfg.validation_fraction)
     order = rng.fork("val-split").permutation(len(task))
@@ -191,54 +224,44 @@ def train_classifier_phase(model: ContinualModel, task, cfg, rng: Rng,
     x_val, y_val = task.x[val_idx], task.y_task[val_idx]
 
     dropout_rng = rng.fork("dropout")
-    batch_rng = rng.fork("batches")
     mem_rng = rng.fork("memory")
 
     use_penalty = (penalty is not None and cfg.beta > 0.0 and len(penalty[0]) > 0)
     use_replay = (replay is not None and cfg.replay_fraction > 0.0 and len(replay[0]) > 0)
 
+    def step(idx):
+        xb, yb = x_fit[idx], y_fit[idx]
+        if use_replay:
+            tids = np.full(len(idx), task.index)
+            xb, yb, tids = _overwrite_rows((xb, yb, tids), replay,
+                                           cfg.replay_fraction, mem_rng)
+            loss = _grouped_classifier_step(model, task.index, xb, yb, tids, dropout_rng)
+        else:
+            # one head for every row: no per-task grouping to pay for
+            logits = model.classify(xb, task.index, train=True, rng=dropout_rng)
+            loss = nn.cross_entropy(logits, yb)
+            dlogits = nn.cross_entropy_grad(logits, yb)
+            dz = head.backward(dlogits)
+            dh = model.proj_classify.backward(dz)
+            model.encoder.backward(dh)
+
+        if use_penalty:
+            mem_x, mem_z = penalty
+            k = min(cfg.batch_size, len(mem_x))
+            pick = mem_rng.choice(len(mem_x), size=k, replace=False)
+            z = model.encode_classify(mem_x[pick], train=True)
+            reg = nn.mean_cosine_distance(z, mem_z[pick])
+            dz = cfg.beta * nn.mean_cosine_distance_grad(z, mem_z[pick])
+            dh = model.proj_classify.backward(dz)
+            model.encoder.backward(dh)
+            loss += cfg.beta * reg
+        return loss
+
     best_acc = -1.0
     best_params = None
-    history = []
-    for epoch in range(cfg.classifier_epochs):
-        epoch_loss, steps = 0.0, 0
-        for idx in _batches(len(x_fit), cfg.batch_size, batch_rng):
-            xb, yb = x_fit[idx], y_fit[idx]
-            model.encoder.zero_grads()
-            model.proj_classify.zero_grads()
-            head.zero_grads()
 
-            if use_replay:
-                tids = np.full(len(idx), task.index)
-                xb, yb, tids = _overwrite_rows((xb, yb, tids), replay,
-                                               cfg.replay_fraction, mem_rng)
-                loss = _grouped_classifier_step(model, task.index, xb, yb, tids, dropout_rng)
-            else:
-                # one head for every row: no per-task grouping to pay for
-                logits = model.classify(xb, task.index, train=True, rng=dropout_rng)
-                loss = nn.cross_entropy(logits, yb)
-                dlogits = nn.cross_entropy_grad(logits, yb)
-                dz = head.backward(dlogits)
-                dh = model.proj_classify.backward(dz)
-                model.encoder.backward(dh)
-
-            if use_penalty:
-                mem_x, mem_z = penalty
-                k = min(cfg.batch_size, len(mem_x))
-                pick = mem_rng.choice(len(mem_x), size=k, replace=False)
-                z = model.encode_classify(mem_x[pick], train=True)
-                reg = nn.mean_cosine_distance(z, mem_z[pick])
-                dz = cfg.beta * nn.mean_cosine_distance_grad(z, mem_z[pick])
-                dh = model.proj_classify.backward(dz)
-                model.encoder.backward(dh)
-                loss += cfg.beta * reg
-
-            adam.step()
-            epoch_loss += loss
-            steps += 1
-        _check_finite("classifier", task, epoch, epoch_loss, pairs)
-        history.append(epoch_loss / max(steps, 1))
-
+    def validate(_mean_loss):
+        nonlocal best_acc, best_params
         if len(val_idx):
             logits = model.classify(x_val, task.index)
             acc = float((logits.argmax(axis=1) == y_val).mean())
@@ -246,7 +269,10 @@ def train_classifier_phase(model: ContinualModel, task, cfg, rng: Rng,
             if acc >= best_acc:
                 best_acc = acc
                 best_params = [p.copy() for p, _ in pairs]
+        return False
 
+    history = _train_epochs("classifier", task, cfg, rng, pairs, cfg.classifier_epochs,
+                            len(x_fit), step, validate)
     if best_params is not None:
         for (p, _), saved in zip(pairs, best_params):
             p[...] = saved
@@ -259,43 +285,28 @@ def train_autoencoder_phase(model: ContinualModel, task, cfg, rng: Rng,
     pixel MSE; the backbone and the classification projection stay
     untouched. A fraction of every mini-batch is overwritten with
     memory images."""
-    if len(task) == 0:
-        raise ConfigurationError(f"task {task.index} has no training data")
     use_memory = _uses_memory(memory, cfg, model.decoder_conditioned, "decoder")
-
-    pairs = model.autoencoder_parameters()
-    adam = nn.Adam(pairs, lr=cfg.lr)
-    batch_rng = rng.fork("batches")
     mem_rng = rng.fork("memory")
-    stop = EarlyStop(cfg.patience, cfg.min_delta)
 
-    history = []
-    for epoch in range(cfg.ae_max_epochs):
-        epoch_loss, steps = 0.0, 0
-        for idx in _batches(len(task), cfg.batch_size, batch_rng):
-            xb, y_cond = task.x[idx], task.y_global[idx]
-            if use_memory:
-                xb, y_cond = _overwrite_rows((xb, y_cond), (memory.images, memory.classes),
-                                             cfg.replay_fraction, mem_rng)
-            model.proj_reconstruct.zero_grads()
-            model.decoder.zero_grads()
-            h = model.encoder.forward(xb)  # frozen: no backward into the backbone
-            z = model.proj_reconstruct.forward(h, train=True)
-            cond = one_hot(y_cond, model.num_classes) if model.decoder_conditioned else None
-            flat = model.decoder.forward(z, train=True, cond=cond)
-            target = xb.reshape(len(xb), -1)
-            loss = nn.mse(flat, target)
-            dflat = nn.mse_grad(flat, target)
-            dz = model.decoder.backward(dflat)
-            model.proj_reconstruct.backward(dz)
-            adam.step()
-            epoch_loss += loss
-            steps += 1
-        _check_finite("autoencoder", task, epoch, epoch_loss, pairs)
-        mean_loss = epoch_loss / max(steps, 1)
-        history.append(mean_loss)
-        if stop.update(mean_loss):
-            break
+    def step(idx):
+        xb, y_cond = task.x[idx], task.y_global[idx]
+        if use_memory:
+            xb, y_cond = _overwrite_rows((xb, y_cond), (memory.images, memory.classes),
+                                         cfg.replay_fraction, mem_rng)
+        h = model.encoder.forward(xb)  # frozen: no backward into the backbone
+        z = model.proj_reconstruct.forward(h, train=True)
+        cond = one_hot(y_cond, model.num_classes) if model.decoder_conditioned else None
+        flat = model.decoder.forward(z, train=True, cond=cond)
+        target = xb.reshape(len(xb), -1)
+        loss = nn.mse(flat, target)
+        dflat = nn.mse_grad(flat, target)
+        dz = model.decoder.backward(dflat)
+        model.proj_reconstruct.backward(dz)
+        return loss
+
+    history = _train_epochs("autoencoder", task, cfg, rng, model.autoencoder_parameters(),
+                            cfg.ae_max_epochs, len(task), step,
+                            EarlyStop(cfg.patience, cfg.min_delta).update)
     return {"loss_history": history, "epochs": len(history)}
 
 
@@ -304,44 +315,22 @@ def train_flow_phase(flow: FlowStack, model: ContinualModel, task, cfg,
     """Phase 3. Fits the single persistent flow to the reconstruction
     embeddings of the current task, mixed with memory images so that the
     density keeps covering earlier tasks."""
-    if len(task) == 0:
-        raise ConfigurationError(f"task {task.index} has no training data")
     use_memory = _uses_memory(memory, cfg, model.flow_conditioned, "flow")
-
-    pairs = flow.parameters()
-    adam = nn.Adam(pairs, lr=cfg.lr)
-    batch_rng = rng.fork("batches")
     mem_rng = rng.fork("memory")
-    stop = EarlyStop(cfg.patience, cfg.min_delta)
 
-    history = []
-    for epoch in range(cfg.flow_max_epochs):
-        epoch_loss, steps = 0.0, 0
-        for idx in _batches(len(task), cfg.batch_size, batch_rng):
-            if len(idx) < 2:  # batch norm needs a real batch
-                continue
-            xb, y_cond = task.x[idx], task.y_global[idx]
-            if use_memory:
-                xb, y_cond = _overwrite_rows((xb, y_cond), (memory.images, memory.classes),
-                                             cfg.replay_fraction, mem_rng)
-            z = model.encode_reconstruct(xb)
-            cond = one_hot(y_cond, model.num_classes) if model.flow_conditioned else None
-            flow.zero_grads()
-            try:
-                loss = nll_loss_and_backward(flow, z, cond=cond, train=True)
-            except DivergenceError as err:
-                raise DivergenceError(
-                    f"flow phase, task {task.index}, epoch {epoch}: {err}") from None
-            adam.step()
-            epoch_loss += loss
-            steps += 1
-        if steps == 0:
-            raise ConfigurationError("task too small for flow training at this batch size")
-        _check_finite("flow", task, epoch, epoch_loss, pairs)
-        mean_loss = epoch_loss / steps
-        history.append(mean_loss)
-        if stop.update(mean_loss):
-            break
+    def step(idx):
+        if len(idx) < 2:  # batch norm needs a real batch
+            return None
+        xb, y_cond = task.x[idx], task.y_global[idx]
+        if use_memory:
+            xb, y_cond = _overwrite_rows((xb, y_cond), (memory.images, memory.classes),
+                                         cfg.replay_fraction, mem_rng)
+        z = model.encode_reconstruct(xb)
+        cond = one_hot(y_cond, model.num_classes) if model.flow_conditioned else None
+        return nll_loss_and_backward(flow, z, cond=cond, train=True)
+
+    history = _train_epochs("flow", task, cfg, rng, flow.parameters(), cfg.flow_max_epochs,
+                            len(task), step, EarlyStop(cfg.patience, cfg.min_delta).update)
     return {"loss_history": history, "epochs": len(history)}
 
 
@@ -400,8 +389,12 @@ class RunState:
     er_memory: ErMemory | None = None
     timings: dict = field(default_factory=dict)
 
-    def _time(self, phase, seconds):
-        self.timings[phase] = self.timings.get(phase, 0.0) + seconds
+    @contextmanager
+    def timed(self, phase):
+        """Add the wall-clock seconds of the block to ``timings[phase]``."""
+        start = time.perf_counter()
+        yield
+        self.timings[phase] = self.timings.get(phase, 0.0) + (time.perf_counter() - start)
 
 
 def _past_task_probe(state: RunState, through_task: int) -> KnnProbe:
@@ -432,16 +425,15 @@ def strategy_train_task(state: RunState, task) -> RunState:
         if state.flow is None:
             raise ConfigurationError(f"strategy {cfg.strategy!r} needs a flow")
         if t > 1 and cfg.memory_size > 0:
-            start = time.perf_counter()
-            conditioned = model.flow_conditioned or model.decoder_conditioned
-            schedule = None
-            if conditioned:
-                schedule = class_schedule(state.stream.classes_seen(t - 1),
-                                          cfg.memory_size, rng_t.fork("schedule"))
-            state.synthetic_memory = generate_memory(
-                state.flow, model, cfg.memory_size, schedule, rng_t.fork("memory-gen"), t
-            )
-            state._time("memory", time.perf_counter() - start)
+            with state.timed("memory"):
+                conditioned = model.flow_conditioned or model.decoder_conditioned
+                schedule = None
+                if conditioned:
+                    schedule = class_schedule(state.stream.classes_seen(t - 1),
+                                              cfg.memory_size, rng_t.fork("schedule"))
+                state.synthetic_memory = generate_memory(
+                    state.flow, model, cfg.memory_size, schedule, rng_t.fork("memory-gen"), t
+                )
 
     memory = state.synthetic_memory if strategy.flow else state.er_memory
     has_rows = memory is not None and len(memory) > 0
@@ -461,18 +453,15 @@ def strategy_train_task(state: RunState, task) -> RunState:
             y_task, task_ids = memory.y_task, memory.task_ids
         replay = (memory.images, y_task, task_ids)
 
-    start = time.perf_counter()
-    train_classifier_phase(model, task, cfg, rng_t.fork("classifier"),
-                           penalty=penalty, replay=replay)
-    state._time("classifier", time.perf_counter() - start)
+    with state.timed("classifier"):
+        train_classifier_phase(model, task, cfg, rng_t.fork("classifier"),
+                               penalty=penalty, replay=replay)
 
     if strategy.flow:
-        start = time.perf_counter()
-        train_autoencoder_phase(model, task, cfg, rng_t.fork("autoencoder"), memory=memory)
-        state._time("autoencoder", time.perf_counter() - start)
-        start = time.perf_counter()
-        train_flow_phase(state.flow, model, task, cfg, rng_t.fork("flow"), memory=memory)
-        state._time("flow", time.perf_counter() - start)
+        with state.timed("autoencoder"):
+            train_autoencoder_phase(model, task, cfg, rng_t.fork("autoencoder"), memory=memory)
+        with state.timed("flow"):
+            train_flow_phase(state.flow, model, task, cfg, rng_t.fork("flow"), memory=memory)
     elif strategy.penalty or strategy.replay:
         # real rows of the finished task, with their embeddings for a penalty
         k = min(cfg.memory_size, len(task))

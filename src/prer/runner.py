@@ -8,7 +8,6 @@ re-running reproduces the record exactly.
 
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -192,15 +191,14 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None, resume=False)
         strategy_train_task(state, task)
         t = task.index
 
-        start = time.perf_counter()
-        for j in range(1, t + 1):
-            r[t - 1, j - 1] = metrics.task_accuracy(model, test_stream.tasks[j - 1])
-        if keeps_flow:
-            d_t[t] = _coverage(state, train_stream, t, cfg.coverage_cap,
-                               rng.fork(f"coverage{t}"))
-            if state.synthetic_memory is not None and len(state.synthetic_memory):
-                q_t[t] = metrics.generation_quality(state.synthetic_memory, model)
-        state._time("evaluation", time.perf_counter() - start)
+        with state.timed("evaluation"):
+            for j in range(1, t + 1):
+                r[t - 1, j - 1] = metrics.task_accuracy(model, test_stream.tasks[j - 1])
+            if keeps_flow:
+                d_t[t] = _coverage(state, train_stream, t, cfg.coverage_cap,
+                                   rng.fork(f"coverage{t}"))
+                if state.synthetic_memory is not None and len(state.synthetic_memory):
+                    q_t[t] = metrics.generation_quality(state.synthetic_memory, model)
 
         if cfg.checkpoints and ckpt_path is not None:
             extra = {

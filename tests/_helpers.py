@@ -76,7 +76,7 @@ def check_network_gradients(net: Network, x, *, cond=None, train=False,
     y = fwd()
     w = probe_rng.normal(size=y.shape)
 
-    net.zero_grads()
+    net.grads[...] = 0.0
     dx = net.backward(w)
     if dx.ndim != np.asarray(x).ndim:
         dx = dx[0]

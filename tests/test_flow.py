@@ -319,7 +319,7 @@ def test_nll_gradient_matches_finite_differences():
     randomize(stack, seed=27)
     initialize_batchnorms(stack, seed=28)
     z = Rng(29).normal(size=(16, 4))
-    stack.zero_grads()
+    stack.grads[...] = 0.0
     nll_loss_and_backward(stack, z, train=False)
     pairs = array_pairs(stack)
     check_rng = Rng(30)
@@ -347,7 +347,7 @@ def train_flow_on(stack, data, steps, rng, cond=None, lr=1e-3, batch=128):
     losses = []
     for _ in range(steps):
         idx = rng.choice(len(data), size=batch, replace=False)
-        stack.zero_grads()
+        stack.grads[...] = 0.0
         c = cond[idx] if cond is not None else None
         losses.append(nll_loss_and_backward(stack, data[idx], cond=c, train=True))
         adam.step()
@@ -365,7 +365,7 @@ def test_nll_training_curve_decreases_to_plateau():
         batch_losses = []
         for start in range(0, len(data), 128):
             idx = order[start:start + 128]
-            stack.zero_grads()
+            stack.grads[...] = 0.0
             batch_losses.append(nll_loss_and_backward(stack, data[idx], train=True))
             adam.step()
         epoch_losses.append(np.mean(batch_losses))
@@ -398,7 +398,7 @@ def test_conditioned_flow_separates_classes():
     adam = nn.Adam(probe.parameters(), lr=0.01)
     for _ in range(300):
         idx = rng.choice(len(data), size=128, replace=False)
-        probe.zero_grads()
+        probe.grads[...] = 0.0
         logits = probe.forward(data[idx])
         probe.backward(nn.cross_entropy_grad(logits, comps[idx]))
         adam.step()

@@ -78,7 +78,7 @@ def test_zero_upstream_gives_zero_gradients():
     rng = Rng(3)
     net = Network([Dense(4, 3, rng), Relu(), Dense(3, 2, rng)])
     y = net.forward(rng.normal(size=(5, 4)))
-    net.zero_grads()
+    net.grads[...] = 0.0
     dx = net.backward(np.zeros_like(y))
     assert np.all(dx == 0.0)
     for _, g in net.parameters():
@@ -89,7 +89,7 @@ def test_scalar_dense_product_rule():
     layer = make_dense([[2.0]], [0.0])
     net = Network([layer])
     net.forward(np.array([[3.0]]))
-    net.zero_grads()
+    net.grads[...] = 0.0
     dx = net.backward(np.array([[1.0]]))
     assert layer.grads[0][0, 0] == pytest.approx(3.0)  # dL/dw = x
     assert dx[0, 0] == pytest.approx(2.0)              # dL/dx = w
@@ -277,7 +277,7 @@ def test_training_determinism_bitwise():
         for _ in range(20):
             x = data_rng.normal(size=(8, 6))
             y = data_rng.integers(0, 3, size=8)
-            net.zero_grads()
+            net.grads[...] = 0.0
             logits = net.forward(x, train=True, rng=drop_rng)
             net.backward(nn.cross_entropy_grad(logits, y))
             adam.step()

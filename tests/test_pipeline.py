@@ -152,6 +152,19 @@ def test_classifier_phase_empty_task_rejected():
         train_classifier_phase(state.model, empty, state.cfg, Rng(1))
 
 
+@pytest.mark.parametrize("phase", ["autoencoder", "flow"])
+def test_later_phase_empty_task_rejected(phase):
+    state, train_stream, _ = make_state(13)
+    task = train_stream.tasks[0]
+    empty = type(task)(index=1, classes=task.classes, label_offset=0,
+                       x=task.x[:0], y_task=task.y_task[:0], y_global=task.y_global[:0])
+    with pytest.raises(ConfigurationError, match=f"^task 1 too small for {phase} training"):
+        if phase == "autoencoder":
+            train_autoencoder_phase(state.model, empty, state.cfg, Rng(1))
+        else:
+            train_flow_phase(state.flow, state.model, empty, state.cfg, Rng(1))
+
+
 def test_autoencoder_replay_requires_conditioning_classes():
     model = make_model(14, conditioning="decoder")
     _, train_stream, _ = make_state(14)
@@ -180,6 +193,73 @@ def test_flow_phase_divergence_carries_task_context():
     coupling.translate_net.layers[-1].b[...] = 1e200
     with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="task 1"):
         train_flow_phase(state.flow, state.model, task, state.cfg, Rng(5))
+
+
+@pytest.mark.parametrize("phase", ["autoencoder", "flow"])
+@pytest.mark.parametrize("patience", [1, 3])
+def test_no_improvement_stops_after_patience_epochs(phase, patience):
+    # no later epoch can beat the first by a huge min_delta, so the phase
+    # stops after the first epoch plus `patience` bad ones
+    state, train_stream, _ = make_state(19, patience=patience, min_delta=1e300)
+    task = train_stream.tasks[0]
+    if phase == "autoencoder":
+        out = train_autoencoder_phase(state.model, task, state.cfg, Rng(1))
+    else:
+        out = train_flow_phase(state.flow, state.model, task, state.cfg, Rng(1))
+    assert out["epochs"] == len(out["loss_history"]) == patience + 1
+
+
+def test_classifier_keeps_best_validation_epoch_and_later_ties():
+    # scripted validation accuracies: epochs 1 and 3 tie for the best, so
+    # the parameters after epoch 3 must come back, not those of epoch 4
+    state, train_stream, _ = make_state(18, classifier_epochs=5)
+    model, task = state.model, train_stream.tasks[0]
+    label = {row.tobytes(): y for row, y in zip(task.x, task.y_task)}
+    correct = iter([3, 9, 6, 9, 1])
+    snapshots = []
+    classify = model.classify
+
+    def scripted(x, task_id, train=False, rng=None):
+        logits = classify(x, task_id, train=train, rng=rng)
+        if train:
+            return logits
+        snapshots.append(classifier_params(model, task_id))
+        y = np.array([label[row.tobytes()] for row in x])
+        predicted = np.where(np.arange(len(y)) < next(correct), y, (y + 1) % logits.shape[1])
+        return one_hot(predicted, logits.shape[1])
+
+    model.classify = scripted
+    out = train_classifier_phase(model, task, state.cfg, Rng(1))
+    assert len(snapshots) == 5 and out["best_val_accuracy"] == 9 / 12
+    final = classifier_params(model, 1)
+    assert all(np.array_equal(a, b) for a, b in zip(final, snapshots[3]))
+    assert not all(np.array_equal(a, b) for a, b in zip(final, snapshots[1]))
+    assert not all(np.array_equal(a, b) for a, b in zip(final, snapshots[4]))
+
+
+def test_flow_skips_a_lone_row_batch(monkeypatch):
+    # batch norm needs two rows: the trailing one-row batch of every epoch
+    # is skipped, and a task of one row has nothing to train on
+    import prer.pipeline as pipeline
+
+    state, train_stream, _ = make_state(20, flow_max_epochs=3)
+    task = train_stream.tasks[0]
+    state.cfg.batch_size = len(task) - 1
+    rows = []
+    nll = pipeline.nll_loss_and_backward
+
+    def counting(flow, z, **kwargs):
+        rows.append(len(z))
+        return nll(flow, z, **kwargs)
+
+    monkeypatch.setattr(pipeline, "nll_loss_and_backward", counting)
+    out = train_flow_phase(state.flow, state.model, task, state.cfg, Rng(1))
+    assert out["epochs"] == 3 and rows == [len(task) - 1] * 3
+
+    lone = type(task)(index=1, classes=task.classes, label_offset=0,
+                      x=task.x[:1], y_task=task.y_task[:1], y_global=task.y_global[:1])
+    with pytest.raises(ConfigurationError, match="too small"):
+        train_flow_phase(state.flow, state.model, lone, state.cfg, Rng(1))
 
 
 @pytest.mark.parametrize("phase", ["classifier", "autoencoder", "flow"])

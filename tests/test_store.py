@@ -104,7 +104,7 @@ def _train_flow(flow, make_adam, steps=50):
     adam = make_adam(flow)
     data = Rng(7)
     for _ in range(steps):
-        flow.zero_grads()
+        flow.grads[...] = 0.0
         nll_loss_and_backward(flow, data.normal(size=(64, flow.dim)), train=True)
         adam.step()
     return flow.params.copy()
@@ -125,7 +125,7 @@ def _train_classifier(pairs_of, steps=50):
     for _ in range(steps):
         x, y = data.random(size=(32, 1, 28, 28)), data.integers(0, 2, size=32)
         for owner in (model.encoder, model.proj_classify, head):
-            owner.zero_grads()
+            owner.grads[...] = 0.0
         logits = model.classify(x, 1, train=True, rng=dropout)
         dz = head.backward(nn.cross_entropy_grad(logits, y))
         model.encoder.backward(model.proj_classify.backward(dz))

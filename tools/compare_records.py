@@ -14,7 +14,11 @@ at seed 1 (taken from this checkout, so both trees read the same config):
   resumed from its checkpoint;
 - prer with the conv encoder on a tiny IDX image pair of 4 classes, which
   the worker writes into its temp dir and reads by relative path, so
-  both trees read the same files under the same dataset string.
+  both trees read the same files under the same dataset string;
+- prer_r with ``batch_size = 239`` and no validation split: each task has
+  240 rows, so every epoch ends on a one-row batch, which the flow skips
+  and the classifier and autoencoder train on, and the classifier keeps
+  its last epoch instead of restoring a snapshot.
 
 Records are compared without ``timings`` and ``config_hash``, the same
 rule as ``bench/checks.digest``. Exits 1 on any difference. Uses only the
@@ -59,6 +63,8 @@ def grid():
         "embedding_dim": 6, "decoder_hidden": 24, "classifier_epochs": 4,
         "ae_max_epochs": 8, "flow_max_epochs": 8, "memory_size": 10, "coverage_cap": 10,
     }, None))
+    runs.append(("prer_r-lone-row-batches",
+                 {"strategy": "prer_r", "batch_size": 239, "validation_fraction": 0}, None))
     return runs
 
 
