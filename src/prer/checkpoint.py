@@ -2,13 +2,14 @@
 
 A run is a pure function of (config, seed), so the config fixes the
 shape of the model and the flow. A checkpoint is one .npz holding the
-arrays that ``state_arrays`` names, the ER memory of real rows, the
-partial result matrix and a JSON "meta" entry. Resuming rebuilds the run
-from its config and seed and copies the arrays back bit-exactly. Flow
-permutations are not stored, since the "flow-init" fork redraws them,
-and neither is the synthetic memory, since every task after the first
-regenerates it from the flow before reading it (files that hold one
-still load; the entries are ignored).
+arrays that ``state_arrays`` names, the rehearsal memory of a run without
+a flow, the partial result matrix and a JSON "meta" entry. Resuming
+rebuilds the run from its config and seed and copies the arrays back
+bit-exactly. Flow permutations are not stored, since the "flow-init" fork
+redraws them, and neither is a flow's memory, since every task after the
+first regenerates it before reading it. Task labels are derived from the
+memory's classes when read, so the ``er_memory/y_task`` and
+``er_memory/task_ids`` entries of older files are ignored.
 A checkpoint resumes only the config that wrote it: an array that is
 missing, extra or reshaped raises a ConfigurationError naming it.
 """
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import ConfigurationError
-from .pipeline import ErMemory
+from .pipeline import Memory
 from .rng import Rng
 
 
@@ -55,8 +56,8 @@ def atomic_write(path, write):
 
 def save_run_state(path, state, result_matrix, extra: dict):
     """Persist everything needed to resume after the last finished task:
-    the state arrays, the ER memory, the partial result matrix and a
-    free-form JSON block (seed, partial metrics)."""
+    the state arrays, the memory of real rows, the partial result matrix
+    and a free-form JSON block (seed, partial metrics)."""
     meta = {
         "completed_tasks": state.completed_tasks,
         "head_classes": {str(k): v for k, v in state.model.head_classes.items()},
@@ -65,10 +66,10 @@ def save_run_state(path, state, result_matrix, extra: dict):
     }
     arrays = state_arrays(state)
     arrays["result_matrix"] = np.asarray(result_matrix, dtype=float)
-    if state.er_memory is not None:
-        for f in fields(ErMemory):
-            value = getattr(state.er_memory, f.name)
-            if value is not None:
+    if state.flow is None and state.memory is not None:
+        for f in fields(Memory):
+            value = getattr(state.memory, f.name)
+            if value is not None:  # the key prefix is kept so older files load
                 arrays[f"er_memory/{f.name}"] = value
     arrays["meta"] = np.array(json.dumps(meta))
     atomic_write(path, lambda fh: np.savez(fh, **arrays))
@@ -77,7 +78,7 @@ def save_run_state(path, state, result_matrix, extra: dict):
 def load_run_state(path):
     """Read a checkpoint into a dict: "completed_tasks", "result_matrix",
     "timings", "extra", "head_classes", the named "arrays" and
-    "er_memory". ``restore_run_state`` puts it into a rebuilt run."""
+    "memory". ``restore_run_state`` puts it into a rebuilt run."""
     with np.load(path, allow_pickle=False) as data:
         if "meta" not in data.files:
             raise ConfigurationError(f"{path}: no 'meta' entry; not a checkpoint of this format")
@@ -90,8 +91,8 @@ def load_run_state(path):
             "result_matrix": data["result_matrix"],
             "arrays": {k: data[k] for k in data.files if k.startswith(("model/", "flow/"))},
         }
-        memory = {f.name: data.get(f"er_memory/{f.name}") for f in fields(ErMemory)}
-        out["er_memory"] = ErMemory(**memory) if memory["images"] is not None else None
+        memory = {f.name: data.get(f"er_memory/{f.name}") for f in fields(Memory)}
+        out["memory"] = Memory(**memory) if memory["images"] is not None else None
         return out
 
 
@@ -116,5 +117,5 @@ def restore_run_state(state, restored):
             bn.initialized = True
     state.completed_tasks = restored["completed_tasks"]
     state.timings = restored["timings"]
-    state.er_memory = restored["er_memory"]
+    state.memory = restored["memory"]
     return state

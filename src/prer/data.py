@@ -74,10 +74,11 @@ class TaskStream:
             seen.extend(task.classes)
         return seen
 
-    def task_of_class(self, label: int) -> int:
+    # both take a global label or an array of them
+    def task_of_class(self, label):
         return label // self.classes_per_task + 1
 
-    def within_task_label(self, label: int) -> int:
+    def within_task_label(self, label):
         return label - (self.task_of_class(label) - 1) * self.classes_per_task
 
 

@@ -179,8 +179,6 @@ class Coupling:
             if cond is None:
                 raise ConfigurationError("conditioned coupling layer called without a condition")
             cond = np.asarray(cond, dtype=float)
-            if cond.ndim == 1:
-                cond = np.broadcast_to(cond, (len(a), cond.size))
             if cond.shape != (len(a), self.cond_width):
                 raise ConfigurationError(
                     f"condition shape {cond.shape} does not match (batch, {self.cond_width})"
@@ -313,17 +311,17 @@ class FlowStack:
         outs.append(h)
         return np.concatenate(outs, axis=1), logdet
 
+    def _split(self, u):
+        """The prior-side array cut into the per-level chunks, as views."""
+        return np.split(u, np.cumsum(self.emit_widths)[:-1], axis=1)
+
     def generate(self, u, cond=None):
         """Prior to data, using running batch-norm statistics."""
         u = np.atleast_2d(np.asarray(u, dtype=float))
         if u.shape[1] != self.dim:
             raise ConfigurationError(f"flow expects width {self.dim}, got {u.shape[1]}")
         self._check_cond(cond)
-        chunks = []
-        start = 0
-        for width in self.emit_widths:
-            chunks.append(u[:, start:start + width])
-            start += width
+        chunks = self._split(u)
         h = chunks[-1]
         for lvl in range(len(self.levels) - 1, -1, -1):
             for layer in reversed(self.levels[lvl]):
@@ -341,11 +339,7 @@ class FlowStack:
         return value is the gradient w.r.t. the flow input.
         """
         grad_u = np.atleast_2d(np.asarray(grad_u, dtype=float))
-        chunks = []
-        start = 0
-        for width in self.emit_widths:
-            chunks.append(grad_u[:, start:start + width])
-            start += width
+        chunks = self._split(grad_u)
         g = chunks[-1]
         for lvl in range(len(self.levels) - 1, -1, -1):
             for layer in reversed(self.levels[lvl]):

@@ -90,8 +90,6 @@ class ContinualModel:
         if not self.decoder_conditioned and y_onehot is not None:
             raise ConfigurationError("decoder is not conditioned: got an unexpected condition")
         flat = self.decoder.forward(z, train=train, rng=rng, cond=y_onehot)
-        if flat.ndim == 1:
-            return flat.reshape(self.input_shape)
         return flat.reshape((len(flat),) + self.input_shape)
 
     def classify(self, x, task_id: int, train=False, rng=None) -> np.ndarray:

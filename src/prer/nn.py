@@ -170,8 +170,6 @@ class ConcatCondition(Layer):
         if cond is None:
             raise ConfigurationError("this network requires a condition vector")
         cond = np.asarray(cond, dtype=float)
-        if cond.ndim == 1:
-            cond = np.broadcast_to(cond, (x.shape[0], cond.size))
         if cond.shape != (x.shape[0], self.cond_dim):
             raise ConfigurationError(
                 f"condition shape {cond.shape} does not match (batch, {self.cond_dim})"
@@ -270,10 +268,6 @@ class Network:
         x = np.asarray(x, dtype=float)
         if cond is not None and not self._has_condition:
             raise ConfigurationError(f"{self.name}: condition given but no layer consumes it")
-        promoted = False
-        if x.ndim == 1 or (x.ndim == 3 and isinstance(self.layers[0], (Conv2d, Flatten))):
-            x = x[None]
-            promoted = True
         for i, layer in enumerate(self.layers):
             try:
                 x = layer.forward(x, train=train, rng=rng, cond=cond)
@@ -281,12 +275,10 @@ class Network:
                 raise ConfigurationError(
                     f"{self.name}: layer {i} ({type(layer).__name__}): {err}"
                 ) from err
-        return x[0] if promoted else x
+        return x
 
     def backward(self, grad):
         grad = np.asarray(grad, dtype=float)
-        if grad.ndim == 1:
-            grad = grad[None]
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
         return grad

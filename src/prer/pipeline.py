@@ -1,11 +1,12 @@
-"""Per-task training: the three-phase procedure, synthetic-memory
+"""Per-task training: the three-phase procedure, rehearsal-memory
 construction, mini-batch overwrite replay and the baseline strategies.
 
 One task is trained in strict phase order: (1) classifier, (2)
 autoencoder with the backbone frozen, (3) density model on the
 reconstruction embeddings. A single flow and a single decoder persist
-across all tasks; strategies that keep a memory of real data refresh it
-at task end, the synthetic memory is regenerated at every task start.
+across all tasks. There is one memory type: strategies without a flow
+extend it with real rows at task end, flow strategies regenerate it at
+every task start.
 """
 
 import time
@@ -23,7 +24,7 @@ from .model import ContinualModel, one_hot
 from .rng import Rng
 
 # what each strategy is made of: does it keep a flow (and train phases 2
-# and 3 on synthetic memory), apply the embedding-retention penalty to
+# and 3 on generated memory), apply the embedding-retention penalty to
 # its memory rows, replay them into the classifier's mini-batches; a
 # strategy without a flow keeps real rows, with embeddings for a penalty
 Strategy = namedtuple("Strategy", "flow penalty replay")
@@ -37,49 +38,28 @@ STRATEGIES = {
 
 
 @dataclass
-class SyntheticMemory:
-    """Generated images paired with the embeddings the model assigned
-    them at generation time; `classes` holds the requested labels when
-    any conditioning was available."""
+class Memory:
+    """Rehearsal rows: images, the embeddings the model assigned them when
+    they were stored or generated (None for real rows no penalty reads),
+    and their global classes. Real rows carry their true class, generated
+    rows the class they were asked for, or None when nothing is
+    conditioned. Task labels are derived from the classes by the stream."""
 
     images: np.ndarray
-    embeddings: np.ndarray
-    classes: np.ndarray | None
-    source_task: int
-
-    def __len__(self):
-        return len(self.images)
-
-
-@dataclass
-class ErMemory:
-    """Real images kept per completed task, optionally with the
-    embeddings they had when their task ended."""
-
-    images: np.ndarray
-    y_global: np.ndarray
-    y_task: np.ndarray
-    task_ids: np.ndarray
     embeddings: np.ndarray | None
+    y_global: np.ndarray | None
 
     def __len__(self):
         return len(self.images)
 
-    @staticmethod
-    def add_task(memory, images, y_global, y_task, task_id, embeddings=None):
-        task_ids = np.full(len(images), task_id, dtype=int)
-        if memory is None:
-            return ErMemory(images, y_global, y_task, task_ids, embeddings)
-        emb = None
-        if memory.embeddings is not None and embeddings is not None:
-            emb = np.concatenate([memory.embeddings, embeddings])
-        return ErMemory(
-            np.concatenate([memory.images, images]),
-            np.concatenate([memory.y_global, y_global]),
-            np.concatenate([memory.y_task, y_task]),
-            np.concatenate([memory.task_ids, task_ids]),
-            emb,
-        )
+    def extend(self, rows: "Memory") -> "Memory":
+        """This memory of real rows followed by `rows`; embeddings that
+        are None stay None."""
+        embeddings = None
+        if self.embeddings is not None:
+            embeddings = np.concatenate([self.embeddings, rows.embeddings])
+        return Memory(np.concatenate([self.images, rows.images]), embeddings,
+                      np.concatenate([self.y_global, rows.y_global]))
 
 
 class EarlyStop:
@@ -174,7 +154,7 @@ def _uses_memory(memory, cfg, conditioned, what):
     """Whether a phase mixes `memory` into its batches; a conditioned
     network needs the classes the memory was generated for."""
     use = memory is not None and len(memory) > 0 and cfg.replay_fraction > 0.0
-    if use and conditioned and memory.classes is None:
+    if use and conditioned and memory.y_global is None:
         raise ConfigurationError(f"{what} is conditioned but the memory carries no classes")
     return use
 
@@ -280,7 +260,7 @@ def train_classifier_phase(model: ContinualModel, task, cfg, rng: Rng,
 
 
 def train_autoencoder_phase(model: ContinualModel, task, cfg, rng: Rng,
-                            memory: SyntheticMemory | None = None) -> dict:
+                            memory: Memory | None = None) -> dict:
     """Phase 2. Trains the reconstruction projection and the decoder on
     pixel MSE; the backbone and the classification projection stay
     untouched. A fraction of every mini-batch is overwritten with
@@ -291,7 +271,7 @@ def train_autoencoder_phase(model: ContinualModel, task, cfg, rng: Rng,
     def step(idx):
         xb, y_cond = task.x[idx], task.y_global[idx]
         if use_memory:
-            xb, y_cond = _overwrite_rows((xb, y_cond), (memory.images, memory.classes),
+            xb, y_cond = _overwrite_rows((xb, y_cond), (memory.images, memory.y_global),
                                          cfg.replay_fraction, mem_rng)
         h = model.encoder.forward(xb)  # frozen: no backward into the backbone
         z = model.proj_reconstruct.forward(h, train=True)
@@ -311,7 +291,7 @@ def train_autoencoder_phase(model: ContinualModel, task, cfg, rng: Rng,
 
 
 def train_flow_phase(flow: FlowStack, model: ContinualModel, task, cfg,
-                     rng: Rng, memory: SyntheticMemory | None = None) -> dict:
+                     rng: Rng, memory: Memory | None = None) -> dict:
     """Phase 3. Fits the single persistent flow to the reconstruction
     embeddings of the current task, mixed with memory images so that the
     density keeps covering earlier tasks."""
@@ -323,7 +303,7 @@ def train_flow_phase(flow: FlowStack, model: ContinualModel, task, cfg,
             return None
         xb, y_cond = task.x[idx], task.y_global[idx]
         if use_memory:
-            xb, y_cond = _overwrite_rows((xb, y_cond), (memory.images, memory.classes),
+            xb, y_cond = _overwrite_rows((xb, y_cond), (memory.images, memory.y_global),
                                          cfg.replay_fraction, mem_rng)
         z = model.encode_reconstruct(xb)
         cond = one_hot(y_cond, model.num_classes) if model.flow_conditioned else None
@@ -349,17 +329,13 @@ def class_schedule(classes_seen, n: int, rng: Rng) -> np.ndarray:
 
 
 def generate_memory(flow: FlowStack, model: ContinualModel, n: int, schedule,
-                    rng: Rng, task_index: int) -> SyntheticMemory:
+                    rng: Rng, task_index: int) -> Memory:
     """Sample embeddings from the flow, decode them and re-encode the
-    decoded images; the resulting tuples are the rehearsal memory for
-    the upcoming task."""
+    decoded images; the resulting rows are the rehearsal memory for the
+    upcoming task."""
     if task_index <= 1:
         raise StateError("memory generation needs a flow trained on at least one earlier task")
     conditioned = model.flow_conditioned or model.decoder_conditioned
-    if n == 0:
-        empty = np.empty((0,) + model.input_shape)
-        return SyntheticMemory(empty, np.empty((0, model.embedding_dim)),
-                               np.empty(0, dtype=int) if conditioned else None, task_index)
     if conditioned:
         schedule = np.asarray(schedule, dtype=int)
         if schedule.shape != (n,):
@@ -369,8 +345,7 @@ def generate_memory(flow: FlowStack, model: ContinualModel, n: int, schedule,
     dec_cond = one_hot(schedule, model.num_classes) if model.decoder_conditioned else None
     images = model.decode(z, y_onehot=dec_cond)
     embeddings = model.encode_classify(images)
-    return SyntheticMemory(images, embeddings,
-                           schedule.copy() if conditioned else None, task_index)
+    return Memory(images, embeddings, schedule.copy() if conditioned else None)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +360,7 @@ class RunState:
     cfg: object  # the run's ExperimentConfig
     rng: Rng
     completed_tasks: int = 0
-    synthetic_memory: SyntheticMemory | None = None
-    er_memory: ErMemory | None = None
+    memory: Memory | None = None
     timings: dict = field(default_factory=dict)
 
     @contextmanager
@@ -431,27 +405,24 @@ def strategy_train_task(state: RunState, task) -> RunState:
                 if conditioned:
                     schedule = class_schedule(state.stream.classes_seen(t - 1),
                                               cfg.memory_size, rng_t.fork("schedule"))
-                state.synthetic_memory = generate_memory(
+                state.memory = generate_memory(
                     state.flow, model, cfg.memory_size, schedule, rng_t.fork("memory-gen"), t
                 )
 
-    memory = state.synthetic_memory if strategy.flow else state.er_memory
+    memory = state.memory
     has_rows = memory is not None and len(memory) > 0
     penalty = replay = None
     if has_rows and strategy.penalty:
         penalty = (memory.images, memory.embeddings)
     elif has_rows and strategy.replay:
-        if strategy.flow:
-            # replay labels must describe what a generated image actually
-            # contains, and the requested condition class is only a request;
-            # the nearest-class probe over real past-task embeddings labels
-            # the content itself, so it is used in every conditioning mode
-            labels = _past_task_probe(state, t).predict(memory.embeddings)
-            y_task = np.array([state.stream.within_task_label(y) for y in labels])
-            task_ids = np.array([state.stream.task_of_class(y) for y in labels])
-        else:
-            y_task, task_ids = memory.y_task, memory.task_ids
-        replay = (memory.images, y_task, task_ids)
+        # a generated row's label must describe what the image actually
+        # contains, and the requested condition class is only a request;
+        # the nearest-class probe over real past-task embeddings labels the
+        # content itself, so it is used in every conditioning mode
+        labels = (_past_task_probe(state, t).predict(memory.embeddings) if strategy.flow
+                  else memory.y_global)
+        replay = (memory.images, state.stream.within_task_label(labels),
+                  state.stream.task_of_class(labels))
 
     with state.timed("classifier"):
         train_classifier_phase(model, task, cfg, rng_t.fork("classifier"),
@@ -468,10 +439,8 @@ def strategy_train_task(state: RunState, task) -> RunState:
         if k > 0:
             pick = rng_t.fork("store").choice(len(task), size=k, replace=False)
             embeddings = model.encode_classify(task.x[pick]) if strategy.penalty else None
-            state.er_memory = ErMemory.add_task(
-                state.er_memory, task.x[pick], task.y_global[pick],
-                task.y_task[pick], t, embeddings,
-            )
+            rows = Memory(task.x[pick], embeddings, task.y_global[pick])
+            state.memory = rows if state.memory is None else state.memory.extend(rows)
 
     state.completed_tasks = t
     return state

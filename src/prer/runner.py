@@ -197,8 +197,8 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None, resume=False)
             if keeps_flow:
                 d_t[t] = _coverage(state, train_stream, t, cfg.coverage_cap,
                                    rng.fork(f"coverage{t}"))
-                if state.synthetic_memory is not None and len(state.synthetic_memory):
-                    q_t[t] = metrics.generation_quality(state.synthetic_memory, model)
+                if state.memory is not None and len(state.memory):
+                    q_t[t] = metrics.generation_quality(state.memory, model)
 
         if cfg.checkpoints and ckpt_path is not None:
             extra = {

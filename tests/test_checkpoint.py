@@ -172,5 +172,4 @@ def test_run_state_resume_matches_straight_run(tmp_path):
         assert np.array_equal(p, q)
     for (p, _), (q, _) in zip(straight.flow.parameters(), resumed.flow.parameters()):
         assert np.array_equal(p, q)
-    assert np.array_equal(straight.synthetic_memory.images,
-                          resumed.synthetic_memory.images)
+    assert np.array_equal(straight.memory.images, resumed.memory.images)

@@ -215,6 +215,14 @@ def test_class_to_task_mapping():
     assert stream.task_of_class(5) == 3
     assert stream.within_task_label(3) == 1
     assert stream.classes_seen(2) == [0, 1, 2, 3]
+    # label arrays map row by row; the last task keeps the one leftover class
+    ds = synth_blobs(classes=5, per_class=10, dim=4, separation=2.0, seed=22)
+    stream = build_task_stream(ds, 2, seed=23)
+    assert stream.tasks[-1].classes == [4]
+    for task in stream.tasks:
+        assert np.array_equal(stream.task_of_class(task.y_global),
+                              np.full(len(task), task.index))
+        assert np.array_equal(stream.within_task_label(task.y_global), task.y_task)
 
 
 def test_parse_dataset_spec():

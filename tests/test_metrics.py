@@ -18,7 +18,7 @@ from prer.metrics import (
     memory_footprint,
 )
 from prer.model import build_mlp_model
-from prer.pipeline import SyntheticMemory
+from prer.pipeline import Memory
 from prer.rng import Rng
 
 
@@ -143,19 +143,19 @@ def quality_fixture():
 
 def test_quality_recomputation_identity():
     model, images, embeddings = quality_fixture()
-    memory = SyntheticMemory(images, embeddings, None, source_task=2)
+    memory = Memory(images, embeddings, None)
     assert generation_quality(memory, model) == pytest.approx(100.0, abs=1e-9)
 
 
 def test_quality_antipodal():
     model, images, embeddings = quality_fixture()
-    memory = SyntheticMemory(images, -embeddings, None, source_task=2)
+    memory = Memory(images, -embeddings, None)
     assert generation_quality(memory, model) == pytest.approx(-100.0, abs=1e-9)
 
 
 def test_quality_empty_memory_rejected():
     model, _, _ = quality_fixture()
-    empty = SyntheticMemory(np.empty((0, 5)), np.empty((0, 6)), None, source_task=2)
+    empty = Memory(np.empty((0, 5)), np.empty((0, 6)), None)
     with pytest.raises(ConfigurationError):
         generation_quality(empty, model)
 

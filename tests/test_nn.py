@@ -27,8 +27,8 @@ def make_dense(w, b):
 
 def test_identity_dense_forward():
     net = Network([make_dense(np.eye(3), np.zeros(3))])
-    out = net.forward(np.array([1.0, 2.0, 3.0]))
-    assert np.allclose(out, [1.0, 2.0, 3.0])
+    out = net.forward(np.array([[1.0, 2.0, 3.0]]))
+    assert np.allclose(out, [[1.0, 2.0, 3.0]])
 
 
 def test_relu_forward():
@@ -46,15 +46,16 @@ def test_relu_propagates_nan_and_clears_negative_zero():
 
 def test_dense_forward_hand_computed():
     net = Network([make_dense([[1.0, 1.0], [0.0, 1.0]], [0.5, 0.0])])
-    out = net.forward(np.array([2.0, 3.0]))
-    assert np.allclose(out, [5.5, 3.0])
+    out = net.forward(np.array([[2.0, 3.0]]))
+    assert np.allclose(out, [[5.5, 3.0]])
 
 
 def test_shape_mismatch_names_layer_index():
     rng = Rng(1)
     net = Network([Dense(3, 4, rng), Relu(), Dense(4, 2, rng)], name="mlp")
-    with pytest.raises(ConfigurationError, match="layer 0"):
-        net.forward(np.ones((2, 5)))
+    for x in (np.ones((2, 5)), np.ones(3)):  # a 1-D row is not a batch
+        with pytest.raises(ConfigurationError, match="layer 0"):
+            net.forward(x)
     bad = Network([Dense(3, 4, rng), Dense(5, 2, rng)])
     with pytest.raises(ConfigurationError, match="layer 1"):
         bad.forward(np.ones((2, 3)))

@@ -12,9 +12,8 @@ from prer.flow import build_flow
 from prer.metrics import task_accuracy
 from prer.model import build_mlp_model, one_hot
 from prer.pipeline import (
-    ErMemory,
+    Memory,
     RunState,
-    SyntheticMemory,
     class_schedule,
     generate_memory,
     strategy_train_task,
@@ -170,7 +169,7 @@ def test_autoencoder_replay_requires_conditioning_classes():
     _, train_stream, _ = make_state(14)
     task = train_stream.tasks[0]
     cfg = ExperimentConfig(strategy="prer", ae_max_epochs=2).validate()
-    bad_memory = SyntheticMemory(np.zeros((4, 8)), np.zeros((4, 8)), None, source_task=2)
+    bad_memory = Memory(np.zeros((4, 8)), np.zeros((4, 8)), None)
     with pytest.raises(ConfigurationError):
         train_autoencoder_phase(model, task, cfg, Rng(1), memory=bad_memory)
 
@@ -313,7 +312,7 @@ def test_generate_memory_embeddings_recompute_exactly():
     recomputed = state.model.encode_classify(memory.images)
     assert np.array_equal(recomputed, memory.embeddings)
     assert len(memory) == 50
-    assert set(memory.classes) <= {0, 1}
+    assert set(memory.y_global) <= {0, 1}
 
 
 def test_generate_memory_at_first_task_rejected():
@@ -345,7 +344,7 @@ def test_generated_images_classify_to_requested_class():
     schedule = class_schedule([0, 1], 100, Rng(23))
     memory = generate_memory(state.flow, state.model, 100, schedule, Rng(24), task_index=2)
     logits = state.model.classify(memory.images, 1)
-    hit = (logits.argmax(axis=1) == memory.classes).mean()
+    hit = (logits.argmax(axis=1) == memory.y_global).mean()
     assert hit >= 0.8, f"only {hit:.0%} of generated images match their requested class"
 
 
@@ -354,7 +353,7 @@ def test_flow_samples_survive_second_task():
     schedule = class_schedule([0, 1], 100, Rng(26))
     memory = generate_memory(state.flow, state.model, 100, schedule, Rng(27), task_index=3)
     logits = state.model.classify(memory.images, 1)
-    hit = (logits.argmax(axis=1) == memory.classes).mean()
+    hit = (logits.argmax(axis=1) == memory.y_global).mean()
     assert hit >= 0.9, f"only {hit:.0%} of task-1 samples survive task 2"
 
 
@@ -405,20 +404,22 @@ def test_er_memory_grows_per_task_and_stores_embeddings():
     state, train_stream, _ = make_state(33, strategy="er", classifier_epochs=3,
                                         memory_size=40)
     strategy_train_task(state, train_stream.tasks[0])
-    assert len(state.er_memory) == 40
-    assert state.er_memory.embeddings is not None
+    assert len(state.memory) == 40
+    assert state.memory.embeddings.shape == (40, state.model.embedding_dim)
     strategy_train_task(state, train_stream.tasks[1])
-    assert len(state.er_memory) == 80
-    assert set(state.er_memory.task_ids) == {1, 2}
+    assert len(state.memory) == 80
+    assert len(state.memory.embeddings) == 80
+    # each task's rows keep their own task's global classes
+    assert set(state.memory.y_global[:40]) <= set(train_stream.tasks[0].classes)
+    assert set(state.memory.y_global[40:]) <= set(train_stream.tasks[1].classes)
 
 
 def test_replay_memory_has_no_embeddings():
     state, train_stream, _ = make_state(34, strategy="replay", classifier_epochs=3,
                                         memory_size=25)
     strategy_train_task(state, train_stream.tasks[0])
-    assert state.er_memory.embeddings is None
-    assert np.array_equal(state.er_memory.y_global,
-                          state.er_memory.y_task + 0)  # task 1 offset is 0
+    assert state.memory.embeddings is None
+    assert set(state.memory.y_global) <= set(train_stream.tasks[0].classes)
 
 
 def test_past_heads_never_mutated():
@@ -487,9 +488,8 @@ def test_er_baseline_retains_more_than_naive():
 def test_prer_r_conditioned_replays_generated_images():
     state, tr, te = interference_state(4, "prer_r")
     b = stream_bwt(state, "prer_r", tr, te)
-    assert state.synthetic_memory is not None
-    assert state.synthetic_memory.source_task == 5
-    assert state.synthetic_memory.classes is not None
+    # generated at the start of task 5, for the classes of tasks 1-4
+    assert set(state.memory.y_global) == set(range(8))
     naive_state, tr, te = interference_state(4, "naive")
     assert b > stream_bwt(naive_state, "naive", tr, te)
 
@@ -500,7 +500,7 @@ def test_prer_r_unconditioned_uses_probe_labels():
     state, tr, te = interference_state(5, "prer_r", conditioning="none")
     for task in tr.tasks[:3]:
         strategy_train_task(state, task)
-    assert state.synthetic_memory.classes is None
+    assert state.memory.y_global is None
     assert state.completed_tasks == 3
 
 
@@ -509,7 +509,6 @@ def test_autoencoder_rho_zero_trains_on_task_only():
     train_stream, _ = make_streams(40)
     task = train_stream.tasks[0]
     cfg = ExperimentConfig(strategy="prer", ae_max_epochs=10, replay_fraction=0.0).validate()
-    memory = SyntheticMemory(np.zeros((5, 8)), np.zeros((5, 8)),
-                             np.zeros(5, dtype=int), source_task=2)
+    memory = Memory(np.zeros((5, 8)), np.zeros((5, 8)), np.zeros(5, dtype=int))
     stats = train_autoencoder_phase(model, task, cfg, Rng(41), memory=memory)
     assert stats["epochs"] >= 1  # memory ignored entirely at rho = 0

@@ -143,11 +143,11 @@ def trained_tasks(monkeypatch, crash_at=None):
 
 
 def final_arrays(state):
-    """Every array the run ends with: the state arrays and the ER memory.
+    """Every array the run ends with: the state arrays and the memory.
     Records of small runs round accuracies coarsely, these do not."""
     arrays = dict(state_arrays(state))
-    if state.er_memory is not None:
-        arrays.update({f"er/{k}": v for k, v in vars(state.er_memory).items()
+    if state.memory is not None:
+        arrays.update({f"memory/{k}": v for k, v in vars(state.memory).items()
                        if v is not None})
     return arrays
 

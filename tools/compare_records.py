@@ -9,9 +9,10 @@ at seed 1 (taken from this checkout, so both trees read the same config):
 
 - all five strategies under the config's conditioning;
 - prer and prer_r with conditioning both, flow and none;
-- prer under the config's conditioning and prer_r with conditioning both,
-  each with ``checkpoints = true``, crashed at the start of task 3 and
-  resumed from its checkpoint;
+- replay, er and prer under the config's conditioning and prer_r with
+  conditioning both, each with ``checkpoints = true``, crashed at the
+  start of task 3 and resumed from its checkpoint: replay and er resume
+  their stored memory of real rows, prer and prer_r regenerate theirs;
 - prer with the conv encoder on a tiny IDX image pair of 4 classes, which
   the worker writes into its temp dir and reads by relative path, so
   both trees read the same files under the same dataset string;
@@ -52,8 +53,9 @@ def grid():
         for mode in ("both", "flow", "none"):
             runs.append((f"{strategy}-{mode}", {"strategy": strategy, "conditioning": mode},
                          None))
-    runs.append((f"prer-resumed-at-task{CRASH_AT}",
-                 {"strategy": "prer", "checkpoints": "true"}, CRASH_AT))
+    for strategy in ("replay", "er", "prer"):
+        runs.append((f"{strategy}-resumed-at-task{CRASH_AT}",
+                     {"strategy": strategy, "checkpoints": "true"}, CRASH_AT))
     runs.append((f"prer_r-both-resumed-at-task{CRASH_AT}",
                  {"strategy": "prer_r", "conditioning": "both", "checkpoints": "true"},
                  CRASH_AT))
