@@ -289,9 +289,10 @@ class FlowStack:
 
     def normalize(self, z, cond=None, train=False):
         """Data to prior. Returns (u, per-sample log-determinant)."""
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        if z.shape[1] != self.dim:
-            raise ConfigurationError(f"flow expects width {self.dim}, got {z.shape[1]}")
+        z = np.asarray(z, dtype=float)
+        if z.ndim != 2 or z.shape[1] != self.dim:
+            raise ConfigurationError(
+                f"flow expects (batch, {self.dim}) input, got shape {z.shape}")
         self._check_cond(cond)
         h = z
         logdet = np.zeros(len(z))
@@ -317,9 +318,10 @@ class FlowStack:
 
     def generate(self, u, cond=None):
         """Prior to data, using running batch-norm statistics."""
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        if u.shape[1] != self.dim:
-            raise ConfigurationError(f"flow expects width {self.dim}, got {u.shape[1]}")
+        u = np.asarray(u, dtype=float)
+        if u.ndim != 2 or u.shape[1] != self.dim:
+            raise ConfigurationError(
+                f"flow expects (batch, {self.dim}) input, got shape {u.shape}")
         self._check_cond(cond)
         chunks = self._split(u)
         h = chunks[-1]
@@ -338,7 +340,7 @@ class FlowStack:
         Parameter gradients accumulate inside the coupling nets; the
         return value is the gradient w.r.t. the flow input.
         """
-        grad_u = np.atleast_2d(np.asarray(grad_u, dtype=float))
+        grad_u = np.asarray(grad_u, dtype=float)
         chunks = self._split(grad_u)
         g = chunks[-1]
         for lvl in range(len(self.levels) - 1, -1, -1):
@@ -390,7 +392,7 @@ def nll_loss(stack: FlowStack, z, cond=None, train=False) -> float:
 
 def nll_loss_and_backward(stack: FlowStack, z, cond=None, train=True) -> float:
     """One NLL forward/backward pass; gradients accumulate in the stack."""
-    z = np.atleast_2d(np.asarray(z, dtype=float))
+    z = np.asarray(z, dtype=float)
     u, logdet = stack.normalize(z, cond=cond, train=train)
     n = len(z)
     nll = 0.5 * (u ** 2).sum(axis=1) + 0.5 * stack.dim * LOG_2PI - logdet

@@ -62,8 +62,8 @@ def _row_chunks(n, floats_per_row):
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Symmetric Hausdorff distance between two point sets (Euclidean)."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     if len(a) == 0 or len(b) == 0:
         raise ConfigurationError("Hausdorff distance needs non-empty sets")
     # the exact difference form (not the matmul expansion) keeps
@@ -86,8 +86,8 @@ def coverage_hausdorff(real_by_class: dict, generated_by_class: dict) -> float:
         raise ConfigurationError("no classes to compare")
     values = []
     for c in sorted(real_by_class):
-        real = np.atleast_2d(np.asarray(real_by_class[c], dtype=float))
-        gen = np.atleast_2d(np.asarray(generated_by_class[c], dtype=float))
+        real = np.asarray(real_by_class[c], dtype=float)
+        gen = np.asarray(generated_by_class[c], dtype=float)
         if len(real) == 0 or len(gen) == 0:
             raise ConfigurationError(f"class {c} has an empty set")
         if len(real) != len(gen):
@@ -148,7 +148,7 @@ class KnnProbe:
         self._y = None
 
     def fit(self, x, y):
-        self._x = np.atleast_2d(np.asarray(x, dtype=float))
+        self._x = np.asarray(x, dtype=float)
         self._y = np.asarray(y, dtype=int)
         if len(self._x) == 0:
             raise ConfigurationError("cannot fit a probe on an empty set")
@@ -161,7 +161,7 @@ class KnnProbe:
         vote goes to the smallest label."""
         if self._x is None:
             raise ConfigurationError("probe used before fit")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
         k = min(self.k, len(self._x))
         sq_fit = (self._x ** 2).sum(axis=1)[None, :]
         num_labels = self._y.max() + 1

@@ -106,11 +106,11 @@ class Dense(Layer):
         self._cache = x
         return x @ self.w.T + self.b
 
-    def backward(self, grad):
+    def backward(self, grad, *, input_grad=True):
         x = self._take_cache()
         self.grads[0] += grad.T @ x
         self.grads[1] += grad.sum(axis=0)
-        return grad @ self.w
+        return grad @ self.w if input_grad else None
 
 
 class Relu(Layer):
@@ -119,8 +119,14 @@ class Relu(Layer):
         return np.maximum(x, 0.0)  # NaN stays NaN; -0.0 becomes 0.0
 
     def backward(self, grad):
-        mask = self._take_cache()
-        return np.where(mask, grad, 0.0)
+        # np.where(mask, grad, 0.0) bit for bit (NaN, inf and -0.0
+        # included) as an AND of grad's bits with 0 or -1 per element;
+        # the cast happens here so eval-only forwards pay nothing for it.
+        # The AND allocates its output as np.where does, in the memory
+        # order both inputs imply: later sums depend on that order.
+        keep = self._take_cache().astype(np.int64)
+        np.negative(keep, out=keep)
+        return np.bitwise_and(grad.view(np.int64), keep).view(np.float64)
 
 
 class Dropout(Layer):
@@ -237,10 +243,12 @@ class Conv2d(Layer):
         self._cache = (cols, xp.shape, (ph0, ph1, pw0, pw1), x.shape)
         return y
 
-    def backward(self, grad):
+    def backward(self, grad, *, input_grad=True):
         cols, xp_shape, pads, x_shape = self._take_cache()
         self.grads[1] += grad.sum(axis=(0, 2, 3))
         self.grads[0] += np.tensordot(grad, cols, axes=([0, 2, 3], [0, 4, 5]))
+        if not input_grad:
+            return None
         dcols = np.tensordot(grad, self.w, axes=([1], [0]))
         dcols = dcols.transpose(0, 3, 4, 5, 1, 2)
         dxp = np.zeros(xp_shape)
@@ -263,6 +271,10 @@ class Network:
         self.name = name
         self.params, self.grads = bind_slices(self.layers)
         self._has_condition = any(isinstance(l, ConcatCondition) for l in self.layers)
+        # the lowest layer with parameters, where a backward pass that
+        # needs no input gradient stops
+        self._lowest_trained = next(
+            (i for i, l in enumerate(self.layers) if l.param_names), len(self.layers))
 
     def forward(self, x, train=False, rng=None, cond=None):
         x = np.asarray(x, dtype=float)
@@ -277,11 +289,24 @@ class Network:
                 ) from err
         return x
 
-    def backward(self, grad):
+    def backward(self, grad, *, input_grad=True):
+        """Accumulate the parameter gradients of the cached pass and return
+        the input gradient. With ``input_grad=False`` the pass stops at
+        the lowest layer with parameters, which skips its input product;
+        the caches below it are dropped and None is returned."""
         grad = np.asarray(grad, dtype=float)
-        for layer in reversed(self.layers):
+        if input_grad:
+            for layer in reversed(self.layers):
+                grad = layer.backward(grad)
+            return grad
+        low = self._lowest_trained
+        for layer in reversed(self.layers[low + 1:]):
             grad = layer.backward(grad)
-        return grad
+        if low < len(self.layers):
+            self.layers[low].backward(grad, input_grad=False)
+        for layer in self.layers[:low]:
+            layer._cache = None
+        return None
 
     def bind(self, params, grads):
         """Move the network into 1-D ``params`` and ``grads`` buffers."""
@@ -312,16 +337,16 @@ def softmax(logits):
 
 def cross_entropy(logits, labels) -> float:
     """Mean negative log-softmax of the true class."""
-    logits = np.atleast_2d(np.asarray(logits, dtype=float))
-    labels = np.atleast_1d(np.asarray(labels, dtype=int))
+    logits = np.asarray(logits, dtype=float)
+    labels = np.asarray(labels, dtype=int)
     z = logits - logits.max(axis=1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     return float(-log_probs[np.arange(len(labels)), labels].mean())
 
 def cross_entropy_grad(logits, labels) -> np.ndarray:
     """Gradient of the mean cross-entropy w.r.t. the logits."""
-    logits = np.atleast_2d(np.asarray(logits, dtype=float))
-    labels = np.atleast_1d(np.asarray(labels, dtype=int))
+    logits = np.asarray(logits, dtype=float)
+    labels = np.asarray(labels, dtype=int)
     g = softmax(logits)
     g[np.arange(len(labels)), labels] -= 1.0
     return g / len(labels)
@@ -349,8 +374,8 @@ def _warn_zero_vector():
 
 def row_cosine_similarity(a, b) -> np.ndarray:
     """Per-row cosine similarity of two (n, d) arrays; zero rows give 0."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
     zero = (na == 0.0) | (nb == 0.0)
@@ -368,8 +393,8 @@ def mean_cosine_distance(a, b) -> float:
 
 def mean_cosine_distance_grad(a, b) -> np.ndarray:
     """Gradient of mean_cosine_distance w.r.t. its first argument."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     na = np.linalg.norm(a, axis=1, keepdims=True)
     nb = np.linalg.norm(b, axis=1, keepdims=True)
     zero = (na == 0.0) | (nb == 0.0)
@@ -386,10 +411,18 @@ def mean_cosine_distance_grad(a, b) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # optimizer
 
+# floats per slice of an in-place Adam update: the two scratch vectors
+# (2 x 128 kB) stay in cache
+ADAM_CHUNK = 2 ** 14
+
 
 class Adam:
     """Adam with bias correction over a fixed list of (param, grad) pairs:
-    the flat buffers of the networks, or the flow, that a phase trains."""
+    the flat buffers of the networks, or the flow, that a phase trains.
+
+    Each step updates the buffers in place, ADAM_CHUNK floats at a time,
+    through two scratch vectors allocated once; the operations and their
+    order are those of the whole-array formula, so the bits are too."""
 
     def __init__(self, param_grad_pairs, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
         self.pairs = list(param_grad_pairs)
@@ -400,6 +433,8 @@ class Adam:
                 raise ConfigurationError(
                     f"gradient shape {g.shape} does not match parameter shape {p.shape}"
                 )
+            if p.ndim != 1:
+                raise ConfigurationError(f"Adam takes 1-D buffers, got shape {p.shape}")
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
@@ -407,12 +442,37 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p) for p, _ in self.pairs]
         self.v = [np.zeros_like(p) for p, _ in self.pairs]
+        # every chunk's views, taken once: the buffers never move
+        width = min(max((p.size for p, _ in self.pairs), default=0), ADAM_CHUNK)
+        s, t = np.empty(width), np.empty(width)
+        self._chunks = []
+        for (p, g), m, v in zip(self.pairs, self.m, self.v):
+            for lo in range(0, p.size, ADAM_CHUNK):
+                cut = slice(lo, lo + ADAM_CHUNK)
+                n = p[cut].size
+                self._chunks.append((p[cut], g[cut], m[cut], v[cut], s[:n], t[:n]))
 
     def step(self):
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
-        for (p, g), m, v in zip(self.pairs, self.m, self.v):
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        c1, c2 = 1.0 - b1, 1.0 - b2
+        b1c = 1.0 - b1 ** self.t
+        b2c = 1.0 - b2 ** self.t
+        for p, g, m, v, s, t in self._chunks:
+            # m = b1 * m + (1 - b1) * g
+            m *= b1
+            np.multiply(g, c1, out=s)
+            m += s
+            # v = b2 * v + (1 - b2) * g * g
+            v *= b2
+            np.multiply(g, c2, out=s)
+            s *= g
+            v += s
+            # p -= lr * (m / b1c) / (sqrt(v / b2c) + eps)
+            np.divide(m, b1c, out=s)
+            s *= lr
+            np.divide(v, b2c, out=t)
+            np.sqrt(t, out=t)
+            t += eps
+            s /= t
+            p -= s

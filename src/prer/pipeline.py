@@ -178,7 +178,8 @@ def _grouped_classifier_step(model, current_task_id, x, y_task, task_ids, dropou
         dlogits = nn.cross_entropy_grad(logits, y_task[rows]) * weight
         dz[rows] = head.backward(dlogits)
     dh = model.proj_classify.backward(dz)
-    model.encoder.backward(dh)
+    # the encoder's input is data: nothing reads its gradient
+    model.encoder.backward(dh, input_grad=False)
     return total
 
 
@@ -223,7 +224,7 @@ def train_classifier_phase(model: ContinualModel, task, cfg, rng: Rng,
             dlogits = nn.cross_entropy_grad(logits, yb)
             dz = head.backward(dlogits)
             dh = model.proj_classify.backward(dz)
-            model.encoder.backward(dh)
+            model.encoder.backward(dh, input_grad=False)
 
         if use_penalty:
             mem_x, mem_z = penalty
@@ -233,7 +234,7 @@ def train_classifier_phase(model: ContinualModel, task, cfg, rng: Rng,
             reg = nn.mean_cosine_distance(z, mem_z[pick])
             dz = cfg.beta * nn.mean_cosine_distance_grad(z, mem_z[pick])
             dh = model.proj_classify.backward(dz)
-            model.encoder.backward(dh)
+            model.encoder.backward(dh, input_grad=False)
             loss += cfg.beta * reg
         return loss
 

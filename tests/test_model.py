@@ -98,6 +98,26 @@ def test_parameter_partition_disjoint_and_complete():
     assert set(ids) == all_ids
 
 
+@pytest.mark.parametrize("encoder", ["mlp", "conv"])
+def test_encoder_backward_without_input_gradient(encoder):
+    if encoder == "mlp":
+        model = build_mlp_model((1, 6, 6), 4, Rng(31), encoder_hidden=(12, 10))
+    else:
+        model = build_conv_model((1, 6, 6), 4, Rng(31), embedding_dim=5,
+                                 conv_channels=(2, 3), decoder_hidden=(8,))
+    data = Rng(32)
+    x = data.normal(size=(7, 1, 6, 6))
+    net = model.encoder
+    dh = data.normal(size=net.forward(x).shape)
+    net.backward(dh)
+    full = net.grads.copy()
+    net.grads[...] = 0.0
+    net.forward(x)
+    assert net.backward(dh, input_grad=False) is None
+    assert np.array_equal(net.grads.view(np.int64), full.view(np.int64))
+    assert all(layer._cache is None for layer in net.layers)
+
+
 def make_task(x, y_global, index=1, classes=(0, 1)):
     offset = classes[0]
     return Task(index=index, classes=list(classes), label_offset=offset,

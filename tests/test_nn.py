@@ -6,7 +6,13 @@ import logging
 import numpy as np
 import pytest
 
-from _helpers import check_network_gradients, get_params, random_layer_instance, rel_err
+from _helpers import (
+    ReferenceAdam,
+    check_network_gradients,
+    get_params,
+    random_layer_instance,
+    rel_err,
+)
 from prer import nn
 from prer.exceptions import ConfigurationError, StateError
 from prer.nn import Adam, Dense, Dropout, Flatten, Network, Relu
@@ -42,6 +48,26 @@ def test_relu_propagates_nan_and_clears_negative_zero():
     assert np.isnan(out[0, 0])
     assert np.array_equal(out[0, 1:], [0.0, 0.0, 2.0])
     assert not np.signbit(out[0, 1:]).any()
+
+
+@pytest.mark.parametrize("x_order", [(0, 1), (1, 0)])
+def test_relu_backward_is_where_bit_for_bit(x_order):
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.5, -2.5, 3e-310]
+    data = Rng(22)
+    x = data.normal(size=(6, 16))
+    x[0, :8] = special
+    x[1, :8], x[2, :8] = 1.0, -1.0  # each special gradient meets both mask values
+    x = x.transpose(x_order).copy().transpose(x_order)  # same values, another memory order
+    wide = data.normal(size=(6, 32))
+    grad = wide[:, ::2]  # not contiguous
+    grad[:, :8] = special
+    assert not grad.flags.c_contiguous
+    layer = Relu()
+    layer.forward(x)
+    got = layer.backward(grad)
+    want = np.where(x > 0, grad, 0.0)
+    assert got.dtype == want.dtype and got.strides == want.strides
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_dense_forward_hand_computed():
@@ -203,6 +229,35 @@ def test_adam_shape_mismatch():
         Adam([(p, g), (np.zeros(2), np.zeros(3))])
 
 
+def test_adam_takes_flat_buffers_only():
+    with pytest.raises(ConfigurationError, match="1-D"):
+        Adam([(np.zeros((2, 3)), np.zeros((2, 3)))])
+
+
+@pytest.mark.parametrize("sizes", [
+    (5 * nn.ADAM_CHUNK // 2 + 7, 300),  # crosses two chunk edges, then a short buffer
+    (300,),  # smaller than one chunk
+])
+def test_adam_matches_whole_array_update_bitwise(sizes):
+    data = Rng(21)
+    start = [data.normal(size=n) for n in sizes]
+    fused = [(p.copy(), np.zeros_like(p)) for p in start]
+    looped = [(p.copy(), np.zeros_like(p)) for p in start]
+    adam = Adam(fused, lr=0.01)
+    reference = ReferenceAdam(looped, lr=0.01)
+    for step in range(5):
+        for (_, g1), (_, g2) in zip(fused, looped):
+            g1[...] = data.normal(scale=10.0 ** (step - 2), size=g1.size)
+            g1[::7] = 0.0
+            g2[...] = g1
+        adam.step()
+        reference.step()
+        for (p1, _), (p2, _), m1, m2, v1, v2 in zip(fused, looped, adam.m, reference.m,
+                                                   adam.v, reference.v):
+            assert np.array_equal(p1, p2) and np.array_equal(m1, m2)
+            assert np.array_equal(v1, v2)
+
+
 # ---------------------------------------------------------------------------
 # losses
 
@@ -286,6 +341,13 @@ def test_training_determinism_bitwise():
 
     for p1, p2 in zip(run(123), run(123)):
         assert np.array_equal(p1, p2)
+
+
+def test_backward_without_input_gradient_through_no_parameters():
+    net = Network([Flatten(), Relu()])
+    net.forward(Rng(12).normal(size=(2, 3, 4)))
+    assert net.backward(np.ones((2, 12)), input_grad=False) is None
+    assert all(layer._cache is None for layer in net.layers)
 
 
 def test_flatten_roundtrip_shapes():

@@ -19,7 +19,11 @@ at seed 1 (taken from this checkout, so both trees read the same config):
 - prer_r with ``batch_size = 239`` and no validation split: each task has
   240 rows, so every epoch ends on a one-row batch, which the flow skips
   and the classifier and autoencoder train on, and the classifier keeps
-  its last epoch instead of restoring a snapshot.
+  its last epoch instead of restoring a snapshot;
+- prer on 784-dim blobs (60 rows per class) with two epochs per phase:
+  its encoder and decoder buffers hold about 25 k floats each, so every
+  Adam step crosses a chunk edge (``nn.ADAM_CHUNK``), which no other
+  run's buffers reach.
 
 Records are compared without ``timings`` and ``config_hash``, the same
 rule as ``bench/checks.digest``. Exits 1 on any difference. Uses only the
@@ -67,6 +71,10 @@ def grid():
     }, None))
     runs.append(("prer_r-lone-row-batches",
                  {"strategy": "prer_r", "batch_size": 239, "validation_fraction": 0}, None))
+    runs.append(("prer-multi-chunk-adam", {
+        "strategy": "prer", "dataset": "blobs:classes=10,dim=784,sep=6,per_class=60",
+        "classifier_epochs": 2, "ae_max_epochs": 2, "flow_max_epochs": 2,
+    }, None))
     return runs
 
 
