@@ -282,7 +282,7 @@ def train_autoencoder_phase(model: ContinualModel, task, cfg, rng: Rng,
         loss = nn.mse(flat, target)
         dflat = nn.mse_grad(flat, target)
         dz = model.decoder.backward(dflat)
-        model.proj_reconstruct.backward(dz)
+        model.proj_reconstruct.backward(dz, input_grad=False)
         return loss
 
     history = _train_epochs("autoencoder", task, cfg, rng, model.autoencoder_parameters(),

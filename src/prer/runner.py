@@ -118,10 +118,18 @@ def _coverage(state, train_stream, through_task, cap, rng):
     else:
         needed = {c: len(real_by_class[c]) for c in classes}
         total = sum(needed.values())
-        pool = state.flow.sample(3 * total, rng.fork("gen-pool"))
         probe_x = np.concatenate([real_by_class[c] for c in classes])
         probe_y = np.concatenate([np.full(len(real_by_class[c]), c) for c in classes])
-        labels = metrics.KnnProbe(k=5).fit(probe_x, probe_y).predict(pool)
+        probe = metrics.KnnProbe(k=5).fit(probe_x, probe_y)
+        # sampling is row-independent, so the pool is generated and
+        # labelled a chunk at a time, sized by the widest coupling net
+        flow = state.flow
+        u = rng.fork("gen-pool").normal(size=(3 * total, flow.dim))
+        pool, labels = np.empty_like(u), np.empty(len(u), dtype=int)
+        widest = max(getattr(layer, "hidden", 0) for lvl in flow.levels for layer in lvl)
+        for rows in metrics._row_chunks(len(u), widest):
+            pool[rows] = flow.generate(u[rows])
+            labels[rows] = probe.predict(pool[rows])
         for c in classes:
             got = pool[labels == c][:needed[c]]
             if len(got) == 0:

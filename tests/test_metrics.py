@@ -103,6 +103,20 @@ def test_hausdorff_same_bits_under_any_chunk_budget(monkeypatch):
     assert ab == ba
 
 
+@pytest.mark.parametrize("n,floats_per_row", [
+    (0, 10), (1, 10), (7, 1), (100, 2 ** 18), (9000, 200), (9001, 3000), (5, 10 ** 9),
+])
+def test_row_chunks_cover_rows_once_in_balanced_order(n, floats_per_row):
+    step = max(1, metrics.CHUNK_FLOATS // floats_per_row)
+    chunks = [range(n)[rows] for rows in metrics._row_chunks(n, floats_per_row)]
+    assert [i for chunk in chunks for i in chunk] == list(range(n))
+    assert len(chunks) == -(-n // step)
+    lengths = [len(chunk) for chunk in chunks]
+    assert all(0 < length <= step for length in lengths)
+    if lengths:
+        assert max(lengths) - min(lengths) <= 1
+
+
 def test_hausdorff_symmetry_and_triangle():
     rng = Rng(3)
     for _ in range(20):

@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prer import runner
+from prer import metrics, runner
 from prer.checkpoint import load_run_state, state_arrays
 from prer.config import ExperimentConfig, load_config, parse_config_text
 from prer.exceptions import ConfigurationError
 from prer.pipeline import STRATEGIES
+from prer.rng import Rng
 from prer.runner import (
     RunRecord,
     aggregate,
@@ -178,6 +179,42 @@ def test_checkpoint_resume_reproduces_record(tmp_path, monkeypatch, strategy, co
         assert got.keys() == expected.keys()
         for name, array in expected.items():
             assert np.array_equal(got[name], array), name
+
+
+def test_coverage_pool_in_uneven_chunks_gives_the_one_chunk_bits(monkeypatch):
+    cfg = tiny_config(embedding_dim=64, conditioning="decoder")
+    with monkeypatch.context() as patch:
+        log = trained_tasks(patch)
+        run_experiment(cfg, seed=1)
+    state = log["state"]
+    flow = state.flow
+    widest = max(getattr(layer, "hidden", 0) for lvl in flow.levels for layer in lvl)
+    assert not flow.cond_width and widest >= 64
+    generate, outputs = flow.generate, []
+
+    def recording(u, cond=None):
+        outputs.append(generate(u, cond=cond))
+        return outputs[-1]
+
+    monkeypatch.setattr(flow, "generate", recording)
+
+    def coverage(budget):
+        outputs.clear()
+        monkeypatch.setattr(metrics, "CHUNK_FLOATS", budget)
+        return runner._coverage(state, state.stream, 2, cfg.coverage_cap, Rng(7)), list(outputs)
+
+    one, [pool] = coverage(10 ** 9)
+    n = len(pool)
+    # a step whose near-equal slices are uneven, and which cut into full
+    # steps would leave a tail of 1-48 rows, the block lengths that
+    # changed flow samples in the last bits
+    step = next(s for s in range(n // 3, 0, -1)
+                if 0 < n % s <= 48 and n % -(-n // s) != 0)
+    chunked, parts = coverage(widest * step)
+    lengths = [len(part) for part in parts]
+    assert len(lengths) >= 3 and max(lengths) - min(lengths) == 1
+    assert np.array_equal(np.concatenate(parts), pool)
+    assert chunked == one
 
 
 def test_interrupted_checkpoint_write_keeps_previous(tmp_path, monkeypatch):

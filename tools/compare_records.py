@@ -23,7 +23,11 @@ at seed 1 (taken from this checkout, so both trees read the same config):
 - prer on 784-dim blobs (60 rows per class) with two epochs per phase:
   its encoder and decoder buffers hold about 25 k floats each, so every
   Adam step crosses a chunk edge (``nn.ADAM_CHUNK``), which no other
-  run's buffers reach.
+  run's buffers reach;
+- prer with a 64-dim embedding: the coverage pool of its unconditioned
+  flow (2,160 to 3,600 rows at tasks 3-5) is generated and labelled in
+  two chunks sized by ``metrics.CHUNK_FLOATS``, while every other run's
+  pool fits in one.
 
 Records are compared without ``timings`` and ``config_hash``, the same
 rule as ``bench/checks.digest``. Exits 1 on any difference. Uses only the
@@ -75,6 +79,7 @@ def grid():
         "strategy": "prer", "dataset": "blobs:classes=10,dim=784,sep=6,per_class=60",
         "classifier_epochs": 2, "ae_max_epochs": 2, "flow_max_epochs": 2,
     }, None))
+    runs.append(("prer-multi-chunk-coverage", {"strategy": "prer", "embedding_dim": 64}, None))
     return runs
 
 
