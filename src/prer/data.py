@@ -112,15 +112,15 @@ def load_idx(path) -> np.ndarray:
         raise IdxFormatError(f"{path}: truncated header")
     dims = struct.unpack(f">{ndim}I", raw[4:header_len])
     expected = int(np.prod(dims))
-    payload = raw[header_len:]
-    if len(payload) != expected:
+    if len(raw) - header_len != expected:
         raise IdxFormatError(
-            f"{path}: expected {expected} payload bytes, found {len(payload)}"
+            f"{path}: expected {expected} payload bytes, found {len(raw) - header_len}"
         )
-    data = np.frombuffer(payload, dtype=np.uint8)
+    data = np.frombuffer(raw, dtype=np.uint8, offset=header_len)
     if magic == LABELS_MAGIC:
         return data.astype(np.int64)
-    images = data.astype(np.float64).reshape(dims) / 255.0
+    images = data.astype(np.float64).reshape(dims)
+    images /= 255.0
     return images[:, None, :, :]  # channel-major
 
 
@@ -202,6 +202,25 @@ def split_train_test(dataset: LabeledDataset, seed: int):
         LabeledDataset(dataset.x[train_idx], dataset.y[train_idx], name=dataset.name),
         LabeledDataset(dataset.x[test_idx], dataset.y[test_idx], name=dataset.name),
     )
+
+
+def permute_rows(x: np.ndarray, order: np.ndarray) -> None:
+    """Reorder the rows of `x` in place so that it equals ``x[order]``,
+    following each cycle of the permutation through one row of scratch."""
+    order = order.tolist()
+    done = bytearray(len(order))
+    scratch = np.empty(x.shape[1:], dtype=x.dtype)
+    for start in range(len(order)):
+        if done[start]:
+            continue
+        scratch[...] = x[start]
+        dst, src = start, order[start]
+        while src != start:
+            x[dst] = x[src]
+            done[dst] = 1
+            dst, src = src, order[src]
+        x[dst] = scratch
+        done[dst] = 1
 
 
 def build_task_stream(dataset: LabeledDataset, classes_per_task: int, seed: int) -> TaskStream:

@@ -201,7 +201,6 @@ def train_classifier_phase(model: ContinualModel, task, cfg, rng: Rng,
     val_idx, fit_idx = order[:n_val], order[n_val:]
     if len(fit_idx) == 0:
         raise ConfigurationError("validation fraction leaves no training data")
-    x_fit, y_fit = task.x[fit_idx], task.y_task[fit_idx]
     x_val, y_val = task.x[val_idx], task.y_task[val_idx]
 
     dropout_rng = rng.fork("dropout")
@@ -211,7 +210,8 @@ def train_classifier_phase(model: ContinualModel, task, cfg, rng: Rng,
     use_replay = (replay is not None and cfg.replay_fraction > 0.0 and len(replay[0]) > 0)
 
     def step(idx):
-        xb, yb = x_fit[idx], y_fit[idx]
+        rows = fit_idx[idx]
+        xb, yb = task.x[rows], task.y_task[rows]
         if use_replay:
             tids = np.full(len(idx), task.index)
             xb, yb, tids = _overwrite_rows((xb, yb, tids), replay,
@@ -253,7 +253,7 @@ def train_classifier_phase(model: ContinualModel, task, cfg, rng: Rng,
         return False
 
     history = _train_epochs("classifier", task, cfg, rng, pairs, cfg.classifier_epochs,
-                            len(x_fit), step, validate)
+                            len(fit_idx), step, validate)
     if best_params is not None:
         for (p, _), saved in zip(pairs, best_params):
             p[...] = saved

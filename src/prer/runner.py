@@ -15,7 +15,8 @@ import numpy as np
 
 from . import checkpoint, metrics, nn
 from .config import ExperimentConfig
-from .data import build_task_stream, parse_dataset_spec, split_train_test
+from .data import (LabeledDataset, build_task_stream, parse_dataset_spec, permute_rows,
+                   split_train_test)
 from .exceptions import ConfigurationError
 from .flow import build_flow
 from .model import build_conv_model, build_mlp_model, one_hot
@@ -121,17 +122,26 @@ def _coverage(state, train_stream, through_task, cap, rng):
         probe_x = np.concatenate([real_by_class[c] for c in classes])
         probe_y = np.concatenate([np.full(len(real_by_class[c]), c) for c in classes])
         probe = metrics.KnnProbe(k=5).fit(probe_x, probe_y)
-        # sampling is row-independent, so the pool is generated and
-        # labelled a chunk at a time, sized by the widest coupling net
+        # sampling is row-independent, so a pool of 3 * total rows is
+        # drawn, generated and labelled a chunk at a time, sized by the
+        # widest coupling net; each class keeps its first needed[c] rows,
+        # and no chunk is drawn once every class has them
         flow = state.flow
-        u = rng.fork("gen-pool").normal(size=(3 * total, flow.dim))
-        pool, labels = np.empty_like(u), np.empty(len(u), dtype=int)
+        prior = rng.fork("gen-pool")
+        kept = {c: np.empty((needed[c], flow.dim)) for c in classes}
+        filled = dict.fromkeys(classes, 0)
         widest = max(getattr(layer, "hidden", 0) for lvl in flow.levels for layer in lvl)
-        for rows in metrics._row_chunks(len(u), widest):
-            pool[rows] = flow.generate(u[rows])
-            labels[rows] = probe.predict(pool[rows])
+        for rows in metrics._row_chunks(3 * total, widest):
+            chunk = flow.generate(prior.normal(size=(rows.stop - rows.start, flow.dim)))
+            labels = probe.predict(chunk)
+            for c in classes:
+                take = np.flatnonzero(labels == c)[:needed[c] - filled[c]]
+                kept[c][filled[c]:filled[c] + len(take)] = chunk[take]
+                filled[c] += len(take)
+            if filled == needed:
+                break
         for c in classes:
-            got = pool[labels == c][:needed[c]]
+            got = kept[c][:filled[c]]
             if len(got) == 0:
                 # the flow assigns this class no mass at all; worst case,
                 # drop it from the average rather than fail the run
@@ -150,15 +160,20 @@ def _checkpoint_path(out_dir, cfg, strategy, seed) -> Path:
 
 def _task_streams(cfg, seed):
     """The train and test task streams of the run's dataset, and its
-    sample shape. Every copy of the rows is dropped once the next one
-    holds them: only the streams live on into training."""
+    sample shape. A stream depends only on the labels and the seed, so
+    both are built on row ids; the dataset's rows are then permuted in
+    place into train-then-test task order, and each task's rows are a
+    slice of that one array."""
     dataset = parse_dataset_spec(cfg.dataset, seed)
-    sample_shape = dataset.sample_shape
-    train_set, test_set = split_train_test(dataset, seed)
-    del dataset
-    train_stream = build_task_stream(train_set, cfg.c_m, seed)
-    del train_set
-    return train_stream, build_task_stream(test_set, cfg.c_m, seed), sample_shape
+    ids = LabeledDataset(np.arange(len(dataset))[:, None], dataset.y)
+    streams = [build_task_stream(part, cfg.c_m, seed) for part in split_train_test(ids, seed)]
+    tasks = [task for stream in streams for task in stream.tasks]
+    permute_rows(dataset.x, np.concatenate([task.x[:, 0] for task in tasks]))
+    start = 0
+    for task in tasks:
+        task.x = dataset.x[start:start + len(task)]
+        start += len(task)
+    return *streams, dataset.sample_shape
 
 
 def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None, resume=False) -> RunRecord:

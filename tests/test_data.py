@@ -13,6 +13,7 @@ from prer.data import (
     load_idx,
     load_mnist,
     parse_dataset_spec,
+    permute_rows,
     split_train_test,
     synth_blobs,
 )
@@ -48,7 +49,8 @@ def test_load_idx_images_scaled(idx_files):
     assert loaded.shape == (10, 1, 4, 4)
     assert loaded[0, 0, 0, 0] == 1.0   # byte 255
     assert loaded[0, 0, 0, 1] == 0.0   # byte 0
-    assert np.allclose(loaded[:, 0], images / 255.0)
+    assert loaded.dtype == np.float64 and loaded.flags.writeable
+    assert np.array_equal(loaded[:, 0], images / 255.0)
 
 
 def test_load_idx_labels(idx_files):
@@ -165,6 +167,21 @@ def test_split_small_class_rejected():
 
 # ---------------------------------------------------------------------------
 # task streams
+
+
+@pytest.mark.parametrize("order", [
+    np.arange(7),
+    np.roll(np.arange(9), 1),
+    np.arange(10).reshape(5, 2)[:, ::-1].ravel(),
+    np.arange(0),
+    np.arange(1),
+    np.random.default_rng(3).permutation(50),
+], ids=["identity", "one-9-cycle", "five-2-cycles", "no-rows", "one-row", "random"])
+def test_permute_rows_in_place_equals_gather(order):
+    x = np.random.default_rng(4).normal(size=(len(order), 3, 2))
+    expected = x[order]
+    permute_rows(x, order)
+    assert np.array_equal(x, expected)
 
 
 def test_stream_counts():

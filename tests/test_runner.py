@@ -2,6 +2,8 @@
 round-trips and the config surface."""
 
 import io
+import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from prer import metrics, runner
 from prer.checkpoint import load_run_state, state_arrays
 from prer.config import ExperimentConfig, load_config, parse_config_text
+from prer.data import build_task_stream, parse_dataset_spec, split_train_test
 from prer.exceptions import ConfigurationError
 from prer.pipeline import STRATEGIES
 from prer.rng import Rng
@@ -215,6 +218,155 @@ def test_coverage_pool_in_uneven_chunks_gives_the_one_chunk_bits(monkeypatch):
     assert len(lengths) >= 3 and max(lengths) - min(lengths) == 1
     assert np.array_equal(np.concatenate(parts), pool)
     assert chunked == one
+
+
+def trained_state(monkeypatch):
+    """The final run state of a tiny prer run with an unconditioned flow."""
+    cfg = tiny_config(conditioning="decoder")
+    with monkeypatch.context() as patch:
+        log = trained_tasks(patch)
+        run_experiment(cfg, seed=1)
+    assert not log["state"].flow.cond_width
+    return cfg, log["state"]
+
+
+def scripted_coverage(monkeypatch, state, cap, label_of):
+    """Run the coverage step of task 2 with the k-NN labels replaced by
+    `label_of(pool positions)`. Returns the d_t, the flow outputs in call
+    order, and the real and generated sets the distance was taken on."""
+    seen, outputs, compared = [0], [], {}
+    generate, hausdorff = state.flow.generate, metrics.coverage_hausdorff
+
+    def predict(self, x):
+        positions = np.arange(seen[0], seen[0] + len(x))
+        seen[0] += len(x)
+        return label_of(positions)
+
+    def recording(u, cond=None):
+        outputs.append(generate(u, cond=cond))
+        return outputs[-1]
+
+    def comparing(real, gen):
+        compared.update(real=dict(real), gen=dict(gen))
+        return hausdorff(real, gen)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics.KnnProbe, "predict", predict)
+        patch.setattr(state.flow, "generate", recording)
+        patch.setattr(metrics, "coverage_hausdorff", comparing)
+        d_t = runner._coverage(state, state.stream, 2, cap, Rng(7))
+    return d_t, outputs, compared["real"], compared["gen"]
+
+
+def test_coverage_stops_drawing_once_every_class_is_full(monkeypatch):
+    cfg, state = trained_state(monkeypatch)
+    flow = state.flow
+    widest = max(getattr(layer, "hidden", 0) for lvl in flow.levels for layer in lvl)
+    classes = state.stream.classes_seen(2)
+    # every class has fewer training rows than the cap, so all are compared
+    total = sum(int(np.isin(t.y_global, classes).sum()) for t in state.stream.tasks[:2])
+    # a pool of 3 * total rows in three chunks; cycling labels fill every
+    # class within the first, so the other two are never drawn
+    monkeypatch.setattr(metrics, "CHUNK_FLOATS", widest * total)
+    d_t, outputs, real, gen = scripted_coverage(
+        monkeypatch, state, cfg.coverage_cap, lambda pos: np.asarray(classes)[pos % 4])
+    assert [len(out) for out in outputs] == [total]
+    [pool] = outputs
+    for i, c in enumerate(classes):
+        assert np.array_equal(gen[c], pool[i::4])
+        assert len(real[c]) == len(gen[c])
+    assert d_t == metrics.coverage_hausdorff(real, gen)
+
+
+def test_coverage_drops_an_unlabelled_class_and_trims_a_short_one(monkeypatch):
+    cfg, state = trained_state(monkeypatch)
+    classes = state.stream.classes_seen(2)
+    _, _, full_real, _ = scripted_coverage(
+        monkeypatch, state, cfg.coverage_cap, lambda pos: np.asarray(classes)[pos % 4])
+    needed = {c: len(full_real[c]) for c in classes}
+
+    # class 3 is never labelled: it leaves the average, every draw is made
+    _, outputs, real, gen = scripted_coverage(
+        monkeypatch, state, cfg.coverage_cap, lambda pos: np.asarray(classes)[pos % 3])
+    pool = np.concatenate(outputs)
+    assert len(pool) == 3 * sum(needed.values())
+    assert sorted(real) == sorted(gen) == classes[:3]
+    for i, c in enumerate(classes[:3]):
+        assert np.array_equal(gen[c], pool[i::3][:needed[c]])
+        assert np.array_equal(real[c], full_real[c])
+
+    # class 3 gets the five rows of positions 3, 7, .., 19 and no more:
+    # its real rows are trimmed to five by the "trim3" fork
+    def short(pos):
+        return np.asarray(classes)[np.where(pos < 20, pos % 4, pos % 3)]
+
+    _, outputs, real, gen = scripted_coverage(monkeypatch, state, cfg.coverage_cap, short)
+    pool = np.concatenate(outputs)
+    assert sorted(real) == sorted(gen) == classes
+    assert np.array_equal(gen[classes[3]], pool[3:20:4])
+    keep = Rng(7).fork(f"trim{classes[3]}").choice(needed[classes[3]], size=5, replace=False)
+    assert np.array_equal(real[classes[3]], full_real[classes[3]][keep])
+    for c in classes[:3]:
+        assert np.array_equal(real[c], full_real[c]) and len(gen[c]) == needed[c]
+
+
+def _assert_same_streams(got, expected):
+    assert (got.num_classes, got.classes_per_task) == (expected.num_classes,
+                                                        expected.classes_per_task)
+    assert len(got.tasks) == len(expected.tasks)
+    for a, b in zip(got.tasks, expected.tasks):
+        assert (a.index, a.classes, a.label_offset) == (b.index, b.classes, b.label_offset)
+        for name in ("x", "y_task", "y_global"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.shape == y.shape, name
+            assert x.flags.c_contiguous, name
+            assert np.array_equal(x, y), name
+
+
+def reference_streams(cfg, seed):
+    dataset = parse_dataset_spec(cfg.dataset, seed)
+    return tuple(build_task_stream(part, cfg.c_m, seed)
+                 for part in split_train_test(dataset, seed)), dataset.sample_shape
+
+
+def test_task_streams_in_place_match_the_gathered_streams(tmp_path):
+    rng = np.random.default_rng(0)
+    images = rng.integers(0, 256, size=(48, 6, 5)).astype(np.uint8)
+    labels = (np.arange(48) % 4).astype(np.uint8)
+    img_path = tmp_path / "images-idx3-ubyte"
+    lbl_path = tmp_path / "labels-idx1-ubyte"
+    img_path.write_bytes(struct.pack(">IIII", 0x803, 48, 6, 5) + images.tobytes())
+    lbl_path.write_bytes(struct.pack(">II", 0x801, 48) + labels.tobytes())
+    streams = {}
+    for name, cfg in (
+        ("blobs", tiny_config(dataset="blobs:classes=10,dim=7,sep=5,per_class=13", c_m=3)),
+        ("idx", tiny_config(dataset=f"mnist:images={img_path},labels={lbl_path}", c_m=2)),
+    ):
+        train, test, shape = runner._task_streams(cfg, seed=3)
+        (ref_train, ref_test), ref_shape = reference_streams(cfg, seed=3)
+        assert shape == ref_shape
+        _assert_same_streams(train, ref_train)
+        _assert_same_streams(test, ref_test)
+        streams[name] = train
+    # 10 classes in tasks of 3, 3, 3 and a last task keeping the remainder
+    assert [len(task.classes) for task in streams["blobs"].tasks] == [3, 3, 3, 1]
+    assert streams["idx"].tasks[0].x.shape[1:] == (1, 6, 5)
+
+
+def test_task_streams_hold_one_copy_of_the_rows():
+    # many small classes: one class's draw in the dataset build is small
+    # next to the dataset, so the peak is the rows plus little else
+    cfg = tiny_config(dataset="blobs:classes=40,dim=64,sep=5,per_class=40")
+    runner._task_streams(cfg, seed=1)  # the first call imports numpy.ma lazily
+    tracemalloc.start()
+    try:
+        streams = runner._task_streams(cfg, seed=1)[:2]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    task_bytes = sum(getattr(task, name).nbytes for stream in streams
+                     for task in stream.tasks for name in ("x", "y_task", "y_global"))
+    assert peak < 1.5 * task_bytes
 
 
 def test_interrupted_checkpoint_write_keeps_previous(tmp_path, monkeypatch):

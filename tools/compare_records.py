@@ -27,7 +27,12 @@ at seed 1 (taken from this checkout, so both trees read the same config):
 - prer with a 64-dim embedding: the coverage pool of its unconditioned
   flow (2,160 to 3,600 rows at tasks 3-5) is generated and labelled in
   two chunks sized by ``metrics.CHUNK_FLOATS``, while every other run's
-  pool fits in one.
+  pool fits in one;
+- prer with ``c_m = 3``: tasks of 3, 3, 3 and 1 classes, so the last
+  task of each stream keeps the remainder, where every other run has
+  5 tasks of 2 classes.
+
+That is 20 runs.
 
 Records are compared without ``timings`` and ``config_hash``, the same
 rule as ``bench/checks.digest``. Exits 1 on any difference. Uses only the
@@ -80,6 +85,7 @@ def grid():
         "classifier_epochs": 2, "ae_max_epochs": 2, "flow_max_epochs": 2,
     }, None))
     runs.append(("prer-multi-chunk-coverage", {"strategy": "prer", "embedding_dim": 64}, None))
+    runs.append(("prer-c_m3-remainder-task", {"strategy": "prer", "c_m": 3}, None))
     return runs
 
 
