@@ -29,7 +29,6 @@ def _cmd_run(args):
         cfg.strategy = args.strategy
     if args.out:
         cfg.out_dir = args.out
-    cfg.validate()
     seeds = [args.seed] if args.seed is not None else list(cfg.seeds)
     for seed in seeds:
         record = run_experiment(cfg, seed, out_dir=cfg.out_dir, resume=args.resume)
@@ -61,7 +60,6 @@ def _cmd_inspect_flow(args):
     from .runner import build_flow_from_config, build_model_from_config
 
     cfg = load_config(args.config)
-    cfg.validate()
     seed = cfg.seeds[0]
     dataset = parse_dataset_spec(cfg.dataset, seed)
     rng = Rng(seed)

@@ -28,7 +28,6 @@ class IdxFormatError(ValueError):
 class LabeledDataset:
     x: np.ndarray
     y: np.ndarray
-    name: str = "dataset"
 
     def __post_init__(self):
         if len(self.x) != len(self.y):
@@ -124,7 +123,7 @@ def load_idx(path) -> np.ndarray:
     return images[:, None, :, :]  # channel-major
 
 
-def load_mnist(images_path, labels_path, name="mnist") -> LabeledDataset:
+def load_mnist(images_path, labels_path) -> LabeledDataset:
     images = load_idx(images_path)
     labels = load_idx(labels_path)
     if images.ndim != 4:
@@ -133,7 +132,7 @@ def load_mnist(images_path, labels_path, name="mnist") -> LabeledDataset:
         raise IdxFormatError(f"{labels_path}: not a label file")
     if len(images) != len(labels):
         raise IdxFormatError("image and label counts differ")
-    return LabeledDataset(images, labels, name=name)
+    return LabeledDataset(images, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +173,10 @@ def synth_blobs(classes: int, per_class: int, dim: int, separation: float,
     x = np.empty((classes * per_class, dim))
     for k in range(classes):
         center = separation * directions[k // 2] * (1.0 if k % 2 == 0 else -1.0)
-        x[k * per_class:(k + 1) * per_class] = center + rng.normal(size=(per_class, dim))
+        # the draw is added into its rows in place: no second temporary
+        np.add(rng.normal(size=(per_class, dim)), center, out=x[k * per_class:(k + 1) * per_class])
     y = np.repeat(np.arange(classes, dtype=np.int64), per_class)
-    return LabeledDataset(x, y, name="blobs")
+    return LabeledDataset(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +199,8 @@ def split_train_test(dataset: LabeledDataset, seed: int):
     train_idx = np.concatenate(train_idx)
     test_idx = np.concatenate(test_idx)
     return (
-        LabeledDataset(dataset.x[train_idx], dataset.y[train_idx], name=dataset.name),
-        LabeledDataset(dataset.x[test_idx], dataset.y[test_idx], name=dataset.name),
+        LabeledDataset(dataset.x[train_idx], dataset.y[train_idx]),
+        LabeledDataset(dataset.x[test_idx], dataset.y[test_idx]),
     )
 
 

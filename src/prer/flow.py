@@ -178,7 +178,6 @@ class Coupling:
         if self.conditioned:
             if cond is None:
                 raise ConfigurationError("conditioned coupling layer called without a condition")
-            cond = np.asarray(cond, dtype=float)
             if cond.shape != (len(a), self.cond_width):
                 raise ConfigurationError(
                     f"condition shape {cond.shape} does not match (batch, {self.cond_width})"
@@ -239,6 +238,12 @@ class Coupling:
         return [] if self.b_dim == 0 else [self.scale_net, self.translate_net]
 
 
+def level_widths(dim: int, levels: int) -> list:
+    """The width entering each level of a multi-scale flow on ``dim``
+    dimensions: every level halves what the one before kept, rounding down."""
+    return [dim // 2 ** lvl for lvl in range(levels)]
+
+
 class FlowStack:
     """Levels of invertible blocks with multi-scale splits and an
     isotropic standard-normal prior over the concatenated outputs.
@@ -256,19 +261,12 @@ class FlowStack:
         self.levels = [list(lvl) for lvl in levels]
         self.dim = int(dim)
         self.cond_width = int(cond_width)
-        self.level_widths = []
-        self.emit_widths = []
-        w = self.dim
-        for i, _ in enumerate(self.levels):
-            if w < 1:
-                raise ConfigurationError("too many levels for this dimensionality")
-            self.level_widths.append(w)
-            if i < len(self.levels) - 1:
-                emit = (w + 1) // 2
-                self.emit_widths.append(emit)
-                w -= emit
-            else:
-                self.emit_widths.append(w)
+        self.level_widths = level_widths(self.dim, len(self.levels))
+        if self.level_widths[-1] < 1:
+            raise ConfigurationError("too many levels for this dimensionality")
+        # each level but the last emits the larger half of its width
+        self.emit_widths = [w - rest for w, rest in zip(self.level_widths, self.level_widths[1:])]
+        self.emit_widths.append(self.level_widths[-1])
         for lvl, width, layers in zip(range(len(self.levels)), self.level_widths, self.levels):
             for layer in layers:
                 if getattr(layer, "dim", width) != width:
@@ -289,7 +287,6 @@ class FlowStack:
 
     def normalize(self, z, cond=None, train=False):
         """Data to prior. Returns (u, per-sample log-determinant)."""
-        z = np.asarray(z, dtype=float)
         if z.ndim != 2 or z.shape[1] != self.dim:
             raise ConfigurationError(
                 f"flow expects (batch, {self.dim}) input, got shape {z.shape}")
@@ -318,7 +315,6 @@ class FlowStack:
 
     def generate(self, u, cond=None):
         """Prior to data, using running batch-norm statistics."""
-        u = np.asarray(u, dtype=float)
         if u.ndim != 2 or u.shape[1] != self.dim:
             raise ConfigurationError(
                 f"flow expects (batch, {self.dim}) input, got shape {u.shape}")
@@ -340,7 +336,6 @@ class FlowStack:
         Parameter gradients accumulate inside the coupling nets; the
         return value is the gradient w.r.t. the flow input.
         """
-        grad_u = np.asarray(grad_u, dtype=float)
         chunks = self._split(grad_u)
         g = chunks[-1]
         for lvl in range(len(self.levels) - 1, -1, -1):
@@ -385,14 +380,8 @@ class FlowStack:
         ]
 
 
-def nll_loss(stack: FlowStack, z, cond=None, train=False) -> float:
-    """Mean negative log-likelihood of a batch under the flow."""
-    return float(-stack.log_prob(z, cond=cond, train=train).mean())
-
-
 def nll_loss_and_backward(stack: FlowStack, z, cond=None, train=True) -> float:
     """One NLL forward/backward pass; gradients accumulate in the stack."""
-    z = np.asarray(z, dtype=float)
     u, logdet = stack.normalize(z, cond=cond, train=train)
     n = len(z)
     nll = 0.5 * (u ** 2).sum(axis=1) + 0.5 * stack.dim * LOG_2PI - logdet
@@ -419,10 +408,7 @@ def build_flow(dim: int, levels: int, blocks: int, rng: Rng, *,
     if levels < 1 or blocks < 1:
         raise ConfigurationError("levels and blocks must be >= 1")
     level_layers = []
-    w = dim
-    for lvl in range(levels):
-        if w < 1:
-            raise ConfigurationError(f"{levels} levels is too deep for dimension {dim}")
+    for lvl, w in enumerate(level_widths(dim, levels)):
         layers = []
         for blk in range(blocks):
             conditioned = cond_width > 0 and lvl == 0 and blk == blocks - 1
@@ -431,6 +417,4 @@ def build_flow(dim: int, levels: int, blocks: int, rng: Rng, *,
             layers.append(Coupling(w, hidden_multiplier * w, rng,
                                    cond_width=cond_width if conditioned else 0))
         level_layers.append(layers)
-        if lvl < levels - 1:
-            w -= (w + 1) // 2
     return FlowStack(level_layers, dim, cond_width=cond_width)

@@ -68,8 +68,6 @@ def _row_chunks(n, floats_per_row):
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Symmetric Hausdorff distance between two point sets (Euclidean)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     if len(a) == 0 or len(b) == 0:
         raise ConfigurationError("Hausdorff distance needs non-empty sets")
     # the exact difference form (not the matmul expansion) keeps
@@ -92,8 +90,7 @@ def coverage_hausdorff(real_by_class: dict, generated_by_class: dict) -> float:
         raise ConfigurationError("no classes to compare")
     values = []
     for c in sorted(real_by_class):
-        real = np.asarray(real_by_class[c], dtype=float)
-        gen = np.asarray(generated_by_class[c], dtype=float)
+        real, gen = real_by_class[c], generated_by_class[c]
         if len(real) == 0 or len(gen) == 0:
             raise ConfigurationError(f"class {c} has an empty set")
         if len(real) != len(gen):
@@ -154,8 +151,7 @@ class KnnProbe:
         self._y = None
 
     def fit(self, x, y):
-        self._x = np.asarray(x, dtype=float)
-        self._y = np.asarray(y, dtype=int)
+        self._x, self._y = x, y
         if len(self._x) == 0:
             raise ConfigurationError("cannot fit a probe on an empty set")
         if self._y.min() < 0:
@@ -167,7 +163,6 @@ class KnnProbe:
         vote goes to the smallest label."""
         if self._x is None:
             raise ConfigurationError("probe used before fit")
-        x = np.asarray(x, dtype=float)
         k = min(self.k, len(self._x))
         sq_fit = (self._x ** 2).sum(axis=1)[None, :]
         num_labels = self._y.max() + 1
@@ -188,6 +183,5 @@ class KnnProbe:
 
 def task_accuracy(model, task) -> float:
     """Percent accuracy of the task's own head on the task's data."""
-    logits = model.classify(task.x, task.index)
-    pred = np.asarray(logits).argmax(axis=1)
+    pred = model.classify(task.x, task.index).argmax(axis=1)
     return float(100.0 * (pred == task.y_task).mean())

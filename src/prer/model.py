@@ -21,7 +21,6 @@ from .rng import Rng
 
 
 def one_hot(labels, width: int) -> np.ndarray:
-    labels = np.atleast_1d(np.asarray(labels, dtype=int))
     if labels.min(initial=0) < 0 or (labels.size and labels.max() >= width):
         raise ConfigurationError(f"labels out of range for one-hot width {width}")
     out = np.zeros((len(labels), width))
@@ -96,10 +95,6 @@ class ContinualModel:
         z = self.encode_classify(x, train=train, rng=rng)
         return self.head(task_id).forward(z, train=train, rng=rng)
 
-    def reconstruct(self, x, y_onehot=None, train=False, rng=None) -> np.ndarray:
-        z = self.encode_reconstruct(x, train=train, rng=rng)
-        return self.decode(z, y_onehot=y_onehot, train=train, rng=rng)
-
     # -- bookkeeping ----------------------------------------------------
 
     def classifier_parameters(self, task_id: int):
@@ -124,50 +119,51 @@ class ContinualModel:
         return sum(net.param_count() for net in self.all_networks().values())
 
 
-def build_mlp_model(input_shape, num_classes, rng: Rng, *, embedding_dim=16,
-                    encoder_hidden=(64,), decoder_hidden=None,
-                    head_hidden=(64, 32), head_dropout=0.2,
-                    decoder_conditioned=False, flow_conditioned=False) -> ContinualModel:
-    """Dense encoder/decoder pair for vector or flattened-image inputs."""
-    input_shape = tuple(input_shape)
-    in_dim = int(np.prod(input_shape))
-    init = rng.fork("model-build")
-
-    enc_layers = [Flatten()]
-    prev = in_dim
-    for width in encoder_hidden:
-        enc_layers += [Dense(prev, width, init), Relu()]
-        prev = width
-    encoder = Network(enc_layers, name="encoder")
-
-    proj_c = Network([Dense(prev, embedding_dim, init)], name="proj-classify")
-    proj_r = Network([Dense(prev, embedding_dim, init)], name="proj-reconstruct")
-
-    if decoder_hidden is None:
-        decoder_hidden = tuple(reversed(encoder_hidden))
+def _with_tail(encoder, backbone_dim, input_shape, num_classes, init: Rng,
+               embedding_dim, decoder_hidden, **options) -> ContinualModel:
+    """The two projections and the decoder on top of ``encoder``, drawn
+    from ``init`` in that order, and the model holding them all;
+    ``options`` are ContinualModel's head and conditioning keywords."""
+    proj_c = Network([Dense(backbone_dim, embedding_dim, init)], name="proj-classify")
+    proj_r = Network([Dense(backbone_dim, embedding_dim, init)], name="proj-reconstruct")
     dec_layers = []
     dprev = embedding_dim
-    if decoder_conditioned:
+    if options.get("decoder_conditioned"):
         dec_layers.append(ConcatCondition(num_classes))
         dprev += num_classes
     for width in decoder_hidden:
         dec_layers += [Dense(dprev, width, init), Relu()]
         dprev = width
-    dec_layers.append(Dense(dprev, in_dim, init))
+    dec_layers.append(Dense(dprev, int(np.prod(input_shape)), init))
     decoder = Network(dec_layers, name="decoder")
-
     return ContinualModel(
         encoder, proj_c, proj_r, decoder,
         input_shape=input_shape, embedding_dim=embedding_dim, num_classes=num_classes,
-        head_hidden=head_hidden, head_dropout=head_dropout,
-        decoder_conditioned=decoder_conditioned, flow_conditioned=flow_conditioned,
-    )
+        **options)
+
+
+def build_mlp_model(input_shape, num_classes, rng: Rng, *, embedding_dim=16,
+                    encoder_hidden=(64,), decoder_hidden=None, **options) -> ContinualModel:
+    """Dense encoder/decoder pair for vector or flattened-image inputs;
+    ``options`` are ContinualModel's head and conditioning keywords."""
+    input_shape = tuple(input_shape)
+    init = rng.fork("model-build")
+
+    enc_layers = [Flatten()]
+    prev = int(np.prod(input_shape))
+    for width in encoder_hidden:
+        enc_layers += [Dense(prev, width, init), Relu()]
+        prev = width
+    encoder = Network(enc_layers, name="encoder")
+    if decoder_hidden is None:
+        decoder_hidden = tuple(reversed(encoder_hidden))
+    return _with_tail(encoder, prev, input_shape, num_classes, init,
+                      embedding_dim=embedding_dim, decoder_hidden=decoder_hidden, **options)
 
 
 def build_conv_model(input_shape, num_classes, rng: Rng, *, embedding_dim=100,
                      conv_channels=(8, 16), kernel_size=3, stride=2,
-                     decoder_hidden=(256,), head_hidden=(64, 32), head_dropout=0.2,
-                     decoder_conditioned=False, flow_conditioned=False) -> ContinualModel:
+                     decoder_hidden=(256,), **options) -> ContinualModel:
     """Small convolutional backbone for image inputs (channel-major)."""
     input_shape = tuple(input_shape)
     if len(input_shape) != 3:
@@ -183,25 +179,5 @@ def build_conv_model(input_shape, num_classes, rng: Rng, *, embedding_dim=100,
     enc_layers.append(Flatten())
     encoder = Network(enc_layers, name="encoder")
     backbone_dim = encoder.forward(np.zeros((1,) + input_shape)).shape[1]
-
-    proj_c = Network([Dense(backbone_dim, embedding_dim, init)], name="proj-classify")
-    proj_r = Network([Dense(backbone_dim, embedding_dim, init)], name="proj-reconstruct")
-
-    in_dim = int(np.prod(input_shape))
-    dec_layers = []
-    dprev = embedding_dim
-    if decoder_conditioned:
-        dec_layers.append(ConcatCondition(num_classes))
-        dprev += num_classes
-    for width in decoder_hidden:
-        dec_layers += [Dense(dprev, width, init), Relu()]
-        dprev = width
-    dec_layers.append(Dense(dprev, in_dim, init))
-    decoder = Network(dec_layers, name="decoder")
-
-    return ContinualModel(
-        encoder, proj_c, proj_r, decoder,
-        input_shape=input_shape, embedding_dim=embedding_dim, num_classes=num_classes,
-        head_hidden=head_hidden, head_dropout=head_dropout,
-        decoder_conditioned=decoder_conditioned, flow_conditioned=flow_conditioned,
-    )
+    return _with_tail(encoder, backbone_dim, input_shape, num_classes, init,
+                      embedding_dim=embedding_dim, decoder_hidden=decoder_hidden, **options)

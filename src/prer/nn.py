@@ -175,7 +175,6 @@ class ConcatCondition(Layer):
     def forward(self, x, train=False, rng=None, cond=None):
         if cond is None:
             raise ConfigurationError("this network requires a condition vector")
-        cond = np.asarray(cond, dtype=float)
         if cond.shape != (x.shape[0], self.cond_dim):
             raise ConfigurationError(
                 f"condition shape {cond.shape} does not match (batch, {self.cond_dim})"
@@ -277,7 +276,6 @@ class Network:
             (i for i, l in enumerate(self.layers) if l.param_names), len(self.layers))
 
     def forward(self, x, train=False, rng=None, cond=None):
-        x = np.asarray(x, dtype=float)
         if cond is not None and not self._has_condition:
             raise ConfigurationError(f"{self.name}: condition given but no layer consumes it")
         for i, layer in enumerate(self.layers):
@@ -294,7 +292,6 @@ class Network:
         the input gradient. With ``input_grad=False`` the pass stops at
         the lowest layer with parameters, which skips its input product;
         the caches below it are dropped and None is returned."""
-        grad = np.asarray(grad, dtype=float)
         if input_grad:
             for layer in reversed(self.layers):
                 grad = layer.backward(grad)
@@ -337,16 +334,12 @@ def softmax(logits):
 
 def cross_entropy(logits, labels) -> float:
     """Mean negative log-softmax of the true class."""
-    logits = np.asarray(logits, dtype=float)
-    labels = np.asarray(labels, dtype=int)
     z = logits - logits.max(axis=1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     return float(-log_probs[np.arange(len(labels)), labels].mean())
 
 def cross_entropy_grad(logits, labels) -> np.ndarray:
     """Gradient of the mean cross-entropy w.r.t. the logits."""
-    logits = np.asarray(logits, dtype=float)
-    labels = np.asarray(labels, dtype=int)
     g = softmax(logits)
     g[np.arange(len(labels)), labels] -= 1.0
     return g / len(labels)
@@ -354,14 +347,10 @@ def cross_entropy_grad(logits, labels) -> np.ndarray:
 
 def mse(a, b) -> float:
     """Mean squared elementwise difference."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     return float(((a - b) ** 2).mean())
 
 
 def mse_grad(a, b) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     return 2.0 * (a - b) / a.size
 
 
@@ -374,8 +363,6 @@ def _warn_zero_vector():
 
 def row_cosine_similarity(a, b) -> np.ndarray:
     """Per-row cosine similarity of two (n, d) arrays; zero rows give 0."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
     zero = (na == 0.0) | (nb == 0.0)
@@ -393,8 +380,6 @@ def mean_cosine_distance(a, b) -> float:
 
 def mean_cosine_distance_grad(a, b) -> np.ndarray:
     """Gradient of mean_cosine_distance w.r.t. its first argument."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     na = np.linalg.norm(a, axis=1, keepdims=True)
     nb = np.linalg.norm(b, axis=1, keepdims=True)
     zero = (na == 0.0) | (nb == 0.0)

@@ -337,10 +337,8 @@ def generate_memory(flow: FlowStack, model: ContinualModel, n: int, schedule,
     if task_index <= 1:
         raise StateError("memory generation needs a flow trained on at least one earlier task")
     conditioned = model.flow_conditioned or model.decoder_conditioned
-    if conditioned:
-        schedule = np.asarray(schedule, dtype=int)
-        if schedule.shape != (n,):
-            raise ConfigurationError(f"class schedule must have length {n}")
+    if conditioned and schedule.shape != (n,):
+        raise ConfigurationError(f"class schedule must have length {n}")
     flow_cond = one_hot(schedule, model.num_classes) if model.flow_conditioned else None
     z = flow.sample(n, rng, cond=flow_cond)
     dec_cond = one_hot(schedule, model.num_classes) if model.decoder_conditioned else None

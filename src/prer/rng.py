@@ -14,12 +14,12 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
-class Rng:
-    """Seeded wrapper around numpy's PCG64 with labelled forking."""
+class Rng(np.random.Generator):
+    """numpy's PCG64 Generator, with its seed kept for labelled forking."""
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed & _MASK64))
+        super().__init__(np.random.PCG64(self.seed & _MASK64))
 
     def fork(self, label: str) -> "Rng":
         digest = hashlib.blake2b(
@@ -27,23 +27,7 @@ class Rng:
         ).digest()
         return Rng(int.from_bytes(digest, "big"))
 
-    def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high, size=size)
-
-    def random(self, size=None):
-        return self._gen.random(size=size)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self._gen.uniform(low, high, size=size)
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._gen.normal(loc, scale, size=size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
-    def choice(self, n, size, replace=True):
-        return self._gen.choice(n, size=size, replace=replace)
-
     def __repr__(self):
         return f"Rng(seed={self.seed})"
+
+    __str__ = __repr__  # Generator's own names the bit generator, not the seed

@@ -50,37 +50,16 @@ class RunRecord:
         data = json.loads(text)
         return cls(**data)
 
-    def result_matrix(self) -> np.ndarray:
-        m = np.full((self.num_tasks, self.num_tasks), np.nan)
-        for i, row in enumerate(self.r_matrix):
-            for j, value in enumerate(row):
-                if value is not None:
-                    m[i, j] = value
-        return m
-
 
 def build_model_from_config(cfg: ExperimentConfig, input_shape, num_classes, rng: Rng):
+    shared = dict(embedding_dim=cfg.embedding_dim, head_hidden=cfg.head_hidden,
+                  head_dropout=cfg.head_dropout, decoder_conditioned=cfg.decoder_conditioned,
+                  flow_conditioned=cfg.flow_conditioned)
     if cfg.encoder == "mlp":
-        return build_mlp_model(
-            input_shape, num_classes, rng,
-            embedding_dim=cfg.embedding_dim,
-            encoder_hidden=cfg.encoder_hidden,
-            decoder_hidden=cfg.decoder_hidden or None,
-            head_hidden=cfg.head_hidden,
-            head_dropout=cfg.head_dropout,
-            decoder_conditioned=cfg.decoder_conditioned,
-            flow_conditioned=cfg.flow_conditioned,
-        )
-    return build_conv_model(
-        input_shape, num_classes, rng,
-        embedding_dim=cfg.embedding_dim,
-        conv_channels=cfg.conv_channels,
-        decoder_hidden=cfg.decoder_hidden or (256,),
-        head_hidden=cfg.head_hidden,
-        head_dropout=cfg.head_dropout,
-        decoder_conditioned=cfg.decoder_conditioned,
-        flow_conditioned=cfg.flow_conditioned,
-    )
+        return build_mlp_model(input_shape, num_classes, rng, encoder_hidden=cfg.encoder_hidden,
+                               decoder_hidden=cfg.decoder_hidden or None, **shared)
+    return build_conv_model(input_shape, num_classes, rng, conv_channels=cfg.conv_channels,
+                            decoder_hidden=cfg.decoder_hidden or (256,), **shared)
 
 
 def build_flow_from_config(cfg: ExperimentConfig, num_classes, rng: Rng):

@@ -17,7 +17,7 @@ from _helpers import check_network_gradients, random_layer_instance, rel_err
 from prer import nn
 from prer.config import ExperimentConfig
 from prer.data import build_task_stream, split_train_test, synth_blobs
-from prer.flow import build_flow, nll_loss, nll_loss_and_backward
+from prer.flow import build_flow, nll_loss_and_backward
 from prer.metrics import (
     accuracy,
     bwt,
@@ -209,7 +209,7 @@ def test_c3_density_estimation_sanity():
         eval_rng = Rng(77)
         eval_data = centers[eval_rng.choice(2, size=20_000)] \
             + eval_rng.normal(size=(20_000, 2))
-        model_nll = nll_loss(stack, eval_data)
+        model_nll = float(-stack.log_prob(eval_data).mean())
         assert model_nll <= entropy + 0.15, (
             f"NLL {model_nll:.4f} vs entropy {entropy:.4f}"
         )
@@ -245,12 +245,13 @@ def test_c4_metric_examples_exact():
                     mat[i, j] = rng.uniform(0, 100)
             assert bwt(mat + 13.5) == pytest.approx(bwt(mat), abs=1e-12)
 
-        assert hausdorff_distance([[0.0, 0.0]], [[3.0, 4.0]]) == 5.0
-        assert hausdorff_distance([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]]) == 1.0
+        origin, p34 = np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]])
+        assert hausdorff_distance(origin, p34) == 5.0
+        assert hausdorff_distance(np.array([[0.0, 0.0], [1.0, 0.0]]), origin) == 1.0
         a = Rng(5).normal(size=(12, 4))
         assert hausdorff_distance(a, a) == 0.0
-        assert coverage_hausdorff({0: [[0.0, 0.0]], 1: [[0.0, 0.0]]},
-                                  {0: [[3.0, 4.0]], 1: [[0.0, 1.0]]}) == pytest.approx(3.0)
+        assert coverage_hausdorff({0: origin, 1: origin},
+                                  {0: p34, 1: np.array([[0.0, 1.0]])}) == pytest.approx(3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ def test_conditioned_flow_roundtrip(tmp_path):
     restored = roundtrip(trained_state(seed=4, cond_width=3), tmp_path,
                          seed=4, cond_width=3).flow
     z = Rng(5).normal(size=(4, 6))
-    cond = one_hot([0, 1, 2, 0], 3)
+    cond = one_hot(np.array([0, 1, 2, 0]), 3)
     assert np.array_equal(flow.log_prob(z, cond=cond), restored.log_prob(z, cond=cond))
 
 
@@ -85,7 +85,7 @@ def test_model_roundtrip(tmp_path):
     x = Rng(9).normal(size=(5, 6))
     assert np.array_equal(model.encode_classify(x), restored.encode_classify(x))
     assert np.array_equal(model.classify(x, 2), restored.classify(x, 2))
-    cond = one_hot([0, 1, 2, 3, 0], 4)
+    cond = one_hot(np.array([0, 1, 2, 3, 0]), 4)
     z = model.encode_reconstruct(x)
     assert np.array_equal(model.decode(z, cond), restored.decode(z, cond))
     assert restored.decoder_conditioned and not restored.flow_conditioned

@@ -15,7 +15,7 @@ from prer.flow import (
     FlowStack,
     Permutation,
     build_flow,
-    nll_loss,
+    level_widths,
     nll_loss_and_backward,
 )
 from prer.rng import Rng
@@ -279,6 +279,28 @@ def test_multi_scale_preserves_dimensionality():
     assert u.shape == (4, 10)
 
 
+def test_level_widths_match_the_halving_loop():
+    for dim in range(2, 65):
+        for levels in range(1, 5):
+            # the loop FlowStack and build_flow each ran before level_widths
+            widths, w = [], dim
+            for _ in range(levels):
+                widths.append(w)
+                w -= (w + 1) // 2
+            assert level_widths(dim, levels) == widths
+            if widths[-1] >= 1:
+                stack = build_flow(dim, levels, 1, Rng(dim))
+                assert stack.level_widths == widths
+                assert sum(stack.emit_widths) == dim
+
+
+def test_build_flow_rejects_too_many_levels():
+    with pytest.raises(ConfigurationError, match="levels"):
+        build_flow(3, 3, 1, Rng(18))
+    with pytest.raises(ConfigurationError, match="levels"):
+        build_flow(7, 4, 2, Rng(18))
+
+
 def test_conditioning_placement():
     stack = build_flow(8, 2, 3, Rng(21), cond_width=5)
     conditioned = [
@@ -311,7 +333,7 @@ def test_nll_identity_stack_on_standard_normal():
     stack = permutation_stack(2, seed=24)
     z = Rng(25).normal(size=(20_000, 2))
     expected = np.log(2 * np.pi * np.e)  # differential entropy, d=2
-    assert nll_loss(stack, z) == pytest.approx(expected, abs=0.05)
+    assert -stack.log_prob(z).mean() == pytest.approx(expected, abs=0.05)
 
 
 def test_nll_gradient_matches_finite_differences():
@@ -329,9 +351,9 @@ def test_nll_gradient_matches_finite_differences():
         for k in check_rng.choice(flat_p.size, size=min(4, flat_p.size), replace=False):
             orig = flat_p[k]
             flat_p[k] = orig + h
-            lp = nll_loss(stack, z)
+            lp = -stack.log_prob(z).mean()
             flat_p[k] = orig - h
-            lm = nll_loss(stack, z)
+            lm = -stack.log_prob(z).mean()
             flat_p[k] = orig
             assert rel_err(flat_g[k], (lp - lm) / (2 * h), floor=1e-6) < 1e-4
 
@@ -379,9 +401,9 @@ def test_nll_invariant_to_appended_permutation_at_identity_init():
     rng = Rng(33)
     base_layers = [Permutation(4, rng), Coupling(4, 8, rng)]
     z = Rng(34).normal(size=(50, 4))
-    before = nll_loss(FlowStack([list(base_layers)], 4), z)
+    before = -FlowStack([list(base_layers)], 4).log_prob(z).mean()
     extended = FlowStack([base_layers + [Permutation(4, rng)]], 4)
-    assert nll_loss(extended, z) == pytest.approx(before, abs=1e-12)
+    assert -extended.log_prob(z).mean() == pytest.approx(before, abs=1e-12)
 
 
 def test_conditioned_flow_separates_classes():

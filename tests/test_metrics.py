@@ -84,11 +84,12 @@ def test_hausdorff_identical_sets():
 
 
 def test_hausdorff_singletons():
-    assert hausdorff_distance([[0.0, 0.0]], [[3.0, 4.0]]) == 5.0
+    assert hausdorff_distance(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]])) == 5.0
 
 
 def test_hausdorff_asymmetric_example():
-    assert hausdorff_distance([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]]) == 1.0
+    a, b = np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 0.0]])
+    assert hausdorff_distance(a, b) == 1.0
 
 
 def test_hausdorff_same_bits_under_any_chunk_budget(monkeypatch):
@@ -130,8 +131,8 @@ def test_hausdorff_symmetry_and_triangle():
 
 
 def test_coverage_mean_over_classes():
-    real = {0: [[0.0, 0.0]], 1: [[0.0, 0.0]]}
-    gen = {0: [[3.0, 4.0]], 1: [[0.0, 1.0]]}
+    real = {0: np.array([[0.0, 0.0]]), 1: np.array([[0.0, 0.0]])}
+    gen = {0: np.array([[3.0, 4.0]]), 1: np.array([[0.0, 1.0]])}
     assert coverage_hausdorff(real, gen) == pytest.approx(3.0)
 
 
@@ -215,7 +216,7 @@ def test_knn_probe_majority_vote():
     x = np.array([[0.0], [0.1], [0.2], [5.0], [5.1], [5.2]])
     y = np.array([0, 0, 0, 1, 1, 1])
     probe = KnnProbe(k=3).fit(x, y)
-    assert np.array_equal(probe.predict([[0.05], [5.05]]), [0, 1])
+    assert np.array_equal(probe.predict(np.array([[0.05], [5.05]])), [0, 1])
 
 
 def test_knn_probe_unfit_rejected():
@@ -263,4 +264,4 @@ def test_knn_probe_memory_stays_within_its_budget():
 
 def test_knn_probe_rejects_negative_labels():
     with pytest.raises(ConfigurationError, match="non-negative"):
-        KnnProbe().fit([[0.0], [1.0]], [0, -1])
+        KnnProbe().fit(np.array([[0.0], [1.0]]), np.array([0, -1]))

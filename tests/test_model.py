@@ -1,6 +1,8 @@
 """Tests for the shared-backbone model: head separation, conditioning
 contracts, freezing behaviour and the parameter partition."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -44,21 +46,21 @@ def test_head_separation():
         p += 1.0
     assert np.array_equal(model.encode_classify(x), z_c)
     # and perturbing the classification projection must not move x_hat
-    x_hat = model.reconstruct(x)
+    x_hat = model.decode(model.encode_reconstruct(x))
     for p, _ in model.proj_classify.parameters():
         p += 1.0
-    assert np.array_equal(model.reconstruct(x), x_hat)
+    assert np.array_equal(model.decode(model.encode_reconstruct(x)), x_hat)
 
 
 def test_decoder_conditioning_contract():
     plain = small_model(decoder_conditioned=False)
     z = Rng(6).normal(size=(3, 8))
     with pytest.raises(ConfigurationError):
-        plain.decode(z, y_onehot=one_hot([0, 1, 2], 4))
+        plain.decode(z, y_onehot=one_hot(np.array([0, 1, 2]), 4))
     conditioned = small_model(decoder_conditioned=True)
     with pytest.raises(ConfigurationError):
         conditioned.decode(z)
-    out = conditioned.decode(z, y_onehot=one_hot([0, 1, 2], 4))
+    out = conditioned.decode(z, y_onehot=one_hot(np.array([0, 1, 2]), 4))
     assert out.shape == (3, 6)
 
 
@@ -96,6 +98,29 @@ def test_parameter_partition_disjoint_and_complete():
     assert len(ids) == len(set(ids))
     all_ids = {id(p) for net in model.all_networks().values() for p, _ in net.parameters()}
     assert set(ids) == all_ids
+
+
+def param_digest(model):
+    h = hashlib.sha256()
+    for name, net in model.all_networks().items():
+        h.update(name.encode())
+        h.update(net.params.tobytes())
+    return h.hexdigest()
+
+
+def test_built_parameters_keep_their_bits():
+    # digests taken before the two builders shared their projections and
+    # decoder: the draw order from the "model-build" fork is unchanged
+    mlp = build_mlp_model((6,), 4, Rng(11), embedding_dim=5, encoder_hidden=(12, 10),
+                          decoder_conditioned=True)
+    assert mlp.param_count() == 634
+    assert param_digest(mlp) == (
+        "61dedefc0a5988fab60c27695a178afb7c3d3ae105fe5e2717b43d2bcf60f87e")
+    conv = build_conv_model((1, 6, 6), 4, Rng(12), embedding_dim=5, conv_channels=(2, 3),
+                            decoder_hidden=(16,))
+    assert conv.param_count() == 915
+    assert param_digest(conv) == (
+        "5023d8fbbe7bb738548b5cf84e1112f3c1e3203c4b543a9e91646d3502026557")
 
 
 @pytest.mark.parametrize("encoder", ["mlp", "conv"])
@@ -151,5 +176,5 @@ def test_autoencoder_overfits_four_samples():
     cfg = ExperimentConfig(strategy="prer", ae_max_epochs=4000, batch_size=4,
                       patience=200, min_delta=1e-9).validate()
     train_autoencoder_phase(model, task, cfg, Rng(17))
-    x_hat = model.reconstruct(x)
+    x_hat = model.decode(model.encode_reconstruct(x))
     assert nn.mse(x_hat, x) < 1e-3

@@ -1,6 +1,7 @@
 """Tests for the network substrate: forward/backward correctness, the
 optimizer, losses and determinism."""
 
+import hashlib
 import logging
 
 import numpy as np
@@ -263,11 +264,11 @@ def test_adam_matches_whole_array_update_bitwise(sizes):
 
 
 def test_cross_entropy_hand_computed():
-    assert nn.cross_entropy(np.array([[0.0, 0.0]]), [0]) == pytest.approx(np.log(2.0))
+    assert nn.cross_entropy(np.array([[0.0, 0.0]]), np.array([0])) == pytest.approx(np.log(2.0))
 
 
 def test_mse_hand_computed():
-    assert nn.mse([1.0, 2.0], [1.0, 4.0]) == pytest.approx(2.0)
+    assert nn.mse(np.array([1.0, 2.0]), np.array([1.0, 4.0])) == pytest.approx(2.0)
 
 
 def test_cosine_distance_self_and_orthogonal():
@@ -276,15 +277,17 @@ def test_cosine_distance_self_and_orthogonal():
     for _ in range(5):
         v = rng.normal(size=(1, 6))
         assert nn.mean_cosine_distance(v, v) == pytest.approx(0.0, abs=1e-12)
-    assert nn.mean_cosine_distance([[1.0, 0.0]], [[0.0, 1.0]]) == pytest.approx(1.0)
-    assert nn.mean_cosine_distance([[1.0, 0.0]], [[-1.0, 0.0]]) == pytest.approx(2.0)
+    e0, e1 = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
+    assert nn.mean_cosine_distance(e0, e1) == pytest.approx(1.0)
+    assert nn.mean_cosine_distance(e0, -e0) == pytest.approx(2.0)
 
 
 def test_cosine_zero_vector_convention_logged_once(caplog):
     nn.reset_run_warnings()
     with caplog.at_level(logging.WARNING, logger="prer.nn"):
-        assert nn.mean_cosine_distance([[0.0, 0.0]], [[1.0, 0.0]]) == 1.0
-        assert nn.mean_cosine_distance([[0.0, 0.0]], [[0.0, 0.0]]) == 1.0
+        zero, e0 = np.zeros((1, 2)), np.array([[1.0, 0.0]])
+        assert nn.mean_cosine_distance(zero, e0) == 1.0
+        assert nn.mean_cosine_distance(zero, zero) == 1.0
     warnings = [r for r in caplog.records if "zero vector" in r.message]
     assert len(warnings) == 1
 
@@ -341,6 +344,25 @@ def test_training_determinism_bitwise():
 
     for p1, p2 in zip(run(123), run(123)):
         assert np.array_equal(p1, p2)
+
+
+def test_forked_rng_draws_are_a_pcg64_generator_seeded_by_the_digest():
+    # values taken from the wrapper that forwarded each draw to its own
+    # Generator, so subclassing Generator changes no stream
+    digest = hashlib.blake2b(b"7/golden", digest_size=8).digest()
+    bare = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "big")))
+    forked = Rng(7).fork("golden")
+    assert forked.seed == 16997757624660138951
+    for gen in (forked, bare):
+        assert gen.normal(size=3).tolist() == [
+            1.5577943216228036, 1.149009125913869, -0.6023483536889279]
+        assert gen.uniform(-1.0, 1.0, size=3).tolist() == [
+            0.7449041737667885, 0.6976432127936307, 0.41830275970639685]
+        assert gen.permutation(6).tolist() == [3, 5, 1, 4, 2, 0]
+        assert gen.choice(10, size=3, replace=False).tolist() == [2, 7, 8]
+        assert gen.integers(0, 100, size=4).tolist() == [54, 81, 87, 74]
+        assert gen.random(size=3).tolist() == [
+            0.4333125362531042, 0.15060502344401605, 0.6077448403335932]
 
 
 def test_backward_without_input_gradient_through_no_parameters():

@@ -30,9 +30,12 @@ at seed 1 (taken from this checkout, so both trees read the same config):
   pool fits in one;
 - prer with ``c_m = 3``: tasks of 3, 3, 3 and 1 classes, so the last
   task of each stream keeps the remainder, where every other run has
-  5 tasks of 2 classes.
+  5 tasks of 2 classes;
+- prer with three flow levels on a 7-dim embedding: levels of width 7,
+  3 and 1, the only run with more than one level, an odd-width split
+  and a level of width 1.
 
-That is 20 runs.
+That is 21 runs.
 
 Records are compared without ``timings`` and ``config_hash``, the same
 rule as ``bench/checks.digest``. Exits 1 on any difference. Uses only the
@@ -86,6 +89,8 @@ def grid():
     }, None))
     runs.append(("prer-multi-chunk-coverage", {"strategy": "prer", "embedding_dim": 64}, None))
     runs.append(("prer-c_m3-remainder-task", {"strategy": "prer", "c_m": 3}, None))
+    runs.append(("prer-three-level-flow",
+                 {"strategy": "prer", "flow_levels": 3, "embedding_dim": 7}, None))
     return runs
 
 
