@@ -67,17 +67,62 @@ def _row_chunks(n, floats_per_row):
 
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric Hausdorff distance between two point sets (Euclidean)."""
+    """Symmetric Hausdorff distance between two point sets (Euclidean).
+
+    Every distance that can be a row's or a column's minimum is computed
+    in the difference form, sqrt(((a_i - b_j) ** 2).sum()), on C-ordered
+    rows, so numpy sums each pair in its pairwise order whatever the
+    caller's layout and d(a, b) == d(b, a) bitwise. A matmul screen picks
+    those pairs (after Taha & Hanbury, TPAMI 2015)."""
     if len(a) == 0 or len(b) == 0:
         raise ConfigurationError("Hausdorff distance needs non-empty sets")
-    # the exact difference form (not the matmul expansion) keeps
-    # d(a, b) == d(b, a) bitwise; chunked because it broadcasts (n, m, d)
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    dim = a.shape[1]
+    sq_a, sq_b = (a ** 2).sum(axis=1), (b ** 2).sum(axis=1)
+    # The screen s = |a|^2 + |b|^2 - 2ab of a pair and its difference-form
+    # sum S (before the sqrt) both approximate D = |a_i - b_j|^2 <= 2N,
+    # N = |a_i|^2 + |b_j|^2. With u = eps / 2 and g_k = k u / (1 - k u)
+    # (Higham, ch. 3), the two norms carry g_d N, the doubled dot product
+    # g_d N and the two additions that form s at most 4 u N, so
+    # |s - D| <= (2 g_d + 4 u) N; the difference, the square and d - 1
+    # additions give |S - D| <= g_(d+2) D <= 2 g_(d+2) N. So s_x > s_y +
+    # slack with slack >= 2 (2 g_d + 4 u + 2 g_(d+2)) N ~ (4 d + 8) eps N
+    # implies S_x > S_y, and a rounded sqrt keeps that order: pair x is
+    # no nearer than pair y. slack = 8 (d + 2) eps N, N over the largest
+    # norms, covers this twice; d * tiny covers the absolute error of
+    # products that underflow. A pair is dropped only against a row's or
+    # a column's smallest s so far, whose own pair always survives, so
+    # every row and column minimum is computed. The 4 N inside overflows
+    # to inf before any term of s can, and a NaN or inf input makes slack
+    # NaN or inf: the test ~(s > best + slack) then keeps every pair, so
+    # non-finite sets give the difference form's result.
+    slack = 2 * (dim + 2) * np.finfo(float).eps * (4.0 * (sq_a.max() + sq_b.max()))
+    slack += dim * np.finfo(float).tiny
     min_ab = np.empty(len(a))
     min_ba = np.full(len(b), np.inf)
-    for rows in _row_chunks(len(a), len(b) * a.shape[1]):
-        d = np.sqrt(((a[rows, None, :] - b[None, :, :]) ** 2).sum(axis=2))
-        min_ab[rows] = d.min(axis=1)
-        min_ba = np.minimum(min_ba, d.min(axis=0))
+    best_b = np.full(len(b), np.inf)
+    for rows in _row_chunks(len(a), len(b)):
+        ac = a[rows]
+        d2 = ac @ b.T
+        d2 *= -2.0
+        d2 += sq_a[rows, None]
+        d2 += sq_b
+        best_b = np.minimum(best_b, d2.min(axis=0))
+        far = d2 > (d2.min(axis=1) + slack)[:, None]
+        far &= d2 > best_b + slack
+        pairs = np.flatnonzero(~far)
+        del far
+        # the screen's buffer now holds the exact distances, inf elsewhere;
+        # a pair in flight holds two gathered rows, their difference and
+        # four scalars
+        d2.fill(np.inf)
+        flat = d2.reshape(-1)
+        for part in _row_chunks(len(pairs), 3 * dim + 4):
+            i, j = np.divmod(pairs[part], len(b))
+            flat[pairs[part]] = np.sqrt(((ac[i] - b[j]) ** 2).sum(axis=1))
+        min_ab[rows] = d2.min(axis=1)
+        min_ba = np.minimum(min_ba, d2.min(axis=0))
+        del d2, flat, pairs  # before the next chunk allocates its own
     return float(max(min_ab.max(), min_ba.max()))
 
 

@@ -78,15 +78,21 @@ def _coverage(state, train_stream, through_task, cap, rng):
     model = state.model
     classes = sorted(train_stream.classes_seen(through_task))
     real_by_class = {}
+    tasks = train_stream.tasks[:through_task]
     for c in classes:
-        xs = []
-        for task in train_stream.tasks[:through_task]:
-            rows = np.flatnonzero(task.y_global == c)
-            if len(rows):
-                xs.append(task.x[rows])
-        x = np.concatenate(xs)
-        if len(x) > cap:
-            x = x[rng.fork(f"cap{c}").choice(len(x), size=cap, replace=False)]
+        # the cap picks positions in the class's rows of tasks 1..t, in
+        # task order; only the picked rows are gathered
+        rows = [np.flatnonzero(task.y_global == c) for task in tasks]
+        owner = np.repeat(np.arange(len(tasks)), [len(r) for r in rows])
+        local = np.concatenate(rows)
+        pick = np.arange(len(local))
+        if len(pick) > cap:
+            pick = rng.fork(f"cap{c}").choice(len(pick), size=cap, replace=False)
+        x = np.empty((len(pick),) + tasks[0].x.shape[1:], dtype=tasks[0].x.dtype)
+        owner, local = owner[pick], local[pick]
+        for k, task in enumerate(tasks):
+            at = owner == k
+            x[at] = task.x[local[at]]
         real_by_class[c] = model.encode_reconstruct(x)
 
     gen_by_class = {}

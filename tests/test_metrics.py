@@ -118,6 +118,114 @@ def test_row_chunks_cover_rows_once_in_balanced_order(n, floats_per_row):
         assert max(lengths) - min(lengths) <= 1
 
 
+def difference_form_hausdorff(a, b):
+    """The Hausdorff distance as it was computed before the matmul screen:
+    every pair in the difference form, at once, on C-ordered copies."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    d = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def varied_sets(rng):
+    for n, m, d in ((1, 1, 1), (37, 23, 4), (64, 90, 8), (120, 90, 120), (5, 150, 17)):
+        yield rng.normal(size=(n, d)), rng.normal(size=(m, d))
+
+
+def duplicate_and_tied_sets(rng):
+    # integer grid points repeat within and across the sets, so many
+    # pairs tie at the row and column minima, zero included
+    for n, m, d in ((40, 30, 2), (60, 80, 9), (25, 25, 33)):
+        a = rng.integers(0, 3, size=(n, d)).astype(float)
+        b = np.concatenate([a[: m // 3], rng.integers(0, 3, size=(m - m // 3, d)).astype(float)])
+        yield a, b[rng.permutation(m)]
+
+
+def far_cluster_sets(rng):
+    # |a|^2 + |b|^2 - 2ab cancels about 12 of its 16 digits here
+    for n, m, d in ((50, 40, 3), (70, 60, 64)):
+        yield 1e6 + rng.normal(size=(n, d)), 1e6 + rng.normal(size=(m, d))
+    # a near tie the screen cannot rank: a[0] has b[0] and b[1] at
+    # distances 1 and 1 + 1e-6, far below the screen's rounding at 1e6,
+    # and a[1], a[2] lie 0.5 from b[0], b[1], so the result is the
+    # distance from a[0] to b[0], which only a[0]'s row can keep
+    for _ in range(8):
+        u = rng.normal(size=(4, 4))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        center = 1e6 + rng.normal(size=4)
+        b = center + np.array([1.0, 1.0 + 1e-6])[:, None] * u[:2]
+        yield np.concatenate([center[None], b + 0.5 * u[2:]]), b
+
+
+def layout_sets(rng):
+    a, b = rng.normal(size=(45, 20)), rng.normal(size=(35, 20))
+    yield np.asfortranarray(a), b
+    yield a, np.asfortranarray(b)
+    wide = rng.normal(size=(90, 40))
+    yield wide[::2, ::2], wide[1::2, 1::2]
+    # a permutation's column gather, as a flow's last layer returns it
+    yield a, b[:, rng.permutation(20)]
+
+
+def nonfinite_sets(rng):
+    a, b = rng.normal(size=(30, 12)), rng.normal(size=(25, 12))
+    for value in (np.nan, np.inf, -np.inf):
+        bad = a.copy()
+        bad[7] = value
+        yield bad, b
+        yield a, np.concatenate([b, bad[7:8]])
+        one = b.copy()
+        one[3, 5] = value
+        yield a, one
+    both = a.copy()
+    both[0, 0] = np.inf
+    yield both, np.concatenate([b, both[:1]])  # inf - inf in one pair
+
+
+def same_float(x, y):
+    return x == y or (np.isnan(x) and np.isnan(y))
+
+
+@pytest.mark.parametrize("sets", [varied_sets, duplicate_and_tied_sets, far_cluster_sets,
+                                  layout_sets, nonfinite_sets])
+@pytest.mark.parametrize("budget", [1, 97, 4096, 10 ** 9])
+def test_hausdorff_equals_the_difference_form_bitwise(monkeypatch, sets, budget):
+    monkeypatch.setattr(metrics, "CHUNK_FLOATS", budget)
+    for a, b in sets(Rng(21)):
+        with np.errstate(invalid="ignore"):  # inf - inf in the nonfinite sets
+            expected = difference_form_hausdorff(a, b)
+            assert same_float(hausdorff_distance(a, b), expected)
+            assert same_float(hausdorff_distance(b, a), expected)
+
+
+def test_hausdorff_sums_every_layout_in_one_order():
+    rng = Rng(22)
+    a, b = rng.normal(size=(40, 64)), rng.normal(size=(30, 64))
+    wide = np.zeros((30, 128))
+    wide[:, ::2] = b
+    values = {hausdorff_distance(x, y) for x in (a, np.asfortranarray(a))
+              for y in (b, np.asfortranarray(b), wide[:, ::2])}
+    assert values == {difference_form_hausdorff(a, b)}
+
+
+@pytest.mark.parametrize("equal", [False, True], ids=["random", "all-equal"])
+def test_hausdorff_memory_stays_within_its_budget(equal):
+    rng = Rng(23)
+    a, b = rng.normal(size=(1200, 100)), rng.normal(size=(900, 100))
+    if equal:
+        # every pair ties at distance 0, so every pair passes the screen
+        a, b = np.ones_like(a), np.ones_like(b)
+    tracemalloc.start()
+    try:
+        value = hausdorff_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (value == 0.0) == equal
+    # the (1200, 900, 100) difference tensor alone would be 864 MB; a
+    # chunk holds its screen, the surviving pair ids and a batch of pairs
+    assert peak < 3 * 8 * metrics.CHUNK_FLOATS
+
+
 def test_hausdorff_symmetry_and_triangle():
     rng = Rng(3)
     for _ in range(20):

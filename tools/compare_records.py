@@ -33,9 +33,18 @@ at seed 1 (taken from this checkout, so both trees read the same config):
   5 tasks of 2 classes;
 - prer with three flow levels on a 7-dim embedding: levels of width 7,
   3 and 1, the only run with more than one level, an odd-width split
-  and a level of width 1.
+  and a level of width 1;
+- prer with a flow conditioned on the class and an 8-dim embedding,
+  twice: the generated sets of a conditioned flow reach the Hausdorff
+  distance in a layout that is not C-ordered (a permutation's column
+  gather), and 8 dimensions are enough for numpy's pairwise summation
+  order to differ from a sequential one, which no other run has. The
+  first run uses the config's dataset; the second has 800 rows per class
+  (``coverage_cap = 700``), so its 640-row classes split each Hausdorff
+  call into two row chunks (``metrics.CHUNK_FLOATS``), which no other
+  run does.
 
-That is 21 runs.
+That is 23 runs.
 
 Records are compared without ``timings`` and ``config_hash``, the same
 rule as ``bench/checks.digest``. Exits 1 on any difference. Uses only the
@@ -91,6 +100,12 @@ def grid():
     runs.append(("prer-c_m3-remainder-task", {"strategy": "prer", "c_m": 3}, None))
     runs.append(("prer-three-level-flow",
                  {"strategy": "prer", "flow_levels": 3, "embedding_dim": 7}, None))
+    runs.append(("prer-flow-8dim", {"strategy": "prer", "conditioning": "flow",
+                                    "embedding_dim": 8}, None))
+    runs.append(("prer-flow-8dim-two-chunk-hausdorff", {
+        "strategy": "prer", "conditioning": "flow", "embedding_dim": 8,
+        "dataset": "blobs:classes=10,dim=20,sep=5,per_class=800,span=3", "coverage_cap": 700,
+    }, None))
     return runs
 
 
