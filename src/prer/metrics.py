@@ -46,10 +46,12 @@ def bwt(r: np.ndarray) -> float:
 
 # Row chunks of every pairwise-distance computation and of the coverage
 # pool are sized so that one chunk's largest intermediate holds at most
-# this many float64s (2 MB). Larger budgets measured no faster: a small
-# chunk stays in cache. Elementwise work and reductions (the Hausdorff
-# difference form) give each row the same bits under any chunking; matmul
-# row blocks need not. Under OpenBLAS 0.3.31 (Haswell kernels), flow
+# this many float64s (2 MB), and so are the batches of exact pairs behind
+# a Hausdorff chunk's screen. Larger budgets measured no faster: a small
+# chunk stays in cache. Elementwise work and reductions give each row the
+# same bits under any chunking, and the Hausdorff screen only picks pairs
+# (its bits never reach the result); matmul row blocks that feed a
+# result need not. Under OpenBLAS 0.3.31 (Haswell kernels), flow
 # samples generated in a tail chunk of 1-48 rows differed from a one-shot
 # call in the last bits (up to 1e-14 on a 100-dim flow), and 49 rows or
 # more matched. Balanced slices keep every chunk at least half a step
