@@ -10,6 +10,7 @@ import hashlib
 from dataclasses import dataclass, fields
 
 from .exceptions import ConfigurationError
+from .flow import level_widths
 from .pipeline import STRATEGIES
 
 CONDITIONING_MODES = ("both", "decoder", "flow", "none")
@@ -83,8 +84,6 @@ class ExperimentConfig:
                 )
         if not 0.0 <= self.replay_fraction < 1.0:
             raise ConfigurationError("replay fraction must be in [0, 1)")
-        if self.beta < 0.0:
-            raise ConfigurationError("beta must be >= 0")
         if self.memory_size < 0:
             raise ConfigurationError("memory size must be >= 0")
         if min(self.classifier_epochs, self.ae_max_epochs, self.flow_max_epochs) < 1:
@@ -94,15 +93,27 @@ class ExperimentConfig:
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ConfigurationError("validation fraction must be in [0, 1)")
         # written so that a NaN fails too
+        if not self.beta >= 0.0:
+            raise ConfigurationError(f"beta must be >= 0, got {self.beta}")
+        if not 0.0 <= self.bn_momentum <= 1.0:
+            raise ConfigurationError(f"bn_momentum must be in [0, 1], got {self.bn_momentum}")
+        if not self.bn_eps > 0.0:
+            raise ConfigurationError(f"bn_eps must be > 0, got {self.bn_eps}")
         if not self.lr > 0.0:
             raise ConfigurationError(f"lr must be > 0, got {self.lr}")
         if not self.min_delta >= 0.0:
             raise ConfigurationError(f"min_delta must be >= 0, got {self.min_delta}")
         if not 0.0 <= self.head_dropout < 1.0:
             raise ConfigurationError(f"head_dropout must be in [0, 1), got {self.head_dropout}")
-        for key in ("patience", "embedding_dim", "coverage_cap", "flow_hidden_multiplier"):
+        for key in ("patience", "embedding_dim", "coverage_cap", "flow_levels", "flow_blocks",
+                    "flow_hidden_multiplier"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
+        # every record prices a flow of this topology, whether the run keeps one or not
+        if self.embedding_dim < 2 or level_widths(self.embedding_dim, self.flow_levels)[-1] < 1:
+            raise ConfigurationError(
+                f"embedding_dim = {self.embedding_dim} cannot hold a flow of flow_levels = "
+                f"{self.flow_levels}: it needs a width >= 2 that keeps >= 1 at its last level")
         for key in ("encoder_hidden", "head_hidden", "decoder_hidden", "conv_channels"):
             widths = getattr(self, key)
             if any(width < 1 for width in widths):

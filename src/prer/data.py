@@ -293,6 +293,10 @@ def parse_dataset_spec(spec: str, seed: int) -> LabeledDataset:
                 f"{kind} argument {key} = {value!r} is not a valid {types[key].__name__}"
             ) from None
     if kind == "blobs":
+        # an empty dataset would only fail later, naming no argument
+        for key in ("classes", "per_class", "dim"):
+            if args.get(key, 1) < 1:
+                raise ConfigurationError(f"blobs argument {key} must be >= 1, got {args[key]}")
         return synth_blobs(
             classes=args.get("classes", 10),
             per_class=args.get("per_class", 200),

@@ -19,7 +19,7 @@ the caches), training concurrently with anything is not supported.
 import numpy as np
 
 from .exceptions import ConfigurationError, DivergenceError, StateError
-from .nn import Dense, Network, Relu, bind_slices
+from .nn import Dense, Network, Relu, append_one_hot, bind_slices
 from .rng import Rng
 
 NORMALIZING = "normalizing"
@@ -81,7 +81,7 @@ class BatchNorm:
     def __init__(self, dim: int, momentum=0.1, eps=1e-5):
         if not 0.0 <= momentum <= 1.0:
             raise ConfigurationError(f"momentum must be in [0, 1], got {momentum}")
-        if eps <= 0.0:
+        if not eps > 0.0:
             raise ConfigurationError("eps must be positive")
         self.dim = int(dim)
         self.momentum = float(momentum)  # weight of the new batch
@@ -142,7 +142,8 @@ class Coupling:
     Their final layers start at zero so a fresh coupling is the identity.
     On widths < 2 the second chunk is empty and the layer degenerates to
     the identity, which keeps deep multi-scale stacks on small inputs
-    well defined.
+    well defined. With ``cond_width`` classes the nets also read the
+    one-hot of each row's class ``cond``; without, ``cond`` is ignored.
     """
 
     def __init__(self, dim: int, hidden: int, rng: Rng, cond_width: int = 0):
@@ -170,22 +171,8 @@ class Coupling:
             self.translate_net = None
         self._cache = None
 
-    @property
-    def conditioned(self):
-        return self.cond_width > 0
-
     def _net_input(self, a, cond):
-        if self.conditioned:
-            if cond is None:
-                raise ConfigurationError("conditioned coupling layer called without a condition")
-            if cond.shape != (len(a), self.cond_width):
-                raise ConfigurationError(
-                    f"condition shape {cond.shape} does not match (batch, {self.cond_width})"
-                )
-            return np.concatenate([a, cond], axis=1)
-        if cond is not None:
-            raise ConfigurationError("condition passed to an unconditioned coupling layer")
-        return a
+        return append_one_hot(a, cond, self.cond_width) if self.cond_width else a
 
     def apply(self, x, direction, cond=None, train=False):
         _check_direction(direction)
@@ -253,6 +240,8 @@ class FlowStack:
     next level. The emitted chunks concatenated in level order form the
     prior variable, so the total dimensionality never changes. All
     coupling nets live in two flat vectors, ``params`` and ``grads``.
+    Every layer receives the rows' classes ``cond``; a flow with
+    ``cond_width`` > 0 has a coupling that reads them.
     """
 
     def __init__(self, levels, dim: int, cond_width: int = 0):
@@ -276,29 +265,18 @@ class FlowStack:
                     )
         self.params, self.grads = bind_slices(self.networks())
 
-    def _layer_cond(self, layer, cond):
-        return cond if getattr(layer, "cond_width", 0) else None
-
-    def _check_cond(self, cond):
-        if self.cond_width and cond is None:
-            raise ConfigurationError("this flow is conditioned; a condition vector is required")
-        if not self.cond_width and cond is not None:
-            raise ConfigurationError("condition passed to an unconditioned flow")
-
     def normalize(self, z, cond=None, train=False):
         """Data to prior. Returns (u, per-sample log-determinant)."""
         if z.ndim != 2 or z.shape[1] != self.dim:
             raise ConfigurationError(
                 f"flow expects (batch, {self.dim}) input, got shape {z.shape}")
-        self._check_cond(cond)
         h = z
         logdet = np.zeros(len(z))
         outs = []
         for lvl, layers in enumerate(self.levels):
             for i, layer in enumerate(layers):
                 try:
-                    h, ld = layer.apply(h, NORMALIZING, cond=self._layer_cond(layer, cond),
-                                        train=train)
+                    h, ld = layer.apply(h, NORMALIZING, cond=cond, train=train)
                 except DivergenceError as err:
                     raise DivergenceError(f"level {lvl}, layer {i}: {err}") from None
                 logdet += ld
@@ -318,12 +296,11 @@ class FlowStack:
         if u.ndim != 2 or u.shape[1] != self.dim:
             raise ConfigurationError(
                 f"flow expects (batch, {self.dim}) input, got shape {u.shape}")
-        self._check_cond(cond)
         chunks = self._split(u)
         h = chunks[-1]
         for lvl in range(len(self.levels) - 1, -1, -1):
             for layer in reversed(self.levels[lvl]):
-                h, _ = layer.apply(h, GENERATING, cond=self._layer_cond(layer, cond))
+                h, _ = layer.apply(h, GENERATING, cond=cond)
             if lvl > 0:
                 h = np.concatenate([chunks[lvl - 1], h], axis=1)
         return h
@@ -397,12 +374,13 @@ def build_flow(dim: int, levels: int, blocks: int, rng: Rng, *,
     """Standard topology: `levels` levels of `blocks` blocks, each block
     being permutation -> batch norm -> coupling in normalizing order.
 
-    Exactly one coupling receives the condition vector: the first one met
-    when walking from the prior towards the data, i.e. the last coupling
-    of the first (full-width) level. Placing it at the prior side lets
-    every remaining block spread the class information across all
-    dimensions during sampling; at the data side the condition would
-    only ever steer the transformed half of the coordinates."""
+    Of a flow on ``cond_width`` > 0 classes, exactly one coupling reads
+    the class: the first one met when walking from the prior towards the
+    data, i.e. the last coupling of the first (full-width) level. Placing
+    it at the prior side lets every remaining block spread the class
+    information across all dimensions during sampling; at the data side
+    the condition would only ever steer the transformed half of the
+    coordinates."""
     if dim < 2:
         raise ConfigurationError("flow dimensionality must be >= 2")
     if levels < 1 or blocks < 1:

@@ -20,23 +20,14 @@ from .nn import (
 from .rng import Rng
 
 
-def one_hot(labels, width: int) -> np.ndarray:
-    if labels.min(initial=0) < 0 or (labels.size and labels.max() >= width):
-        raise ConfigurationError(f"labels out of range for one-hot width {width}")
-    out = np.zeros((len(labels), width))
-    out[np.arange(len(labels)), labels] = 1.0
-    return out
-
-
 class ContinualModel:
     """Backbone encoder E, projection heads, per-task classifiers and a
     decoder. ``encode_classify`` and ``encode_reconstruct`` share E and
     nothing else."""
 
     def __init__(self, encoder: Network, proj_classify: Network, proj_reconstruct: Network,
-                 decoder: Network, *, input_shape, embedding_dim: int, num_classes: int,
-                 head_hidden=(64, 32), head_dropout=0.2,
-                 decoder_conditioned=False, flow_conditioned=False):
+                 decoder: Network, *, input_shape, embedding_dim: int,
+                 head_hidden=(64, 32), head_dropout=0.2, decoder_conditioned=False):
         self.encoder = encoder
         self.proj_classify = proj_classify
         self.proj_reconstruct = proj_reconstruct
@@ -45,11 +36,9 @@ class ContinualModel:
         self.head_classes: dict[int, int] = {}
         self.input_shape = tuple(input_shape)
         self.embedding_dim = int(embedding_dim)
-        self.num_classes = int(num_classes)
         self.head_hidden = tuple(head_hidden)
         self.head_dropout = float(head_dropout)
         self.decoder_conditioned = bool(decoder_conditioned)
-        self.flow_conditioned = bool(flow_conditioned)
 
     # -- heads --------------------------------------------------------
 
@@ -83,12 +72,10 @@ class ContinualModel:
         h = self.encoder.forward(x, train=train, rng=rng)
         return self.proj_reconstruct.forward(h, train=train, rng=rng)
 
-    def decode(self, z, y_onehot=None, train=False, rng=None) -> np.ndarray:
-        if self.decoder_conditioned and y_onehot is None:
-            raise ConfigurationError("decoder is conditioned: a class one-hot is required")
-        if not self.decoder_conditioned and y_onehot is not None:
-            raise ConfigurationError("decoder is not conditioned: got an unexpected condition")
-        flat = self.decoder.forward(z, train=train, rng=rng, cond=y_onehot)
+    def decode(self, z, y=None, train=False, rng=None) -> np.ndarray:
+        """Images decoded from ``z``; a conditioned decoder reads the rows'
+        classes ``y``."""
+        flat = self.decoder.forward(z, train=train, rng=rng, cond=y)
         return flat.reshape((len(flat),) + self.input_shape)
 
     def classify(self, x, task_id: int, train=False, rng=None) -> np.ndarray:
@@ -138,8 +125,7 @@ def _with_tail(encoder, backbone_dim, input_shape, num_classes, init: Rng,
     decoder = Network(dec_layers, name="decoder")
     return ContinualModel(
         encoder, proj_c, proj_r, decoder,
-        input_shape=input_shape, embedding_dim=embedding_dim, num_classes=num_classes,
-        **options)
+        input_shape=input_shape, embedding_dim=embedding_dim, **options)
 
 
 def build_mlp_model(input_shape, num_classes, rng: Rng, *, embedding_dim=16,

@@ -30,10 +30,29 @@ def glorot_uniform(fan_in, fan_out, shape, rng: Rng) -> np.ndarray:
     return rng.uniform(-limit, limit, shape)
 
 
+def one_hot(labels, width: int) -> np.ndarray:
+    if labels.min(initial=0) < 0 or (labels.size and labels.max() >= width):
+        raise ConfigurationError(f"labels out of range for one-hot width {width}")
+    out = np.zeros((len(labels), width))
+    out[np.arange(len(labels)), labels] = 1.0
+    return out
+
+
+def append_one_hot(x, labels, width: int) -> np.ndarray:
+    """The input of a conditioned layer: the rows of ``x`` followed by the
+    one-hot of their classes ``labels``, one class per row."""
+    if labels is None or np.shape(labels) != (len(x),):
+        got = "none" if labels is None else f"shape {np.shape(labels)}"
+        raise ConfigurationError(f"a conditioned layer needs one class per row, got {got}")
+    return np.concatenate([x, one_hot(labels, width)], axis=1)
+
+
 class Layer:
     """Base layer. The attributes named in ``param_names`` hold its
     parameters; once its network binds it, they and ``grads`` are views
-    of the network's flat buffers."""
+    of the network's flat buffers. ``forward`` receives the rows'
+    classes ``cond`` as it receives ``rng``: only a layer that needs
+    them reads them."""
 
     param_names = ()
 
@@ -166,21 +185,15 @@ class Flatten(Layer):
 
 
 class ConcatCondition(Layer):
-    """Appends a per-sample condition vector to the features."""
+    """Appends the one-hot of each row's class to the features."""
 
-    def __init__(self, cond_dim: int):
+    def __init__(self, num_classes: int):
         super().__init__()
-        self.cond_dim = int(cond_dim)
+        self.num_classes = int(num_classes)
 
     def forward(self, x, train=False, rng=None, cond=None):
-        if cond is None:
-            raise ConfigurationError("this network requires a condition vector")
-        if cond.shape != (x.shape[0], self.cond_dim):
-            raise ConfigurationError(
-                f"condition shape {cond.shape} does not match (batch, {self.cond_dim})"
-            )
         self._cache = x.shape[1]
-        return np.concatenate([x, cond], axis=1)
+        return append_one_hot(x, cond, self.num_classes)
 
     def backward(self, grad):
         width = self._take_cache()
@@ -269,15 +282,12 @@ class Network:
         self.layers = list(layers)
         self.name = name
         self.params, self.grads = bind_slices(self.layers)
-        self._has_condition = any(isinstance(l, ConcatCondition) for l in self.layers)
         # the lowest layer with parameters, where a backward pass that
         # needs no input gradient stops
         self._lowest_trained = next(
             (i for i, l in enumerate(self.layers) if l.param_names), len(self.layers))
 
     def forward(self, x, train=False, rng=None, cond=None):
-        if cond is not None and not self._has_condition:
-            raise ConfigurationError(f"{self.name}: condition given but no layer consumes it")
         for i, layer in enumerate(self.layers):
             try:
                 x = layer.forward(x, train=train, rng=rng, cond=cond)

@@ -20,7 +20,7 @@ from . import nn
 from .exceptions import ConfigurationError, DivergenceError, StateError
 from .flow import FlowStack, nll_loss_and_backward
 from .metrics import KnnProbe
-from .model import ContinualModel, one_hot
+from .model import ContinualModel
 from .rng import Rng
 
 # what each strategy is made of: does it keep a flow (and train phases 2
@@ -276,8 +276,7 @@ def train_autoencoder_phase(model: ContinualModel, task, cfg, rng: Rng,
                                          cfg.replay_fraction, mem_rng)
         h = model.encoder.forward(xb)  # frozen: no backward into the backbone
         z = model.proj_reconstruct.forward(h, train=True)
-        cond = one_hot(y_cond, model.num_classes) if model.decoder_conditioned else None
-        flat = model.decoder.forward(z, train=True, cond=cond)
+        flat = model.decoder.forward(z, train=True, cond=y_cond)
         target = xb.reshape(len(xb), -1)
         loss = nn.mse(flat, target)
         dflat = nn.mse_grad(flat, target)
@@ -296,7 +295,7 @@ def train_flow_phase(flow: FlowStack, model: ContinualModel, task, cfg,
     """Phase 3. Fits the single persistent flow to the reconstruction
     embeddings of the current task, mixed with memory images so that the
     density keeps covering earlier tasks."""
-    use_memory = _uses_memory(memory, cfg, model.flow_conditioned, "flow")
+    use_memory = _uses_memory(memory, cfg, flow.cond_width > 0, "flow")
     mem_rng = rng.fork("memory")
 
     def step(idx):
@@ -307,8 +306,7 @@ def train_flow_phase(flow: FlowStack, model: ContinualModel, task, cfg,
             xb, y_cond = _overwrite_rows((xb, y_cond), (memory.images, memory.y_global),
                                          cfg.replay_fraction, mem_rng)
         z = model.encode_reconstruct(xb)
-        cond = one_hot(y_cond, model.num_classes) if model.flow_conditioned else None
-        return nll_loss_and_backward(flow, z, cond=cond, train=True)
+        return nll_loss_and_backward(flow, z, cond=y_cond, train=True)
 
     history = _train_epochs("flow", task, cfg, rng, flow.parameters(), cfg.flow_max_epochs,
                             len(task), step, EarlyStop(cfg.patience, cfg.min_delta).update)
@@ -333,18 +331,14 @@ def generate_memory(flow: FlowStack, model: ContinualModel, n: int, schedule,
                     rng: Rng, task_index: int) -> Memory:
     """Sample embeddings from the flow, decode them and re-encode the
     decoded images; the resulting rows are the rehearsal memory for the
-    upcoming task."""
+    upcoming task. `schedule` holds the class of each row, for the flow
+    and the decoder when they are conditioned, or None."""
     if task_index <= 1:
         raise StateError("memory generation needs a flow trained on at least one earlier task")
-    conditioned = model.flow_conditioned or model.decoder_conditioned
-    if conditioned and schedule.shape != (n,):
-        raise ConfigurationError(f"class schedule must have length {n}")
-    flow_cond = one_hot(schedule, model.num_classes) if model.flow_conditioned else None
-    z = flow.sample(n, rng, cond=flow_cond)
-    dec_cond = one_hot(schedule, model.num_classes) if model.decoder_conditioned else None
-    images = model.decode(z, y_onehot=dec_cond)
+    z = flow.sample(n, rng, cond=schedule)
+    images = model.decode(z, schedule)
     embeddings = model.encode_classify(images)
-    return Memory(images, embeddings, schedule.copy() if conditioned else None)
+    return Memory(images, embeddings, schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +393,8 @@ def strategy_train_task(state: RunState, task) -> RunState:
             raise ConfigurationError(f"strategy {cfg.strategy!r} needs a flow")
         if t > 1 and cfg.memory_size > 0:
             with state.timed("memory"):
-                conditioned = model.flow_conditioned or model.decoder_conditioned
                 schedule = None
-                if conditioned:
+                if state.flow.cond_width > 0 or model.decoder_conditioned:
                     schedule = class_schedule(state.stream.classes_seen(t - 1),
                                               cfg.memory_size, rng_t.fork("schedule"))
                 state.memory = generate_memory(

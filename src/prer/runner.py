@@ -19,7 +19,7 @@ from .data import (LabeledDataset, build_task_stream, parse_dataset_spec, permut
                    split_train_test)
 from .exceptions import ConfigurationError
 from .flow import build_flow
-from .model import build_conv_model, build_mlp_model, one_hot
+from .model import build_conv_model, build_mlp_model
 from .pipeline import STRATEGIES, RunState, strategy_train_task
 from .rng import Rng
 
@@ -53,8 +53,7 @@ class RunRecord:
 
 def build_model_from_config(cfg: ExperimentConfig, input_shape, num_classes, rng: Rng):
     shared = dict(embedding_dim=cfg.embedding_dim, head_hidden=cfg.head_hidden,
-                  head_dropout=cfg.head_dropout, decoder_conditioned=cfg.decoder_conditioned,
-                  flow_conditioned=cfg.flow_conditioned)
+                  head_dropout=cfg.head_dropout, decoder_conditioned=cfg.decoder_conditioned)
     if cfg.encoder == "mlp":
         return build_mlp_model(input_shape, num_classes, rng, encoder_hidden=cfg.encoder_hidden,
                                decoder_hidden=cfg.decoder_hidden or None, **shared)
@@ -96,11 +95,10 @@ def _coverage(state, train_stream, through_task, cap, rng):
         real_by_class[c] = model.encode_reconstruct(x)
 
     gen_by_class = {}
-    if model.flow_conditioned:
+    if state.flow.cond_width:
         for c in classes:
             n_c = len(real_by_class[c])
-            cond = one_hot(np.full(n_c, c), model.num_classes)
-            gen_by_class[c] = state.flow.sample(n_c, rng.fork(f"gen{c}"), cond=cond)
+            gen_by_class[c] = state.flow.sample(n_c, rng.fork(f"gen{c}"), cond=np.full(n_c, c))
     else:
         needed = {c: len(real_by_class[c]) for c in classes}
         total = sum(needed.values())

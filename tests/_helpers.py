@@ -156,7 +156,7 @@ def random_layer_instance(seed: int):
         cw = int(rng.integers(1, 4))
         net = Network([ConcatCondition(cw), Dense(d + cw, 3, rng)])
         x = rng.normal(size=(3, d))
-        cond = rng.normal(size=(3, cw))
+        cond = rng.integers(0, cw, size=3)
         return net, x, {"cond": cond}
     d = int(rng.integers(2, 6))
     hidden = int(rng.integers(2, 8))

@@ -26,7 +26,7 @@ from prer.metrics import (
     hausdorff_distance,
     memory_footprint,
 )
-from prer.model import build_mlp_model, one_hot
+from prer.model import build_mlp_model
 from prer.pipeline import (
     RunState,
     class_schedule,
@@ -100,13 +100,11 @@ def test_c1_flow_correctness():
             stack = build_flow(dim, levels, blocks, rng, cond_width=cond_width)
             for p, _ in stack.parameters():
                 p[...] = rng.uniform(-0.5, 0.5, p.shape)
-            init_cond = (one_hot(rng.integers(0, cond_width, size=64), cond_width)
-                         if cond_width else None)
+            init_cond = rng.integers(0, cond_width, size=64) if cond_width else None
             stack.normalize(rng.normal(size=(64, dim)), cond=init_cond, train=True)
 
             z = rng.normal(size=(8, dim))
-            cond = (one_hot(rng.integers(0, cond_width, size=8), cond_width)
-                    if cond_width else None)
+            cond = rng.integers(0, cond_width, size=8) if cond_width else None
             u, logdet = stack.normalize(z, cond=cond)
             back = stack.generate(u, cond=cond)
             assert np.abs(back - z).max() < 1e-6

@@ -11,7 +11,7 @@ from prer.config import ExperimentConfig
 from prer.data import build_task_stream, split_train_test, synth_blobs
 from prer.exceptions import ConfigurationError
 from prer.flow import build_flow
-from prer.model import build_mlp_model, one_hot
+from prer.model import build_mlp_model
 from prer.pipeline import RunState, strategy_train_task
 from prer.rng import Rng
 
@@ -43,7 +43,7 @@ def trained_state(seed=1, **kwargs):
         p[...] = rng.uniform(-0.5, 0.5, p.shape)
     if state.flow is not None:
         cw = state.flow.cond_width
-        cond = one_hot(rng.integers(0, cw, size=64), cw) if cw else None
+        cond = rng.integers(0, cw, size=64) if cw else None
         state.flow.normalize(rng.normal(size=(64, 6)), cond=cond, train=True)
     state.completed_tasks = 2
     return state
@@ -74,7 +74,7 @@ def test_conditioned_flow_roundtrip(tmp_path):
     restored = roundtrip(trained_state(seed=4, cond_width=3), tmp_path,
                          seed=4, cond_width=3).flow
     z = Rng(5).normal(size=(4, 6))
-    cond = one_hot(np.array([0, 1, 2, 0]), 3)
+    cond = np.array([0, 1, 2, 0])
     assert np.array_equal(flow.log_prob(z, cond=cond), restored.log_prob(z, cond=cond))
 
 
@@ -85,10 +85,10 @@ def test_model_roundtrip(tmp_path):
     x = Rng(9).normal(size=(5, 6))
     assert np.array_equal(model.encode_classify(x), restored.encode_classify(x))
     assert np.array_equal(model.classify(x, 2), restored.classify(x, 2))
-    cond = one_hot(np.array([0, 1, 2, 3, 0]), 4)
+    cond = np.array([0, 1, 2, 3, 0])
     z = model.encode_reconstruct(x)
     assert np.array_equal(model.decode(z, cond), restored.decode(z, cond))
-    assert restored.decoder_conditioned and not restored.flow_conditioned
+    assert restored.decoder_conditioned
     assert restored.head_classes == {1: 2, 2: 2}
 
 

@@ -256,3 +256,10 @@ def test_parse_dataset_spec():
         parse_dataset_spec("blobs:clases=4", seed=24)
     with pytest.raises(ConfigurationError, match="unknown mnist argument 'image'"):
         parse_dataset_spec("mnist:image=a,labels=b", seed=24)
+
+
+@pytest.mark.parametrize("key,value", [("classes", 0), ("per_class", 0), ("dim", 0),
+                                       ("per_class", -3)])
+def test_blobs_spec_rejects_empty_sizes_naming_the_argument(key, value):
+    with pytest.raises(ConfigurationError, match=f"blobs argument {key} must be >= 1"):
+        parse_dataset_spec(f"blobs:classes=4,dim=5,per_class=7,{key}={value}", seed=24)

@@ -122,14 +122,25 @@ def test_stack_divergence_names_layer():
         stack.normalize(np.ones((4, 4)), train=True)
 
 
+# classes a conditioned flow must refuse for two rows and 3 classes:
+# none, too few, a column instead of a vector, out of range
+BAD_CLASSES = (None, np.array([0]), np.array([[0], [1]]), np.array([0, 3]), np.array([-1, 0]))
+
+
 def test_coupling_condition_contract():
     layer = Coupling(4, 8, Rng(6), cond_width=3)
-    x = np.ones((2, 4))
-    with pytest.raises(ConfigurationError):
-        layer.apply(x, NORMALIZING)
+    x = Rng(8).normal(size=(2, 4))
+    for cond in BAD_CLASSES:
+        with pytest.raises(ConfigurationError):
+            layer.apply(x, NORMALIZING, cond=cond)
+    # an unconditioned coupling ignores the classes
     plain = Coupling(4, 8, Rng(7))
-    with pytest.raises(ConfigurationError):
-        plain.apply(x, NORMALIZING, cond=np.ones((2, 3)))
+    for net in plain.networks():
+        net.params[...] = Rng(9).uniform(-0.5, 0.5, net.params.shape)
+    for direction in (NORMALIZING, GENERATING):
+        out, logdet = plain.apply(x, direction)
+        out_c, logdet_c = plain.apply(x, direction, cond=np.array([0, 2]))
+        assert np.array_equal(out, out_c) and np.array_equal(logdet, logdet_c)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +317,7 @@ def test_conditioning_placement():
     conditioned = [
         (li, bi) for li, layers in enumerate(stack.levels)
         for bi, layer in enumerate(layers)
-        if isinstance(layer, Coupling) and layer.conditioned
+        if isinstance(layer, Coupling) and layer.cond_width
     ]
     # exactly one conditioned coupling, in the full-width level, sitting at
     # the prior side (the first coupling applied when generating)
@@ -317,12 +328,21 @@ def test_conditioning_placement():
 
 def test_flow_condition_required_and_rejected():
     stack = build_flow(4, 1, 1, Rng(22), cond_width=3)
-    z = np.ones((2, 4))
-    with pytest.raises(ConfigurationError):
-        stack.normalize(z)
-    plain = build_flow(4, 1, 1, Rng(23))
-    with pytest.raises(ConfigurationError):
-        plain.normalize(z, cond=np.ones((2, 3)))
+    z = Rng(24).normal(size=(2, 4))
+    stack.normalize(Rng(25).normal(size=(8, 4)), cond=np.arange(8) % 3, train=True)
+    for cond in BAD_CLASSES:
+        with pytest.raises(ConfigurationError):
+            stack.normalize(z, cond=cond)
+        with pytest.raises(ConfigurationError):
+            stack.generate(z, cond=cond)
+    # an unconditioned flow ignores the classes
+    plain = build_flow(4, 1, 2, Rng(23))
+    plain.params[...] = Rng(26).uniform(-0.5, 0.5, plain.params.shape)
+    plain.normalize(Rng(25).normal(size=(8, 4)), train=True)
+    u, logdet = plain.normalize(z)
+    u_c, logdet_c = plain.normalize(z, cond=np.array([0, 2]))
+    assert np.array_equal(u, u_c) and np.array_equal(logdet, logdet_c)
+    assert np.array_equal(plain.generate(z), plain.generate(z, cond=np.array([0, 2])))
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +429,8 @@ def test_nll_invariant_to_appended_permutation_at_identity_init():
 def test_conditioned_flow_separates_classes():
     rng = Rng(35)
     data, comps = gaussian_mixture(1024, rng, centers=((-4.0, 0.0), (4.0, 0.0)))
-    cond = np.zeros((len(data), 2))
-    cond[np.arange(len(data)), comps] = 1.0
-
     stack = build_flow(2, 1, 5, Rng(36), cond_width=2)
-    train_flow_on(stack, data, steps=800, rng=rng, cond=cond)
+    train_flow_on(stack, data, steps=800, rng=rng, cond=comps)
 
     # linear probe fitted on the real labelled data
     probe = nn.Network([nn.Dense(2, 2, Rng(37))])
@@ -426,10 +443,8 @@ def test_conditioned_flow_separates_classes():
         adam.step()
 
     n = 300
-    cond0 = np.zeros((n, 2)); cond0[:, 0] = 1.0
-    cond1 = np.zeros((n, 2)); cond1[:, 1] = 1.0
-    samples0 = stack.sample(n, Rng(38), cond=cond0)
-    samples1 = stack.sample(n, Rng(39), cond=cond1)
+    samples0 = stack.sample(n, Rng(38), cond=np.zeros(n, dtype=int))
+    samples1 = stack.sample(n, Rng(39), cond=np.ones(n, dtype=int))
     score0 = probe.forward(samples0)
     score1 = probe.forward(samples1)
     auc = auc_score(score0[:, 1] - score0[:, 0], score1[:, 1] - score1[:, 0])

@@ -11,7 +11,7 @@ from prer import nn
 from prer.config import ExperimentConfig
 from prer.data import Task
 from prer.exceptions import ConfigurationError
-from prer.model import build_conv_model, build_mlp_model, one_hot
+from prer.model import build_conv_model, build_mlp_model
 from prer.pipeline import train_autoencoder_phase
 from prer.rng import Rng
 
@@ -53,15 +53,18 @@ def test_head_separation():
 
 
 def test_decoder_conditioning_contract():
-    plain = small_model(decoder_conditioned=False)
     z = Rng(6).normal(size=(3, 8))
-    with pytest.raises(ConfigurationError):
-        plain.decode(z, y_onehot=one_hot(np.array([0, 1, 2]), 4))
     conditioned = small_model(decoder_conditioned=True)
-    with pytest.raises(ConfigurationError):
-        conditioned.decode(z)
-    out = conditioned.decode(z, y_onehot=one_hot(np.array([0, 1, 2]), 4))
+    # none, too few, a column instead of a vector, out of range
+    for y in (None, np.array([0, 1]), np.array([[0], [1], [2]]), np.array([0, 1, 4])):
+        with pytest.raises(ConfigurationError):
+            conditioned.decode(z, y)
+    out = conditioned.decode(z, np.array([0, 1, 3]))
     assert out.shape == (3, 6)
+    assert not np.array_equal(out, conditioned.decode(z, np.array([1, 1, 3])))
+    # an unconditioned decoder ignores the classes
+    plain = small_model(decoder_conditioned=False)
+    assert np.array_equal(plain.decode(z), plain.decode(z, np.array([0, 1, 2])))
 
 
 def test_classify_width_and_determinism():

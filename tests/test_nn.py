@@ -88,14 +88,25 @@ def test_shape_mismatch_names_layer_index():
         bad.forward(np.ones((2, 3)))
 
 
+# classes a conditioned layer must refuse for two rows and 3 classes:
+# none, too few, a column instead of a vector, out of range
+BAD_CLASSES = (None, np.array([0]), np.array([[0], [1]]), np.array([0, 3]), np.array([-1, 0]))
+
+
 def test_condition_contract():
     rng = Rng(2)
-    plain = Network([Dense(2, 2, rng)])
-    with pytest.raises(ConfigurationError):
-        plain.forward(np.ones((1, 2)), cond=np.ones((1, 3)))
+    x = Rng(3).normal(size=(2, 2))
     conditioned = Network([nn.ConcatCondition(3), Dense(5, 2, rng)])
-    with pytest.raises(ConfigurationError):
-        conditioned.forward(np.ones((1, 2)))
+    for cond in BAD_CLASSES:
+        with pytest.raises(ConfigurationError):
+            conditioned.forward(x, cond=cond)
+    dense = conditioned.layers[1]
+    appended = np.concatenate([x, nn.one_hot(np.array([0, 2]), 3)], axis=1)
+    assert np.array_equal(conditioned.forward(x, cond=np.array([0, 2])),
+                          appended @ dense.w.T + dense.b)
+    # a network without a conditioned layer ignores the classes
+    plain = Network([Dense(2, 2, rng)])
+    assert np.array_equal(plain.forward(x), plain.forward(x, cond=np.array([0, 2])))
 
 
 # ---------------------------------------------------------------------------

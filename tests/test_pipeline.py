@@ -1,6 +1,8 @@
 """Tests for the per-task training pipeline: loss reductions, strategy
 equivalences, memory construction and end-to-end conditioning probes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from prer.data import build_task_stream, split_train_test, synth_blobs
 from prer.exceptions import ConfigurationError, DivergenceError, StateError
 from prer.flow import build_flow
 from prer.metrics import task_accuracy
-from prer.model import build_mlp_model, one_hot
+from prer.model import build_mlp_model
+from prer.nn import one_hot
 from prer.pipeline import (
     Memory,
     RunState,
@@ -36,7 +39,6 @@ def make_model(seed, dim=8, classes=4, conditioning="decoder", embedding=8):
         (dim,), classes, Rng(seed),
         embedding_dim=embedding, encoder_hidden=(24,), head_hidden=(16,),
         decoder_conditioned=conditioning in ("both", "decoder"),
-        flow_conditioned=conditioning in ("both", "flow"),
     )
 
 
@@ -315,6 +317,23 @@ def test_generate_memory_embeddings_recompute_exactly():
     assert set(memory.y_global) <= {0, 1}
 
 
+def test_generate_memory_of_conditioned_flow_and_decoder_keeps_its_bits():
+    # digests taken while callers still built the one-hots themselves
+    model = build_mlp_model((6,), 4, Rng(40), embedding_dim=4, encoder_hidden=(12,),
+                            decoder_conditioned=True)
+    flow = build_flow(4, 1, 2, Rng(41), cond_width=4)
+    rng = Rng(42)
+    flow.params[...] = rng.uniform(-0.5, 0.5, flow.params.shape)
+    flow.normalize(rng.normal(size=(64, 4)), cond=rng.integers(0, 4, size=64), train=True)
+    schedule = class_schedule([0, 1, 2, 3], 20, Rng(43))
+    memory = generate_memory(flow, model, 20, schedule, Rng(44), task_index=2)
+    assert hashlib.sha256(memory.images.tobytes()).hexdigest() == (
+        "e6e7c1dfc9ad42bdd77c9d8915aa1c5b08b36fd0903d5202200600e0354f0866")
+    assert hashlib.sha256(memory.embeddings.tobytes()).hexdigest() == (
+        "cc336f8ecd3e6ce4421ed5d51bf9f9a83fb71e2baeb5f8f28fb5479aac67baaa")
+    assert np.array_equal(memory.y_global, schedule)
+
+
 def test_generate_memory_at_first_task_rejected():
     state, _, _ = make_state(20)
     with pytest.raises(StateError):
@@ -454,8 +473,7 @@ def interference_state(seed, strategy, conditioning="decoder"):
                                              per_class=100, sep=5.0, span=3)
     model = build_mlp_model((20,), 10, Rng(seed), embedding_dim=2,
                             encoder_hidden=(32,), head_hidden=(16,),
-                            decoder_conditioned=conditioning in ("both", "decoder"),
-                            flow_conditioned=conditioning in ("both", "flow"))
+                            decoder_conditioned=conditioning in ("both", "decoder"))
     flow = None
     if strategy in ("prer", "prer_r"):
         flow = build_flow(2, 1, 5, Rng(seed).fork("flow-init"),

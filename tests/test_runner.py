@@ -555,10 +555,22 @@ def test_config_validation():
     ("conv_channels", (8, 0)),
     ("head_dropout", 1.0),
     ("head_dropout", -0.1),
+    ("beta", float("nan")),
+    ("bn_momentum", float("nan")),
+    ("bn_momentum", 1.5),
+    ("bn_eps", float("nan")),
+    ("bn_eps", 0.0),
 ])
 def test_config_rejects_nonsense_value_naming_the_key(key, value):
     with pytest.raises(ConfigurationError, match=key):
         tiny_config(**{key: value})
+
+
+@pytest.mark.parametrize("embedding_dim,flow_levels", [(1, 1), (2, 3), (3, 3)])
+def test_config_rejects_a_flow_too_deep_for_the_embedding(embedding_dim, flow_levels):
+    # a flowless strategy still prices the flow in every record
+    with pytest.raises(ConfigurationError, match=r"embedding_dim = \d+ .*flow_levels = \d+"):
+        tiny_config(strategy="naive", embedding_dim=embedding_dim, flow_levels=flow_levels)
 
 
 @pytest.mark.parametrize("path", sorted((Path(__file__).parent.parent / "configs").glob("*.cfg")),
@@ -574,6 +586,9 @@ def test_flow_topology_bounds_and_override():
         tiny_config(flow_levels=4)
     cfg = tiny_config(flow_blocks=3, flow_levels=1, flow_bounds_override=True)
     assert cfg.flow_blocks == 3
+    for key in ("flow_levels", "flow_blocks"):
+        with pytest.raises(ConfigurationError, match=f"{key} must be >= 1"):
+            tiny_config(flow_bounds_override=True, **{key: 0})
 
 
 def test_config_hash_stable_and_sensitive():
