@@ -53,7 +53,6 @@ class ExperimentConfig:
     flow_hidden_multiplier: int = 2
     bn_momentum: float = 0.1
     bn_eps: float = 1e-5
-    flow_bounds_override: bool = False
 
     # evaluation / output
     coverage_cap: int = 500
@@ -73,15 +72,6 @@ class ExperimentConfig:
             raise ConfigurationError("c_m must be > 1")
         if self.encoder not in ("mlp", "conv"):
             raise ConfigurationError(f"unknown encoder kind {self.encoder!r}")
-        if not self.flow_bounds_override:
-            if not 1 <= self.flow_levels <= 3:
-                raise ConfigurationError(
-                    "flow_levels outside 1..3; set flow_bounds_override = true to allow"
-                )
-            if not 5 <= self.flow_blocks <= 10:
-                raise ConfigurationError(
-                    "flow_blocks outside 5..10; set flow_bounds_override = true to allow"
-                )
         if not 0.0 <= self.replay_fraction < 1.0:
             raise ConfigurationError("replay fraction must be in [0, 1)")
         if self.memory_size < 0:
@@ -96,7 +86,7 @@ class ExperimentConfig:
         if not self.beta >= 0.0:
             raise ConfigurationError(f"beta must be >= 0, got {self.beta}")
         if not 0.0 <= self.bn_momentum <= 1.0:
-            raise ConfigurationError(f"bn_momentum must be in [0, 1], got {self.bn_momentum}")
+            raise ConfigurationError(f"bn_momentum = {self.bn_momentum} is not in [0, 1]")
         if not self.bn_eps > 0.0:
             raise ConfigurationError(f"bn_eps must be > 0, got {self.bn_eps}")
         if not self.lr > 0.0:

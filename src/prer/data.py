@@ -152,8 +152,8 @@ def synth_blobs(classes: int, per_class: int, dim: int, separation: float,
     pair directions of different tasks to overlap, which makes sequential
     tasks compete for the same features; that is the knob that turns
     interference on at desk scale."""
-    if separation <= 0:
-        raise ConfigurationError("separation must be positive")
+    if not 0.0 < separation < np.inf:  # NaN fails too
+        raise ConfigurationError(f"blobs argument sep must be finite and > 0, got {separation}")
     if span is None:
         span = dim
     if not 1 <= span <= dim:
@@ -227,12 +227,10 @@ def build_task_stream(dataset: LabeledDataset, classes_per_task: int, seed: int)
     """Group ascending labels into tasks of `classes_per_task` classes;
     the last task keeps the remainder."""
     num_classes = dataset.num_classes
-    if classes_per_task <= 1:
-        raise ConfigurationError("classes per task must be > 1")
     if classes_per_task > num_classes:
         raise ConfigurationError(
-            f"classes per task ({classes_per_task}) exceeds class count ({num_classes})"
-        )
+            f"c_m = {classes_per_task} classes per task exceeds the dataset's "
+            f"{num_classes} classes")
     present = np.unique(dataset.y)
     if not np.array_equal(present, np.arange(num_classes)):
         raise ConfigurationError("labels must form a contiguous 0..C-1 range")

@@ -79,10 +79,6 @@ class BatchNorm:
     """
 
     def __init__(self, dim: int, momentum=0.1, eps=1e-5):
-        if not 0.0 <= momentum <= 1.0:
-            raise ConfigurationError(f"momentum must be in [0, 1], got {momentum}")
-        if not eps > 0.0:
-            raise ConfigurationError("eps must be positive")
         self.dim = int(dim)
         self.momentum = float(momentum)  # weight of the new batch
         self.eps = float(eps)
@@ -176,10 +172,6 @@ class Coupling:
 
     def apply(self, x, direction, cond=None, train=False):
         _check_direction(direction)
-        if x.shape[1] != self.dim:
-            raise ConfigurationError(
-                f"coupling expects width {self.dim}, got {x.shape[1]}"
-            )
         if self.b_dim == 0:
             return x, np.zeros(len(x))
         a = x[:, :self.a_dim]
@@ -245,24 +237,13 @@ class FlowStack:
     """
 
     def __init__(self, levels, dim: int, cond_width: int = 0):
-        if not levels or any(not lvl for lvl in levels):
-            raise ConfigurationError("flow needs at least one non-empty level")
         self.levels = [list(lvl) for lvl in levels]
         self.dim = int(dim)
         self.cond_width = int(cond_width)
         self.level_widths = level_widths(self.dim, len(self.levels))
-        if self.level_widths[-1] < 1:
-            raise ConfigurationError("too many levels for this dimensionality")
         # each level but the last emits the larger half of its width
         self.emit_widths = [w - rest for w, rest in zip(self.level_widths, self.level_widths[1:])]
         self.emit_widths.append(self.level_widths[-1])
-        for lvl, width, layers in zip(range(len(self.levels)), self.level_widths, self.levels):
-            for layer in layers:
-                if getattr(layer, "dim", width) != width:
-                    raise ConfigurationError(
-                        f"level {lvl} expects width {width}, layer {type(layer).__name__} "
-                        f"has width {layer.dim}"
-                    )
         self.params, self.grads = bind_slices(self.networks())
 
     def normalize(self, z, cond=None, train=False):
@@ -381,10 +362,6 @@ def build_flow(dim: int, levels: int, blocks: int, rng: Rng, *,
     information across all dimensions during sampling; at the data side
     the condition would only ever steer the transformed half of the
     coordinates."""
-    if dim < 2:
-        raise ConfigurationError("flow dimensionality must be >= 2")
-    if levels < 1 or blocks < 1:
-        raise ConfigurationError("levels and blocks must be >= 1")
     level_layers = []
     for lvl, w in enumerate(level_widths(dim, levels)):
         layers = []

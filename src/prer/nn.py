@@ -154,8 +154,6 @@ class Dropout(Layer):
 
     def __init__(self, drop_prob: float):
         super().__init__()
-        if not 0.0 <= drop_prob < 1.0:
-            raise ConfigurationError(f"drop probability must be in [0, 1), got {drop_prob}")
         self.drop_prob = float(drop_prob)
 
     def forward(self, x, train=False, rng=None, cond=None):

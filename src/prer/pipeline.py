@@ -199,8 +199,6 @@ def train_classifier_phase(model: ContinualModel, task, cfg, rng: Rng,
     n_val = int(len(task) * cfg.validation_fraction)
     order = rng.fork("val-split").permutation(len(task))
     val_idx, fit_idx = order[:n_val], order[n_val:]
-    if len(fit_idx) == 0:
-        raise ConfigurationError("validation fraction leaves no training data")
     x_val, y_val = task.x[val_idx], task.y_task[val_idx]
 
     dropout_rng = rng.fork("dropout")
@@ -378,8 +376,6 @@ def strategy_train_task(state: RunState, task) -> RunState:
     """Train one task under the strategy of ``state.cfg`` and advance the
     state."""
     cfg, model, t = state.cfg, state.model, task.index
-    if cfg.strategy not in STRATEGIES:
-        raise ConfigurationError(f"unknown strategy {cfg.strategy!r}")
     strategy = STRATEGIES[cfg.strategy]
     if t != state.completed_tasks + 1:
         raise StateError(
@@ -406,7 +402,7 @@ def strategy_train_task(state: RunState, task) -> RunState:
     penalty = replay = None
     if has_rows and strategy.penalty:
         penalty = (memory.images, memory.embeddings)
-    elif has_rows and strategy.replay:
+    elif has_rows and strategy.replay and cfg.replay_fraction > 0.0:
         # a generated row's label must describe what the image actually
         # contains, and the requested condition class is only a request;
         # the nearest-class probe over real past-task embeddings labels the

@@ -218,9 +218,7 @@ def test_stream_reproducible():
 
 def test_stream_validation():
     ds = synth_blobs(classes=4, per_class=10, dim=4, separation=2.0, seed=19)
-    with pytest.raises(ConfigurationError):
-        build_task_stream(ds, 1, seed=20)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="c_m"):
         build_task_stream(ds, 5, seed=21)
 
 
@@ -263,3 +261,10 @@ def test_parse_dataset_spec():
 def test_blobs_spec_rejects_empty_sizes_naming_the_argument(key, value):
     with pytest.raises(ConfigurationError, match=f"blobs argument {key} must be >= 1"):
         parse_dataset_spec(f"blobs:classes=4,dim=5,per_class=7,{key}={value}", seed=24)
+
+
+@pytest.mark.parametrize("sep", ["nan", "inf", "0", "-2"])
+def test_blobs_spec_rejects_a_sep_that_is_not_finite_and_positive(sep):
+    # a NaN or infinite separation would only surface as a NaN loss
+    with pytest.raises(ConfigurationError, match="blobs argument sep must be finite and > 0"):
+        parse_dataset_spec(f"blobs:classes=4,dim=5,per_class=7,sep={sep}", seed=24)

@@ -305,13 +305,6 @@ def test_level_widths_match_the_halving_loop():
                 assert sum(stack.emit_widths) == dim
 
 
-def test_build_flow_rejects_too_many_levels():
-    with pytest.raises(ConfigurationError, match="levels"):
-        build_flow(3, 3, 1, Rng(18))
-    with pytest.raises(ConfigurationError, match="levels"):
-        build_flow(7, 4, 2, Rng(18))
-
-
 def test_conditioning_placement():
     stack = build_flow(8, 2, 3, Rng(21), cond_width=5)
     conditioned = [

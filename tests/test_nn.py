@@ -313,13 +313,6 @@ def test_dropout_eval_is_identity():
     assert np.array_equal(layer.forward(x, train=False), x)
 
 
-def test_dropout_probability_bounds():
-    with pytest.raises(ConfigurationError):
-        Dropout(1.0)
-    with pytest.raises(ConfigurationError):
-        Dropout(-0.1)
-
-
 def test_dropout_inverted_scaling_expectation():
     layer = Dropout(0.2)
     rng = Rng(10)

@@ -2,8 +2,10 @@
 round-trips and the config surface."""
 
 import io
+import re
 import struct
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -517,7 +519,7 @@ def test_parse_config_rejects_bad_value(line, pattern):
 def test_config_text_round_trips_every_hashed_field():
     cfg = tiny_config(strategy="prer_r", conditioning="both", encoder="conv",
                       conv_channels=(3, 5), decoder_hidden=(), head_dropout=0.25,
-                      lr=0.003, flow_bounds_override=True, flow_blocks=3)
+                      lr=0.003, flow_blocks=3)
     text = cfg.canonical_text()
     assert "decoder_hidden = \n" in text
     parsed = parse_config_text(text)
@@ -579,16 +581,24 @@ def test_shipped_configs_validate(path):
     load_config(path)  # validates
 
 
-def test_flow_topology_bounds_and_override():
-    with pytest.raises(ConfigurationError):
-        tiny_config(flow_blocks=3)
-    with pytest.raises(ConfigurationError):
-        tiny_config(flow_levels=4)
-    cfg = tiny_config(flow_blocks=3, flow_levels=1, flow_bounds_override=True)
-    assert cfg.flow_blocks == 3
+def test_readme_config_table_lists_every_key():
+    # the key column of README's `| key | default | meaning |` table,
+    # where one row may document several keys
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | default | meaning |\n| --- | --- | --- |\n", 1)[1]
+    documented = set()
+    for row in table.split("\n\n", 1)[0].splitlines():
+        documented.update(re.findall(r"`(\w+)`", row.split("|")[1]))
+    assert documented == {f.name for f in fields(ExperimentConfig)}
+
+
+def test_flow_topology_takes_any_size_that_fits():
+    # any levels x blocks >= 1 is a valid flow once the embedding can hold it
+    assert tiny_config(flow_blocks=3).flow_blocks == 3
+    assert tiny_config(flow_levels=4, embedding_dim=16).flow_levels == 4
     for key in ("flow_levels", "flow_blocks"):
         with pytest.raises(ConfigurationError, match=f"{key} must be >= 1"):
-            tiny_config(flow_bounds_override=True, **{key: 0})
+            tiny_config(**{key: 0})
 
 
 def test_config_hash_stable_and_sensitive():
