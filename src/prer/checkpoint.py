@@ -7,11 +7,9 @@ a flow, the partial result matrix and a JSON "meta" entry. Resuming
 rebuilds the run from its config and seed and copies the arrays back
 bit-exactly. Flow permutations are not stored, since the "flow-init" fork
 redraws them, and neither is a flow's memory, since every task after the
-first regenerates it before reading it. Task labels are derived from the
-memory's classes when read, so the ``er_memory/y_task`` and
-``er_memory/task_ids`` entries of older files are ignored.
-A checkpoint resumes only the config that wrote it: an array that is
-missing, extra or reshaped raises a ConfigurationError naming it.
+first regenerates it before reading it. A checkpoint resumes only the
+config that wrote it: an array that is missing, extra or reshaped raises
+a ConfigurationError naming it.
 """
 
 import json
@@ -23,7 +21,6 @@ import numpy as np
 
 from .exceptions import ConfigurationError
 from .pipeline import Memory
-from .rng import Rng
 
 
 def state_arrays(state) -> dict:
@@ -101,7 +98,7 @@ def restore_run_state(state, restored):
     (config, seed) that wrote it."""
     for task_id, n_classes in restored["head_classes"].items():
         # the initial weights are overwritten below, so any rng will do
-        state.model.ensure_head(task_id, n_classes, Rng(0))
+        state.model.ensure_head(task_id, n_classes, state.rng.fork("restored-head"))
     want, got = state_arrays(state), restored["arrays"]
     for name in [*want, *sorted(got.keys() - want.keys())]:
         saved = got[name].shape if name in got else "absent"

@@ -51,8 +51,6 @@ class ExperimentConfig:
     flow_levels: int = 1
     flow_blocks: int = 5
     flow_hidden_multiplier: int = 2
-    bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
 
     # evaluation / output
     coverage_cap: int = 500
@@ -85,10 +83,6 @@ class ExperimentConfig:
         # written so that a NaN fails too
         if not self.beta >= 0.0:
             raise ConfigurationError(f"beta must be >= 0, got {self.beta}")
-        if not 0.0 <= self.bn_momentum <= 1.0:
-            raise ConfigurationError(f"bn_momentum = {self.bn_momentum} is not in [0, 1]")
-        if not self.bn_eps > 0.0:
-            raise ConfigurationError(f"bn_eps must be > 0, got {self.bn_eps}")
         if not self.lr > 0.0:
             raise ConfigurationError(f"lr must be > 0, got {self.lr}")
         if not self.min_delta >= 0.0:

@@ -32,11 +32,6 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 LOG_SCALE_BOUND = 2.0
 
 
-def _check_direction(direction):
-    if direction not in (NORMALIZING, GENERATING):
-        raise ConfigurationError(f"unknown direction {direction!r}")
-
-
 class Permutation:
     """Fixed random reordering of the dimensions. Volume preserving.
 
@@ -60,7 +55,6 @@ class Permutation:
         self.inv = np.argsort(self.perm)
 
     def apply(self, x, direction, cond=None, train=False):
-        _check_direction(direction)
         idx = self.perm if direction == NORMALIZING else self.inv
         return x[:, idx], np.zeros(len(x))
 
@@ -78,10 +72,11 @@ class BatchNorm:
     the running statistics.
     """
 
-    def __init__(self, dim: int, momentum=0.1, eps=1e-5):
+    momentum = 0.1  # weight of the new batch
+    eps = 1e-5
+
+    def __init__(self, dim: int):
         self.dim = int(dim)
-        self.momentum = float(momentum)  # weight of the new batch
-        self.eps = float(eps)
         self.mean = np.zeros(dim)
         self.var = np.ones(dim)
         self.initialized = False
@@ -92,7 +87,6 @@ class BatchNorm:
             raise StateError("batch norm used in eval/generating mode before any statistics exist")
 
     def apply(self, x, direction, cond=None, train=False):
-        _check_direction(direction)
         if direction == NORMALIZING:
             if train:
                 if len(x) < 2:
@@ -171,7 +165,6 @@ class Coupling:
         return append_one_hot(a, cond, self.cond_width) if self.cond_width else a
 
     def apply(self, x, direction, cond=None, train=False):
-        _check_direction(direction)
         if self.b_dim == 0:
             return x, np.zeros(len(x))
         a = x[:, :self.a_dim]
@@ -350,8 +343,7 @@ def nll_loss_and_backward(stack: FlowStack, z, cond=None, train=True) -> float:
 
 
 def build_flow(dim: int, levels: int, blocks: int, rng: Rng, *,
-               hidden_multiplier: int = 2, cond_width: int = 0,
-               bn_momentum: float = 0.1, bn_eps: float = 1e-5) -> FlowStack:
+               hidden_multiplier: int = 2, cond_width: int = 0) -> FlowStack:
     """Standard topology: `levels` levels of `blocks` blocks, each block
     being permutation -> batch norm -> coupling in normalizing order.
 
@@ -368,7 +360,7 @@ def build_flow(dim: int, levels: int, blocks: int, rng: Rng, *,
         for blk in range(blocks):
             conditioned = cond_width > 0 and lvl == 0 and blk == blocks - 1
             layers.append(Permutation(w, rng))
-            layers.append(BatchNorm(w, momentum=bn_momentum, eps=bn_eps))
+            layers.append(BatchNorm(w))
             layers.append(Coupling(w, hidden_multiplier * w, rng,
                                    cond_width=cond_width if conditioned else 0))
         level_layers.append(layers)

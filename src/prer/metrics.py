@@ -166,22 +166,22 @@ def generation_quality(memory, model) -> float:
 # memory accounting
 
 
-def memory_footprint(method: str, num_tasks: int, samples_per_task: int,
+def memory_footprint(strategy, num_tasks: int, samples_per_task: int,
                      image_floats: int, embedding_floats: int = 0,
                      model_params: int = 0) -> float:
-    """Float count of the extra storage each strategy carries."""
+    """Float count of the extra storage a strategy carries; ``strategy``
+    is a ``pipeline.Strategy``. A flow strategy stores its generative
+    model, one that replays or penalizes stores real rows (with their
+    embeddings for a penalty), any other stores nothing."""
     for value in (num_tasks, samples_per_task, image_floats, embedding_floats, model_params):
         if value < 0:
             raise ConfigurationError("footprint inputs must be non-negative")
-    if method == "replay":
-        return float(num_tasks * samples_per_task * image_floats)
-    if method == "er":
-        return float(num_tasks * samples_per_task * (image_floats + embedding_floats))
-    if method in ("prer", "prer_r"):
+    if strategy.flow:
         return float(model_params)
-    if method == "naive":
-        return 0.0
-    raise ConfigurationError(f"unknown method {method!r}")
+    if strategy.replay or strategy.penalty:
+        row = image_floats + (embedding_floats if strategy.penalty else 0)
+        return float(num_tasks * samples_per_task * row)
+    return 0.0
 
 
 # ---------------------------------------------------------------------------

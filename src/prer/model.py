@@ -148,9 +148,9 @@ def build_mlp_model(input_shape, num_classes, rng: Rng, *, embedding_dim=16,
 
 
 def build_conv_model(input_shape, num_classes, rng: Rng, *, embedding_dim=100,
-                     conv_channels=(8, 16), kernel_size=3, stride=2,
-                     decoder_hidden=(256,), **options) -> ContinualModel:
-    """Small convolutional backbone for image inputs (channel-major)."""
+                     conv_channels=(8, 16), decoder_hidden=(256,), **options) -> ContinualModel:
+    """Small convolutional backbone for image inputs (channel-major): 3x3
+    kernels at stride 2, each halving the height and width, rounding up."""
     input_shape = tuple(input_shape)
     if len(input_shape) != 3:
         raise ConfigurationError("conv encoder needs (channels, height, width) inputs")
@@ -159,8 +159,7 @@ def build_conv_model(input_shape, num_classes, rng: Rng, *, embedding_dim=100,
     enc_layers = []
     prev_c = input_shape[0]
     for ch in conv_channels:
-        enc_layers += [Conv2d(prev_c, ch, kernel_size, init, stride=stride, padding="same"),
-                       Relu()]
+        enc_layers += [Conv2d(prev_c, ch, 3, init, stride=2), Relu()]
         prev_c = ch
     enc_layers.append(Flatten())
     encoder = Network(enc_layers, name="encoder")

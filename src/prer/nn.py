@@ -199,34 +199,26 @@ class ConcatCondition(Layer):
 
 
 class Conv2d(Layer):
-    """2-D convolution over (batch, channels, height, width) inputs,
-    implemented via im2col. Padding is "valid" or "same"."""
+    """2-D convolution over (batch, channels, height, width) inputs with
+    a square kernel and "same" padding: ceil(size / stride) outputs per
+    side. Implemented via im2col."""
 
     param_names = ("w", "b")
 
-    def __init__(self, in_channels, out_channels, kernel_size, rng: Rng,
-                 stride=1, padding="valid"):
+    def __init__(self, in_channels, out_channels, kernel_size, rng: Rng, stride):
         super().__init__()
-        kh, kw = (kernel_size, kernel_size) if isinstance(kernel_size, int) else kernel_size
-        if padding not in ("valid", "same"):
-            raise ConfigurationError(f"unknown padding mode {padding!r}")
-        if stride < 1:
-            raise ConfigurationError("stride must be >= 1")
         self.in_channels = int(in_channels)
         self.out_channels = int(out_channels)
-        self.kh, self.kw = int(kh), int(kw)
+        self.k = int(kernel_size)
         self.stride = int(stride)
-        self.padding = padding
-        fan_in = in_channels * kh * kw
-        fan_out = out_channels * kh * kw
-        self.w = glorot_uniform(fan_in, fan_out, (out_channels, in_channels, kh, kw), rng)
+        k = self.k
+        self.w = glorot_uniform(in_channels * k * k, out_channels * k * k,
+                                (out_channels, in_channels, k, k), rng)
         self.b = np.zeros(out_channels)
 
-    def _pads(self, size, k):
-        if self.padding == "valid":
-            return 0, 0
+    def _pads(self, size):
         out = -(-size // self.stride)
-        total = max((out - 1) * self.stride + k - size, 0)
+        total = max((out - 1) * self.stride + self.k - size, 0)
         return total // 2, total - total // 2
 
     def forward(self, x, train=False, rng=None, cond=None):
@@ -235,18 +227,15 @@ class Conv2d(Layer):
                 f"expected (batch, {self.in_channels}, h, w) input, got shape {x.shape}"
             )
         n, _, h, w = x.shape
-        ph0, ph1 = self._pads(h, self.kh)
-        pw0, pw1 = self._pads(w, self.kw)
+        ph0, ph1 = self._pads(h)
+        pw0, pw1 = self._pads(w)
         xp = np.pad(x, ((0, 0), (0, 0), (ph0, ph1), (pw0, pw1)))
-        hp, wp = xp.shape[2], xp.shape[3]
-        if hp < self.kh or wp < self.kw:
-            raise ValueError(f"input {h}x{w} smaller than kernel {self.kh}x{self.kw}")
-        oh = (hp - self.kh) // self.stride + 1
-        ow = (wp - self.kw) // self.stride + 1
-        cols = np.empty((n, self.in_channels, self.kh, self.kw, oh, ow))
-        s = self.stride
-        for i in range(self.kh):
-            for j in range(self.kw):
+        k, s = self.k, self.stride
+        oh = (xp.shape[2] - k) // s + 1
+        ow = (xp.shape[3] - k) // s + 1
+        cols = np.empty((n, self.in_channels, k, k, oh, ow))
+        for i in range(k):
+            for j in range(k):
                 cols[:, :, i, j] = xp[:, :, i:i + s * oh:s, j:j + s * ow:s]
         y = np.tensordot(self.w, cols, axes=([1, 2, 3], [1, 2, 3]))
         y = y.transpose(1, 0, 2, 3) + self.b[None, :, None, None]
@@ -264,8 +253,8 @@ class Conv2d(Layer):
         dxp = np.zeros(xp_shape)
         s = self.stride
         oh, ow = grad.shape[2], grad.shape[3]
-        for i in range(self.kh):
-            for j in range(self.kw):
+        for i in range(self.k):
+            for j in range(self.k):
                 dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dcols[:, :, i, j]
         ph0, ph1, pw0, pw1 = pads
         h, w = x_shape[2], x_shape[3]
@@ -417,7 +406,11 @@ class Adam:
     through two scratch vectors allocated once; the operations and their
     order are those of the whole-array formula, so the bits are too."""
 
-    def __init__(self, param_grad_pairs, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, param_grad_pairs, lr=0.001):
         self.pairs = list(param_grad_pairs)
         # gradients are only ever updated in place, so shapes checked
         # here hold for every step
@@ -429,9 +422,6 @@ class Adam:
             if p.ndim != 1:
                 raise ConfigurationError(f"Adam takes 1-D buffers, got shape {p.shape}")
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self.m = [np.zeros_like(p) for p, _ in self.pairs]
         self.v = [np.zeros_like(p) for p, _ in self.pairs]

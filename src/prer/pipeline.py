@@ -190,8 +190,6 @@ def train_classifier_phase(model: ContinualModel, task, cfg, rng: Rng,
     retention term; `replay` is (images, y_task, task_ids) for mini-batch
     overwriting. The epoch snapshot with the best held-out accuracy on
     the current task is kept."""
-    if len(task) == 0:
-        raise ConfigurationError(f"task {task.index} has no training data")
     model.ensure_head(task.index, len(task.classes), rng.fork("head-init"))
     head = model.head(task.index)
     pairs = model.classifier_parameters(task.index)
@@ -326,13 +324,13 @@ def class_schedule(classes_seen, n: int, rng: Rng) -> np.ndarray:
 
 
 def generate_memory(flow: FlowStack, model: ContinualModel, n: int, schedule,
-                    rng: Rng, task_index: int) -> Memory:
+                    rng: Rng) -> Memory:
     """Sample embeddings from the flow, decode them and re-encode the
     decoded images; the resulting rows are the rehearsal memory for the
     upcoming task. `schedule` holds the class of each row, for the flow
-    and the decoder when they are conditioned, or None."""
-    if task_index <= 1:
-        raise StateError("memory generation needs a flow trained on at least one earlier task")
+    and the decoder when they are conditioned, or None. A flow not yet
+    trained on any task has no batch-norm statistics and raises a
+    StateError."""
     z = flow.sample(n, rng, cond=schedule)
     images = model.decode(z, schedule)
     embeddings = model.encode_classify(images)
@@ -394,8 +392,7 @@ def strategy_train_task(state: RunState, task) -> RunState:
                     schedule = class_schedule(state.stream.classes_seen(t - 1),
                                               cfg.memory_size, rng_t.fork("schedule"))
                 state.memory = generate_memory(
-                    state.flow, model, cfg.memory_size, schedule, rng_t.fork("memory-gen"), t
-                )
+                    state.flow, model, cfg.memory_size, schedule, rng_t.fork("memory-gen"))
 
     memory = state.memory
     has_rows = memory is not None and len(memory) > 0

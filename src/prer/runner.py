@@ -66,8 +66,6 @@ def build_flow_from_config(cfg: ExperimentConfig, num_classes, rng: Rng):
         cfg.embedding_dim, cfg.flow_levels, cfg.flow_blocks, rng,
         hidden_multiplier=cfg.flow_hidden_multiplier,
         cond_width=num_classes if cfg.flow_conditioned else 0,
-        bn_momentum=cfg.bn_momentum,
-        bn_eps=cfg.bn_eps,
     )
 
 
@@ -172,12 +170,13 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None, resume=False)
     rng = Rng(seed)
     model = build_model_from_config(cfg, sample_shape, num_classes,
                                     rng.fork("model-init"))
-    flow = None
-    if keeps_flow:
-        flow = build_flow_from_config(cfg, num_classes, rng.fork("flow-init"))
+    # every record prices each strategy's flow, so every strategy builds
+    # it; only a strategy that keeps one trains it
+    flow = build_flow_from_config(cfg, num_classes, rng.fork("flow-init"))
 
     r = np.full((num_tasks, num_tasks), np.nan)
-    state = RunState(model=model, flow=flow, stream=train_stream, cfg=cfg, rng=rng)
+    state = RunState(model=model, flow=flow if keeps_flow else None, stream=train_stream,
+                     cfg=cfg, rng=rng)
     d_t, q_t = {}, {}
 
     ckpt_path = None
@@ -217,13 +216,10 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None, resume=False)
 
     image_floats = int(np.prod(sample_shape))
     decoder_params = model.decoder.param_count()
-    flow_params = flow.param_count() if flow is not None else 0
-    # every record prices each strategy under this config, flow kept or not
-    flow_cost = flow_params or build_flow_from_config(cfg, num_classes, Rng(0)).param_count()
     footprints = {
-        name: metrics.memory_footprint(name, num_tasks, cfg.memory_size, image_floats,
-                                       cfg.embedding_dim, decoder_params + flow_cost)
-        for name in STRATEGIES
+        name: metrics.memory_footprint(kind, num_tasks, cfg.memory_size, image_floats,
+                                       cfg.embedding_dim, decoder_params + flow.param_count())
+        for name, kind in STRATEGIES.items()
     }
 
     r_matrix = [[None if math.isnan(v) else float(v) for v in row] for row in r]
@@ -241,7 +237,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None, resume=False)
         memory_floats=footprints[strategy],
         footprints=footprints,
         timings=dict(state.timings),
-        flow_params=flow_params,
+        flow_params=flow.param_count() if keeps_flow else 0,
         decoder_params=decoder_params,
     )
 

@@ -28,6 +28,7 @@ from prer.metrics import (
 )
 from prer.model import build_mlp_model
 from prer.pipeline import (
+    STRATEGIES,
     RunState,
     class_schedule,
     generate_memory,
@@ -258,12 +259,12 @@ def test_c4_metric_examples_exact():
 
 def test_c5_memory_accounting():
     with criterion(5, "memory footprints reproduce the reference CIFAR counts"):
-        assert memory_footprint("er", 5, 200, 3072, 200) == 3_272_000
-        assert memory_footprint("replay", 5, 2000, 3072) == 30_720_000
+        assert memory_footprint(STRATEGIES["er"], 5, 200, 3072, 200) == 3_272_000
+        assert memory_footprint(STRATEGIES["replay"], 5, 2000, 3072) == 30_720_000
         # the reference MNIST count (676k) is inconsistent with 784-float
         # images; the formula is the contract and gives 884k
-        assert memory_footprint("er", 5, 200, 784, 100) == 884_000
-        assert memory_footprint("er", 5, 200, 784, 100) != 676_000
+        assert memory_footprint(STRATEGIES["er"], 5, 200, 784, 100) == 884_000
+        assert memory_footprint(STRATEGIES["er"], 5, 200, 784, 100) != 676_000
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +390,7 @@ def test_c9_generation_quality(prer_records):
                          cfg=cfg, rng=rng)
         strategy_train_task(state, stream.tasks[0])
         schedule = class_schedule([0, 1], 100, rng.fork("schedule"))
-        memory = generate_memory(flow, model, 100, schedule, rng.fork("gen"),
-                                 task_index=2)
+        memory = generate_memory(flow, model, 100, schedule, rng.fork("gen"))
         q_now = generation_quality(memory, model)
         assert q_now == pytest.approx(100.0, abs=1e-9), f"Q at creation {q_now}"
 

@@ -148,7 +148,7 @@ def test_coupling_condition_contract():
 
 
 def test_batchnorm_unit_stats_is_identity():
-    bn = BatchNorm(3, eps=1e-5)
+    bn = BatchNorm(3)
     bn.var[...] = 1.0 - bn.eps
     bn.mean[...] = 0.0
     bn.initialized = True
@@ -159,7 +159,7 @@ def test_batchnorm_unit_stats_is_identity():
 
 
 def test_batchnorm_logdet_hand_computed():
-    bn = BatchNorm(1, eps=1e-5)
+    bn = BatchNorm(1)
     bn.var[...] = np.exp(2.0) - bn.eps
     bn.initialized = True
     _, ld = bn.apply(np.array([[1.0], [2.0]]), NORMALIZING)
@@ -179,7 +179,7 @@ def test_batchnorm_roundtrip_frozen_stats():
 
 
 def test_batchnorm_first_batch_initializes_then_blends():
-    bn = BatchNorm(2, momentum=0.1)
+    bn = BatchNorm(2)
     rng = Rng(10)
     b1 = rng.normal(size=(50, 2)) + 4.0
     bn.apply(b1, NORMALIZING, train=True)

@@ -18,7 +18,7 @@ from prer.metrics import (
     memory_footprint,
 )
 from prer.model import build_mlp_model
-from prer.pipeline import Memory
+from prer.pipeline import STRATEGIES, Memory
 from prer.rng import Rng
 
 
@@ -288,32 +288,28 @@ def test_quality_empty_memory_rejected():
 
 
 def test_footprint_er_cifar_number():
-    assert memory_footprint("er", 5, 200, 3072, 200) == 3_272_000
+    assert memory_footprint(STRATEGIES["er"], 5, 200, 3072, 200) == 3_272_000
 
 
 def test_footprint_replay_cifar_number():
-    assert memory_footprint("replay", 5, 2000, 3072) == 30_720_000
+    assert memory_footprint(STRATEGIES["replay"], 5, 2000, 3072) == 30_720_000
 
 
 def test_footprint_zero_samples():
-    assert memory_footprint("replay", 5, 0, 3072) == 0.0
-    assert memory_footprint("er", 5, 0, 3072, 100) == 0.0
+    assert memory_footprint(STRATEGIES["replay"], 5, 0, 3072) == 0.0
+    assert memory_footprint(STRATEGIES["er"], 5, 0, 3072, 100) == 0.0
 
 
 def test_footprint_prer_counts_model_params():
-    assert memory_footprint("prer", 5, 200, 784, 100, model_params=250_000) == 250_000
+    assert memory_footprint(STRATEGIES["prer"], 5, 200, 784, 100,
+                            model_params=250_000) == 250_000
 
 
 def test_footprint_mnist_formula_vs_paper_figure():
     # with 28x28 images the formula gives 884k floats for ER at 200/task;
     # the reference 676k figure implies a 576-float image and is documented
     # as a known inconsistency, so the formula is asserted, not the figure
-    assert memory_footprint("er", 5, 200, 784, 100) == 884_000
-
-
-def test_footprint_unknown_method():
-    with pytest.raises(ConfigurationError):
-        memory_footprint("nope", 1, 1, 1)
+    assert memory_footprint(STRATEGIES["er"], 5, 200, 784, 100) == 884_000
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from _helpers import (
 )
 from prer import nn
 from prer.exceptions import ConfigurationError, StateError
-from prer.nn import Adam, Dense, Dropout, Flatten, Network, Relu
+from prer.nn import Adam, Conv2d, Dense, Dropout, Flatten, Network, Relu
 from prer.rng import Rng
 
 
@@ -154,6 +154,18 @@ def test_gradient_property_all_layer_kinds():
         net, x, kwargs = random_layer_instance(seed)
         worst = max(worst, check_network_gradients(net, x, **kwargs))
     assert worst < 1e-4, f"worst relative error {worst}"
+
+
+def test_same_padded_stride_two_conv_takes_inputs_down_to_one_pixel():
+    # the encoder's layer: below the kernel's size, padding still makes
+    # room for one output per side, and its gradients hold there too
+    rng = Rng(61)
+    for s in range(1, 8):
+        net = Network([Conv2d(2, 3, 3, rng, stride=2)])
+        x = rng.normal(size=(2, 2, s, s))
+        assert net.forward(x).shape == (2, 3, -(-s // 2), -(-s // 2))
+        if s <= 2:
+            assert check_network_gradients(net, x) < 1e-4
 
 
 def test_loss_gradients_finite_difference():

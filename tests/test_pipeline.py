@@ -327,7 +327,7 @@ def conditioned_state(seed, n_tasks=1):
 def test_generate_memory_embeddings_recompute_exactly():
     state, train_stream, _ = conditioned_state(17)
     schedule = class_schedule(train_stream.classes_seen(1), 50, Rng(18))
-    memory = generate_memory(state.flow, state.model, 50, schedule, Rng(19), task_index=2)
+    memory = generate_memory(state.flow, state.model, 50, schedule, Rng(19))
     recomputed = state.model.encode_classify(memory.images)
     assert np.array_equal(recomputed, memory.embeddings)
     assert len(memory) == 50
@@ -343,7 +343,7 @@ def test_generate_memory_of_conditioned_flow_and_decoder_keeps_its_bits():
     flow.params[...] = rng.uniform(-0.5, 0.5, flow.params.shape)
     flow.normalize(rng.normal(size=(64, 4)), cond=rng.integers(0, 4, size=64), train=True)
     schedule = class_schedule([0, 1, 2, 3], 20, Rng(43))
-    memory = generate_memory(flow, model, 20, schedule, Rng(44), task_index=2)
+    memory = generate_memory(flow, model, 20, schedule, Rng(44))
     assert hashlib.sha256(memory.images.tobytes()).hexdigest() == (
         "e6e7c1dfc9ad42bdd77c9d8915aa1c5b08b36fd0903d5202200600e0354f0866")
     assert hashlib.sha256(memory.embeddings.tobytes()).hexdigest() == (
@@ -354,7 +354,7 @@ def test_generate_memory_of_conditioned_flow_and_decoder_keeps_its_bits():
 def test_generate_memory_at_first_task_rejected():
     state, _, _ = make_state(20)
     with pytest.raises(StateError):
-        generate_memory(state.flow, state.model, 10, None, Rng(1), task_index=1)
+        generate_memory(state.flow, state.model, 10, None, Rng(1))
 
 
 def test_zero_memory_degenerates_to_naive():
@@ -378,7 +378,7 @@ def test_generated_images_classify_to_requested_class():
     # embedding on blob geometry
     state, _, _ = conditioned_state(22)
     schedule = class_schedule([0, 1], 100, Rng(23))
-    memory = generate_memory(state.flow, state.model, 100, schedule, Rng(24), task_index=2)
+    memory = generate_memory(state.flow, state.model, 100, schedule, Rng(24))
     logits = state.model.classify(memory.images, 1)
     hit = (logits.argmax(axis=1) == memory.y_global).mean()
     assert hit >= 0.8, f"only {hit:.0%} of generated images match their requested class"
@@ -387,7 +387,7 @@ def test_generated_images_classify_to_requested_class():
 def test_flow_samples_survive_second_task():
     state, _, _ = conditioned_state(25, n_tasks=2)
     schedule = class_schedule([0, 1], 100, Rng(26))
-    memory = generate_memory(state.flow, state.model, 100, schedule, Rng(27), task_index=3)
+    memory = generate_memory(state.flow, state.model, 100, schedule, Rng(27))
     logits = state.model.classify(memory.images, 1)
     hit = (logits.argmax(axis=1) == memory.y_global).mean()
     assert hit >= 0.9, f"only {hit:.0%} of task-1 samples survive task 2"
