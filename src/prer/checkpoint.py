@@ -2,14 +2,17 @@
 
 A run is a pure function of (config, seed), so the config fixes the
 shape of the model and the flow. A checkpoint is one .npz holding the
-arrays that ``state_arrays`` names, the rehearsal memory of a run without
-a flow, the partial result matrix and a JSON "meta" entry. Resuming
-rebuilds the run from its config and seed and copies the arrays back
-bit-exactly. Flow permutations are not stored, since the "flow-init" fork
-redraws them, and neither is a flow's memory, since every task after the
-first regenerates it before reading it. A checkpoint resumes only the
-config that wrote it: an array that is missing, extra or reshaped raises
-a ConfigurationError naming it.
+arrays that ``state_arrays`` names, the memory of real rows, the result
+matrix ``r`` and a JSON "meta" entry holding exactly the RunState fields
+that ``PROGRESS`` names. Resuming rebuilds the run from its config and
+seed, and the finished tasks' heads from its stream, then copies the
+arrays back bit-exactly and sets every ``PROGRESS`` field. Flow
+permutations are not stored, since the "flow-init" fork redraws them,
+and neither is a flow's memory, which every task after the first
+regenerates. A checkpoint resumes only the config that wrote it: an
+array that is missing, extra or reshaped, or a ``PROGRESS`` field the
+meta lacks, as in any checkpoint written before these fields had their
+own meta entries, raises a ConfigurationError naming it.
 """
 
 import json
@@ -21,6 +24,9 @@ import numpy as np
 
 from .exceptions import ConfigurationError
 from .pipeline import Memory
+
+# the RunState fields a checkpoint's JSON meta holds, each under its own name
+PROGRESS = ("completed_tasks", "timings", "d_t", "q_t")
 
 
 def state_arrays(state) -> dict:
@@ -51,43 +57,33 @@ def atomic_write(path, write):
         tmp.unlink(missing_ok=True)
 
 
-def save_run_state(path, state, result_matrix, extra: dict):
+def save_run_state(path, state):
     """Persist everything needed to resume after the last finished task:
-    the state arrays, the memory of real rows, the partial result matrix
-    and a free-form JSON block (seed, partial metrics)."""
-    meta = {
-        "completed_tasks": state.completed_tasks,
-        "head_classes": {str(k): v for k, v in state.model.head_classes.items()},
-        "timings": state.timings,
-        "extra": extra,
-    }
+    the state arrays, the result matrix, the memory of real rows and the
+    ``PROGRESS`` fields."""
     arrays = state_arrays(state)
-    arrays["result_matrix"] = np.asarray(result_matrix, dtype=float)
+    arrays["result_matrix"] = state.r
     if state.flow is None and state.memory is not None:
-        for f in fields(Memory):
-            value = getattr(state.memory, f.name)
-            if value is not None:  # the key prefix is kept so older files load
-                arrays[f"er_memory/{f.name}"] = value
-    arrays["meta"] = np.array(json.dumps(meta))
+        arrays.update({f"er_memory/{k}": v for k, v in vars(state.memory).items()
+                       if v is not None})
+    arrays["meta"] = np.array(json.dumps({name: getattr(state, name) for name in PROGRESS}))
     atomic_write(path, lambda fh: np.savez(fh, **arrays))
 
 
 def load_run_state(path):
-    """Read a checkpoint into a dict: "completed_tasks", "result_matrix",
-    "timings", "extra", "head_classes", the named "arrays" and
-    "memory". ``restore_run_state`` puts it into a rebuilt run."""
+    """Read a checkpoint into a dict: the ``PROGRESS`` fields,
+    "result_matrix", the named "arrays" and "memory".
+    ``restore_run_state`` puts it into a rebuilt run."""
     with np.load(path, allow_pickle=False) as data:
         if "meta" not in data.files:
             raise ConfigurationError(f"{path}: no 'meta' entry; not a checkpoint of this format")
         meta = json.loads(str(data["meta"][()]))
-        out = {
-            "completed_tasks": meta["completed_tasks"],
-            "head_classes": {int(k): v for k, v in meta["head_classes"].items()},
-            "timings": meta["timings"],
-            "extra": meta["extra"],
-            "result_matrix": data["result_matrix"],
-            "arrays": {k: data[k] for k in data.files if k.startswith(("model/", "flow/"))},
-        }
+        for name in PROGRESS:
+            if name not in meta:
+                raise ConfigurationError(f"{path}: the checkpoint meta has no {name!r} field")
+        out = {name: meta[name] for name in PROGRESS}
+        out["result_matrix"] = data["result_matrix"]
+        out["arrays"] = {k: data[k] for k in data.files if k.startswith(("model/", "flow/"))}
         memory = {f.name: data.get(f"er_memory/{f.name}") for f in fields(Memory)}
         out["memory"] = Memory(**memory) if memory["images"] is not None else None
         return out
@@ -96,9 +92,9 @@ def load_run_state(path):
 def restore_run_state(state, restored):
     """Copy a loaded checkpoint into ``state``, freshly built from the
     (config, seed) that wrote it."""
-    for task_id, n_classes in restored["head_classes"].items():
+    for task in state.stream.tasks[:restored["completed_tasks"]]:
         # the initial weights are overwritten below, so any rng will do
-        state.model.ensure_head(task_id, n_classes, state.rng.fork("restored-head"))
+        state.model.ensure_head(task.index, len(task.classes), state.rng.fork("restored-head"))
     want, got = state_arrays(state), restored["arrays"]
     for name in [*want, *sorted(got.keys() - want.keys())]:
         saved = got[name].shape if name in got else "absent"
@@ -112,7 +108,8 @@ def restore_run_state(state, restored):
         # checkpoints follow finished tasks, whose flow phase set them all
         for bn in state.flow.batch_norms():
             bn.initialized = True
-    state.completed_tasks = restored["completed_tasks"]
-    state.timings = restored["timings"]
+    for name in PROGRESS:
+        setattr(state, name, restored[name])
+    state.r = restored["result_matrix"]
     state.memory = restored["memory"]
     return state

@@ -29,7 +29,7 @@ class ExperimentConfig:
     encoder: str = "mlp"
     encoder_hidden: tuple = (64,)
     conv_channels: tuple = (8, 16)
-    decoder_hidden: tuple = ()          # empty: mirror encoder_hidden
+    decoder_hidden: tuple = ()          # empty: the encoder builder's default
     embedding_dim: int = 16
     head_hidden: tuple = (64, 32)
     head_dropout: float = 0.2

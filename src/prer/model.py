@@ -33,7 +33,6 @@ class ContinualModel:
         self.proj_reconstruct = proj_reconstruct
         self.decoder = decoder
         self.heads: dict[int, Network] = {}
-        self.head_classes: dict[int, int] = {}
         self.input_shape = tuple(input_shape)
         self.embedding_dim = int(embedding_dim)
         self.head_hidden = tuple(head_hidden)
@@ -53,7 +52,6 @@ class ContinualModel:
         layers.append(Dense(prev, n_classes, rng))
         head = Network(layers, name=f"head-{task_id}")
         self.heads[task_id] = head
-        self.head_classes[task_id] = int(n_classes)
         return head
 
     def head(self, task_id: int) -> Network:
@@ -129,9 +127,10 @@ def _with_tail(encoder, backbone_dim, input_shape, num_classes, init: Rng,
 
 
 def build_mlp_model(input_shape, num_classes, rng: Rng, *, embedding_dim=16,
-                    encoder_hidden=(64,), decoder_hidden=None, **options) -> ContinualModel:
-    """Dense encoder/decoder pair for vector or flattened-image inputs;
-    ``options`` are ContinualModel's head and conditioning keywords."""
+                    encoder_hidden=(64,), decoder_hidden=(), **options) -> ContinualModel:
+    """Dense encoder/decoder pair for vector or flattened-image inputs; an
+    empty ``decoder_hidden`` mirrors the encoder's widths. ``options`` are
+    ContinualModel's head and conditioning keywords."""
     input_shape = tuple(input_shape)
     init = rng.fork("model-build")
 
@@ -141,16 +140,15 @@ def build_mlp_model(input_shape, num_classes, rng: Rng, *, embedding_dim=16,
         enc_layers += [Dense(prev, width, init), Relu()]
         prev = width
     encoder = Network(enc_layers, name="encoder")
-    if decoder_hidden is None:
-        decoder_hidden = tuple(reversed(encoder_hidden))
-    return _with_tail(encoder, prev, input_shape, num_classes, init,
-                      embedding_dim=embedding_dim, decoder_hidden=decoder_hidden, **options)
+    return _with_tail(encoder, prev, input_shape, num_classes, init, embedding_dim=embedding_dim,
+                      decoder_hidden=decoder_hidden or tuple(reversed(encoder_hidden)), **options)
 
 
 def build_conv_model(input_shape, num_classes, rng: Rng, *, embedding_dim=100,
-                     conv_channels=(8, 16), decoder_hidden=(256,), **options) -> ContinualModel:
+                     conv_channels=(8, 16), decoder_hidden=(), **options) -> ContinualModel:
     """Small convolutional backbone for image inputs (channel-major): 3x3
-    kernels at stride 2, each halving the height and width, rounding up."""
+    kernels at stride 2, each halving the height and width, rounding up.
+    An empty ``decoder_hidden`` gives the decoder one 256-wide layer."""
     input_shape = tuple(input_shape)
     if len(input_shape) != 3:
         raise ConfigurationError("conv encoder needs (channels, height, width) inputs")
@@ -165,4 +163,5 @@ def build_conv_model(input_shape, num_classes, rng: Rng, *, embedding_dim=100,
     encoder = Network(enc_layers, name="encoder")
     backbone_dim = encoder.forward(np.zeros((1,) + input_shape)).shape[1]
     return _with_tail(encoder, backbone_dim, input_shape, num_classes, init,
-                      embedding_dim=embedding_dim, decoder_hidden=decoder_hidden, **options)
+                      embedding_dim=embedding_dim, decoder_hidden=decoder_hidden or (256,),
+                      **options)

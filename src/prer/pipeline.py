@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .exceptions import ConfigurationError, DivergenceError, StateError
+from .exceptions import ConfigurationError, DivergenceError
 from .flow import FlowStack, nll_loss_and_backward
 from .metrics import KnnProbe
 from .model import ContinualModel
@@ -343,6 +343,9 @@ def generate_memory(flow: FlowStack, model: ContinualModel, n: int, schedule,
 
 @dataclass
 class RunState:
+    """Everything a run has done so far. ``r`` is the result matrix, NaN
+    until evaluated; ``d_t`` and ``q_t`` are keyed as the record keys them."""
+
     model: ContinualModel
     flow: FlowStack | None
     stream: object
@@ -351,6 +354,12 @@ class RunState:
     completed_tasks: int = 0
     memory: Memory | None = None
     timings: dict = field(default_factory=dict)
+    d_t: dict = field(default_factory=dict)
+    q_t: dict = field(default_factory=dict)
+    r: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.r = np.full((len(self.stream),) * 2, np.nan)
 
     @contextmanager
     def timed(self, phase):
@@ -370,16 +379,12 @@ def _past_task_probe(state: RunState, through_task: int) -> KnnProbe:
     return KnnProbe(k=5).fit(np.concatenate(xs), np.concatenate(ys))
 
 
-def strategy_train_task(state: RunState, task) -> RunState:
-    """Train one task under the strategy of ``state.cfg`` and advance the
-    state."""
-    cfg, model, t = state.cfg, state.model, task.index
+def strategy_train_task(state: RunState) -> RunState:
+    """Train the state's next task under the strategy of ``state.cfg``
+    and advance the state."""
+    cfg, model, t = state.cfg, state.model, state.completed_tasks + 1
+    task = state.stream.tasks[t - 1]
     strategy = STRATEGIES[cfg.strategy]
-    if t != state.completed_tasks + 1:
-        raise StateError(
-            f"tasks must be trained in order; expected task {state.completed_tasks + 1}, "
-            f"got {t}"
-        )
     rng_t = state.rng.fork(f"task{t}")
 
     if strategy.flow:
@@ -404,8 +409,10 @@ def strategy_train_task(state: RunState, task) -> RunState:
         # contains, and the requested condition class is only a request;
         # the nearest-class probe over real past-task embeddings labels the
         # content itself, so it is used in every conditioning mode
-        labels = (_past_task_probe(state, t).predict(memory.embeddings) if strategy.flow
-                  else memory.y_global)
+        labels = memory.y_global
+        if strategy.flow:
+            with state.timed("memory"):
+                labels = _past_task_probe(state, t).predict(memory.embeddings)
         replay = (memory.images, state.stream.within_task_label(labels),
                   state.stream.task_of_class(labels))
 

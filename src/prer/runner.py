@@ -56,9 +56,9 @@ def build_model_from_config(cfg: ExperimentConfig, input_shape, num_classes, rng
                   head_dropout=cfg.head_dropout, decoder_conditioned=cfg.decoder_conditioned)
     if cfg.encoder == "mlp":
         return build_mlp_model(input_shape, num_classes, rng, encoder_hidden=cfg.encoder_hidden,
-                               decoder_hidden=cfg.decoder_hidden or None, **shared)
+                               decoder_hidden=cfg.decoder_hidden, **shared)
     return build_conv_model(input_shape, num_classes, rng, conv_channels=cfg.conv_channels,
-                            decoder_hidden=cfg.decoder_hidden or (256,), **shared)
+                            decoder_hidden=cfg.decoder_hidden, **shared)
 
 
 def build_flow_from_config(cfg: ExperimentConfig, num_classes, rng: Rng):
@@ -69,13 +69,13 @@ def build_flow_from_config(cfg: ExperimentConfig, num_classes, rng: Rng):
     )
 
 
-def _coverage(state, train_stream, through_task, cap, rng):
+def _coverage(state, through_task, cap, rng):
     """Class-averaged Hausdorff distance between real reconstruction
     embeddings and flow samples, per class seen so far."""
     model = state.model
-    classes = sorted(train_stream.classes_seen(through_task))
+    classes = sorted(state.stream.classes_seen(through_task))
     real_by_class = {}
-    tasks = train_stream.tasks[:through_task]
+    tasks = state.stream.tasks[:through_task]
     for c in classes:
         # the cap picks positions in the class's rows of tasks 1..t, in
         # task order; only the picked rows are gathered
@@ -174,45 +174,28 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None, resume=False)
     # it; only a strategy that keeps one trains it
     flow = build_flow_from_config(cfg, num_classes, rng.fork("flow-init"))
 
-    r = np.full((num_tasks, num_tasks), np.nan)
     state = RunState(model=model, flow=flow if keeps_flow else None, stream=train_stream,
                      cfg=cfg, rng=rng)
-    d_t, q_t = {}, {}
 
     ckpt_path = None
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         ckpt_path = _checkpoint_path(out_dir, cfg, strategy, seed)
     if resume and ckpt_path is not None and ckpt_path.exists():
-        # the model and flow just built from (config, seed) have the shapes
-        # the checkpoint was written from; only their arrays are restored
-        restored = checkpoint.load_run_state(ckpt_path)
-        checkpoint.restore_run_state(state, restored)
-        r = restored["result_matrix"]
-        d_t = {int(k): v for k, v in restored["extra"].get("d_t", {}).items()}
-        q_t = {int(k): v for k, v in restored["extra"].get("q_t", {}).items()}
+        # the model and flow just built from (config, seed) take its arrays
+        checkpoint.restore_run_state(state, checkpoint.load_run_state(ckpt_path))
 
-    for task in train_stream.tasks[state.completed_tasks:]:
-        strategy_train_task(state, task)
-        t = task.index
-
+    for t in range(state.completed_tasks + 1, num_tasks + 1):
+        strategy_train_task(state)
         with state.timed("evaluation"):
             for j in range(1, t + 1):
-                r[t - 1, j - 1] = metrics.task_accuracy(model, test_stream.tasks[j - 1])
+                state.r[t - 1, j - 1] = metrics.task_accuracy(model, test_stream.tasks[j - 1])
             if keeps_flow:
-                d_t[t] = _coverage(state, train_stream, t, cfg.coverage_cap,
-                                   rng.fork(f"coverage{t}"))
+                state.d_t[str(t)] = _coverage(state, t, cfg.coverage_cap, rng.fork(f"coverage{t}"))
                 if state.memory is not None and len(state.memory):
-                    q_t[t] = metrics.generation_quality(state.memory, model)
-
+                    state.q_t[str(t)] = metrics.generation_quality(state.memory, model)
         if cfg.checkpoints and ckpt_path is not None:
-            extra = {
-                "seed": seed,
-                "config_hash": cfg.config_hash(),
-                "d_t": {str(k): v for k, v in d_t.items()},
-                "q_t": {str(k): v for k, v in q_t.items()},
-            }
-            checkpoint.save_run_state(ckpt_path, state, r, extra)
+            checkpoint.save_run_state(ckpt_path, state)
 
     image_floats = int(np.prod(sample_shape))
     decoder_params = model.decoder.param_count()
@@ -222,7 +205,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None, resume=False)
         for name, kind in STRATEGIES.items()
     }
 
-    r_matrix = [[None if math.isnan(v) else float(v) for v in row] for row in r]
+    r_matrix = [[None if math.isnan(v) else float(v) for v in row] for row in state.r]
     return RunRecord(
         config_hash=cfg.config_hash(),
         seed=seed,
@@ -230,10 +213,10 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None, resume=False)
         dataset=cfg.dataset,
         num_tasks=num_tasks,
         r_matrix=r_matrix,
-        accuracy=metrics.accuracy(r),
-        bwt=metrics.bwt(r) if num_tasks >= 2 else None,
-        d_t={str(k): float(v) for k, v in d_t.items()},
-        q_t={str(k): float(v) for k, v in q_t.items()},
+        accuracy=metrics.accuracy(state.r),
+        bwt=metrics.bwt(state.r) if num_tasks >= 2 else None,
+        d_t=dict(state.d_t),
+        q_t=dict(state.q_t),
         memory_floats=footprints[strategy],
         footprints=footprints,
         timings=dict(state.timings),

@@ -388,7 +388,7 @@ def test_c9_generation_quality(prer_records):
         flow = build_flow(2, 1, 5, rng.fork("flow-init"))
         state = RunState(model=model, flow=flow, stream=stream,
                          cfg=cfg, rng=rng)
-        strategy_train_task(state, stream.tasks[0])
+        strategy_train_task(state)
         schedule = class_schedule([0, 1], 100, rng.fork("schedule"))
         memory = generate_memory(flow, model, 100, schedule, rng.fork("gen"))
         q_now = generation_quality(memory, model)

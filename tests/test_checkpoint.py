@@ -2,11 +2,14 @@
 state freshly built from the same (config, seed) must come back
 bit-exact, and a resumed run must continue from the stored task."""
 
+import json
+
 import numpy as np
 import pytest
 
 from _helpers import array_pairs
-from prer.checkpoint import load_run_state, restore_run_state, save_run_state, state_arrays
+from prer.checkpoint import (PROGRESS, load_run_state, restore_run_state, save_run_state,
+                             state_arrays)
 from prer.config import ExperimentConfig
 from prer.data import build_task_stream, split_train_test, synth_blobs
 from prer.exceptions import ConfigurationError
@@ -18,15 +21,20 @@ from prer.rng import Rng
 
 def fresh_state(seed=1, cond_width=0, decoder_conditioned=False, encoder_hidden=(10,),
                 with_flow=True):
-    """What the runner builds from a config: a model, and a flow from the
-    seed's "flow-init" fork, so the permutations match across rebuilds."""
+    """What the runner builds from a config: a model, a flow from the
+    seed's "flow-init" fork, so the permutations match across rebuilds,
+    and a two-task stream of 2 classes each, which the heads are rebuilt
+    from."""
     model = build_mlp_model((6,), 4, Rng(seed), embedding_dim=6,
                             encoder_hidden=encoder_hidden,
                             decoder_conditioned=decoder_conditioned)
     flow = None
     if with_flow:
         flow = build_flow(6, 2, 3, Rng(seed).fork("flow-init"), cond_width=cond_width)
-    return RunState(model=model, flow=flow, stream=None, cfg=ExperimentConfig(), rng=Rng(seed))
+    ds = synth_blobs(classes=4, per_class=10, dim=6, separation=5.0, seed=seed)
+    stream = build_task_stream(split_train_test(ds, seed)[0], 2, seed)
+    return RunState(model=model, flow=flow, stream=stream, cfg=ExperimentConfig(),
+                    rng=Rng(seed))
 
 
 def trained_state(seed=1, **kwargs):
@@ -51,7 +59,7 @@ def trained_state(seed=1, **kwargs):
 
 def roundtrip(state, tmp_path, seed=1, **kwargs):
     path = tmp_path / "state.npz"
-    save_run_state(path, state, np.full((2, 2), np.nan), {"seed": seed})
+    save_run_state(path, state)
     return restore_run_state(fresh_state(seed, **kwargs), load_run_state(path))
 
 
@@ -89,12 +97,12 @@ def test_model_roundtrip(tmp_path):
     z = model.encode_reconstruct(x)
     assert np.array_equal(model.decode(z, cond), restored.decode(z, cond))
     assert restored.decoder_conditioned
-    assert restored.head_classes == {1: 2, 2: 2}
+    assert sorted(restored.heads) == [1, 2]
 
 
 def test_restore_rejects_another_config(tmp_path):
     path = tmp_path / "state.npz"
-    save_run_state(path, trained_state(), np.full((2, 2), np.nan), {})
+    save_run_state(path, trained_state())
     restored = load_run_state(path)
     with pytest.raises(ConfigurationError,
                        match=r"'model/encoder' is \(70,\) in the file, \(84,\) in this run"):
@@ -112,7 +120,7 @@ def test_per_array_layout_is_refused(tmp_path):
     # the layout before flat parameter buffers: one entry per weight and bias
     state = trained_state()
     path = tmp_path / "state.npz"
-    save_run_state(path, state, np.full((2, 2), np.nan), {})
+    save_run_state(path, state)
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files if not k.startswith(("model/", "flow/p"))}
     for name, net in state.model.all_networks().items():
@@ -148,10 +156,10 @@ def run_tasks(seed, n_tasks, checkpoint_path=None, resume_path=None):
     state = RunState(model=model, flow=flow, stream=stream, cfg=cfg, rng=Rng(seed))
     if resume_path is not None:
         restore_run_state(state, load_run_state(resume_path))
-    for task in stream.tasks[state.completed_tasks:n_tasks]:
-        strategy_train_task(state, task)
+    for _ in range(state.completed_tasks, n_tasks):
+        strategy_train_task(state)
     if checkpoint_path is not None:
-        save_run_state(checkpoint_path, state, np.full((2, 2), np.nan), {"seed": seed})
+        save_run_state(checkpoint_path, state)
     return state
 
 
@@ -164,7 +172,7 @@ def test_run_state_resume_matches_straight_run(tmp_path):
     run_tasks(11, n_tasks=1, checkpoint_path=path)
     restored = load_run_state(path)
     assert restored["completed_tasks"] == 1
-    assert restored["extra"] == {"seed": 11}
+    assert restored["d_t"] == restored["q_t"] == {}
     resumed = run_tasks(11, n_tasks=2, resume_path=path)
 
     for (p, _), (q, _) in zip(straight.model.encoder.parameters(),
@@ -173,3 +181,30 @@ def test_run_state_resume_matches_straight_run(tmp_path):
     for (p, _), (q, _) in zip(straight.flow.parameters(), resumed.flow.parameters()):
         assert np.array_equal(p, q)
     assert np.array_equal(straight.memory.images, resumed.memory.images)
+
+
+def test_meta_holds_exactly_the_progress_fields(tmp_path):
+    state = trained_state()
+    state.d_t, state.q_t = {"1": 0.5, "2": 0.25}, {"2": 99.0}
+    path = tmp_path / "state.npz"
+    save_run_state(path, state)
+    with np.load(path) as data:
+        meta = json.loads(str(data["meta"][()]))
+    assert sorted(meta) == sorted(PROGRESS) == ["completed_tasks", "d_t", "q_t", "timings"]
+    restored = restore_run_state(fresh_state(), load_run_state(path))
+    assert (restored.completed_tasks, restored.d_t, restored.q_t) == (2, state.d_t, state.q_t)
+
+
+def test_checkpoint_with_an_extra_block_is_refused_by_name(tmp_path):
+    # the layout before PROGRESS: head class counts and a free-form
+    # block holding the seed, the config hash and d_t, q_t
+    path = tmp_path / "state.npz"
+    save_run_state(path, trained_state())
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = {"completed_tasks": 2, "head_classes": {"1": 2, "2": 2}, "timings": {},
+            "extra": {"seed": 1, "config_hash": "0" * 16, "d_t": {"1": 0.5}, "q_t": {}}}
+    arrays["meta"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+    with pytest.raises(ConfigurationError, match="checkpoint meta has no 'd_t' field"):
+        load_run_state(path)

@@ -108,7 +108,7 @@ def test_beta_zero_matches_naive_trajectory(strategy, knob):
         state, train_stream, _ = make_state(11, strategy=strategy, classifier_epochs=4,
                                             ae_max_epochs=8, flow_max_epochs=8, **kwargs)
         for task in train_stream.tasks[:2]:
-            strategy_train_task(state, task)
+            strategy_train_task(state)
         return (get_params(state.model.encoder) + get_params(state.model.proj_classify)
                 + get_params(state.model.heads[1]) + get_params(state.model.heads[2]))
 
@@ -130,7 +130,7 @@ def test_prer_r_without_replay_builds_no_label_probe(monkeypatch):
                                         ae_max_epochs=4, flow_max_epochs=4,
                                         replay_fraction=0.0)
     for task in train_stream.tasks[:2]:
-        strategy_train_task(state, task)
+        strategy_train_task(state)
     assert state.completed_tasks == 2 and len(state.memory) > 0
 
 
@@ -138,7 +138,7 @@ def test_replay_and_er_match_naive_on_first_task():
     finals = {}
     for strategy in ("naive", "replay", "er"):
         state, train_stream, _ = make_state(12, strategy=strategy, classifier_epochs=5)
-        strategy_train_task(state, train_stream.tasks[0])
+        strategy_train_task(state)
         finals[strategy] = classifier_params(state.model, 1)
     for strategy in ("replay", "er"):
         for a, b in zip(finals["naive"], finals[strategy]):
@@ -152,7 +152,7 @@ def test_beta_one_retains_first_task_at_least_as_well_as_beta_zero():
             state, train_stream, test_stream = make_state(
                 20 + seed, strategy="prer", beta=beta, classifier_epochs=10)
             for task in train_stream.tasks[:2]:
-                strategy_train_task(state, task)
+                strategy_train_task(state)
             acc[beta].append(task_accuracy(state.model, test_stream.tasks[0]))
     assert np.mean(acc[1.0]) >= np.mean(acc[0.0])
 
@@ -320,7 +320,7 @@ def conditioned_state(seed, n_tasks=1):
                       patience=15, min_delta=1e-5).validate()
     state = RunState(model=model, flow=flow, stream=train_stream, cfg=cfg, rng=Rng(seed))
     for task in train_stream.tasks[:n_tasks]:
-        strategy_train_task(state, task)
+        strategy_train_task(state)
     return state, train_stream, test_stream
 
 
@@ -364,7 +364,7 @@ def test_zero_memory_degenerates_to_naive():
                                             classifier_epochs=4, ae_max_epochs=6,
                                             flow_max_epochs=6, **kwargs)
         for task in train_stream.tasks[:2]:
-            strategy_train_task(state, task)
+            strategy_train_task(state)
         finals[strategy] = (
             get_params(state.model.encoder) + get_params(state.model.proj_classify)
         )
@@ -415,7 +415,7 @@ def test_naive_stream_shows_negative_bwt():
         state = RunState(model=model, flow=None, stream=train_stream, cfg=cfg, rng=Rng(seed))
         r = np.full((5, 5), np.nan)
         for task in train_stream.tasks:
-            strategy_train_task(state, task)
+            strategy_train_task(state)
             for j in range(task.index):
                 r[task.index - 1, j] = task_accuracy(state.model, test_stream.tasks[j])
         from prer.metrics import bwt
@@ -423,19 +423,13 @@ def test_naive_stream_shows_negative_bwt():
     assert all(b < 0 for b in bwts), bwts
 
 
-def test_tasks_must_run_in_order():
-    state, train_stream, _ = make_state(32)
-    with pytest.raises(StateError):
-        strategy_train_task(state, train_stream.tasks[1])
-
-
 def test_er_memory_grows_per_task_and_stores_embeddings():
     state, train_stream, _ = make_state(33, strategy="er", classifier_epochs=3,
                                         memory_size=40)
-    strategy_train_task(state, train_stream.tasks[0])
+    strategy_train_task(state)
     assert len(state.memory) == 40
     assert state.memory.embeddings.shape == (40, state.model.embedding_dim)
-    strategy_train_task(state, train_stream.tasks[1])
+    strategy_train_task(state)
     assert len(state.memory) == 80
     assert len(state.memory.embeddings) == 80
     # each task's rows keep their own task's global classes
@@ -446,16 +440,16 @@ def test_er_memory_grows_per_task_and_stores_embeddings():
 def test_replay_memory_has_no_embeddings():
     state, train_stream, _ = make_state(34, strategy="replay", classifier_epochs=3,
                                         memory_size=25)
-    strategy_train_task(state, train_stream.tasks[0])
+    strategy_train_task(state)
     assert state.memory.embeddings is None
     assert set(state.memory.y_global) <= set(train_stream.tasks[0].classes)
 
 
 def test_past_heads_never_mutated():
     state, train_stream, _ = make_state(35, strategy="replay", classifier_epochs=5)
-    strategy_train_task(state, train_stream.tasks[0])
+    strategy_train_task(state)
     head1_before = get_params(state.model.heads[1])
-    strategy_train_task(state, train_stream.tasks[1])
+    strategy_train_task(state)
     for a, b in zip(head1_before, get_params(state.model.heads[1])):
         assert np.array_equal(a, b)
 
@@ -466,7 +460,7 @@ def test_single_flow_and_decoder_persist_across_tasks():
     flow_id = id(state.flow)
     decoder_id = id(state.model.decoder)
     for task in train_stream.tasks[:2]:
-        strategy_train_task(state, task)
+        strategy_train_task(state)
     assert id(state.flow) == flow_id
     assert id(state.model.decoder) == decoder_id
 
@@ -498,7 +492,7 @@ def stream_bwt(state, strategy, train_stream, test_stream):
     m = len(train_stream.tasks)
     r = np.full((m, m), np.nan)
     for task in train_stream.tasks:
-        strategy_train_task(state, task)
+        strategy_train_task(state)
         for j in range(task.index):
             r[task.index - 1, j] = task_accuracy(state.model, test_stream.tasks[j])
     from prer.metrics import bwt
@@ -527,7 +521,7 @@ def test_prer_r_unconditioned_uses_probe_labels():
     # from the nearest-class probe over real past-task embeddings
     state, tr, te = interference_state(5, "prer_r", conditioning="none")
     for task in tr.tasks[:3]:
-        strategy_train_task(state, task)
+        strategy_train_task(state)
     assert state.memory.y_global is None
     assert state.completed_tasks == 3
 

@@ -150,13 +150,13 @@ def trained_tasks(monkeypatch, crash_at=None):
     train = runner.strategy_train_task
     log = {"tasks": [], "state": None}
 
-    def wrapper(*args):
-        state, task = args[-2:]
-        if task.index == crash_at:
+    def wrapper(state):
+        t = state.completed_tasks + 1
+        if t == crash_at:
             raise Crash
-        log["tasks"].append(task.index)
+        log["tasks"].append(t)
         log["state"] = state
-        return train(*args)
+        return train(state)
 
     monkeypatch.setattr(runner, "strategy_train_task", wrapper)
     return log
@@ -220,7 +220,7 @@ def test_coverage_pool_in_uneven_chunks_gives_the_one_chunk_bits(monkeypatch):
     def coverage(budget):
         outputs.clear()
         monkeypatch.setattr(metrics, "CHUNK_FLOATS", budget)
-        return runner._coverage(state, state.stream, 2, cfg.coverage_cap, Rng(7)), list(outputs)
+        return runner._coverage(state, 2, cfg.coverage_cap, Rng(7)), list(outputs)
 
     one, [pool] = coverage(10 ** 9)
     n = len(pool)
@@ -270,7 +270,7 @@ def scripted_coverage(monkeypatch, state, cap, label_of):
         patch.setattr(metrics.KnnProbe, "predict", predict)
         patch.setattr(state.flow, "generate", recording)
         patch.setattr(metrics, "coverage_hausdorff", comparing)
-        d_t = runner._coverage(state, state.stream, 2, cap, Rng(7))
+        d_t = runner._coverage(state, 2, cap, Rng(7))
     return d_t, outputs, compared["real"], compared["gen"]
 
 
@@ -409,6 +409,17 @@ def test_interrupted_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
     assert load_run_state(path)["completed_tasks"] == 1
     resumed = run_experiment(cfg, seed=1, out_dir=tmp_path, resume=True)
     assert without_wallclock(resumed) == straight
+
+
+def test_empty_decoder_hidden_is_each_encoders_default():
+    # the MLP mirrors its encoder, the conv model gets one 256-wide layer
+    def hidden_widths(**overrides):
+        cfg = tiny_config(decoder_hidden=(), **overrides)
+        model = runner.build_model_from_config(cfg, (1, 6, 6), 4, Rng(3))
+        return [layer.out_dim for layer in model.decoder.layers[:-1] if hasattr(layer, "out_dim")]
+
+    assert hidden_widths(encoder_hidden=(12, 10)) == [10, 12]
+    assert hidden_widths(encoder="conv", conv_channels=(2, 3)) == [256]
 
 
 def test_conv_encoder_run_on_idx_images(tmp_path):

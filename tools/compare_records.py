@@ -148,10 +148,10 @@ def worker():
             cfg = config.parse_config_text(text)
             with tempfile.TemporaryDirectory() as out_dir:
                 if crash_at is not None:
-                    # the task is the last argument under either signature,
-                    # (strategy, state, task) or (state, task)
+                    # the state comes first under either signature, (state,
+                    # task) or (state), and its next task is the one trained
                     def crashing(*args):
-                        if args[-1].index == crash_at:
+                        if args[0].completed_tasks + 1 == crash_at:
                             raise _Crash
                         return train(*args)
                     runner.strategy_train_task = crashing
