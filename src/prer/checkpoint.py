@@ -9,10 +9,11 @@ seed, and the finished tasks' heads from its stream, then copies the
 arrays back bit-exactly and sets every ``PROGRESS`` field. Flow
 permutations are not stored, since the "flow-init" fork redraws them,
 and neither is a flow's memory, which every task after the first
-regenerates. A checkpoint resumes only the config that wrote it: an
-array that is missing, extra or reshaped, or a ``PROGRESS`` field the
-meta lacks, as in any checkpoint written before these fields had their
-own meta entries, raises a ConfigurationError naming it.
+regenerates. A checkpoint resumes only the config that wrote it: a
+state array or the result matrix missing or reshaped, an extra array,
+or a ``PROGRESS`` field the meta lacks, as in any checkpoint written
+before these fields had their own meta entries, raises a
+ConfigurationError naming it.
 """
 
 import json
@@ -75,8 +76,10 @@ def load_run_state(path):
     "result_matrix", the named "arrays" and "memory".
     ``restore_run_state`` puts it into a rebuilt run."""
     with np.load(path, allow_pickle=False) as data:
-        if "meta" not in data.files:
-            raise ConfigurationError(f"{path}: no 'meta' entry; not a checkpoint of this format")
+        for name in ("meta", "result_matrix"):
+            if name not in data.files:
+                raise ConfigurationError(
+                    f"{path}: no {name!r} entry; not a checkpoint of this format")
         meta = json.loads(str(data["meta"][()]))
         for name in PROGRESS:
             if name not in meta:
@@ -95,7 +98,8 @@ def restore_run_state(state, restored):
     for task in state.stream.tasks[:restored["completed_tasks"]]:
         # the initial weights are overwritten below, so any rng will do
         state.model.ensure_head(task.index, len(task.classes), state.rng.fork("restored-head"))
-    want, got = state_arrays(state), restored["arrays"]
+    want = {**state_arrays(state), "result_matrix": state.r}
+    got = {**restored["arrays"], "result_matrix": restored["result_matrix"]}
     for name in [*want, *sorted(got.keys() - want.keys())]:
         saved = got[name].shape if name in got else "absent"
         needed = want[name].shape if name in want else "absent"
@@ -110,6 +114,5 @@ def restore_run_state(state, restored):
             bn.initialized = True
     for name in PROGRESS:
         setattr(state, name, restored[name])
-    state.r = restored["result_matrix"]
     state.memory = restored["memory"]
     return state

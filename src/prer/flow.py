@@ -87,32 +87,35 @@ class BatchNorm:
             raise StateError("batch norm used in eval/generating mode before any statistics exist")
 
     def apply(self, x, direction, cond=None, train=False):
-        if direction == NORMALIZING:
-            if train:
-                if len(x) < 2:
-                    raise ConfigurationError("batch norm needs batch size >= 2 in train mode")
-                mean_b = x.mean(axis=0)
-                var_b = x.var(axis=0)
-                if not self.initialized:
-                    self.mean[...] = mean_b
-                    self.var[...] = var_b
-                    self.initialized = True
-                else:
-                    m = self.momentum
-                    self.mean[...] = (1.0 - m) * self.mean + m * mean_b
-                    self.var[...] = (1.0 - m) * self.var + m * var_b
-                mean, var = mean_b, var_b
+        if direction == NORMALIZING and train:
+            n = len(x)
+            if n < 2:
+                raise ConfigurationError("batch norm needs batch size >= 2 in train mode")
+            # numpy's mean and variance formulas, bit for bit, with the
+            # sum and the centring taken once
+            mean = x.sum(axis=0) / n
+            centred = x - mean
+            var = (centred ** 2).sum(axis=0) / n
+            if not self.initialized:
+                self.mean[...] = mean
+                self.var[...] = var
+                self.initialized = True
             else:
-                self._require_init()
-                mean, var = self.mean, self.var
-            denom = np.sqrt(var + self.eps)
-            self._cache = denom
-            logdet = -0.5 * float(np.log(var + self.eps).sum())
-            return (x - mean) / denom, np.full(len(x), logdet)
-        self._require_init()
-        scale = np.sqrt(self.var + self.eps)
-        logdet = 0.5 * float(np.log(self.var + self.eps).sum())
-        return x * scale + self.mean, np.full(len(x), logdet)
+                m = self.momentum
+                self.mean[...] = (1.0 - m) * self.mean + m * mean
+                self.var[...] = (1.0 - m) * self.var + m * var
+        else:
+            self._require_init()
+            mean, var = self.mean, self.var
+        var_eps = var + self.eps
+        scale = np.sqrt(var_eps)
+        logdet = 0.5 * float(np.log(var_eps).sum())
+        if direction == GENERATING:
+            return x * scale + mean, np.full(len(x), logdet)
+        if not train:  # a train pass centred the batch above
+            centred = x - mean
+        self._cache = scale
+        return centred / scale, np.full(len(x), -logdet)
 
     def backward_normalizing(self, grad, grad_logdet):
         # batch statistics are constants for the gradient, so the logdet
@@ -170,8 +173,8 @@ class Coupling:
         a = x[:, :self.a_dim]
         b = x[:, self.a_dim:]
         net_in = self._net_input(a, cond)
-        raw = self.scale_net.forward(net_in)
-        log_s = LOG_SCALE_BOUND * np.tanh(raw)
+        tanh_raw = np.tanh(self.scale_net.forward(net_in))
+        log_s = LOG_SCALE_BOUND * tanh_raw
         if not np.isfinite(log_s).all():
             raise DivergenceError("coupling produced non-finite log-scales")
         t = self.translate_net.forward(net_in)
@@ -184,9 +187,10 @@ class Coupling:
             self.translate_net.drop_caches()
             self._cache = None
         else:
-            out_b = (b - t) * np.exp(-log_s)
+            inv_s = np.exp(-log_s)
+            out_b = (b - t) * inv_s
             logdet = -log_s.sum(axis=1)
-            self._cache = (raw, log_s, out_b)
+            self._cache = (tanh_raw, inv_s, out_b)
         return np.concatenate([a, out_b], axis=1), logdet
 
     def backward_normalizing(self, grad, grad_logdet):
@@ -194,14 +198,14 @@ class Coupling:
             return grad
         if self._cache is None:
             raise StateError("Coupling.backward called without a cached normalizing pass")
-        raw, log_s, y_b = self._cache
+        tanh_raw, inv_s, y_b = self._cache
         self._cache = None
         da = grad[:, :self.a_dim].copy()
         db_out = grad[:, self.a_dim:]
-        d_in_b = db_out * np.exp(-log_s)
+        d_in_b = db_out * inv_s
         dt = -d_in_b
         dlog_s = -db_out * y_b - grad_logdet[:, None]
-        draw = dlog_s * LOG_SCALE_BOUND * (1.0 - np.tanh(raw) ** 2)
+        draw = dlog_s * LOG_SCALE_BOUND * (1.0 - tanh_raw ** 2)
         d_net_in = self.scale_net.backward(draw) + self.translate_net.backward(dt)
         da += d_net_in[:, :self.a_dim]
         return np.concatenate([da, d_in_b], axis=1)

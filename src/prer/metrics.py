@@ -173,9 +173,6 @@ def memory_footprint(strategy, num_tasks: int, samples_per_task: int,
     is a ``pipeline.Strategy``. A flow strategy stores its generative
     model, one that replays or penalizes stores real rows (with their
     embeddings for a penalty), any other stores nothing."""
-    for value in (num_tasks, samples_per_task, image_floats, embedding_floats, model_params):
-        if value < 0:
-            raise ConfigurationError("footprint inputs must be non-negative")
     if strategy.flow:
         return float(model_params)
     if strategy.replay or strategy.penalty:
@@ -196,13 +193,15 @@ class KnnProbe:
         self.k = int(k)
         self._x = None
         self._y = None
+        self._sq_x = None
 
     def fit(self, x, y):
-        self._x, self._y = x, y
-        if len(self._x) == 0:
+        if len(x) == 0:
             raise ConfigurationError("cannot fit a probe on an empty set")
-        if self._y.min() < 0:
+        if y.min() < 0:
             raise ConfigurationError("probe labels must be non-negative")
+        self._x, self._y = x, y
+        self._sq_x = (x ** 2).sum(axis=1)
         return self
 
     def predict(self, x) -> np.ndarray:
@@ -211,13 +210,12 @@ class KnnProbe:
         if self._x is None:
             raise ConfigurationError("probe used before fit")
         k = min(self.k, len(self._x))
-        sq_fit = (self._x ** 2).sum(axis=1)[None, :]
         num_labels = self._y.max() + 1
         out = np.empty(len(x), dtype=int)
         for rows in _row_chunks(len(x), len(self._x)):
             xc = x[rows]
             # |x - y|^2 expanded through a matmul keeps memory at (chunk, m)
-            d2 = (xc ** 2).sum(axis=1)[:, None] + sq_fit - 2.0 * xc @ self._x.T
+            d2 = (xc ** 2).sum(axis=1)[:, None] + self._sq_x - 2.0 * xc @ self._x.T
             nearest = self._y[np.argpartition(d2, k - 1, axis=1)[:, :k]]
             del d2  # before the next chunk allocates its own
             votes = np.zeros((len(xc), num_labels), dtype=np.intp)

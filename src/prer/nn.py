@@ -4,7 +4,9 @@ Everything runs in float64. Layers cache their most recent forward pass;
 ``backward`` consumes the cache and accumulates parameter gradients in
 place, so several loss terms can be backpropagated before a single
 optimizer step. There is no general autodiff: a network is an ordered
-list of layers and gradients flow back through that list only.
+list of layers and gradients flow back through that list only. Each
+loss returns its value and its gradient from one pass over the shared
+intermediates.
 """
 
 import logging
@@ -323,32 +325,23 @@ class Network:
 # losses
 
 
-def softmax(logits):
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def cross_entropy(logits, labels) -> float:
-    """Mean negative log-softmax of the true class."""
+def cross_entropy(logits, labels):
+    """Mean negative log-softmax of the true class, and its gradient
+    w.r.t. the logits."""
+    rows = np.arange(len(labels))
     z = logits - logits.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    return float(-log_probs[np.arange(len(labels)), labels].mean())
-
-def cross_entropy_grad(logits, labels) -> np.ndarray:
-    """Gradient of the mean cross-entropy w.r.t. the logits."""
-    g = softmax(logits)
-    g[np.arange(len(labels)), labels] -= 1.0
-    return g / len(labels)
+    e = np.exp(z)
+    sums = e.sum(axis=1, keepdims=True)
+    loss = float(-(z[rows, labels] - np.log(sums[:, 0])).mean())
+    grad = e / sums
+    grad[rows, labels] -= 1.0
+    return loss, grad / len(labels)
 
 
-def mse(a, b) -> float:
-    """Mean squared elementwise difference."""
-    return float(((a - b) ** 2).mean())
-
-
-def mse_grad(a, b) -> np.ndarray:
-    return 2.0 * (a - b) / a.size
+def mse(a, b):
+    """Mean squared elementwise difference, and its gradient w.r.t. ``a``."""
+    diff = a - b
+    return float((diff ** 2).mean()), 2.0 * diff / a.size
 
 
 def _warn_zero_vector():
@@ -358,8 +351,9 @@ def _warn_zero_vector():
         _zero_cosine_logged = True
 
 
-def row_cosine_similarity(a, b) -> np.ndarray:
-    """Per-row cosine similarity of two (n, d) arrays; zero rows give 0."""
+def _cosine_parts(a, b):
+    """Per-row cosine similarity of two (n, d) arrays, zero rows giving 0,
+    with the row norms of each and the mask of rows where one is zero."""
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
     zero = (na == 0.0) | (nb == 0.0)
@@ -367,27 +361,27 @@ def row_cosine_similarity(a, b) -> np.ndarray:
         _warn_zero_vector()
     denom = np.where(zero, 1.0, na * nb)
     sims = np.clip((a * b).sum(axis=1) / denom, -1.0, 1.0)
-    return np.where(zero, 0.0, sims)
+    return np.where(zero, 0.0, sims), na, nb, zero
 
 
-def mean_cosine_distance(a, b) -> float:
-    """Mean over rows of (1 - cosine similarity)."""
-    return float((1.0 - row_cosine_similarity(a, b)).mean())
+def row_cosine_similarity(a, b) -> np.ndarray:
+    """Per-row cosine similarity of two (n, d) arrays; zero rows give 0."""
+    return _cosine_parts(a, b)[0]
 
 
-def mean_cosine_distance_grad(a, b) -> np.ndarray:
-    """Gradient of mean_cosine_distance w.r.t. its first argument."""
-    na = np.linalg.norm(a, axis=1, keepdims=True)
-    nb = np.linalg.norm(b, axis=1, keepdims=True)
-    zero = (na == 0.0) | (nb == 0.0)
-    na_safe = np.where(zero, 1.0, na)
-    nb_safe = np.where(zero, 1.0, nb)
+def mean_cosine_distance(a, b):
+    """Mean over rows of (1 - cosine similarity), and its gradient w.r.t.
+    ``a``; a row where either vector is zero has distance 1 and no
+    gradient."""
+    sims, na, nb, zero = _cosine_parts(a, b)
+    loss = float((1.0 - sims).mean())
+    zero = zero[:, None]
+    na_safe = np.where(zero, 1.0, na[:, None])
     a_hat = a / na_safe
-    b_hat = b / nb_safe
+    b_hat = b / np.where(zero, 1.0, nb[:, None])
     cos = (a_hat * b_hat).sum(axis=1, keepdims=True)
-    grad = (cos * a_hat - b_hat) / na_safe
-    grad = np.where(zero, 0.0, grad)
-    return grad / len(a)
+    grad = np.where(zero, 0.0, (cos * a_hat - b_hat) / na_safe)
+    return loss, grad / len(a)
 
 
 # ---------------------------------------------------------------------------

@@ -174,9 +174,9 @@ def _grouped_classifier_step(model, current_task_id, x, y_task, task_ids, dropou
         is_current = int(tid) == current_task_id
         logits = head.forward(z[rows], train=is_current, rng=dropout_rng)
         weight = len(rows) / n
-        total += nn.cross_entropy(logits, y_task[rows]) * weight
-        dlogits = nn.cross_entropy_grad(logits, y_task[rows]) * weight
-        dz[rows] = head.backward(dlogits)
+        loss, dlogits = nn.cross_entropy(logits, y_task[rows])
+        total += loss * weight
+        dz[rows] = head.backward(dlogits * weight)
     dh = model.proj_classify.backward(dz)
     # the encoder's input is data: nothing reads its gradient
     model.encoder.backward(dh, input_grad=False)
@@ -216,8 +216,7 @@ def train_classifier_phase(model: ContinualModel, task, cfg, rng: Rng,
         else:
             # one head for every row: no per-task grouping to pay for
             logits = model.classify(xb, task.index, train=True, rng=dropout_rng)
-            loss = nn.cross_entropy(logits, yb)
-            dlogits = nn.cross_entropy_grad(logits, yb)
+            loss, dlogits = nn.cross_entropy(logits, yb)
             dz = head.backward(dlogits)
             dh = model.proj_classify.backward(dz)
             model.encoder.backward(dh, input_grad=False)
@@ -227,9 +226,8 @@ def train_classifier_phase(model: ContinualModel, task, cfg, rng: Rng,
             k = min(cfg.batch_size, len(mem_x))
             pick = mem_rng.choice(len(mem_x), size=k, replace=False)
             z = model.encode_classify(mem_x[pick], train=True)
-            reg = nn.mean_cosine_distance(z, mem_z[pick])
-            dz = cfg.beta * nn.mean_cosine_distance_grad(z, mem_z[pick])
-            dh = model.proj_classify.backward(dz)
+            reg, dz = nn.mean_cosine_distance(z, mem_z[pick])
+            dh = model.proj_classify.backward(cfg.beta * dz)
             model.encoder.backward(dh, input_grad=False)
             loss += cfg.beta * reg
         return loss
@@ -274,8 +272,7 @@ def train_autoencoder_phase(model: ContinualModel, task, cfg, rng: Rng,
         z = model.proj_reconstruct.forward(h, train=True)
         flat = model.decoder.forward(z, train=True, cond=y_cond)
         target = xb.reshape(len(xb), -1)
-        loss = nn.mse(flat, target)
-        dflat = nn.mse_grad(flat, target)
+        loss, dflat = nn.mse(flat, target)
         dz = model.decoder.backward(dflat)
         model.proj_reconstruct.backward(dz, input_grad=False)
         return loss

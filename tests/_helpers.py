@@ -3,7 +3,7 @@ builders used across the suite."""
 
 import numpy as np
 
-from prer.flow import FlowStack
+from prer.flow import LOG_SCALE_BOUND, FlowStack
 from prer.nn import (
     ConcatCondition,
     Conv2d,
@@ -49,6 +49,88 @@ class ReferenceAdam:
             m[...] = self.beta1 * m + (1.0 - self.beta1) * g
             v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
             p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+
+
+def same_bits(x, y) -> bool:
+    """Whether two floats or float arrays are equal bit for bit: same
+    shape, and -0.0 differs from 0.0."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+# The loss formulas as two calls each, value and gradient apart: the
+# references the one-call losses must reproduce bit for bit.
+
+def reference_softmax(logits):
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_cross_entropy(logits, labels) -> float:
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return float(-log_probs[np.arange(len(labels)), labels].mean())
+
+
+def reference_cross_entropy_grad(logits, labels):
+    g = reference_softmax(logits)
+    g[np.arange(len(labels)), labels] -= 1.0
+    return g / len(labels)
+
+
+def reference_mse(a, b) -> float:
+    return float(((a - b) ** 2).mean())
+
+
+def reference_mse_grad(a, b):
+    return 2.0 * (a - b) / a.size
+
+
+def reference_mean_cosine_distance(a, b) -> float:
+    na = np.linalg.norm(a, axis=1)
+    nb = np.linalg.norm(b, axis=1)
+    zero = (na == 0.0) | (nb == 0.0)
+    denom = np.where(zero, 1.0, na * nb)
+    sims = np.clip((a * b).sum(axis=1) / denom, -1.0, 1.0)
+    return float((1.0 - np.where(zero, 0.0, sims)).mean())
+
+
+def reference_mean_cosine_distance_grad(a, b):
+    na = np.linalg.norm(a, axis=1, keepdims=True)
+    nb = np.linalg.norm(b, axis=1, keepdims=True)
+    zero = (na == 0.0) | (nb == 0.0)
+    na_safe = np.where(zero, 1.0, na)
+    nb_safe = np.where(zero, 1.0, nb)
+    a_hat = a / na_safe
+    b_hat = b / nb_safe
+    cos = (a_hat * b_hat).sum(axis=1, keepdims=True)
+    grad = (cos * a_hat - b_hat) / na_safe
+    grad = np.where(zero, 0.0, grad)
+    return grad / len(a)
+
+
+def reference_coupling_backward(coupling, x, grad, grad_logdet, cond=None):
+    """A coupling's normalizing forward and backward with ``tanh`` and
+    ``exp`` taken again in the backward, from the raw scale output and
+    the log-scales; gradients accumulate in its nets. Returns the input
+    gradient."""
+    a_dim = coupling.a_dim
+    a, b = x[:, :a_dim], x[:, a_dim:]
+    net_in = coupling._net_input(a, cond)
+    raw = coupling.scale_net.forward(net_in)
+    log_s = LOG_SCALE_BOUND * np.tanh(raw)
+    t = coupling.translate_net.forward(net_in)
+    y_b = (b - t) * np.exp(-log_s)
+    da = grad[:, :a_dim].copy()
+    db_out = grad[:, a_dim:]
+    d_in_b = db_out * np.exp(-log_s)
+    dt = -d_in_b
+    dlog_s = -db_out * y_b - grad_logdet[:, None]
+    draw = dlog_s * LOG_SCALE_BOUND * (1.0 - np.tanh(raw) ** 2)
+    d_net_in = coupling.scale_net.backward(draw) + coupling.translate_net.backward(dt)
+    da += d_net_in[:, :a_dim]
+    return np.concatenate([da, d_in_b], axis=1)
 
 
 def rel_err(a, b, floor=1e-7):

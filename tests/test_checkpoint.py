@@ -208,3 +208,28 @@ def test_checkpoint_with_an_extra_block_is_refused_by_name(tmp_path):
     np.savez(path, **arrays)
     with pytest.raises(ConfigurationError, match="checkpoint meta has no 'd_t' field"):
         load_run_state(path)
+
+
+def rewrite_checkpoint(path, change):
+    """Load a checkpoint's entries, let ``change`` edit the dict, save it back."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    change(arrays)
+    np.savez(path, **arrays)
+
+
+def test_reshaped_result_matrix_is_refused_by_name(tmp_path):
+    path = tmp_path / "state.npz"
+    save_run_state(path, trained_state())
+    rewrite_checkpoint(path, lambda arrays: arrays.update(result_matrix=np.zeros((3, 3))))
+    with pytest.raises(ConfigurationError,
+                       match=r"'result_matrix' is \(3, 3\) in the file, \(2, 2\) in this run"):
+        restore_run_state(fresh_state(), load_run_state(path))
+
+
+def test_missing_result_matrix_is_refused_by_name(tmp_path):
+    path = tmp_path / "state.npz"
+    save_run_state(path, trained_state())
+    rewrite_checkpoint(path, lambda arrays: arrays.pop("result_matrix"))
+    with pytest.raises(ConfigurationError, match="no 'result_matrix' entry"):
+        restore_run_state(fresh_state(), load_run_state(path))

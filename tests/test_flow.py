@@ -4,7 +4,7 @@ log-determinants, multi-scale routing, sampling and conditioning."""
 import numpy as np
 import pytest
 
-from _helpers import array_pairs, auc_score, rel_err
+from _helpers import array_pairs, auc_score, reference_coupling_backward, rel_err, same_bits
 from prer import nn
 from prer.exceptions import ConfigurationError, DivergenceError, StateError
 from prer.flow import (
@@ -143,8 +143,61 @@ def test_coupling_condition_contract():
         assert np.array_equal(out, out_c) and np.array_equal(logdet, logdet_c)
 
 
+@pytest.mark.parametrize("cond_width", [0, 3])
+def test_coupling_backward_matches_recomputed_tanh_and_exp_bitwise(cond_width):
+    # the normalizing pass caches tanh(raw) and exp(-log_s); its backward
+    # must give the bits of one that takes them again
+    rng = Rng(11)
+    layer = Coupling(7, 10, rng, cond_width=cond_width)
+    for net in layer.networks():
+        net.params[...] = rng.uniform(-0.8, 0.8, net.params.shape)
+    x = rng.normal(size=(32, 7))
+    cond = rng.integers(0, 3, size=32) if cond_width else None
+    grad, grad_logdet = rng.normal(size=(32, 7)), rng.normal(size=32)
+
+    layer.apply(x, NORMALIZING, cond=cond)
+    dx = layer.backward_normalizing(grad, grad_logdet)
+    grads = [net.grads.copy() for net in layer.networks()]
+    for net in layer.networks():
+        net.grads[...] = 0.0
+    ref_dx = reference_coupling_backward(layer, x, grad, grad_logdet, cond=cond)
+    assert same_bits(dx, ref_dx)
+    for got, net in zip(grads, layer.networks()):
+        assert same_bits(got, net.grads)
+
+
 # ---------------------------------------------------------------------------
 # batch norm
+
+
+def test_batchnorm_matches_numpy_mean_and_var_bitwise():
+    # outputs, log-determinants and running statistics keep the bits of
+    # (x - x.mean(0)) / sqrt(x.var(0) + eps) and its blends
+    bn = BatchNorm(5)
+    rng = Rng(12)
+    eps, m = bn.eps, bn.momentum
+    run_mean = run_var = None
+    for scale in (3.0, 0.5, 7.0):
+        x = rng.normal(size=(40, 5)) * scale + 2.0
+        mean, var = x.mean(axis=0), x.var(axis=0)
+        y, ld = bn.apply(x, NORMALIZING, train=True)
+        assert same_bits(y, (x - mean) / np.sqrt(var + eps))
+        assert same_bits(ld, np.full(40, -0.5 * float(np.log(var + eps).sum())))
+        if run_mean is None:
+            run_mean, run_var = mean, var
+        else:
+            run_mean = (1.0 - m) * run_mean + m * mean
+            run_var = (1.0 - m) * run_var + m * var
+        assert same_bits(bn.mean, run_mean) and same_bits(bn.var, run_var)
+
+    x = rng.normal(size=(9, 5))
+    y, ld = bn.apply(x, NORMALIZING)
+    assert same_bits(y, (x - run_mean) / np.sqrt(run_var + eps))
+    assert same_bits(ld, np.full(9, -0.5 * float(np.log(run_var + eps).sum())))
+    y, ld = bn.apply(x, GENERATING)
+    assert same_bits(y, x * np.sqrt(run_var + eps) + run_mean)
+    assert same_bits(ld, np.full(9, 0.5 * float(np.log(run_var + eps).sum())))
+    assert same_bits(bn.mean, run_mean) and same_bits(bn.var, run_var)
 
 
 def test_batchnorm_unit_stats_is_identity():
@@ -432,7 +485,7 @@ def test_conditioned_flow_separates_classes():
         idx = rng.choice(len(data), size=128, replace=False)
         probe.grads[...] = 0.0
         logits = probe.forward(data[idx])
-        probe.backward(nn.cross_entropy_grad(logits, comps[idx]))
+        probe.backward(nn.cross_entropy(logits, comps[idx])[1])
         adam.step()
 
     n = 300

@@ -12,7 +12,14 @@ from _helpers import (
     check_network_gradients,
     get_params,
     random_layer_instance,
+    reference_cross_entropy,
+    reference_cross_entropy_grad,
+    reference_mean_cosine_distance,
+    reference_mean_cosine_distance_grad,
+    reference_mse,
+    reference_mse_grad,
     rel_err,
+    same_bits,
 )
 from prer import nn
 from prer.exceptions import ConfigurationError, StateError
@@ -173,35 +180,35 @@ def test_loss_gradients_finite_difference():
     h = 1e-6
     logits = rng.normal(size=(4, 3))
     labels = np.array([0, 2, 1, 2])
-    g = nn.cross_entropy_grad(logits, labels)
+    _, g = nn.cross_entropy(logits, labels)
     for idx in np.ndindex(logits.shape):
         orig = logits[idx]
         logits[idx] = orig + h
-        lp = nn.cross_entropy(logits, labels)
+        lp, _ = nn.cross_entropy(logits, labels)
         logits[idx] = orig - h
-        lm = nn.cross_entropy(logits, labels)
+        lm, _ = nn.cross_entropy(logits, labels)
         logits[idx] = orig
         assert rel_err(g[idx], (lp - lm) / (2 * h)) < 1e-4
 
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(3, 4))
-    g = nn.mse_grad(a, b)
+    _, g = nn.mse(a, b)
     for idx in np.ndindex(a.shape):
         orig = a[idx]
         a[idx] = orig + h
-        lp = nn.mse(a, b)
+        lp, _ = nn.mse(a, b)
         a[idx] = orig - h
-        lm = nn.mse(a, b)
+        lm, _ = nn.mse(a, b)
         a[idx] = orig
         assert rel_err(g[idx], (lp - lm) / (2 * h)) < 1e-4
 
-    g = nn.mean_cosine_distance_grad(a, b)
+    _, g = nn.mean_cosine_distance(a, b)
     for idx in np.ndindex(a.shape):
         orig = a[idx]
         a[idx] = orig + h
-        lp = nn.mean_cosine_distance(a, b)
+        lp, _ = nn.mean_cosine_distance(a, b)
         a[idx] = orig - h
-        lm = nn.mean_cosine_distance(a, b)
+        lm, _ = nn.mean_cosine_distance(a, b)
         a[idx] = orig
         assert rel_err(g[idx], (lp - lm) / (2 * h)) < 1e-4
 
@@ -287,11 +294,11 @@ def test_adam_matches_whole_array_update_bitwise(sizes):
 
 
 def test_cross_entropy_hand_computed():
-    assert nn.cross_entropy(np.array([[0.0, 0.0]]), np.array([0])) == pytest.approx(np.log(2.0))
+    assert nn.cross_entropy(np.array([[0.0, 0.0]]), np.array([0]))[0] == pytest.approx(np.log(2.0))
 
 
 def test_mse_hand_computed():
-    assert nn.mse(np.array([1.0, 2.0]), np.array([1.0, 4.0])) == pytest.approx(2.0)
+    assert nn.mse(np.array([1.0, 2.0]), np.array([1.0, 4.0]))[0] == pytest.approx(2.0)
 
 
 def test_cosine_distance_self_and_orthogonal():
@@ -299,18 +306,48 @@ def test_cosine_distance_self_and_orthogonal():
     rng = Rng(8)
     for _ in range(5):
         v = rng.normal(size=(1, 6))
-        assert nn.mean_cosine_distance(v, v) == pytest.approx(0.0, abs=1e-12)
+        assert nn.mean_cosine_distance(v, v)[0] == pytest.approx(0.0, abs=1e-12)
     e0, e1 = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
-    assert nn.mean_cosine_distance(e0, e1) == pytest.approx(1.0)
-    assert nn.mean_cosine_distance(e0, -e0) == pytest.approx(2.0)
+    assert nn.mean_cosine_distance(e0, e1)[0] == pytest.approx(1.0)
+    assert nn.mean_cosine_distance(e0, -e0)[0] == pytest.approx(2.0)
+
+
+def test_cross_entropy_matches_its_two_call_reference_bitwise():
+    rng = Rng(13)
+    for n, width in ((64, 10), (7, 2), (1, 5)):
+        logits = rng.normal(size=(n, width)) * 5.0
+        labels = rng.integers(0, min(width, 3), size=n)  # labels repeat
+        loss, grad = nn.cross_entropy(logits, labels)
+        assert same_bits(loss, reference_cross_entropy(logits, labels))
+        assert same_bits(grad, reference_cross_entropy_grad(logits, labels))
+
+
+def test_mse_matches_its_two_call_reference_bitwise():
+    rng = Rng(14)
+    a, b = rng.random(size=(64, 784)), rng.random(size=(64, 784))
+    loss, grad = nn.mse(a, b)
+    assert same_bits(loss, reference_mse(a, b))
+    assert same_bits(grad, reference_mse_grad(a, b))
+
+
+def test_cosine_distance_matches_its_two_call_reference_bitwise():
+    rng = Rng(15)
+    a, b = rng.normal(size=(32, 12)), rng.normal(size=(32, 12))
+    a[3] = 0.0
+    b[17] = 0.0
+    b[20] = -2.5 * a[20]  # a distance of exactly 2 before rounding
+    loss, grad = nn.mean_cosine_distance(a, b)
+    assert same_bits(loss, reference_mean_cosine_distance(a, b))
+    assert same_bits(grad, reference_mean_cosine_distance_grad(a, b))
+    assert not grad[3].any() and not grad[17].any()
 
 
 def test_cosine_zero_vector_convention_logged_once(caplog):
     nn.reset_run_warnings()
     with caplog.at_level(logging.WARNING, logger="prer.nn"):
         zero, e0 = np.zeros((1, 2)), np.array([[1.0, 0.0]])
-        assert nn.mean_cosine_distance(zero, e0) == 1.0
-        assert nn.mean_cosine_distance(zero, zero) == 1.0
+        assert nn.mean_cosine_distance(zero, e0)[0] == 1.0
+        assert nn.mean_cosine_distance(zero, zero)[0] == 1.0
     warnings = [r for r in caplog.records if "zero vector" in r.message]
     assert len(warnings) == 1
 
@@ -354,7 +391,7 @@ def test_training_determinism_bitwise():
             y = data_rng.integers(0, 3, size=8)
             net.grads[...] = 0.0
             logits = net.forward(x, train=True, rng=drop_rng)
-            net.backward(nn.cross_entropy_grad(logits, y))
+            net.backward(nn.cross_entropy(logits, y)[1])
             adam.step()
         return get_params(net)
 

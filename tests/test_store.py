@@ -127,7 +127,7 @@ def _train_classifier(pairs_of, steps=50):
         for owner in (model.encoder, model.proj_classify, head):
             owner.grads[...] = 0.0
         logits = model.classify(x, 1, train=True, rng=dropout)
-        dz = head.backward(nn.cross_entropy_grad(logits, y))
+        dz = head.backward(nn.cross_entropy(logits, y)[1])
         model.encoder.backward(model.proj_classify.backward(dz))
         adam.step()
     return [p.copy() for p, _ in model.classifier_parameters(1)]
