@@ -49,7 +49,6 @@ class LabeledDataset:
 class Task:
     index: int              # 1-based position in the stream
     classes: list           # global labels owned by this task
-    label_offset: int       # y_global = label_offset + y_task
     x: np.ndarray
     y_task: np.ndarray
     y_global: np.ndarray
@@ -247,7 +246,6 @@ def build_task_stream(dataset: LabeledDataset, classes_per_task: int, seed: int)
         tasks.append(Task(
             index=t,
             classes=classes,
-            label_offset=offset,
             x=dataset.x[idx],
             y_task=y_global - offset,
             y_global=y_global,

@@ -66,14 +66,13 @@ class ContinualModel:
         h = self.encoder.forward(x, train=train, rng=rng)
         return self.proj_classify.forward(h, train=train, rng=rng)
 
-    def encode_reconstruct(self, x, train=False, rng=None) -> np.ndarray:
-        h = self.encoder.forward(x, train=train, rng=rng)
-        return self.proj_reconstruct.forward(h, train=train, rng=rng)
+    def encode_reconstruct(self, x) -> np.ndarray:
+        return self.proj_reconstruct.forward(self.encoder.forward(x))
 
-    def decode(self, z, y=None, train=False, rng=None) -> np.ndarray:
+    def decode(self, z, y=None) -> np.ndarray:
         """Images decoded from ``z``; a conditioned decoder reads the rows'
         classes ``y``."""
-        flat = self.decoder.forward(z, train=train, rng=rng, cond=y)
+        flat = self.decoder.forward(z, cond=y)
         return flat.reshape((len(flat),) + self.input_shape)
 
     def classify(self, x, task_id: int, train=False, rng=None) -> np.ndarray:

@@ -6,7 +6,8 @@ autoencoder with the backbone frozen, (3) density model on the
 reconstruction embeddings. A single flow and a single decoder persist
 across all tasks. There is one memory type: strategies without a flow
 extend it with real rows at task end, flow strategies regenerate it at
-every task start.
+every task start. `strategy_train_task` alone decides which memory each
+phase mixes in; a phase mixes in exactly what it is handed.
 """
 
 import time
@@ -150,15 +151,6 @@ def _train_epochs(phase, task, cfg, rng, pairs, max_epochs, n_rows, step, end_ep
     return history
 
 
-def _uses_memory(memory, cfg, conditioned, what):
-    """Whether a phase mixes `memory` into its batches; a conditioned
-    network needs the classes the memory was generated for."""
-    use = memory is not None and len(memory) > 0 and cfg.replay_fraction > 0.0
-    if use and conditioned and memory.y_global is None:
-        raise ConfigurationError(f"{what} is conditioned but the memory carries no classes")
-    return use
-
-
 def _grouped_classifier_step(model, current_task_id, x, y_task, task_ids, dropout_rng):
     """Cross-entropy over a batch whose rows may belong to different
     tasks. Each row is scored by its own task's head; only the current
@@ -188,8 +180,8 @@ def train_classifier_phase(model: ContinualModel, task, cfg, rng: Rng,
     """Phase 1. Trains the backbone, the classification projection and
     the current task head. `penalty` is (images, embeddings) for the
     retention term; `replay` is (images, y_task, task_ids) for mini-batch
-    overwriting. The epoch snapshot with the best held-out accuracy on
-    the current task is kept."""
+    overwriting; each is used whenever it is handed. The epoch snapshot
+    with the best held-out accuracy on the current task is kept."""
     model.ensure_head(task.index, len(task.classes), rng.fork("head-init"))
     head = model.head(task.index)
     pairs = model.classifier_parameters(task.index)
@@ -202,13 +194,10 @@ def train_classifier_phase(model: ContinualModel, task, cfg, rng: Rng,
     dropout_rng = rng.fork("dropout")
     mem_rng = rng.fork("memory")
 
-    use_penalty = (penalty is not None and cfg.beta > 0.0 and len(penalty[0]) > 0)
-    use_replay = (replay is not None and cfg.replay_fraction > 0.0 and len(replay[0]) > 0)
-
     def step(idx):
         rows = fit_idx[idx]
         xb, yb = task.x[rows], task.y_task[rows]
-        if use_replay:
+        if replay is not None:
             tids = np.full(len(idx), task.index)
             xb, yb, tids = _overwrite_rows((xb, yb, tids), replay,
                                            cfg.replay_fraction, mem_rng)
@@ -221,7 +210,7 @@ def train_classifier_phase(model: ContinualModel, task, cfg, rng: Rng,
             dh = model.proj_classify.backward(dz)
             model.encoder.backward(dh, input_grad=False)
 
-        if use_penalty:
+        if penalty is not None:
             mem_x, mem_z = penalty
             k = min(cfg.batch_size, len(mem_x))
             pick = mem_rng.choice(len(mem_x), size=k, replace=False)
@@ -258,14 +247,13 @@ def train_autoencoder_phase(model: ContinualModel, task, cfg, rng: Rng,
                             memory: Memory | None = None) -> dict:
     """Phase 2. Trains the reconstruction projection and the decoder on
     pixel MSE; the backbone and the classification projection stay
-    untouched. A fraction of every mini-batch is overwritten with
-    memory images."""
-    use_memory = _uses_memory(memory, cfg, model.decoder_conditioned, "decoder")
+    untouched. When a `memory` is handed, a fraction of every mini-batch
+    is overwritten with its images."""
     mem_rng = rng.fork("memory")
 
     def step(idx):
         xb, y_cond = task.x[idx], task.y_global[idx]
-        if use_memory:
+        if memory is not None:
             xb, y_cond = _overwrite_rows((xb, y_cond), (memory.images, memory.y_global),
                                          cfg.replay_fraction, mem_rng)
         h = model.encoder.forward(xb)  # frozen: no backward into the backbone
@@ -286,16 +274,15 @@ def train_autoencoder_phase(model: ContinualModel, task, cfg, rng: Rng,
 def train_flow_phase(flow: FlowStack, model: ContinualModel, task, cfg,
                      rng: Rng, memory: Memory | None = None) -> dict:
     """Phase 3. Fits the single persistent flow to the reconstruction
-    embeddings of the current task, mixed with memory images so that the
-    density keeps covering earlier tasks."""
-    use_memory = _uses_memory(memory, cfg, flow.cond_width > 0, "flow")
+    embeddings of the current task, mixed with the images of a handed
+    `memory` so that the density keeps covering earlier tasks."""
     mem_rng = rng.fork("memory")
 
     def step(idx):
         if len(idx) < 2:  # batch norm needs a real batch
             return None
         xb, y_cond = task.x[idx], task.y_global[idx]
-        if use_memory:
+        if memory is not None:
             xb, y_cond = _overwrite_rows((xb, y_cond), (memory.images, memory.y_global),
                                          cfg.replay_fraction, mem_rng)
         z = model.encode_reconstruct(xb)
@@ -310,8 +297,6 @@ def class_schedule(classes_seen, n: int, rng: Rng) -> np.ndarray:
     """n class labels spread as evenly as possible over the classes seen
     so far, in shuffled order."""
     classes = sorted(set(int(c) for c in classes_seen))
-    if not classes:
-        raise ConfigurationError("no classes seen yet")
     base, extra = divmod(n, len(classes))
     counts = np.full(len(classes), base)
     if extra:
@@ -384,24 +369,23 @@ def strategy_train_task(state: RunState) -> RunState:
     strategy = STRATEGIES[cfg.strategy]
     rng_t = state.rng.fork(f"task{t}")
 
-    if strategy.flow:
-        if state.flow is None:
-            raise ConfigurationError(f"strategy {cfg.strategy!r} needs a flow")
-        if t > 1 and cfg.memory_size > 0:
-            with state.timed("memory"):
-                schedule = None
-                if state.flow.cond_width > 0 or model.decoder_conditioned:
-                    schedule = class_schedule(state.stream.classes_seen(t - 1),
-                                              cfg.memory_size, rng_t.fork("schedule"))
-                state.memory = generate_memory(
-                    state.flow, model, cfg.memory_size, schedule, rng_t.fork("memory-gen"))
+    if strategy.flow and t > 1 and cfg.memory_size > 0:
+        with state.timed("memory"):
+            schedule = None
+            if state.flow.cond_width > 0 or model.decoder_conditioned:
+                schedule = class_schedule(state.stream.classes_seen(t - 1),
+                                          cfg.memory_size, rng_t.fork("schedule"))
+            state.memory = generate_memory(
+                state.flow, model, cfg.memory_size, schedule, rng_t.fork("memory-gen"))
 
+    # a memory is None or holds rows (memory_size > 0 above, k > 0 below, or
+    # restored from a saved one); a knob at 0 hands its phases no memory
     memory = state.memory
-    has_rows = memory is not None and len(memory) > 0
+    mixed = memory if cfg.replay_fraction > 0.0 else None
     penalty = replay = None
-    if has_rows and strategy.penalty:
+    if memory is not None and strategy.penalty and cfg.beta > 0.0:
         penalty = (memory.images, memory.embeddings)
-    elif has_rows and strategy.replay and cfg.replay_fraction > 0.0:
+    elif mixed is not None and strategy.replay:
         # a generated row's label must describe what the image actually
         # contains, and the requested condition class is only a request;
         # the nearest-class probe over real past-task embeddings labels the
@@ -419,9 +403,9 @@ def strategy_train_task(state: RunState) -> RunState:
 
     if strategy.flow:
         with state.timed("autoencoder"):
-            train_autoencoder_phase(model, task, cfg, rng_t.fork("autoencoder"), memory=memory)
+            train_autoencoder_phase(model, task, cfg, rng_t.fork("autoencoder"), memory=mixed)
         with state.timed("flow"):
-            train_flow_phase(state.flow, model, task, cfg, rng_t.fork("flow"), memory=memory)
+            train_flow_phase(state.flow, model, task, cfg, rng_t.fork("flow"), memory=mixed)
     elif strategy.penalty or strategy.replay:
         # real rows of the finished task, with their embeddings for a penalty
         k = min(cfg.memory_size, len(task))

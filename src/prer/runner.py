@@ -75,22 +75,14 @@ def _coverage(state, through_task, cap, rng):
     model = state.model
     classes = sorted(state.stream.classes_seen(through_task))
     real_by_class = {}
-    tasks = state.stream.tasks[:through_task]
     for c in classes:
-        # the cap picks positions in the class's rows of tasks 1..t, in
-        # task order; only the picked rows are gathered
-        rows = [np.flatnonzero(task.y_global == c) for task in tasks]
-        owner = np.repeat(np.arange(len(tasks)), [len(r) for r in rows])
-        local = np.concatenate(rows)
-        pick = np.arange(len(local))
-        if len(pick) > cap:
-            pick = rng.fork(f"cap{c}").choice(len(pick), size=cap, replace=False)
-        x = np.empty((len(pick),) + tasks[0].x.shape[1:], dtype=tasks[0].x.dtype)
-        owner, local = owner[pick], local[pick]
-        for k, task in enumerate(tasks):
-            at = owner == k
-            x[at] = task.x[local[at]]
-        real_by_class[c] = model.encode_reconstruct(x)
+        # a class's rows all lie in the task that owns it; the cap picks
+        # positions in them, and only the picked rows are gathered
+        task = state.stream.tasks[state.stream.task_of_class(c) - 1]
+        rows = np.flatnonzero(task.y_global == c)
+        if len(rows) > cap:
+            rows = rows[rng.fork(f"cap{c}").choice(len(rows), size=cap, replace=False)]
+        real_by_class[c] = model.encode_reconstruct(task.x[rows])
 
     gen_by_class = {}
     if state.flow.cond_width:
@@ -192,7 +184,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None, resume=False)
                 state.r[t - 1, j - 1] = metrics.task_accuracy(model, test_stream.tasks[j - 1])
             if keeps_flow:
                 state.d_t[str(t)] = _coverage(state, t, cfg.coverage_cap, rng.fork(f"coverage{t}"))
-                if state.memory is not None and len(state.memory):
+                if state.memory is not None:
                     state.q_t[str(t)] = metrics.generation_quality(state.memory, model)
         if cfg.checkpoints and ckpt_path is not None:
             checkpoint.save_run_state(ckpt_path, state)

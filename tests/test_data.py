@@ -202,7 +202,7 @@ def test_stream_invariants():
     for task in stream.tasks:
         assert not (seen & set(task.classes))
         seen |= set(task.classes)
-        assert np.array_equal(task.y_global, task.y_task + task.label_offset)
+        assert np.array_equal(stream.within_task_label(task.y_global), task.y_task)
         assert set(np.unique(task.y_global)) == set(task.classes)
     assert seen == set(range(6))
 

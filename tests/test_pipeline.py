@@ -15,7 +15,6 @@ from prer.metrics import task_accuracy
 from prer.model import build_mlp_model
 from prer.nn import one_hot
 from prer.pipeline import (
-    Memory,
     RunState,
     class_schedule,
     generate_memory,
@@ -75,12 +74,6 @@ def train_one_task(seed, penalty=None, **cfg_kwargs):
 
 def same_training(a, b):
     return a[0] == b[0] and all(np.array_equal(p, q) for p, q in zip(a[1], b[1]))
-
-
-def test_loss_reduces_to_plain_cross_entropy_without_memory():
-    empty = (np.empty((0, 8)), np.empty((0, 8)))
-    plain = train_one_task(1)
-    assert same_training(train_one_task(1, penalty=empty, beta=1.0), plain)
 
 
 def test_removing_penalty_term_reproduces_plain_loss_exactly():
@@ -164,7 +157,7 @@ def test_beta_one_retains_first_task_at_least_as_well_as_beta_zero():
 def test_classifier_phase_empty_task_rejected():
     state, train_stream, _ = make_state(13)
     task = train_stream.tasks[0]
-    empty = type(task)(index=1, classes=task.classes, label_offset=0,
+    empty = type(task)(index=1, classes=task.classes,
                        x=task.x[:0], y_task=task.y_task[:0], y_global=task.y_global[:0])
     with pytest.raises(ConfigurationError):
         train_classifier_phase(state.model, empty, state.cfg, Rng(1))
@@ -174,7 +167,7 @@ def test_classifier_phase_empty_task_rejected():
 def test_later_phase_empty_task_rejected(phase):
     state, train_stream, _ = make_state(13)
     task = train_stream.tasks[0]
-    empty = type(task)(index=1, classes=task.classes, label_offset=0,
+    empty = type(task)(index=1, classes=task.classes,
                        x=task.x[:0], y_task=task.y_task[:0], y_global=task.y_global[:0])
     with pytest.raises(ConfigurationError, match=f"^task 1 too small for {phase} training"):
         if phase == "autoencoder":
@@ -183,14 +176,24 @@ def test_later_phase_empty_task_rejected(phase):
             train_flow_phase(state.flow, state.model, empty, state.cfg, Rng(1))
 
 
-def test_autoencoder_replay_requires_conditioning_classes():
-    model = make_model(14, conditioning="decoder")
-    _, train_stream, _ = make_state(14)
-    task = train_stream.tasks[0]
-    cfg = ExperimentConfig(strategy="prer", ae_max_epochs=2).validate()
-    bad_memory = Memory(np.zeros((4, 8)), np.zeros((4, 8)), None)
-    with pytest.raises(ConfigurationError):
-        train_autoencoder_phase(model, task, cfg, Rng(1), memory=bad_memory)
+@pytest.mark.parametrize("conditioning", ["both", "flow", "decoder", "none"])
+@pytest.mark.parametrize("strategy", ["prer", "prer_r"])
+def test_generated_memory_carries_classes_for_every_conditioned_network(strategy,
+                                                                         conditioning):
+    # the phases read memory.y_global for a conditioned flow or decoder
+    # without checking it: the memory generated at task 2's start holds
+    # one past class per row exactly when something is conditioned
+    state, train_stream, _ = make_state(14, strategy=strategy, conditioning=conditioning,
+                                        classifier_epochs=2, ae_max_epochs=4,
+                                        flow_max_epochs=4)
+    for task in train_stream.tasks[:2]:
+        strategy_train_task(state)
+    y = state.memory.y_global
+    if conditioning == "none":
+        assert y is None
+    else:
+        assert len(y) == state.cfg.memory_size
+        assert set(y.tolist()) <= set(state.stream.classes_seen(1))
 
 
 def test_flow_phase_decreases_nll():
@@ -274,7 +277,7 @@ def test_flow_skips_a_lone_row_batch(monkeypatch):
     out = train_flow_phase(state.flow, state.model, task, state.cfg, Rng(1))
     assert out["epochs"] == 3 and rows == [len(task) - 1] * 3
 
-    lone = type(task)(index=1, classes=task.classes, label_offset=0,
+    lone = type(task)(index=1, classes=task.classes,
                       x=task.x[:1], y_task=task.y_task[:1], y_global=task.y_global[:1])
     with pytest.raises(ConfigurationError, match="too small"):
         train_flow_phase(state.flow, state.model, lone, state.cfg, Rng(1))
@@ -358,18 +361,21 @@ def test_generate_memory_at_first_task_rejected():
 
 
 def test_zero_memory_degenerates_to_naive():
+    # at memory_size = 0 no strategy makes a memory, so no phase is handed
+    # one, and the classifier trains as naive does, bit for bit
     finals = {}
-    for strategy, kwargs in (("naive", {}), ("prer", {"memory_size": 0})):
-        state, train_stream, _ = make_state(21, strategy=strategy,
+    for strategy in ("naive", "replay", "er", "prer", "prer_r"):
+        state, train_stream, _ = make_state(21, strategy=strategy, memory_size=0,
                                             classifier_epochs=4, ae_max_epochs=6,
-                                            flow_max_epochs=6, **kwargs)
+                                            flow_max_epochs=6)
         for task in train_stream.tasks[:2]:
             strategy_train_task(state)
+            assert state.memory is None, (strategy, task.index)
         finals[strategy] = (
             get_params(state.model.encoder) + get_params(state.model.proj_classify)
         )
-    for a, b in zip(finals["naive"], finals["prer"]):
-        assert np.array_equal(a, b)
+    for strategy in ("replay", "er", "prer", "prer_r"):
+        assert all(np.array_equal(a, b) for a, b in zip(finals["naive"], finals[strategy]))
 
 
 def test_generated_images_classify_to_requested_class():
@@ -526,11 +532,19 @@ def test_prer_r_unconditioned_uses_probe_labels():
     assert state.completed_tasks == 3
 
 
-def test_autoencoder_rho_zero_trains_on_task_only():
-    model = make_model(40)
-    train_stream, _ = make_streams(40)
-    task = train_stream.tasks[0]
-    cfg = ExperimentConfig(strategy="prer", ae_max_epochs=10, replay_fraction=0.0).validate()
-    memory = Memory(np.zeros((5, 8)), np.zeros((5, 8)), np.zeros(5, dtype=int))
-    stats = train_autoencoder_phase(model, task, cfg, Rng(41), memory=memory)
-    assert stats["epochs"] >= 1  # memory ignored entirely at rho = 0
+def test_autoencoder_rho_zero_trains_on_task_only(monkeypatch):
+    # at rho = 0 phases 2 and 3 are handed no memory, while the state
+    # keeps the memory generated at task 2's start for the penalty
+    import prer.pipeline as pipeline
+
+    handed = []
+    for name in ("train_autoencoder_phase", "train_flow_phase"):
+        def spy(*args, phase=getattr(pipeline, name), **kwargs):
+            handed.append(kwargs["memory"])
+            return phase(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, spy)
+    state, train_stream, _ = make_state(40, classifier_epochs=2, ae_max_epochs=4,
+                                        flow_max_epochs=4, replay_fraction=0.0)
+    for task in train_stream.tasks[:2]:
+        strategy_train_task(state)
+    assert state.memory is not None and handed == [None] * 4

@@ -331,7 +331,7 @@ def _assert_same_streams(got, expected):
                                                         expected.classes_per_task)
     assert len(got.tasks) == len(expected.tasks)
     for a, b in zip(got.tasks, expected.tasks):
-        assert (a.index, a.classes, a.label_offset) == (b.index, b.classes, b.label_offset)
+        assert (a.index, a.classes) == (b.index, b.classes)
         for name in ("x", "y_task", "y_global"):
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype and x.shape == y.shape, name

@@ -42,9 +42,15 @@ at seed 1 (taken from this checkout, so both trees read the same config):
   first run uses the config's dataset; the second has 800 rows per class
   (``coverage_cap = 700``), so its 640-row classes split each Hausdorff
   call into two row chunks (``metrics.CHUNK_FLOATS``), which no other
-  run does.
+  run does;
+- each knob that keeps the memory from a phase, at 0: er and prer with
+  ``beta = 0``, prer and prer_r with ``replay_fraction = 0``, replay and
+  prer with ``memory_size = 0``;
+- prer, and prer_r with conditioning both, each with ``coverage_cap = 50``:
+  the config leaves 120 training rows per class, so the coverage step
+  draws the capped rows of every class, which no other run does.
 
-That is 23 runs.
+That is 31 runs.
 
 Records are compared without ``timings`` and ``config_hash``, the same
 rule as ``bench/checks.digest``. Exits 1 on any difference. Uses only the
@@ -106,6 +112,13 @@ def grid():
         "strategy": "prer", "conditioning": "flow", "embedding_dim": 8,
         "dataset": "blobs:classes=10,dim=20,sep=5,per_class=800,span=3", "coverage_cap": 700,
     }, None))
+    for strategy, knob in (("er", "beta"), ("prer", "beta"), ("prer", "replay_fraction"),
+                           ("prer_r", "replay_fraction"), ("replay", "memory_size"),
+                           ("prer", "memory_size")):
+        runs.append((f"{strategy}-{knob}-0", {"strategy": strategy, knob: 0}, None))
+    runs.append(("prer-cap50", {"strategy": "prer", "coverage_cap": 50}, None))
+    runs.append(("prer_r-both-cap50",
+                 {"strategy": "prer_r", "conditioning": "both", "coverage_cap": 50}, None))
     return runs
 
 
