@@ -174,6 +174,11 @@ class Coupling:
         b = x[:, self.a_dim:]
         net_in = self._net_input(a, cond)
         tanh_raw = np.tanh(self.scale_net.forward(net_in))
+        if direction == GENERATING:
+            # sampling is never backpropagated: what a net cached would only
+            # keep a large sample's hidden activations resident, so each net
+            # forgets its own before the next one runs
+            self.scale_net.drop_caches()
         log_s = LOG_SCALE_BOUND * tanh_raw
         if not np.isfinite(log_s).all():
             raise DivergenceError("coupling produced non-finite log-scales")
@@ -181,9 +186,6 @@ class Coupling:
         if direction == GENERATING:
             out_b = np.exp(log_s) * b + t
             logdet = log_s.sum(axis=1)
-            # sampling is never backpropagated: what the nets cached would
-            # only keep a large sample's hidden activations resident
-            self.scale_net.drop_caches()
             self.translate_net.drop_caches()
             self._cache = None
         else:

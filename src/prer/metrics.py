@@ -201,7 +201,9 @@ class KnnProbe:
         if y.min() < 0:
             raise ConfigurationError("probe labels must be non-negative")
         self._x, self._y = x, y
-        self._sq_x = (x ** 2).sum(axis=1)
+        self._sq_x = np.empty(len(x))
+        for rows in _row_chunks(len(x), x.shape[1]):
+            self._sq_x[rows] = (x[rows] ** 2).sum(axis=1)
         return self
 
     def predict(self, x) -> np.ndarray:

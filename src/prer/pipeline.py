@@ -20,7 +20,7 @@ import numpy as np
 from . import nn
 from .exceptions import ConfigurationError, DivergenceError
 from .flow import FlowStack, nll_loss_and_backward
-from .metrics import KnnProbe
+from .metrics import KnnProbe, _row_chunks
 from .model import ContinualModel
 from .rng import Rng
 
@@ -353,12 +353,17 @@ class RunState:
 
 def _past_task_probe(state: RunState, through_task: int) -> KnnProbe:
     """Probe fitted on current-model embeddings of real data from the
-    tasks before `through_task`; used to label unconditioned samples."""
-    xs, ys = [], []
-    for task in state.stream.tasks[:through_task - 1]:
-        xs.append(state.model.encode_classify(task.x))
-        ys.append(task.y_global)
-    return KnnProbe(k=5).fit(np.concatenate(xs), np.concatenate(ys))
+    tasks before `through_task`; used to label unconditioned samples.
+    Each task is encoded a row chunk at a time into one matrix, so no
+    step holds a whole task's activations."""
+    model, tasks = state.model, state.stream.tasks[:through_task - 1]
+    x = np.empty((sum(map(len, tasks)), model.embedding_dim))
+    start = 0
+    for task in tasks:
+        for rows in _row_chunks(len(task), int(np.prod(model.input_shape))):
+            x[start + rows.start:start + rows.stop] = model.encode_classify(task.x[rows])
+        start += len(task)
+    return KnnProbe(k=5).fit(x, np.concatenate([task.y_global for task in tasks]))
 
 
 def strategy_train_task(state: RunState) -> RunState:

@@ -354,7 +354,9 @@ def test_knn_probe_chunks_match_one_shot_vote(monkeypatch, k):
 
 def test_knn_probe_memory_stays_within_its_budget():
     rng = Rng(13)
-    probe = KnnProbe(k=5).fit(rng.normal(size=(3000, 100)), rng.integers(0, 10, size=3000))
+    fit_x = rng.normal(size=(3000, 100))  # two chunks of the fit's norms
+    probe = KnnProbe(k=5).fit(fit_x, rng.integers(0, 10, size=3000))
+    assert np.array_equal(probe._sq_x, (fit_x ** 2).sum(axis=1))
     x = rng.normal(size=(9000, 100))
     tracemalloc.start()
     try:

@@ -2,13 +2,15 @@
 equivalences, memory construction and end-to-end conditioning probes."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from _helpers import get_params
 from prer.config import ExperimentConfig
-from prer.data import build_task_stream, split_train_test, synth_blobs
+from prer import metrics
+from prer.data import Task, TaskStream, build_task_stream, split_train_test, synth_blobs
 from prer.exceptions import ConfigurationError, DivergenceError, StateError
 from prer.flow import build_flow
 from prer.metrics import task_accuracy
@@ -16,6 +18,7 @@ from prer.model import build_mlp_model
 from prer.nn import one_hot
 from prer.pipeline import (
     RunState,
+    _past_task_probe,
     class_schedule,
     generate_memory,
     strategy_train_task,
@@ -125,6 +128,50 @@ def test_prer_r_without_replay_builds_no_label_probe(monkeypatch):
     for task in train_stream.tasks[:2]:
         strategy_train_task(state)
     assert state.completed_tasks == 2 and len(state.memory) > 0
+
+
+def mnist_shaped_state(stream, seed):
+    """A prer_r state over ``stream`` with the configs/mnist.cfg encoder
+    (784 -> 256 -> 100), untrained."""
+    model = build_mlp_model((784,), stream.num_classes, Rng(seed), embedding_dim=100,
+                            encoder_hidden=(256,), head_hidden=(16,))
+    cfg = ExperimentConfig(strategy="prer_r").validate()
+    return RunState(model=model, flow=None, stream=stream, cfg=cfg, rng=Rng(seed))
+
+
+def test_past_task_probe_fits_whole_task_embeddings_bit_for_bit():
+    # 400 rows of 784 floats per task: two chunks of CHUNK_FLOATS input
+    # floats each, so the probe's chunked encoding must equal one call
+    stream, _ = make_streams(14, classes=6, dim=784, per_class=250)
+    assert len(list(metrics._row_chunks(len(stream.tasks[0]), 784))) == 2
+    state = mnist_shaped_state(stream, 14)
+    probe = _past_task_probe(state, 3)
+    tasks = stream.tasks[:2]
+    assert np.array_equal(probe._x, np.concatenate(
+        [state.model.encode_classify(task.x) for task in tasks]))
+    assert np.array_equal(probe._y, np.concatenate([task.y_global for task in tasks]))
+
+
+@pytest.mark.parametrize("chunks", [2, 6])
+def test_past_task_probe_excess_memory_does_not_grow_with_task_rows(chunks):
+    # two past tasks whose rows span `chunks` input chunks each; beyond
+    # its fitted matrix the probe may hold one chunk's work, whatever the
+    # task's size
+    rows = chunks * (metrics.CHUNK_FLOATS // 784)
+    rng = Rng(15)
+    stream = TaskStream([
+        Task(index=i + 1, classes=[2 * i, 2 * i + 1], x=rng.normal(size=(rows, 784)),
+             y_task=np.arange(rows) % 2, y_global=2 * i + np.arange(rows) % 2)
+        for i in range(2)], num_classes=4, classes_per_task=2)
+    state = mnist_shaped_state(stream, 15)
+    tracemalloc.start()
+    try:
+        probe = _past_task_probe(state, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(probe._x) == 2 * rows
+    assert peak - probe._x.nbytes < 2 * 8 * metrics.CHUNK_FLOATS
 
 
 def test_replay_and_er_match_naive_on_first_task():

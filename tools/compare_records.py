@@ -48,9 +48,14 @@ at seed 1 (taken from this checkout, so both trees read the same config):
   prer with ``memory_size = 0``;
 - prer, and prer_r with conditioning both, each with ``coverage_cap = 50``:
   the config leaves 120 training rows per class, so the coverage step
-  draws the capped rows of every class, which no other run does.
+  draws the capped rows of every class, which no other run does;
+- prer_r with conditioning both on 784-dim blobs (300 rows per class)
+  with two epochs per phase: each task has 480 training rows, so the
+  label probe encodes every past task in two row chunks of 240 (input
+  chunks of ``metrics.CHUNK_FLOATS`` floats, 334 rows at 784 dims),
+  where every other prer_r run's task fits in one.
 
-That is 31 runs.
+That is 32 runs.
 
 Records are compared without ``timings`` and ``config_hash``, the same
 rule as ``bench/checks.digest``. Exits 1 on any difference. Uses only the
@@ -119,6 +124,11 @@ def grid():
     runs.append(("prer-cap50", {"strategy": "prer", "coverage_cap": 50}, None))
     runs.append(("prer_r-both-cap50",
                  {"strategy": "prer_r", "conditioning": "both", "coverage_cap": 50}, None))
+    runs.append(("prer_r-multi-chunk-probe", {
+        "strategy": "prer_r", "conditioning": "both",
+        "dataset": "blobs:classes=10,dim=784,sep=6,per_class=300",
+        "classifier_epochs": 2, "ae_max_epochs": 2, "flow_max_epochs": 2,
+    }, None))
     return runs
 
 
