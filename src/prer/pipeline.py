@@ -353,7 +353,7 @@ class RunState:
 
 def _past_task_probe(state: RunState, through_task: int) -> KnnProbe:
     """Probe fitted on current-model embeddings of real data from the
-    tasks before `through_task`; used to label unconditioned samples.
+    tasks before `through_task`; used to label generated replay rows.
     Each task is encoded a row chunk at a time into one matrix, so no
     step holds a whole task's activations."""
     model, tasks = state.model, state.stream.tasks[:through_task - 1]

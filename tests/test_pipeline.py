@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from _helpers import get_params
-from prer.config import ExperimentConfig
 from prer import metrics
+from prer.config import ExperimentConfig
 from prer.data import Task, TaskStream, build_task_stream, split_train_test, synth_blobs
 from prer.exceptions import ConfigurationError, DivergenceError, StateError
 from prer.flow import build_flow
@@ -140,8 +140,8 @@ def mnist_shaped_state(stream, seed):
 
 
 def test_past_task_probe_fits_whole_task_embeddings_bit_for_bit():
-    # 400 rows of 784 floats per task: two chunks of CHUNK_FLOATS input
-    # floats each, so the probe's chunked encoding must equal one call
+    # 400 rows of 784 floats per task span two input chunks, and the
+    # probe's chunked encoding must give the bits of one call per task
     stream, _ = make_streams(14, classes=6, dim=784, per_class=250)
     assert len(list(metrics._row_chunks(len(stream.tasks[0]), 784))) == 2
     state = mnist_shaped_state(stream, 14)
