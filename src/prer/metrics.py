@@ -47,15 +47,17 @@ def bwt(r: np.ndarray) -> float:
 # Row chunks of every pairwise-distance computation and of the coverage
 # pool are sized so that one chunk's largest intermediate holds at most
 # this many float64s (2 MB), and so are the batches of exact pairs behind
-# a Hausdorff chunk's screen. Larger budgets measured no faster: a small
-# chunk stays in cache. Elementwise work and reductions give each row the
-# same bits under any chunking, and the Hausdorff screen only picks pairs
-# (its bits never reach the result); matmul row blocks that feed a
-# result need not. Under OpenBLAS 0.3.31 (Haswell kernels), flow
-# samples generated in a tail chunk of 1-48 rows differed from a one-shot
-# call in the last bits (up to 1e-14 on a 100-dim flow), and 49 rows or
-# more matched. Balanced slices keep every chunk at least half a step
-# long whenever more than one is needed, so no short tail is left over.
+# a Hausdorff chunk's screen. The k-NN vote holds one chunk's product and
+# finishes it in place in row sub-blocks of an eighth of this budget.
+# Larger budgets measured no faster: a small chunk stays in cache.
+# Elementwise work and reductions give each row the same bits under any
+# chunking, and the Hausdorff screen only picks pairs (its bits never
+# reach the result); matmul row blocks that feed a result need not. Under
+# OpenBLAS 0.3.31 (Haswell kernels), flow samples generated in a tail
+# chunk of 1-48 rows differed from a one-shot call in the last bits (up
+# to 1e-14 on a 100-dim flow), and 49 rows or more matched. Balanced
+# slices keep every chunk at least half a step long whenever more than
+# one is needed, so no short tail is left over.
 CHUNK_FLOATS = 2 ** 18
 
 
@@ -216,15 +218,19 @@ class KnnProbe:
         out = np.empty(len(x), dtype=int)
         for rows in _row_chunks(len(x), len(self._x)):
             xc = x[rows]
-            # |x - y|^2 expanded through a matmul keeps memory at (chunk, m)
-            d2 = (xc ** 2).sum(axis=1)[:, None] + self._sq_x - 2.0 * xc @ self._x.T
-            nearest = self._y[np.argpartition(d2, k - 1, axis=1)[:, :k]]
-            del d2  # before the next chunk allocates its own
-            votes = np.zeros((len(xc), num_labels), dtype=np.intp)
-            row = np.arange(len(xc))
-            for j in range(k):
-                votes[row, nearest[:, j]] += 1
-            out[rows] = votes.argmax(axis=1)
+            # |x - y|^2 = (|x|^2 + |y|^2) - 2xy from one (chunk, m) product,
+            # finished in place a few rows at a time (see CHUNK_FLOATS)
+            d2 = 2.0 * xc @ self._x.T
+            for sub in _row_chunks(len(xc), 8 * len(self._x)):
+                part = d2[sub]
+                np.subtract((xc[sub] ** 2).sum(axis=1)[:, None] + self._sq_x, part, out=part)
+                nearest = self._y[np.argpartition(part, k - 1, axis=1)[:, :k]]
+                votes = np.zeros((len(part), num_labels), dtype=np.intp)
+                row = np.arange(len(part))
+                for j in range(k):
+                    votes[row, nearest[:, j]] += 1
+                out[rows][sub] = votes.argmax(axis=1)
+            del d2, part  # before the next chunk allocates its own
         return out
 
 

@@ -74,7 +74,7 @@ def _coverage(state, through_task, cap, rng):
     embeddings and flow samples, per class seen so far."""
     model = state.model
     classes = sorted(state.stream.classes_seen(through_task))
-    real_by_class = {}
+    picked = {}
     for c in classes:
         # a class's rows all lie in the task that owns it; the cap picks
         # positions in them, and only the picked rows are gathered
@@ -82,7 +82,15 @@ def _coverage(state, through_task, cap, rng):
         rows = np.flatnonzero(task.y_global == c)
         if len(rows) > cap:
             rows = rows[rng.fork(f"cap{c}").choice(len(rows), size=cap, replace=False)]
-        real_by_class[c] = model.encode_reconstruct(task.x[rows])
+        picked[c] = task, rows
+    # each class's embeddings are a row slice of one matrix the probe fits
+    counts = [len(picked[c][1]) for c in classes]
+    real = np.empty((sum(counts), state.flow.dim))
+    real_by_class = {}
+    for c, end in zip(classes, np.cumsum(counts)):
+        task, rows = picked[c]
+        real_by_class[c] = real[end - len(rows):end]
+        real_by_class[c][:] = model.encode_reconstruct(task.x[rows])
 
     gen_by_class = {}
     if state.flow.cond_width:
@@ -90,11 +98,9 @@ def _coverage(state, through_task, cap, rng):
             n_c = len(real_by_class[c])
             gen_by_class[c] = state.flow.sample(n_c, rng.fork(f"gen{c}"), cond=np.full(n_c, c))
     else:
-        needed = {c: len(real_by_class[c]) for c in classes}
-        total = sum(needed.values())
-        probe_x = np.concatenate([real_by_class[c] for c in classes])
-        probe_y = np.concatenate([np.full(len(real_by_class[c]), c) for c in classes])
-        probe = metrics.KnnProbe(k=5).fit(probe_x, probe_y)
+        needed = dict(zip(classes, counts))
+        total = len(real)
+        probe = metrics.KnnProbe(k=5).fit(real, np.repeat(classes, counts))
         # sampling is row-independent, so a pool of 3 * total rows is
         # drawn, generated and labelled a chunk at a time, sized by the
         # widest coupling net; each class keeps its first needed[c] rows,

@@ -338,17 +338,34 @@ def one_shot_knn(fit_x, fit_y, x, k):
     return np.array([v.argmax() for v in votes]), votes
 
 
-@pytest.mark.parametrize("k", [2, 4, 5])
-def test_knn_probe_chunks_match_one_shot_vote(monkeypatch, k):
+def tied_grid():
+    """60 fitted points on a 3 x 3 grid repeat, so distances tie; four
+    classes among k neighbours make tied votes as well. 70 queries."""
     rng = Rng(12)
-    # 60 points on a 3 x 3 grid repeat, so distances tie; four classes
-    # among k neighbours make tied votes as well
     fit_x = rng.integers(0, 3, size=(60, 2)).astype(float)
     fit_y = rng.integers(0, 4, size=60)
     x = np.concatenate([fit_x[:25], rng.integers(0, 3, size=(45, 2)).astype(float)])
+    return fit_x, fit_y, x
+
+
+@pytest.mark.parametrize("k", [2, 4, 5])
+def test_knn_probe_chunks_match_one_shot_vote(monkeypatch, k):
+    fit_x, fit_y, x = tied_grid()
     monkeypatch.setattr(metrics, "CHUNK_FLOATS", 7 * len(fit_x))  # 7-row chunks
     expected, votes = one_shot_knn(fit_x, fit_y, x, k)
     assert any((v == v.max()).sum() > 1 for v in votes), "no tied vote exercised"
+    assert np.array_equal(KnnProbe(k=k).fit(fit_x, fit_y).predict(x), expected)
+
+
+@pytest.mark.parametrize("k", [2, 4, 5])
+def test_knn_probe_sub_blocks_match_one_shot_vote(monkeypatch, k):
+    fit_x, fit_y, x = tied_grid()
+    # chunks of 23, 23 and 24 rows, each finished in sub-blocks of 2 and 3
+    monkeypatch.setattr(metrics, "CHUNK_FLOATS", 24 * len(fit_x))
+    subs = [s.stop - s.start for c in metrics._row_chunks(len(x), len(fit_x))
+            for s in metrics._row_chunks(c.stop - c.start, 8 * len(fit_x))]
+    assert set(subs) == {2, 3}
+    expected, _ = one_shot_knn(fit_x, fit_y, x, k)
     assert np.array_equal(KnnProbe(k=k).fit(fit_x, fit_y).predict(x), expected)
 
 
@@ -366,6 +383,23 @@ def test_knn_probe_memory_stays_within_its_budget():
         tracemalloc.stop()
     # a dense (9000, 3000) distance matrix alone is 216 MB
     assert peak < 4 * 8 * metrics.CHUNK_FLOATS
+
+
+@pytest.mark.parametrize("fitted, dim, queries", [(1200, 2, 3600), (6400, 100, 200)])
+def test_knn_probe_vote_holds_one_chunk(fitted, dim, queries):
+    rng = Rng(14)
+    probe = KnnProbe(k=5).fit(rng.normal(size=(fitted, dim)), rng.integers(0, 10, size=fitted))
+    x = rng.normal(size=(queries, dim))
+    tracemalloc.start()
+    try:
+        probe.predict(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one chunk's product, plus an eighth of a chunk for a sub-block's
+    # sums and then its argpartition indices; a second chunk-sized
+    # buffer would reach two chunks
+    assert peak < 1.5 * 8 * metrics.CHUNK_FLOATS
 
 
 def test_knn_probe_rejects_negative_labels():
