@@ -32,19 +32,15 @@ class ExperimentConfig:
     decoder_hidden: tuple = ()          # empty: the encoder builder's default
     embedding_dim: int = 16
     head_hidden: tuple = (64, 32)
-    head_dropout: float = 0.2
 
     # training
     classifier_epochs: int = 20
     ae_max_epochs: int = 150
     flow_max_epochs: int = 150
-    patience: int = 5
-    min_delta: float = 1e-4
     beta: float = 1.0
     memory_size: int = 200
     replay_fraction: float = 0.5
     batch_size: int = 64
-    lr: float = 0.001
     validation_fraction: float = 0.1
 
     # flow topology
@@ -83,13 +79,7 @@ class ExperimentConfig:
         # written so that a NaN fails too
         if not self.beta >= 0.0:
             raise ConfigurationError(f"beta must be >= 0, got {self.beta}")
-        if not self.lr > 0.0:
-            raise ConfigurationError(f"lr must be > 0, got {self.lr}")
-        if not self.min_delta >= 0.0:
-            raise ConfigurationError(f"min_delta must be >= 0, got {self.min_delta}")
-        if not 0.0 <= self.head_dropout < 1.0:
-            raise ConfigurationError(f"head_dropout must be in [0, 1), got {self.head_dropout}")
-        for key in ("patience", "embedding_dim", "coverage_cap", "flow_levels", "flow_blocks",
+        for key in ("embedding_dim", "coverage_cap", "flow_levels", "flow_blocks",
                     "flow_hidden_multiplier"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")

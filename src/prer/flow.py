@@ -267,23 +267,25 @@ class FlowStack:
         outs.append(h)
         return np.concatenate(outs, axis=1), logdet
 
-    def _split(self, u):
-        """The prior-side array cut into the per-level chunks, as views."""
-        return np.split(u, np.cumsum(self.emit_widths)[:-1], axis=1)
+    def _walk_back(self, u, step):
+        """Carry the prior-side array ``u`` back through the levels, last
+        layer first, as ``h = step(layer, h)``; before each level but the
+        last, the chunk that level emitted is put back in front."""
+        chunks = np.split(u, np.cumsum(self.emit_widths)[:-1], axis=1)
+        h = chunks[-1]
+        for lvl in range(len(self.levels) - 1, -1, -1):
+            for layer in reversed(self.levels[lvl]):
+                h = step(layer, h)
+            if lvl > 0:
+                h = np.concatenate([chunks[lvl - 1], h], axis=1)
+        return h
 
     def generate(self, u, cond=None):
         """Prior to data, using running batch-norm statistics."""
         if u.ndim != 2 or u.shape[1] != self.dim:
             raise ConfigurationError(
                 f"flow expects (batch, {self.dim}) input, got shape {u.shape}")
-        chunks = self._split(u)
-        h = chunks[-1]
-        for lvl in range(len(self.levels) - 1, -1, -1):
-            for layer in reversed(self.levels[lvl]):
-                h, _ = layer.apply(h, GENERATING, cond=cond)
-            if lvl > 0:
-                h = np.concatenate([chunks[lvl - 1], h], axis=1)
-        return h
+        return self._walk_back(u, lambda layer, h: layer.apply(h, GENERATING, cond=cond)[0])
 
     def backward_normalizing(self, grad_u, grad_logdet):
         """Backpropagate through the cached normalizing pass.
@@ -293,18 +295,13 @@ class FlowStack:
         Parameter gradients accumulate inside the coupling nets; the
         return value is the gradient w.r.t. the flow input.
         """
-        chunks = self._split(grad_u)
-        g = chunks[-1]
-        for lvl in range(len(self.levels) - 1, -1, -1):
-            for layer in reversed(self.levels[lvl]):
-                g = layer.backward_normalizing(g, grad_logdet)
-            if lvl > 0:
-                g = np.concatenate([chunks[lvl - 1], g], axis=1)
-        return g
+        return self._walk_back(
+            grad_u, lambda layer, g: layer.backward_normalizing(g, grad_logdet))
 
-    def log_prob(self, z, cond=None, train=False):
-        """Per-sample log-density under the flow."""
-        u, logdet = self.normalize(z, cond=cond, train=train)
+    def log_prob(self, z, cond=None):
+        """Per-sample log-density under the flow, with running batch-norm
+        statistics."""
+        u, logdet = self.normalize(z, cond=cond)
         log_prior = -0.5 * (u ** 2).sum(axis=1) - 0.5 * self.dim * LOG_2PI
         return log_prior + logdet
 
@@ -337,9 +334,9 @@ class FlowStack:
         ]
 
 
-def nll_loss_and_backward(stack: FlowStack, z, cond=None, train=True) -> float:
-    """One NLL forward/backward pass; gradients accumulate in the stack."""
-    u, logdet = stack.normalize(z, cond=cond, train=train)
+def nll_loss_and_backward(stack: FlowStack, z, cond=None) -> float:
+    """One train-mode NLL forward/backward pass; gradients accumulate in the stack."""
+    u, logdet = stack.normalize(z, cond=cond, train=True)
     n = len(z)
     nll = 0.5 * (u ** 2).sum(axis=1) + 0.5 * stack.dim * LOG_2PI - logdet
     grad_u = u / n

@@ -25,9 +25,11 @@ class ContinualModel:
     decoder. ``encode_classify`` and ``encode_reconstruct`` share E and
     nothing else."""
 
+    head_dropout = 0.2  # drop probability between hidden head layers
+
     def __init__(self, encoder: Network, proj_classify: Network, proj_reconstruct: Network,
                  decoder: Network, *, input_shape, embedding_dim: int,
-                 head_hidden=(64, 32), head_dropout=0.2, decoder_conditioned=False):
+                 head_hidden=(64, 32), decoder_conditioned=False):
         self.encoder = encoder
         self.proj_classify = proj_classify
         self.proj_reconstruct = proj_reconstruct
@@ -36,7 +38,6 @@ class ContinualModel:
         self.input_shape = tuple(input_shape)
         self.embedding_dim = int(embedding_dim)
         self.head_hidden = tuple(head_hidden)
-        self.head_dropout = float(head_dropout)
         self.decoder_conditioned = bool(decoder_conditioned)
 
     # -- heads --------------------------------------------------------

@@ -159,7 +159,7 @@ class Dropout(Layer):
         self.drop_prob = float(drop_prob)
 
     def forward(self, x, train=False, rng=None, cond=None):
-        if not train or self.drop_prob == 0.0:
+        if not train:
             self._cache = 1.0
             return x
         if rng is None:

@@ -67,9 +67,10 @@ class EarlyStop:
     """Stop once `patience` consecutive epochs fail to improve the best
     loss by at least `min_delta`."""
 
-    def __init__(self, patience: int, min_delta: float):
-        self.patience = int(patience)
-        self.min_delta = float(min_delta)
+    patience = 5
+    min_delta = 1e-4
+
+    def __init__(self):
         self.best = np.inf
         self.bad_epochs = 0
 
@@ -104,6 +105,15 @@ def _overwrite_rows(batch, memory, fraction, rng):
     return out
 
 
+def _mixed_batch(task, idx, memory, fraction, rng):
+    """The images and classes of task rows `idx`, with a `fraction` of
+    them overwritten from a handed `memory`."""
+    xb, y_cond = task.x[idx], task.y_global[idx]
+    if memory is None:
+        return xb, y_cond
+    return _overwrite_rows((xb, y_cond), (memory.images, memory.y_global), fraction, rng)
+
+
 def _check_finite(loss, pairs):
     """Stop a phase whose epoch loss or parameters have left the finite
     numbers. Both are checked: the loss of a step is taken before its
@@ -121,8 +131,8 @@ def _train_epochs(phase, task, cfg, rng, pairs, max_epochs, n_rows, step, end_ep
     gradients of `pairs` are zeroed, and after it Adam updates them, unless
     the step returned None for a batch it skipped. `end_epoch(mean_loss)`
     runs after each epoch and stops the phase by returning True. Returns
-    the mean step loss of every epoch run."""
-    adam = nn.Adam(pairs, lr=cfg.lr)
+    the mean step loss of every epoch run; each phase runs a fresh Adam."""
+    adam = nn.Adam(pairs)
     batch_rng = rng.fork("batches")
     history = []
     for epoch in range(max_epochs):
@@ -252,10 +262,7 @@ def train_autoencoder_phase(model: ContinualModel, task, cfg, rng: Rng,
     mem_rng = rng.fork("memory")
 
     def step(idx):
-        xb, y_cond = task.x[idx], task.y_global[idx]
-        if memory is not None:
-            xb, y_cond = _overwrite_rows((xb, y_cond), (memory.images, memory.y_global),
-                                         cfg.replay_fraction, mem_rng)
+        xb, y_cond = _mixed_batch(task, idx, memory, cfg.replay_fraction, mem_rng)
         h = model.encoder.forward(xb)  # frozen: no backward into the backbone
         z = model.proj_reconstruct.forward(h, train=True)
         flat = model.decoder.forward(z, train=True, cond=y_cond)
@@ -266,8 +273,7 @@ def train_autoencoder_phase(model: ContinualModel, task, cfg, rng: Rng,
         return loss
 
     history = _train_epochs("autoencoder", task, cfg, rng, model.autoencoder_parameters(),
-                            cfg.ae_max_epochs, len(task), step,
-                            EarlyStop(cfg.patience, cfg.min_delta).update)
+                            cfg.ae_max_epochs, len(task), step, EarlyStop().update)
     return {"loss_history": history, "epochs": len(history)}
 
 
@@ -281,15 +287,11 @@ def train_flow_phase(flow: FlowStack, model: ContinualModel, task, cfg,
     def step(idx):
         if len(idx) < 2:  # batch norm needs a real batch
             return None
-        xb, y_cond = task.x[idx], task.y_global[idx]
-        if memory is not None:
-            xb, y_cond = _overwrite_rows((xb, y_cond), (memory.images, memory.y_global),
-                                         cfg.replay_fraction, mem_rng)
-        z = model.encode_reconstruct(xb)
-        return nll_loss_and_backward(flow, z, cond=y_cond, train=True)
+        xb, y_cond = _mixed_batch(task, idx, memory, cfg.replay_fraction, mem_rng)
+        return nll_loss_and_backward(flow, model.encode_reconstruct(xb), cond=y_cond)
 
     history = _train_epochs("flow", task, cfg, rng, flow.parameters(), cfg.flow_max_epochs,
-                            len(task), step, EarlyStop(cfg.patience, cfg.min_delta).update)
+                            len(task), step, EarlyStop().update)
     return {"loss_history": history, "epochs": len(history)}
 
 

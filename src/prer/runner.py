@@ -53,7 +53,7 @@ class RunRecord:
 
 def build_model_from_config(cfg: ExperimentConfig, input_shape, num_classes, rng: Rng):
     shared = dict(embedding_dim=cfg.embedding_dim, head_hidden=cfg.head_hidden,
-                  head_dropout=cfg.head_dropout, decoder_conditioned=cfg.decoder_conditioned)
+                  decoder_conditioned=cfg.decoder_conditioned)
     if cfg.encoder == "mlp":
         return build_mlp_model(input_shape, num_classes, rng, encoder_hidden=cfg.encoder_hidden,
                                decoder_hidden=cfg.decoder_hidden, **shared)

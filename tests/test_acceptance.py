@@ -202,7 +202,7 @@ def test_c3_density_estimation_sanity():
                 adam.lr = 2e-4
             idx = rng.choice(len(data), size=128, replace=False)
             stack.grads[...] = 0.0
-            nll_loss_and_backward(stack, data[idx], train=True)
+            nll_loss_and_backward(stack, data[idx])
             adam.step()
 
         eval_rng = Rng(77)

@@ -405,10 +405,12 @@ def test_nll_identity_stack_on_standard_normal():
 def test_nll_gradient_matches_finite_differences():
     stack = build_flow(4, 1, 2, Rng(26))
     randomize(stack, seed=27)
-    initialize_batchnorms(stack, seed=28)
     z = Rng(29).normal(size=(16, 4))
     stack.grads[...] = 0.0
-    nll_loss_and_backward(stack, z, train=False)
+    # the train-mode pass holds its batch statistics constant in the
+    # gradient; on fresh batch norms it also makes them the running ones,
+    # which the eval-mode log_prob below reads
+    nll_loss_and_backward(stack, z)
     pairs = array_pairs(stack)
     check_rng = Rng(30)
     h = 1e-6
@@ -437,7 +439,7 @@ def train_flow_on(stack, data, steps, rng, cond=None, lr=1e-3, batch=128):
         idx = rng.choice(len(data), size=batch, replace=False)
         stack.grads[...] = 0.0
         c = cond[idx] if cond is not None else None
-        losses.append(nll_loss_and_backward(stack, data[idx], cond=c, train=True))
+        losses.append(nll_loss_and_backward(stack, data[idx], cond=c))
         adam.step()
     return losses
 
@@ -454,7 +456,7 @@ def test_nll_training_curve_decreases_to_plateau():
         for start in range(0, len(data), 128):
             idx = order[start:start + 128]
             stack.grads[...] = 0.0
-            batch_losses.append(nll_loss_and_backward(stack, data[idx], train=True))
+            batch_losses.append(nll_loss_and_backward(stack, data[idx]))
             adam.step()
         epoch_losses.append(np.mean(batch_losses))
     smoothed = np.convolve(epoch_losses, np.ones(5) / 5, mode="valid")

@@ -12,7 +12,7 @@ from prer.config import ExperimentConfig
 from prer.data import Task
 from prer.exceptions import ConfigurationError
 from prer.model import build_conv_model, build_mlp_model
-from prer.pipeline import train_autoencoder_phase
+from prer.pipeline import EarlyStop, train_autoencoder_phase
 from prer.rng import Rng
 
 
@@ -171,14 +171,15 @@ def test_autoencoder_phase_freezes_encoder_and_classifier_projection():
         assert np.all(g == 0.0)
 
 
-def test_autoencoder_overfits_four_samples():
+def test_autoencoder_overfits_four_samples(monkeypatch):
     model = build_mlp_model((6,), 4, Rng(15), embedding_dim=8, encoder_hidden=(16,))
     rng = Rng(16)
     x = rng.random(size=(4, 6))
     y = np.array([0, 1, 2, 3])
     task = make_task(x, y, classes=(0, 1, 2, 3))
-    cfg = ExperimentConfig(strategy="prer", ae_max_epochs=4000, batch_size=4,
-                      patience=200, min_delta=1e-9).validate()
+    monkeypatch.setattr(EarlyStop, "patience", 200)
+    monkeypatch.setattr(EarlyStop, "min_delta", 1e-9)
+    cfg = ExperimentConfig(strategy="prer", ae_max_epochs=4000, batch_size=4).validate()
     train_autoencoder_phase(model, task, cfg, Rng(17))
     x_hat = model.decode(model.encode_reconstruct(x))
     assert nn.mse(x_hat, x)[0] < 1e-3

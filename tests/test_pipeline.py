@@ -3,6 +3,7 @@ equivalences, memory construction and end-to-end conditioning probes."""
 
 import hashlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from prer.metrics import task_accuracy
 from prer.model import build_mlp_model
 from prer.nn import one_hot
 from prer.pipeline import (
+    EarlyStop,
     RunState,
     _past_task_probe,
     class_schedule,
@@ -265,10 +267,12 @@ def test_flow_phase_divergence_carries_task_context():
 
 @pytest.mark.parametrize("phase", ["autoencoder", "flow"])
 @pytest.mark.parametrize("patience", [1, 3])
-def test_no_improvement_stops_after_patience_epochs(phase, patience):
+def test_no_improvement_stops_after_patience_epochs(phase, patience, monkeypatch):
     # no later epoch can beat the first by a huge min_delta, so the phase
     # stops after the first epoch plus `patience` bad ones
-    state, train_stream, _ = make_state(19, patience=patience, min_delta=1e300)
+    monkeypatch.setattr(EarlyStop, "patience", patience)
+    monkeypatch.setattr(EarlyStop, "min_delta", 1e300)
+    state, train_stream, _ = make_state(19)
     task = train_stream.tasks[0]
     if phase == "autoencoder":
         out = train_autoencoder_phase(state.model, task, state.cfg, Rng(1))
@@ -366,11 +370,11 @@ def conditioned_state(seed, n_tasks=1):
     model = make_model(seed, conditioning="flow")
     flow = build_flow(model.embedding_dim, 1, 5, Rng(seed).fork("flow-init"), cond_width=4)
     cfg = ExperimentConfig(strategy="prer", classifier_epochs=25, ae_max_epochs=150,
-                      flow_max_epochs=600, memory_size=120, batch_size=32,
-                      patience=15, min_delta=1e-5).validate()
+                      flow_max_epochs=600, memory_size=120, batch_size=32).validate()
     state = RunState(model=model, flow=flow, stream=train_stream, cfg=cfg, rng=Rng(seed))
-    for task in train_stream.tasks[:n_tasks]:
-        strategy_train_task(state)
+    with mock.patch.multiple(EarlyStop, patience=15, min_delta=1e-5):
+        for task in train_stream.tasks[:n_tasks]:
+            strategy_train_task(state)
     return state, train_stream, test_stream
 
 

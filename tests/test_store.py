@@ -105,7 +105,7 @@ def _train_flow(flow, make_adam, steps=50):
     data = Rng(7)
     for _ in range(steps):
         flow.grads[...] = 0.0
-        nll_loss_and_backward(flow, data.normal(size=(64, flow.dim)), train=True)
+        nll_loss_and_backward(flow, data.normal(size=(64, flow.dim)))
         adam.step()
     return flow.params.copy()
 
