@@ -56,20 +56,20 @@ def _cmd_aggregate(args):
 def _cmd_inspect_flow(args):
     from .config import load_config
     from .data import parse_dataset_spec
+    from .model import build_model
     from .rng import Rng
-    from .runner import build_flow_from_config, build_model_from_config
+    from .runner import build_flow_from_config
 
     cfg = load_config(args.config)
     seed = cfg.seeds[0]
     dataset = parse_dataset_spec(cfg.dataset, seed)
     rng = Rng(seed)
-    model = build_model_from_config(cfg, dataset.sample_shape, dataset.num_classes,
-                                    rng.fork("model-init"))
+    model = build_model(cfg, dataset.sample_shape, dataset.num_classes, rng.fork("model-init"))
     flow = build_flow_from_config(cfg, dataset.num_classes, rng.fork("flow-init"))
     print(f"flow: dim={flow.dim} cond_width={flow.cond_width} params={flow.param_count()}")
-    for level in flow.level_summary():
-        print(f"  level {level['level']}: width {level['width']}, "
-              f"emits {level['emitted']}, {level['layers']} layers")
+    for i, (width, emitted, layers) in enumerate(
+            zip(flow.level_widths, flow.emit_widths, flow.levels)):
+        print(f"  level {i}: width {width}, emits {emitted}, {len(layers)} layers")
     print(f"decoder params: {model.decoder.param_count()}")
     print(f"model params (encoder+projections+decoder): {model.param_count()}")
     return 0

@@ -29,7 +29,7 @@ class ExperimentConfig:
     encoder: str = "mlp"
     encoder_hidden: tuple = (64,)
     conv_channels: tuple = (8, 16)
-    decoder_hidden: tuple = ()          # empty: the encoder builder's default
+    decoder_hidden: tuple = ()          # empty: model.build_model's default
     embedding_dim: int = 16
     head_hidden: tuple = (64, 32)
 

@@ -325,14 +325,6 @@ class FlowStack:
     def param_count(self):
         return self.params.size
 
-    def level_summary(self):
-        return [
-            {"level": i, "width": w, "emitted": e, "layers": len(layers)}
-            for i, (w, e, layers) in enumerate(
-                zip(self.level_widths, self.emit_widths, self.levels)
-            )
-        ]
-
 
 def nll_loss_and_backward(stack: FlowStack, z, cond=None) -> float:
     """One train-mode NLL forward/backward pass; gradients accumulate in the stack."""

@@ -188,8 +188,9 @@ def memory_footprint(strategy, num_tasks: int, samples_per_task: int,
 
 
 class KnnProbe:
-    """k-nearest-neighbour class assigner, used to label generated
-    embeddings when no conditioning is available."""
+    """k-nearest-neighbour class assigner, fitted on real embeddings. It
+    labels prer_r's generated replay rows in every conditioning mode, and
+    the sample pool of an unconditioned flow's coverage."""
 
     def __init__(self, k: int = 5):
         self.k = int(k)

@@ -3,6 +3,7 @@
 The backbone encoder is shared by two projection heads: one feeds the
 task classifiers, the other feeds the decoder. Task heads are created
 lazily when their task starts and are never trained again after it ends.
+``build_model`` is the one builder: it builds the model a config describes.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ class ContinualModel:
 
     def __init__(self, encoder: Network, proj_classify: Network, proj_reconstruct: Network,
                  decoder: Network, *, input_shape, embedding_dim: int,
-                 head_hidden=(64, 32), decoder_conditioned=False):
+                 head_hidden, decoder_conditioned):
         self.encoder = encoder
         self.proj_classify = proj_classify
         self.proj_reconstruct = proj_reconstruct
@@ -104,64 +105,48 @@ class ContinualModel:
         return sum(net.param_count() for net in self.all_networks().values())
 
 
-def _with_tail(encoder, backbone_dim, input_shape, num_classes, init: Rng,
-               embedding_dim, decoder_hidden, **options) -> ContinualModel:
-    """The two projections and the decoder on top of ``encoder``, drawn
-    from ``init`` in that order, and the model holding them all;
-    ``options`` are ContinualModel's head and conditioning keywords."""
-    proj_c = Network([Dense(backbone_dim, embedding_dim, init)], name="proj-classify")
-    proj_r = Network([Dense(backbone_dim, embedding_dim, init)], name="proj-reconstruct")
-    dec_layers = []
-    dprev = embedding_dim
-    if options.get("decoder_conditioned"):
-        dec_layers.append(ConcatCondition(num_classes))
-        dprev += num_classes
+def build_model(cfg, input_shape, num_classes, rng: Rng) -> ContinualModel:
+    """The model an ``ExperimentConfig`` describes: encoder, both
+    projections, then decoder, drawn from one ``"model-build"`` fork. The
+    mlp encoder is Dense layers of ``cfg.encoder_hidden`` widths; the conv
+    encoder reads channel-major images, one 3x3 stride-2 kernel per
+    ``cfg.conv_channels`` entry, each halving the height and width,
+    rounding up. An empty ``cfg.decoder_hidden`` mirrors the mlp widths,
+    and gives one 256-wide layer under conv."""
+    input_shape = tuple(input_shape)
+    init = rng.fork("model-build")
+    if cfg.encoder == "mlp":
+        layers = [Flatten()]
+        backbone_dim = int(np.prod(input_shape))
+        for width in cfg.encoder_hidden:
+            layers += [Dense(backbone_dim, width, init), Relu()]
+            backbone_dim = width
+        encoder = Network(layers, name="encoder")
+        decoder_hidden = cfg.decoder_hidden or tuple(reversed(cfg.encoder_hidden))
+    else:
+        if len(input_shape) != 3:
+            raise ConfigurationError("conv encoder needs (channels, height, width) inputs")
+        layers = []
+        prev_c = input_shape[0]
+        for ch in cfg.conv_channels:
+            layers += [Conv2d(prev_c, ch, 3, init, stride=2), Relu()]
+            prev_c = ch
+        encoder = Network(layers + [Flatten()], name="encoder")
+        backbone_dim = encoder.forward(np.zeros((1,) + input_shape)).shape[1]
+        decoder_hidden = cfg.decoder_hidden or (256,)
+    proj_c = Network([Dense(backbone_dim, cfg.embedding_dim, init)], name="proj-classify")
+    proj_r = Network([Dense(backbone_dim, cfg.embedding_dim, init)], name="proj-reconstruct")
+    layers = []
+    prev = cfg.embedding_dim
+    if cfg.decoder_conditioned:
+        layers.append(ConcatCondition(num_classes))
+        prev += num_classes
     for width in decoder_hidden:
-        dec_layers += [Dense(dprev, width, init), Relu()]
-        dprev = width
-    dec_layers.append(Dense(dprev, int(np.prod(input_shape)), init))
-    decoder = Network(dec_layers, name="decoder")
-    return ContinualModel(
-        encoder, proj_c, proj_r, decoder,
-        input_shape=input_shape, embedding_dim=embedding_dim, **options)
-
-
-def build_mlp_model(input_shape, num_classes, rng: Rng, *, embedding_dim=16,
-                    encoder_hidden=(64,), decoder_hidden=(), **options) -> ContinualModel:
-    """Dense encoder/decoder pair for vector or flattened-image inputs; an
-    empty ``decoder_hidden`` mirrors the encoder's widths. ``options`` are
-    ContinualModel's head and conditioning keywords."""
-    input_shape = tuple(input_shape)
-    init = rng.fork("model-build")
-
-    enc_layers = [Flatten()]
-    prev = int(np.prod(input_shape))
-    for width in encoder_hidden:
-        enc_layers += [Dense(prev, width, init), Relu()]
+        layers += [Dense(prev, width, init), Relu()]
         prev = width
-    encoder = Network(enc_layers, name="encoder")
-    return _with_tail(encoder, prev, input_shape, num_classes, init, embedding_dim=embedding_dim,
-                      decoder_hidden=decoder_hidden or tuple(reversed(encoder_hidden)), **options)
-
-
-def build_conv_model(input_shape, num_classes, rng: Rng, *, embedding_dim=100,
-                     conv_channels=(8, 16), decoder_hidden=(), **options) -> ContinualModel:
-    """Small convolutional backbone for image inputs (channel-major): 3x3
-    kernels at stride 2, each halving the height and width, rounding up.
-    An empty ``decoder_hidden`` gives the decoder one 256-wide layer."""
-    input_shape = tuple(input_shape)
-    if len(input_shape) != 3:
-        raise ConfigurationError("conv encoder needs (channels, height, width) inputs")
-    init = rng.fork("model-build")
-
-    enc_layers = []
-    prev_c = input_shape[0]
-    for ch in conv_channels:
-        enc_layers += [Conv2d(prev_c, ch, 3, init, stride=2), Relu()]
-        prev_c = ch
-    enc_layers.append(Flatten())
-    encoder = Network(enc_layers, name="encoder")
-    backbone_dim = encoder.forward(np.zeros((1,) + input_shape)).shape[1]
-    return _with_tail(encoder, backbone_dim, input_shape, num_classes, init,
-                      embedding_dim=embedding_dim, decoder_hidden=decoder_hidden or (256,),
-                      **options)
+    layers.append(Dense(prev, int(np.prod(input_shape)), init))
+    decoder = Network(layers, name="decoder")
+    return ContinualModel(
+        encoder, proj_c, proj_r, decoder, input_shape=input_shape,
+        embedding_dim=cfg.embedding_dim, head_hidden=cfg.head_hidden,
+        decoder_conditioned=cfg.decoder_conditioned)

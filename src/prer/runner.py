@@ -19,7 +19,7 @@ from .data import (LabeledDataset, build_task_stream, parse_dataset_spec, permut
                    split_train_test)
 from .exceptions import ConfigurationError
 from .flow import build_flow
-from .model import build_conv_model, build_mlp_model
+from .model import build_model
 from .pipeline import STRATEGIES, RunState, strategy_train_task
 from .rng import Rng
 
@@ -49,16 +49,6 @@ class RunRecord:
     def from_json(cls, text: str) -> "RunRecord":
         data = json.loads(text)
         return cls(**data)
-
-
-def build_model_from_config(cfg: ExperimentConfig, input_shape, num_classes, rng: Rng):
-    shared = dict(embedding_dim=cfg.embedding_dim, head_hidden=cfg.head_hidden,
-                  decoder_conditioned=cfg.decoder_conditioned)
-    if cfg.encoder == "mlp":
-        return build_mlp_model(input_shape, num_classes, rng, encoder_hidden=cfg.encoder_hidden,
-                               decoder_hidden=cfg.decoder_hidden, **shared)
-    return build_conv_model(input_shape, num_classes, rng, conv_channels=cfg.conv_channels,
-                            decoder_hidden=cfg.decoder_hidden, **shared)
 
 
 def build_flow_from_config(cfg: ExperimentConfig, num_classes, rng: Rng):
@@ -166,8 +156,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None, resume=False)
     num_classes = train_stream.num_classes
 
     rng = Rng(seed)
-    model = build_model_from_config(cfg, sample_shape, num_classes,
-                                    rng.fork("model-init"))
+    model = build_model(cfg, sample_shape, num_classes, rng.fork("model-init"))
     # every record prices each strategy's flow, so every strategy builds
     # it; only a strategy that keeps one trains it
     flow = build_flow_from_config(cfg, num_classes, rng.fork("flow-init"))

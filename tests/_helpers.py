@@ -208,7 +208,7 @@ def random_layer_instance(seed: int):
         x = rng.normal(size=(int(rng.integers(1, 5)), d_in))
         return net, x, {}
     if kind == "conv2d":
-        # the layer build_conv_model builds: kernel 3, stride 2, "same"
+        # the layer the conv encoder of build_model builds: kernel 3, stride 2, "same"
         c_in = int(rng.integers(1, 3))
         c_out = int(rng.integers(1, 3))
         size = int(rng.integers(1, 7))

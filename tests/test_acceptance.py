@@ -26,7 +26,7 @@ from prer.metrics import (
     hausdorff_distance,
     memory_footprint,
 )
-from prer.model import build_mlp_model
+from prer.model import build_model
 from prer.pipeline import (
     STRATEGIES,
     RunState,
@@ -382,9 +382,9 @@ def test_c9_generation_quality(prer_records):
         train_set, _ = split_train_test(dataset, 1)
         stream = build_task_stream(train_set, 2, 1)
         rng = Rng(1)
-        model = build_mlp_model(
-            (20,), 10, rng.fork("model-init"), embedding_dim=2,
-            encoder_hidden=(32,), head_hidden=(16,), decoder_conditioned=True)
+        model = build_model(
+            ExperimentConfig(embedding_dim=2, encoder_hidden=(32,), head_hidden=(16,),
+                             conditioning="decoder"), (20,), 10, rng.fork("model-init"))
         flow = build_flow(2, 1, 5, rng.fork("flow-init"))
         state = RunState(model=model, flow=flow, stream=stream,
                          cfg=cfg, rng=rng)

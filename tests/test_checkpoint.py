@@ -14,7 +14,7 @@ from prer.config import ExperimentConfig
 from prer.data import build_task_stream, split_train_test, synth_blobs
 from prer.exceptions import ConfigurationError
 from prer.flow import build_flow
-from prer.model import build_mlp_model
+from prer.model import build_model
 from prer.pipeline import RunState, strategy_train_task
 from prer.rng import Rng
 
@@ -25,9 +25,9 @@ def fresh_state(seed=1, cond_width=0, decoder_conditioned=False, encoder_hidden=
     seed's "flow-init" fork, so the permutations match across rebuilds,
     and a two-task stream of 2 classes each, which the heads are rebuilt
     from."""
-    model = build_mlp_model((6,), 4, Rng(seed), embedding_dim=6,
-                            encoder_hidden=encoder_hidden,
-                            decoder_conditioned=decoder_conditioned)
+    model = build_model(ExperimentConfig(embedding_dim=6, encoder_hidden=encoder_hidden,
+                                         conditioning="decoder" if decoder_conditioned else "none"),
+                        (6,), 4, Rng(seed))
     flow = None
     if with_flow:
         flow = build_flow(6, 2, 3, Rng(seed).fork("flow-init"), cond_width=cond_width)
@@ -151,7 +151,8 @@ def run_tasks(seed, n_tasks, checkpoint_path=None, resume_path=None):
     stream = build_task_stream(train, 2, seed)
     cfg = ExperimentConfig(strategy="prer", classifier_epochs=4, ae_max_epochs=8,
                       flow_max_epochs=8, memory_size=40, batch_size=32).validate()
-    model = build_mlp_model((6,), 4, Rng(seed), embedding_dim=4, encoder_hidden=(12,))
+    model = build_model(ExperimentConfig(embedding_dim=4, encoder_hidden=(12,),
+                                         conditioning="none"), (6,), 4, Rng(seed))
     flow = build_flow(4, 1, 5, Rng(seed).fork("flow-init"))
     state = RunState(model=model, flow=flow, stream=stream, cfg=cfg, rng=Rng(seed))
     if resume_path is not None:

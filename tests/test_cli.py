@@ -94,7 +94,16 @@ def test_inspect_flow(config_file):
     assert result.returncode == 0, result.stderr
     assert "flow: dim=4" in result.stdout
     assert "level 0" in result.stdout
+    assert "  level 0: width 4, emits 4, 15 layers\n" in result.stdout
     assert "decoder params" in result.stdout
+    # two levels: each level but the last emits half its width
+    config_file.write_text(CONFIG + "flow_levels = 2\n")
+    result = run_cli("inspect-flow", "--config", str(config_file))
+    assert result.returncode == 0, result.stderr
+    assert [line for line in result.stdout.splitlines() if "level" in line] == [
+        "  level 0: width 4, emits 2, 15 layers",
+        "  level 1: width 2, emits 2, 15 layers",
+    ]
 
 
 # Runs prer.cli the way ``python -m prer.cli`` does and, at the first import

@@ -17,7 +17,8 @@ from prer.metrics import (
     hausdorff_distance,
     memory_footprint,
 )
-from prer.model import build_mlp_model
+from prer.config import ExperimentConfig
+from prer.model import build_model
 from prer.pipeline import STRATEGIES, Memory
 from prer.rng import Rng
 
@@ -258,7 +259,8 @@ def test_coverage_validation():
 
 
 def quality_fixture():
-    model = build_mlp_model((5,), 4, Rng(4), embedding_dim=6, encoder_hidden=(8,))
+    model = build_model(ExperimentConfig(embedding_dim=6, encoder_hidden=(8,), conditioning="none"),
+                        (5,), 4, Rng(4))
     images = Rng(5).normal(size=(20, 5))
     embeddings = model.encode_classify(images)
     return model, images, embeddings

@@ -11,17 +11,15 @@ from prer import nn
 from prer.config import ExperimentConfig
 from prer.data import Task
 from prer.exceptions import ConfigurationError
-from prer.model import build_conv_model, build_mlp_model
+from prer.model import build_model
 from prer.pipeline import EarlyStop, train_autoencoder_phase
 from prer.rng import Rng
 
 
 def small_model(decoder_conditioned=False, num_classes=4, embedding_dim=8):
-    return build_mlp_model(
-        (6,), num_classes, Rng(1),
-        embedding_dim=embedding_dim, encoder_hidden=(12,),
-        decoder_conditioned=decoder_conditioned,
-    )
+    cfg = ExperimentConfig(embedding_dim=embedding_dim, encoder_hidden=(12,),
+                           conditioning="decoder" if decoder_conditioned else "none")
+    return build_model(cfg, (6,), num_classes, Rng(1))
 
 
 def test_encode_classify_deterministic_in_eval():
@@ -31,7 +29,8 @@ def test_encode_classify_deterministic_in_eval():
 
 
 def test_mnist_scale_embedding_width():
-    model = build_conv_model((1, 28, 28), 10, Rng(3))
+    cfg = ExperimentConfig(encoder="conv", embedding_dim=100, conditioning="none")
+    model = build_model(cfg, (1, 28, 28), 10, Rng(3))
     assert model.embedding_dim == 100
     x = Rng(4).random(size=(2, 1, 28, 28))
     assert model.encode_classify(x).shape == (2, 100)
@@ -115,13 +114,14 @@ def param_digest(model):
 def test_built_parameters_keep_their_bits():
     # digests taken before the two builders shared their projections and
     # decoder: the draw order from the "model-build" fork is unchanged
-    mlp = build_mlp_model((6,), 4, Rng(11), embedding_dim=5, encoder_hidden=(12, 10),
-                          decoder_conditioned=True)
+    mlp = build_model(ExperimentConfig(embedding_dim=5, encoder_hidden=(12, 10),
+                                       conditioning="decoder"), (6,), 4, Rng(11))
     assert mlp.param_count() == 634
     assert param_digest(mlp) == (
         "61dedefc0a5988fab60c27695a178afb7c3d3ae105fe5e2717b43d2bcf60f87e")
-    conv = build_conv_model((1, 6, 6), 4, Rng(12), embedding_dim=5, conv_channels=(2, 3),
-                            decoder_hidden=(16,))
+    conv = build_model(ExperimentConfig(encoder="conv", embedding_dim=5, conv_channels=(2, 3),
+                                        decoder_hidden=(16,), conditioning="none"),
+                       (1, 6, 6), 4, Rng(12))
     assert conv.param_count() == 915
     assert param_digest(conv) == (
         "5023d8fbbe7bb738548b5cf84e1112f3c1e3203c4b543a9e91646d3502026557")
@@ -130,10 +130,11 @@ def test_built_parameters_keep_their_bits():
 @pytest.mark.parametrize("encoder", ["mlp", "conv"])
 def test_encoder_backward_without_input_gradient(encoder):
     if encoder == "mlp":
-        model = build_mlp_model((1, 6, 6), 4, Rng(31), encoder_hidden=(12, 10))
+        cfg = ExperimentConfig(encoder_hidden=(12, 10), conditioning="none")
     else:
-        model = build_conv_model((1, 6, 6), 4, Rng(31), embedding_dim=5,
-                                 conv_channels=(2, 3), decoder_hidden=(8,))
+        cfg = ExperimentConfig(encoder="conv", embedding_dim=5, conv_channels=(2, 3),
+                               decoder_hidden=(8,), conditioning="none")
+    model = build_model(cfg, (1, 6, 6), 4, Rng(31))
     data = Rng(32)
     x = data.normal(size=(7, 1, 6, 6))
     net = model.encoder
@@ -172,7 +173,8 @@ def test_autoencoder_phase_freezes_encoder_and_classifier_projection():
 
 
 def test_autoencoder_overfits_four_samples(monkeypatch):
-    model = build_mlp_model((6,), 4, Rng(15), embedding_dim=8, encoder_hidden=(16,))
+    model = build_model(ExperimentConfig(embedding_dim=8, encoder_hidden=(16,),
+                                         conditioning="none"), (6,), 4, Rng(15))
     rng = Rng(16)
     x = rng.random(size=(4, 6))
     y = np.array([0, 1, 2, 3])

@@ -15,7 +15,7 @@ from prer.data import Task, TaskStream, build_task_stream, split_train_test, syn
 from prer.exceptions import ConfigurationError, DivergenceError, StateError
 from prer.flow import build_flow
 from prer.metrics import task_accuracy
-from prer.model import build_mlp_model
+from prer.model import build_model
 from prer.nn import one_hot
 from prer.pipeline import (
     EarlyStop,
@@ -39,11 +39,9 @@ def make_streams(seed, classes=4, dim=8, per_class=80, sep=6.0, c_m=2, span=None
 
 
 def make_model(seed, dim=8, classes=4, conditioning="decoder", embedding=8):
-    return build_mlp_model(
-        (dim,), classes, Rng(seed),
-        embedding_dim=embedding, encoder_hidden=(24,), head_hidden=(16,),
-        decoder_conditioned=conditioning in ("both", "decoder"),
-    )
+    cfg = ExperimentConfig(embedding_dim=embedding, encoder_hidden=(24,), head_hidden=(16,),
+                           conditioning=conditioning)
+    return build_model(cfg, (dim,), classes, Rng(seed))
 
 
 def make_state(seed, strategy="prer", conditioning="decoder", **cfg_kwargs):
@@ -135,8 +133,9 @@ def test_prer_r_without_replay_builds_no_label_probe(monkeypatch):
 def mnist_shaped_state(stream, seed):
     """A prer_r state over ``stream`` with the configs/mnist.cfg encoder
     (784 -> 256 -> 100), untrained."""
-    model = build_mlp_model((784,), stream.num_classes, Rng(seed), embedding_dim=100,
-                            encoder_hidden=(256,), head_hidden=(16,))
+    model = build_model(ExperimentConfig(embedding_dim=100, encoder_hidden=(256,),
+                                         head_hidden=(16,), conditioning="none"),
+                        (784,), stream.num_classes, Rng(seed))
     cfg = ExperimentConfig(strategy="prer_r").validate()
     return RunState(model=model, flow=None, stream=stream, cfg=cfg, rng=Rng(seed))
 
@@ -339,8 +338,9 @@ def test_nan_row_stops_every_phase(phase):
     # no validation split, so the NaN row is surely trained on, and no
     # hidden encoder layer, whose Relu would turn it into zeros
     state, train_stream, _ = make_state(17, validation_fraction=0.0)
-    state.model = build_mlp_model((8,), 4, Rng(17), embedding_dim=8, encoder_hidden=(),
-                                  head_hidden=(16,))
+    state.model = build_model(ExperimentConfig(embedding_dim=8, encoder_hidden=(),
+                                               head_hidden=(16,), conditioning="none"),
+                              (8,), 4, Rng(17))
     task = train_stream.tasks[0]
     task.x[5] = np.nan
     train = {
@@ -390,8 +390,8 @@ def test_generate_memory_embeddings_recompute_exactly():
 
 def test_generate_memory_of_conditioned_flow_and_decoder_keeps_its_bits():
     # digests taken while callers still built the one-hots themselves
-    model = build_mlp_model((6,), 4, Rng(40), embedding_dim=4, encoder_hidden=(12,),
-                            decoder_conditioned=True)
+    model = build_model(ExperimentConfig(embedding_dim=4, encoder_hidden=(12,),
+                                         conditioning="decoder"), (6,), 4, Rng(40))
     flow = build_flow(4, 1, 2, Rng(41), cond_width=4)
     rng = Rng(42)
     flow.params[...] = rng.uniform(-0.5, 0.5, flow.params.shape)
@@ -466,8 +466,9 @@ def test_naive_stream_shows_negative_bwt():
     for seed in range(1, 6):
         train_stream, test_stream = make_streams(seed, classes=10, dim=20,
                                                  per_class=100, sep=5.0, span=3)
-        model = build_mlp_model((20,), 10, Rng(seed), embedding_dim=2,
-                                encoder_hidden=(32,), head_hidden=(16,))
+        model = build_model(ExperimentConfig(embedding_dim=2, encoder_hidden=(32,),
+                                             head_hidden=(16,), conditioning="none"),
+                            (20,), 10, Rng(seed))
         cfg = ExperimentConfig(strategy="naive", classifier_epochs=30, batch_size=64).validate()
         state = RunState(model=model, flow=None, stream=train_stream, cfg=cfg, rng=Rng(seed))
         r = np.full((5, 5), np.nan)
@@ -532,9 +533,8 @@ def test_class_schedule_balanced():
 def interference_state(seed, strategy, conditioning="decoder"):
     train_stream, test_stream = make_streams(seed, classes=10, dim=20,
                                              per_class=100, sep=5.0, span=3)
-    model = build_mlp_model((20,), 10, Rng(seed), embedding_dim=2,
-                            encoder_hidden=(32,), head_hidden=(16,),
-                            decoder_conditioned=conditioning in ("both", "decoder"))
+    model = build_model(ExperimentConfig(embedding_dim=2, encoder_hidden=(32,), head_hidden=(16,),
+                                         conditioning=conditioning), (20,), 10, Rng(seed))
     flow = None
     if strategy in ("prer", "prer_r"):
         flow = build_flow(2, 1, 5, Rng(seed).fork("flow-init"),

@@ -16,6 +16,7 @@ from prer.checkpoint import load_run_state, state_arrays
 from prer.config import ExperimentConfig, load_config, parse_config_text
 from prer.data import build_task_stream, parse_dataset_spec, split_train_test
 from prer.exceptions import ConfigurationError
+from prer.model import build_model
 from prer.pipeline import STRATEGIES
 from prer.rng import Rng
 from prer.runner import (
@@ -415,7 +416,7 @@ def test_empty_decoder_hidden_is_each_encoders_default():
     # the MLP mirrors its encoder, the conv model gets one 256-wide layer
     def hidden_widths(**overrides):
         cfg = tiny_config(decoder_hidden=(), **overrides)
-        model = runner.build_model_from_config(cfg, (1, 6, 6), 4, Rng(3))
+        model = build_model(cfg, (1, 6, 6), 4, Rng(3))
         return [layer.out_dim for layer in model.decoder.layers[:-1] if hasattr(layer, "out_dim")]
 
     assert hidden_widths(encoder_hidden=(12, 10)) == [10, 12]

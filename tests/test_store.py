@@ -10,11 +10,11 @@ import pytest
 
 from _helpers import ReferenceAdam, array_pairs
 from prer import nn
-from prer.config import load_config
+from prer.config import ExperimentConfig, load_config
 from prer.flow import nll_loss_and_backward
-from prer.model import build_conv_model
+from prer.model import build_model
 from prer.rng import Rng
-from prer.runner import build_flow_from_config, build_model_from_config
+from prer.runner import build_flow_from_config
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -23,14 +23,15 @@ def blobs_run():
     """The model and flow of a configs/blobs.cfg run (20-dim inputs, 10
     classes), with the first task's head."""
     cfg = load_config(CONFIGS / "blobs.cfg")
-    model = build_model_from_config(cfg, (20,), 10, Rng(1).fork("model-init"))
+    model = build_model(cfg, (20,), 10, Rng(1).fork("model-init"))
     model.ensure_head(1, 2, Rng(2))
     return model, build_flow_from_config(cfg, 10, Rng(1).fork("flow-init"))
 
 
 def conv_model():
-    model = build_conv_model((1, 8, 8), 4, Rng(3), embedding_dim=6, conv_channels=(2, 3),
-                             decoder_hidden=(12,), decoder_conditioned=True)
+    cfg = ExperimentConfig(encoder="conv", embedding_dim=6, conv_channels=(2, 3),
+                           decoder_hidden=(12,), conditioning="decoder")
+    model = build_model(cfg, (1, 8, 8), 4, Rng(3))
     model.ensure_head(1, 2, Rng(4))
     return model
 
@@ -118,7 +119,7 @@ def test_fused_step_matches_per_array_adam_on_the_blobs_flow():
 
 def _train_classifier(pairs_of, steps=50):
     cfg = load_config(CONFIGS / "mnist.cfg")
-    model = build_model_from_config(cfg, (1, 28, 28), 10, Rng(8).fork("model-init"))
+    model = build_model(cfg, (1, 28, 28), 10, Rng(8).fork("model-init"))
     head = model.ensure_head(1, 2, Rng(9))
     adam = pairs_of(model)
     data, dropout = Rng(10), Rng(11)

@@ -132,6 +132,11 @@ def grid():
     return runs
 
 
+def config_text(base: str, overrides: dict) -> str:
+    """The config text of one grid run: ``base`` with its overrides appended."""
+    return base + "".join(f"\n{k} = {v}" for k, v in overrides.items())
+
+
 def write_idx_pair(directory):
     """48 random 6x6 uint8 images in 4 classes, each class with a bright
     row of its own, as an IDX image file and an IDX label file."""
@@ -167,8 +172,7 @@ def worker():
         write_idx_pair(data_dir)
         os.chdir(data_dir)  # the conv run names its IDX files relative to here
         for name, overrides, crash_at in job["runs"]:
-            text = job["config"] + "".join(f"\n{k} = {v}" for k, v in overrides.items())
-            cfg = config.parse_config_text(text)
+            cfg = config.parse_config_text(config_text(job["config"], overrides))
             with tempfile.TemporaryDirectory() as out_dir:
                 if crash_at is not None:
                     # the state comes first under either signature, (state,
