@@ -56,17 +56,18 @@ def _cmd_aggregate(args):
 def _cmd_inspect_flow(args):
     from .config import load_config
     from .data import parse_dataset_spec
+    from .flow import build_flow
     from .model import build_model
     from .rng import Rng
-    from .runner import build_flow_from_config
 
     cfg = load_config(args.config)
     seed = cfg.seeds[0]
     dataset = parse_dataset_spec(cfg.dataset, seed)
     rng = Rng(seed)
     model = build_model(cfg, dataset.sample_shape, dataset.num_classes, rng.fork("model-init"))
-    flow = build_flow_from_config(cfg, dataset.num_classes, rng.fork("flow-init"))
-    print(f"flow: dim={flow.dim} cond_width={flow.cond_width} params={flow.param_count()}")
+    flow = build_flow(cfg, dataset.num_classes, rng.fork("flow-init"))
+    cond_width = dataset.num_classes if cfg.flow_conditioned else 0
+    print(f"flow: dim={flow.dim} cond_width={cond_width} params={flow.param_count()}")
     for i, (width, emitted, layers) in enumerate(
             zip(flow.level_widths, flow.emit_widths, flow.levels)):
         print(f"  level {i}: width {width}, emits {emitted}, {len(layers)} layers")
@@ -100,7 +101,14 @@ def main(argv=None) -> int:
     p_ins.set_defaults(func=_cmd_inspect_flow)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    from .data import IdxFormatError
+    from .exceptions import ConfigurationError
+
+    try:
+        return args.func(args)
+    except (ConfigurationError, IdxFormatError) as err:
+        print(f"prer: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

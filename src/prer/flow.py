@@ -133,10 +133,9 @@ class Coupling:
     The scale/translation nets are two-layer MLPs; the raw scale output
     is squashed through tanh into [-LOG_SCALE_BOUND, LOG_SCALE_BOUND].
     Their final layers start at zero so a fresh coupling is the identity.
-    On widths < 2 the second chunk is empty and the layer degenerates to
-    the identity, which keeps deep multi-scale stacks on small inputs
-    well defined. With ``cond_width`` classes the nets also read the
-    one-hot of each row's class ``cond``; without, ``cond`` is ignored.
+    It needs a width of at least 2, so that the second chunk is not empty.
+    With ``cond_width`` classes the nets also read the one-hot of each
+    row's class ``cond``; without, ``cond`` is ignored.
     """
 
     def __init__(self, dim: int, hidden: int, rng: Rng, cond_width: int = 0):
@@ -145,31 +144,25 @@ class Coupling:
         self.cond_width = int(cond_width)
         self.a_dim = (dim + 1) // 2
         self.b_dim = dim // 2
-        if self.b_dim > 0:
-            in_dim = self.a_dim + self.cond_width
-            self.scale_net = Network(
-                [Dense(in_dim, hidden, rng), Relu(), Dense(hidden, self.b_dim, rng)],
-                name="coupling-scale",
-            )
-            self.translate_net = Network(
-                [Dense(in_dim, hidden, rng), Relu(), Dense(hidden, self.b_dim, rng)],
-                name="coupling-translate",
-            )
-            for net in (self.scale_net, self.translate_net):
-                last = net.layers[-1]
-                last.w[...] = 0.0
-                last.b[...] = 0.0
-        else:
-            self.scale_net = None
-            self.translate_net = None
+        in_dim = self.a_dim + self.cond_width
+        self.scale_net = Network(
+            [Dense(in_dim, hidden, rng), Relu(), Dense(hidden, self.b_dim, rng)],
+            name="coupling-scale",
+        )
+        self.translate_net = Network(
+            [Dense(in_dim, hidden, rng), Relu(), Dense(hidden, self.b_dim, rng)],
+            name="coupling-translate",
+        )
+        for net in (self.scale_net, self.translate_net):
+            last = net.layers[-1]
+            last.w[...] = 0.0
+            last.b[...] = 0.0
         self._cache = None
 
     def _net_input(self, a, cond):
         return append_one_hot(a, cond, self.cond_width) if self.cond_width else a
 
     def apply(self, x, direction, cond=None, train=False):
-        if self.b_dim == 0:
-            return x, np.zeros(len(x))
         a = x[:, :self.a_dim]
         b = x[:, self.a_dim:]
         net_in = self._net_input(a, cond)
@@ -196,8 +189,6 @@ class Coupling:
         return np.concatenate([a, out_b], axis=1), logdet
 
     def backward_normalizing(self, grad, grad_logdet):
-        if self.b_dim == 0:
-            return grad
         if self._cache is None:
             raise StateError("Coupling.backward called without a cached normalizing pass")
         tanh_raw, inv_s, y_b = self._cache
@@ -213,7 +204,7 @@ class Coupling:
         return np.concatenate([da, d_in_b], axis=1)
 
     def networks(self):
-        return [] if self.b_dim == 0 else [self.scale_net, self.translate_net]
+        return [self.scale_net, self.translate_net]
 
 
 def level_widths(dim: int, levels: int) -> list:
@@ -231,14 +222,13 @@ class FlowStack:
     next level. The emitted chunks concatenated in level order form the
     prior variable, so the total dimensionality never changes. All
     coupling nets live in two flat vectors, ``params`` and ``grads``.
-    Every layer receives the rows' classes ``cond``; a flow with
-    ``cond_width`` > 0 has a coupling that reads them.
+    Every layer receives the rows' classes ``cond``; only a conditioned
+    coupling reads them.
     """
 
-    def __init__(self, levels, dim: int, cond_width: int = 0):
+    def __init__(self, levels, dim: int):
         self.levels = [list(lvl) for lvl in levels]
         self.dim = int(dim)
-        self.cond_width = int(cond_width)
         self.level_widths = level_widths(self.dim, len(self.levels))
         # each level but the last emits the larger half of its width
         self.emit_widths = [w - rest for w, rest in zip(self.level_widths, self.level_widths[1:])]
@@ -337,26 +327,26 @@ def nll_loss_and_backward(stack: FlowStack, z, cond=None) -> float:
     return float(nll.mean())
 
 
-def build_flow(dim: int, levels: int, blocks: int, rng: Rng, *,
-               hidden_multiplier: int = 2, cond_width: int = 0) -> FlowStack:
-    """Standard topology: `levels` levels of `blocks` blocks, each block
-    being permutation -> batch norm -> coupling in normalizing order.
+def build_flow(cfg, num_classes: int, rng: Rng) -> FlowStack:
+    """The flow an ``ExperimentConfig`` describes: ``cfg.flow_levels``
+    levels of ``cfg.flow_blocks`` blocks on ``cfg.embedding_dim`` inputs,
+    each block permutation -> batch norm -> coupling in normalizing order,
+    a coupling on width w having ``cfg.flow_hidden_multiplier * w`` hidden
+    units. A width-1 level has nothing to split and holds no coupling.
 
-    Of a flow on ``cond_width`` > 0 classes, exactly one coupling reads
-    the class: the first one met when walking from the prior towards the
-    data, i.e. the last coupling of the first (full-width) level. Placing
-    it at the prior side lets every remaining block spread the class
-    information across all dimensions during sampling; at the data side
-    the condition would only ever steer the transformed half of the
-    coordinates."""
+    Under ``cfg.flow_conditioned`` exactly one coupling reads the class
+    one-hot of ``num_classes``: the first one met walking from the prior
+    to the data, i.e. the last coupling of the full-width level 0. There
+    every remaining block spreads the class over all dimensions during
+    sampling; at the data side it would only steer the transformed half."""
     level_layers = []
-    for lvl, w in enumerate(level_widths(dim, levels)):
+    for lvl, w in enumerate(level_widths(cfg.embedding_dim, cfg.flow_levels)):
         layers = []
-        for blk in range(blocks):
-            conditioned = cond_width > 0 and lvl == 0 and blk == blocks - 1
-            layers.append(Permutation(w, rng))
-            layers.append(BatchNorm(w))
-            layers.append(Coupling(w, hidden_multiplier * w, rng,
-                                   cond_width=cond_width if conditioned else 0))
+        for blk in range(cfg.flow_blocks):
+            layers += [Permutation(w, rng), BatchNorm(w)]
+            if w > 1:
+                conditioned = cfg.flow_conditioned and lvl == 0 and blk == cfg.flow_blocks - 1
+                layers.append(Coupling(w, cfg.flow_hidden_multiplier * w, rng,
+                                       cond_width=num_classes if conditioned else 0))
         level_layers.append(layers)
-    return FlowStack(level_layers, dim, cond_width=cond_width)
+    return FlowStack(level_layers, cfg.embedding_dim)

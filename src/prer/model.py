@@ -29,8 +29,7 @@ class ContinualModel:
     head_dropout = 0.2  # drop probability between hidden head layers
 
     def __init__(self, encoder: Network, proj_classify: Network, proj_reconstruct: Network,
-                 decoder: Network, *, input_shape, embedding_dim: int,
-                 head_hidden, decoder_conditioned):
+                 decoder: Network, *, input_shape, embedding_dim: int, head_hidden):
         self.encoder = encoder
         self.proj_classify = proj_classify
         self.proj_reconstruct = proj_reconstruct
@@ -39,7 +38,6 @@ class ContinualModel:
         self.input_shape = tuple(input_shape)
         self.embedding_dim = int(embedding_dim)
         self.head_hidden = tuple(head_hidden)
-        self.decoder_conditioned = bool(decoder_conditioned)
 
     # -- heads --------------------------------------------------------
 
@@ -148,5 +146,4 @@ def build_model(cfg, input_shape, num_classes, rng: Rng) -> ContinualModel:
     decoder = Network(layers, name="decoder")
     return ContinualModel(
         encoder, proj_c, proj_r, decoder, input_shape=input_shape,
-        embedding_dim=cfg.embedding_dim, head_hidden=cfg.head_hidden,
-        decoder_conditioned=cfg.decoder_conditioned)
+        embedding_dim=cfg.embedding_dim, head_hidden=cfg.head_hidden)

@@ -379,7 +379,7 @@ def strategy_train_task(state: RunState) -> RunState:
     if strategy.flow and t > 1 and cfg.memory_size > 0:
         with state.timed("memory"):
             schedule = None
-            if state.flow.cond_width > 0 or model.decoder_conditioned:
+            if cfg.conditioning != "none":
                 schedule = class_schedule(state.stream.classes_seen(t - 1),
                                           cfg.memory_size, rng_t.fork("schedule"))
             state.memory = generate_memory(

@@ -51,14 +51,6 @@ class RunRecord:
         return cls(**data)
 
 
-def build_flow_from_config(cfg: ExperimentConfig, num_classes, rng: Rng):
-    return build_flow(
-        cfg.embedding_dim, cfg.flow_levels, cfg.flow_blocks, rng,
-        hidden_multiplier=cfg.flow_hidden_multiplier,
-        cond_width=num_classes if cfg.flow_conditioned else 0,
-    )
-
-
 def _coverage(state, through_task, cap, rng):
     """Class-averaged Hausdorff distance between real reconstruction
     embeddings and flow samples, per class seen so far."""
@@ -83,7 +75,7 @@ def _coverage(state, through_task, cap, rng):
         real_by_class[c][:] = model.encode_reconstruct(task.x[rows])
 
     gen_by_class = {}
-    if state.flow.cond_width:
+    if state.cfg.flow_conditioned:
         for c in classes:
             n_c = len(real_by_class[c])
             gen_by_class[c] = state.flow.sample(n_c, rng.fork(f"gen{c}"), cond=np.full(n_c, c))
@@ -159,7 +151,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None, resume=False)
     model = build_model(cfg, sample_shape, num_classes, rng.fork("model-init"))
     # every record prices each strategy's flow, so every strategy builds
     # it; only a strategy that keeps one trains it
-    flow = build_flow_from_config(cfg, num_classes, rng.fork("flow-init"))
+    flow = build_flow(cfg, num_classes, rng.fork("flow-init"))
 
     state = RunState(model=model, flow=flow if keeps_flow else None, stream=train_stream,
                      cfg=cfg, rng=rng)

@@ -98,7 +98,9 @@ def test_c1_flow_correctness():
             levels = int(rng.integers(1, 4))
             blocks = int(rng.integers(1, 6))
             cond_width = int(rng.integers(0, 4)) if rng.random() < 0.4 else 0
-            stack = build_flow(dim, levels, blocks, rng, cond_width=cond_width)
+            cfg = ExperimentConfig(embedding_dim=dim, flow_levels=levels, flow_blocks=blocks,
+                                   conditioning="flow" if cond_width else "none")
+            stack = build_flow(cfg, cond_width, rng)
             for p, _ in stack.parameters():
                 p[...] = rng.uniform(-0.5, 0.5, p.shape)
             init_cond = rng.integers(0, cond_width, size=64) if cond_width else None
@@ -195,7 +197,8 @@ def test_c3_density_estimation_sanity():
             + ent_rng.normal(size=(200_000, 2))
         entropy = float(-mixture_logpdf(ent_sample).mean())
 
-        stack = build_flow(2, 1, 5, Rng(32))
+        stack = build_flow(ExperimentConfig(embedding_dim=2, flow_levels=1, flow_blocks=5),
+                           2, Rng(32))
         adam = nn.Adam(stack.parameters(), lr=1e-3)
         for step in range(8000):
             if step == 6000:
@@ -385,7 +388,7 @@ def test_c9_generation_quality(prer_records):
         model = build_model(
             ExperimentConfig(embedding_dim=2, encoder_hidden=(32,), head_hidden=(16,),
                              conditioning="decoder"), (20,), 10, rng.fork("model-init"))
-        flow = build_flow(2, 1, 5, rng.fork("flow-init"))
+        flow = build_flow(cfg, 10, rng.fork("flow-init"))
         state = RunState(model=model, flow=flow, stream=stream,
                          cfg=cfg, rng=rng)
         strategy_train_task(state)

@@ -15,26 +15,25 @@ from prer.data import build_task_stream, split_train_test, synth_blobs
 from prer.exceptions import ConfigurationError
 from prer.flow import build_flow
 from prer.model import build_model
+from prer.nn import ConcatCondition
 from prer.pipeline import RunState, strategy_train_task
 from prer.rng import Rng
 
 
-def fresh_state(seed=1, cond_width=0, decoder_conditioned=False, encoder_hidden=(10,),
-                with_flow=True):
+def fresh_state(seed=1, conditioning="none", encoder_hidden=(10,), with_flow=True):
     """What the runner builds from a config: a model, a flow from the
     seed's "flow-init" fork, so the permutations match across rebuilds,
     and a two-task stream of 2 classes each, which the heads are rebuilt
     from."""
-    model = build_model(ExperimentConfig(embedding_dim=6, encoder_hidden=encoder_hidden,
-                                         conditioning="decoder" if decoder_conditioned else "none"),
-                        (6,), 4, Rng(seed))
+    cfg = ExperimentConfig(embedding_dim=6, encoder_hidden=encoder_hidden,
+                           conditioning=conditioning, flow_levels=2, flow_blocks=3)
+    model = build_model(cfg, (6,), 4, Rng(seed))
     flow = None
     if with_flow:
-        flow = build_flow(6, 2, 3, Rng(seed).fork("flow-init"), cond_width=cond_width)
+        flow = build_flow(cfg, 4, Rng(seed).fork("flow-init"))
     ds = synth_blobs(classes=4, per_class=10, dim=6, separation=5.0, seed=seed)
     stream = build_task_stream(split_train_test(ds, seed)[0], 2, seed)
-    return RunState(model=model, flow=flow, stream=stream, cfg=ExperimentConfig(),
-                    rng=Rng(seed))
+    return RunState(model=model, flow=flow, stream=stream, cfg=cfg, rng=Rng(seed))
 
 
 def trained_state(seed=1, **kwargs):
@@ -50,8 +49,7 @@ def trained_state(seed=1, **kwargs):
     for p, _ in pairs:
         p[...] = rng.uniform(-0.5, 0.5, p.shape)
     if state.flow is not None:
-        cw = state.flow.cond_width
-        cond = rng.integers(0, cw, size=64) if cw else None
+        cond = rng.integers(0, 4, size=64) if state.cfg.flow_conditioned else None
         state.flow.normalize(rng.normal(size=(64, 6)), cond=cond, train=True)
     state.completed_tasks = 2
     return state
@@ -78,25 +76,25 @@ def test_flow_roundtrip_bit_exact(tmp_path):
 
 
 def test_conditioned_flow_roundtrip(tmp_path):
-    flow = trained_state(seed=4, cond_width=3).flow
-    restored = roundtrip(trained_state(seed=4, cond_width=3), tmp_path,
-                         seed=4, cond_width=3).flow
+    flow = trained_state(seed=4, conditioning="flow").flow
+    restored = roundtrip(trained_state(seed=4, conditioning="flow"), tmp_path,
+                         seed=4, conditioning="flow").flow
     z = Rng(5).normal(size=(4, 6))
     cond = np.array([0, 1, 2, 0])
     assert np.array_equal(flow.log_prob(z, cond=cond), restored.log_prob(z, cond=cond))
 
 
 def test_model_roundtrip(tmp_path):
-    model = trained_state(seed=6, decoder_conditioned=True).model
-    restored = roundtrip(trained_state(seed=6, decoder_conditioned=True), tmp_path,
-                         seed=6, decoder_conditioned=True).model
+    model = trained_state(seed=6, conditioning="decoder").model
+    restored = roundtrip(trained_state(seed=6, conditioning="decoder"), tmp_path,
+                         seed=6, conditioning="decoder").model
     x = Rng(9).normal(size=(5, 6))
     assert np.array_equal(model.encode_classify(x), restored.encode_classify(x))
     assert np.array_equal(model.classify(x, 2), restored.classify(x, 2))
     cond = np.array([0, 1, 2, 3, 0])
     z = model.encode_reconstruct(x)
     assert np.array_equal(model.decode(z, cond), restored.decode(z, cond))
-    assert restored.decoder_conditioned
+    assert isinstance(restored.decoder.layers[0], ConcatCondition)
     assert sorted(restored.heads) == [1, 2]
 
 
@@ -150,10 +148,11 @@ def run_tasks(seed, n_tasks, checkpoint_path=None, resume_path=None):
     train, test = split_train_test(ds, seed)
     stream = build_task_stream(train, 2, seed)
     cfg = ExperimentConfig(strategy="prer", classifier_epochs=4, ae_max_epochs=8,
-                      flow_max_epochs=8, memory_size=40, batch_size=32).validate()
-    model = build_model(ExperimentConfig(embedding_dim=4, encoder_hidden=(12,),
-                                         conditioning="none"), (6,), 4, Rng(seed))
-    flow = build_flow(4, 1, 5, Rng(seed).fork("flow-init"))
+                           flow_max_epochs=8, memory_size=40, batch_size=32,
+                           embedding_dim=4, encoder_hidden=(12,), conditioning="none",
+                           flow_levels=1, flow_blocks=5).validate()
+    model = build_model(cfg, (6,), 4, Rng(seed))
+    flow = build_flow(cfg, 4, Rng(seed).fork("flow-init"))
     state = RunState(model=model, flow=flow, stream=stream, cfg=cfg, rng=Rng(seed))
     if resume_path is not None:
         restore_run_state(state, load_run_state(resume_path))

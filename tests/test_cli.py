@@ -106,6 +106,30 @@ def test_inspect_flow(config_file):
     ]
 
 
+
+def assert_one_line_error(result, *names):
+    """A bad input ends the CLI with code 2 and one stderr line that
+    names what is at fault, not with a traceback."""
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stdout + result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("prer: error: "), result.stderr
+    for name in names:
+        assert name in lines[0]
+
+
+def test_missing_mnist_files_end_in_one_line(tmp_path):
+    missing = tmp_path / "no-mnist-here"
+    config = tmp_path / "mnist.cfg"
+    config.write_text(f"dataset = mnist:dir={missing}\n")
+    assert_one_line_error(run_cli("inspect-flow", "--config", str(config)), str(missing))
+
+
+def test_unknown_config_key_ends_in_one_line(config_file, tmp_path):
+    config_file.write_text(CONFIG + "no_such_key = 3\n")
+    result = run_cli("run", "--config", str(config_file), "--out", str(tmp_path / "runs"))
+    assert_one_line_error(result, "no_such_key")
+
 # Runs prer.cli the way ``python -m prer.cli`` does and, at the first import
 # of numpy (before any numpy code runs), writes the environment as JSON to
 # the path given as the first argument.

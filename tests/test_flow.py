@@ -6,6 +6,7 @@ import pytest
 
 from _helpers import array_pairs, auc_score, reference_coupling_backward, rel_err, same_bits
 from prer import nn
+from prer.config import ExperimentConfig
 from prer.exceptions import ConfigurationError, DivergenceError, StateError
 from prer.flow import (
     GENERATING,
@@ -99,13 +100,6 @@ def test_coupling_roundtrip_random():
     assert np.allclose(ld_gen, -ld_norm)
 
 
-def test_coupling_width_one_degenerates_to_identity():
-    layer = Coupling(1, 2, Rng(4))
-    x = np.array([[3.0], [4.0]])
-    y, ld = layer.apply(x, NORMALIZING)
-    assert np.array_equal(y, x)
-    assert np.allclose(ld, 0.0)
-    assert layer.networks() == []
 
 
 def test_coupling_divergence_reports():
@@ -116,7 +110,7 @@ def test_coupling_divergence_reports():
 
 
 def test_stack_divergence_names_layer():
-    stack = build_flow(4, 1, 2, Rng(50))
+    stack = build_flow(ExperimentConfig(embedding_dim=4, flow_levels=1, flow_blocks=2), 0, Rng(50))
     stack.levels[0][5].scale_net.layers[-1].b[0] = np.nan  # second block's coupling
     with pytest.raises(DivergenceError, match="level 0, layer 5"):
         stack.normalize(np.ones((4, 4)), train=True)
@@ -278,7 +272,8 @@ def test_log_prob_identity_stack_matches_standard_normal():
 
 
 def test_logdet_matches_numeric_jacobian_random_stack():
-    stack = build_flow(4, 1, 2, Rng(13), hidden_multiplier=2)
+    stack = build_flow(ExperimentConfig(embedding_dim=4, flow_levels=1, flow_blocks=2,
+                                        flow_hidden_multiplier=2), 0, Rng(13))
     randomize(stack)
     initialize_batchnorms(stack)
     z0 = Rng(14).normal(size=(1, 4))
@@ -294,7 +289,7 @@ def test_sample_identity_stack_matches_prior_moments():
 
 
 def test_log_prob_of_samples_is_finite():
-    stack = build_flow(6, 2, 3, Rng(17))
+    stack = build_flow(ExperimentConfig(embedding_dim=6, flow_levels=2, flow_blocks=3), 0, Rng(17))
     randomize(stack)
     initialize_batchnorms(stack)
     samples = stack.sample(256, Rng(18))
@@ -302,7 +297,7 @@ def test_log_prob_of_samples_is_finite():
 
 
 def test_sampling_leaves_no_layer_cache():
-    stack = build_flow(6, 2, 3, Rng(21))
+    stack = build_flow(ExperimentConfig(embedding_dim=6, flow_levels=2, flow_blocks=3), 0, Rng(21))
     randomize(stack)
     initialize_batchnorms(stack)  # a normalizing pass fills the caches
     stack.sample(50, Rng(23))
@@ -321,7 +316,8 @@ def test_bijectivity_random_stacks():
         blocks = int(rng.integers(1, 4))
         dim = int(rng.integers(2, 8))
         levels = min(levels, max(1, int(np.log2(dim)) + 1))
-        stack = build_flow(dim, levels, blocks, rng)
+        stack = build_flow(ExperimentConfig(embedding_dim=dim, flow_levels=levels,
+                                            flow_blocks=blocks), 0, rng)
         randomize(stack, seed=200 + seed)
         initialize_batchnorms(stack, seed=300 + seed)
         z = Rng(400 + seed).normal(size=(12, dim))
@@ -334,13 +330,36 @@ def test_bijectivity_random_stacks():
 
 
 def test_multi_scale_preserves_dimensionality():
-    stack = build_flow(10, 3, 2, Rng(19))
+    cfg = ExperimentConfig(embedding_dim=10, flow_levels=3, flow_blocks=2)
+    stack = build_flow(cfg, 0, Rng(19))
     assert stack.level_widths == [10, 5, 2]
     assert stack.emit_widths == [5, 3, 2]
     assert sum(stack.emit_widths) == 10
     z = Rng(20).normal(size=(4, 10))
     u, _ = stack.normalize(z, train=True)
     assert u.shape == (4, 10)
+
+
+@pytest.mark.parametrize("conditioning", ["none", "flow"])
+def test_width_one_level_holds_no_coupling_and_stays_exact(conditioning):
+    # a width-1 level has nothing to split: its blocks are a permutation
+    # and a batch norm each, and the stack still inverts with the exact
+    # log-determinant
+    cfg = ExperimentConfig(embedding_dim=7, flow_levels=3, flow_blocks=2,
+                           conditioning=conditioning)
+    stack = build_flow(cfg, 3, Rng(60))
+    assert stack.level_widths == [7, 3, 1]
+    assert [[type(layer) for layer in layers] for layers in stack.levels[1:]] == [
+        [Permutation, BatchNorm, Coupling] * 2, [Permutation, BatchNorm] * 2]
+    randomize(stack, seed=61)
+    rng = Rng(62)
+    stack.normalize(rng.normal(size=(64, 7)), cond=rng.integers(0, 3, size=64), train=True)
+    z = rng.normal(size=(12, 7))
+    cond = rng.integers(0, 3, size=12)
+    u, _ = stack.normalize(z, cond=cond)
+    assert np.abs(stack.generate(u, cond=cond) - z).max() < 1e-6
+    _, ld = stack.normalize(z[:1], cond=cond[:1])
+    assert abs(ld[0] - numeric_logdet(stack, z[:1], cond=cond[:1])) < 1e-5
 
 
 def test_level_widths_match_the_halving_loop():
@@ -353,13 +372,15 @@ def test_level_widths_match_the_halving_loop():
                 w -= (w + 1) // 2
             assert level_widths(dim, levels) == widths
             if widths[-1] >= 1:
-                stack = build_flow(dim, levels, 1, Rng(dim))
+                stack = build_flow(ExperimentConfig(embedding_dim=dim, flow_levels=levels,
+                                                    flow_blocks=1), 0, Rng(dim))
                 assert stack.level_widths == widths
                 assert sum(stack.emit_widths) == dim
 
 
 def test_conditioning_placement():
-    stack = build_flow(8, 2, 3, Rng(21), cond_width=5)
+    stack = build_flow(ExperimentConfig(embedding_dim=8, flow_levels=2, flow_blocks=3,
+                                        conditioning="flow"), 5, Rng(21))
     conditioned = [
         (li, bi) for li, layers in enumerate(stack.levels)
         for bi, layer in enumerate(layers)
@@ -373,7 +394,8 @@ def test_conditioning_placement():
 
 
 def test_flow_condition_required_and_rejected():
-    stack = build_flow(4, 1, 1, Rng(22), cond_width=3)
+    stack = build_flow(ExperimentConfig(embedding_dim=4, flow_levels=1, flow_blocks=1,
+                                        conditioning="flow"), 3, Rng(22))
     z = Rng(24).normal(size=(2, 4))
     stack.normalize(Rng(25).normal(size=(8, 4)), cond=np.arange(8) % 3, train=True)
     for cond in BAD_CLASSES:
@@ -382,7 +404,7 @@ def test_flow_condition_required_and_rejected():
         with pytest.raises(ConfigurationError):
             stack.generate(z, cond=cond)
     # an unconditioned flow ignores the classes
-    plain = build_flow(4, 1, 2, Rng(23))
+    plain = build_flow(ExperimentConfig(embedding_dim=4, flow_levels=1, flow_blocks=2), 3, Rng(23))
     plain.params[...] = Rng(26).uniform(-0.5, 0.5, plain.params.shape)
     plain.normalize(Rng(25).normal(size=(8, 4)), train=True)
     u, logdet = plain.normalize(z)
@@ -403,7 +425,7 @@ def test_nll_identity_stack_on_standard_normal():
 
 
 def test_nll_gradient_matches_finite_differences():
-    stack = build_flow(4, 1, 2, Rng(26))
+    stack = build_flow(ExperimentConfig(embedding_dim=4, flow_levels=1, flow_blocks=2), 0, Rng(26))
     randomize(stack, seed=27)
     z = Rng(29).normal(size=(16, 4))
     stack.grads[...] = 0.0
@@ -447,7 +469,7 @@ def train_flow_on(stack, data, steps, rng, cond=None, lr=1e-3, batch=128):
 def test_nll_training_curve_decreases_to_plateau():
     rng = Rng(31)
     data, _ = gaussian_mixture(2048, rng)
-    stack = build_flow(2, 1, 5, Rng(32))
+    stack = build_flow(ExperimentConfig(embedding_dim=2, flow_levels=1, flow_blocks=5), 0, Rng(32))
     adam = nn.Adam(stack.parameters(), lr=1e-3)
     epoch_losses = []
     for _ in range(120):
@@ -477,7 +499,8 @@ def test_nll_invariant_to_appended_permutation_at_identity_init():
 def test_conditioned_flow_separates_classes():
     rng = Rng(35)
     data, comps = gaussian_mixture(1024, rng, centers=((-4.0, 0.0), (4.0, 0.0)))
-    stack = build_flow(2, 1, 5, Rng(36), cond_width=2)
+    stack = build_flow(ExperimentConfig(embedding_dim=2, flow_levels=1, flow_blocks=5,
+                                        conditioning="flow"), 2, Rng(36))
     train_flow_on(stack, data, steps=800, rng=rng, cond=comps)
 
     # linear probe fitted on the real labelled data

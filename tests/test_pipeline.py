@@ -47,14 +47,15 @@ def make_model(seed, dim=8, classes=4, conditioning="decoder", embedding=8):
 def make_state(seed, strategy="prer", conditioning="decoder", **cfg_kwargs):
     train_stream, test_stream = make_streams(seed)
     model = make_model(seed, conditioning=conditioning)
-    flow = None
-    if strategy in ("prer", "prer_r"):
-        flow = build_flow(model.embedding_dim, 1, 5, Rng(seed).fork("flow-init"),
-                          cond_width=4 if conditioning in ("both", "flow") else 0)
     defaults = dict(strategy=strategy, classifier_epochs=10, ae_max_epochs=40,
-                    flow_max_epochs=40, memory_size=120, batch_size=32)
+                    flow_max_epochs=40, memory_size=120, batch_size=32,
+                    conditioning=conditioning, embedding_dim=model.embedding_dim,
+                    flow_levels=1, flow_blocks=5)
     defaults.update(cfg_kwargs)
     cfg = ExperimentConfig(**defaults).validate()
+    flow = None
+    if strategy in ("prer", "prer_r"):
+        flow = build_flow(cfg, 4, Rng(seed).fork("flow-init"))
     state = RunState(model=model, flow=flow, stream=train_stream, cfg=cfg, rng=Rng(seed))
     return state, train_stream, test_stream
 
@@ -355,7 +356,8 @@ def test_nan_row_stops_every_phase(phase):
 
 def test_mnist_scale_flow_parameter_count():
     # embedding width 100, 2 levels of 5 blocks, 2x hidden
-    flow = build_flow(100, 2, 5, Rng(16), hidden_multiplier=2)
+    flow = build_flow(ExperimentConfig(embedding_dim=100, flow_levels=2, flow_blocks=5,
+                                       flow_hidden_multiplier=2), 10, Rng(16))
     assert 200_000 <= flow.param_count() <= 300_000
 
 
@@ -368,9 +370,11 @@ def conditioned_state(seed, n_tasks=1):
     4-class blob stream, with enough data and flow epochs to converge."""
     train_stream, test_stream = make_streams(seed, per_class=120)
     model = make_model(seed, conditioning="flow")
-    flow = build_flow(model.embedding_dim, 1, 5, Rng(seed).fork("flow-init"), cond_width=4)
     cfg = ExperimentConfig(strategy="prer", classifier_epochs=25, ae_max_epochs=150,
-                      flow_max_epochs=600, memory_size=120, batch_size=32).validate()
+                           flow_max_epochs=600, memory_size=120, batch_size=32,
+                           conditioning="flow", embedding_dim=model.embedding_dim,
+                           flow_levels=1, flow_blocks=5).validate()
+    flow = build_flow(cfg, 4, Rng(seed).fork("flow-init"))
     state = RunState(model=model, flow=flow, stream=train_stream, cfg=cfg, rng=Rng(seed))
     with mock.patch.multiple(EarlyStop, patience=15, min_delta=1e-5):
         for task in train_stream.tasks[:n_tasks]:
@@ -392,7 +396,8 @@ def test_generate_memory_of_conditioned_flow_and_decoder_keeps_its_bits():
     # digests taken while callers still built the one-hots themselves
     model = build_model(ExperimentConfig(embedding_dim=4, encoder_hidden=(12,),
                                          conditioning="decoder"), (6,), 4, Rng(40))
-    flow = build_flow(4, 1, 2, Rng(41), cond_width=4)
+    flow = build_flow(ExperimentConfig(embedding_dim=4, flow_levels=1, flow_blocks=2,
+                                       conditioning="flow"), 4, Rng(41))
     rng = Rng(42)
     flow.params[...] = rng.uniform(-0.5, 0.5, flow.params.shape)
     flow.normalize(rng.normal(size=(64, 4)), cond=rng.integers(0, 4, size=64), train=True)
@@ -535,12 +540,12 @@ def interference_state(seed, strategy, conditioning="decoder"):
                                              per_class=100, sep=5.0, span=3)
     model = build_model(ExperimentConfig(embedding_dim=2, encoder_hidden=(32,), head_hidden=(16,),
                                          conditioning=conditioning), (20,), 10, Rng(seed))
+    cfg = ExperimentConfig(strategy=strategy, classifier_epochs=30, batch_size=64,
+                           memory_size=150, conditioning=conditioning, embedding_dim=2,
+                           flow_levels=1, flow_blocks=5).validate()
     flow = None
     if strategy in ("prer", "prer_r"):
-        flow = build_flow(2, 1, 5, Rng(seed).fork("flow-init"),
-                          cond_width=10 if conditioning in ("both", "flow") else 0)
-    cfg = ExperimentConfig(strategy=strategy, classifier_epochs=30, batch_size=64,
-                      memory_size=150).validate()
+        flow = build_flow(cfg, 10, Rng(seed).fork("flow-init"))
     state = RunState(model=model, flow=flow, stream=train_stream, cfg=cfg, rng=Rng(seed))
     return state, train_stream, test_stream
 

@@ -119,13 +119,13 @@ def test_every_strategy_reports_the_same_footprints():
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
 def test_every_strategy_builds_one_flow_from_the_flow_init_fork(strategy, monkeypatch):
     seeds = []
-    build = runner.build_flow_from_config
+    build = runner.build_flow
 
     def counted(cfg, num_classes, rng):
         seeds.append(rng.seed)
         return build(cfg, num_classes, rng)
 
-    monkeypatch.setattr(runner, "build_flow_from_config", counted)
+    monkeypatch.setattr(runner, "build_flow", counted)
     run_experiment(tiny_config(strategy=strategy), seed=1)
     assert seeds == [Rng(1).fork("flow-init").seed]
 
@@ -209,7 +209,7 @@ def test_coverage_pool_in_uneven_chunks_gives_the_one_chunk_bits(monkeypatch):
     state = log["state"]
     flow = state.flow
     widest = max(getattr(layer, "hidden", 0) for lvl in flow.levels for layer in lvl)
-    assert not flow.cond_width and widest >= 64
+    assert not state.cfg.flow_conditioned and widest >= 64
     generate, outputs = flow.generate, []
 
     def recording(u, cond=None):
@@ -243,7 +243,7 @@ def trained_state(monkeypatch):
     with monkeypatch.context() as patch:
         log = trained_tasks(patch)
         run_experiment(cfg, seed=1)
-    assert not log["state"].flow.cond_width
+    assert not log["state"].cfg.flow_conditioned
     return cfg, log["state"]
 
 

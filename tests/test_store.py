@@ -11,10 +11,9 @@ import pytest
 from _helpers import ReferenceAdam, array_pairs
 from prer import nn
 from prer.config import ExperimentConfig, load_config
-from prer.flow import nll_loss_and_backward
+from prer.flow import build_flow, nll_loss_and_backward
 from prer.model import build_model
 from prer.rng import Rng
-from prer.runner import build_flow_from_config
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -25,7 +24,7 @@ def blobs_run():
     cfg = load_config(CONFIGS / "blobs.cfg")
     model = build_model(cfg, (20,), 10, Rng(1).fork("model-init"))
     model.ensure_head(1, 2, Rng(2))
-    return model, build_flow_from_config(cfg, 10, Rng(1).fork("flow-init"))
+    return model, build_flow(cfg, 10, Rng(1).fork("flow-init"))
 
 
 def conv_model():

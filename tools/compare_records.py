@@ -32,8 +32,10 @@ at seed 1 (taken from this checkout, so both trees read the same config):
   task of each stream keeps the remainder, where every other run has
   5 tasks of 2 classes;
 - prer with three flow levels on a 7-dim embedding: levels of width 7,
-  3 and 1, the only run with more than one level, an odd-width split
-  and a level of width 1;
+  3 and 1, so it has more than one level, an odd-width split and a level
+  of width 1, which holds no coupling;
+- the same flow under prer_r with conditioning both: the only run whose
+  conditioned flow has more than one level and a level of width 1;
 - prer with a flow conditioned on the class and an 8-dim embedding,
   twice: the generated sets of a conditioned flow reach the Hausdorff
   distance in a layout that is not C-ordered (a permutation's column
@@ -55,7 +57,7 @@ at seed 1 (taken from this checkout, so both trees read the same config):
   chunks of ``metrics.CHUNK_FLOATS`` floats, 334 rows at 784 dims),
   where every other prer_r run's task fits in one.
 
-That is 32 runs.
+That is 33 runs.
 
 Records are compared without ``timings`` and ``config_hash``, the same
 rule as ``bench/checks.digest``. Exits 1 on any difference. Uses only the
@@ -111,6 +113,8 @@ def grid():
     runs.append(("prer-c_m3-remainder-task", {"strategy": "prer", "c_m": 3}, None))
     runs.append(("prer-three-level-flow",
                  {"strategy": "prer", "flow_levels": 3, "embedding_dim": 7}, None))
+    runs.append(("prer_r-both-three-level-flow", {"strategy": "prer_r", "conditioning": "both",
+                                                   "flow_levels": 3, "embedding_dim": 7}, None))
     runs.append(("prer-flow-8dim", {"strategy": "prer", "conditioning": "flow",
                                     "embedding_dim": 8}, None))
     runs.append(("prer-flow-8dim-two-chunk-hausdorff", {
