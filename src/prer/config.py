@@ -46,7 +46,7 @@ class ExperimentConfig:
     # flow topology
     flow_levels: int = 1
     flow_blocks: int = 5
-    flow_hidden_multiplier: int = 2
+    flow_hidden_multiplier = 2  # not annotated: a constant, not a config key
 
     # evaluation / output
     coverage_cap: int = 500
@@ -79,8 +79,7 @@ class ExperimentConfig:
         # written so that a NaN fails too
         if not self.beta >= 0.0:
             raise ConfigurationError(f"beta must be >= 0, got {self.beta}")
-        for key in ("embedding_dim", "coverage_cap", "flow_levels", "flow_blocks",
-                    "flow_hidden_multiplier"):
+        for key in ("embedding_dim", "coverage_cap", "flow_levels", "flow_blocks"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
         # every record prices a flow of this topology, whether the run keeps one or not
@@ -156,5 +155,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as err:
+        raise ConfigurationError(f"cannot read config {path}: {err.strerror}") from None
+    return parse_config_text(text)

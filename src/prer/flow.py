@@ -19,7 +19,7 @@ the caches), training concurrently with anything is not supported.
 import numpy as np
 
 from .exceptions import ConfigurationError, DivergenceError, StateError
-from .nn import Dense, Network, Relu, append_one_hot, bind_slices
+from .nn import ConcatCondition, Dense, Network, Relu, bind_slices
 from .rng import Rng
 
 NORMALIZING = "normalizing"
@@ -145,28 +145,23 @@ class Coupling:
         self.a_dim = (dim + 1) // 2
         self.b_dim = dim // 2
         in_dim = self.a_dim + self.cond_width
-        self.scale_net = Network(
-            [Dense(in_dim, hidden, rng), Relu(), Dense(hidden, self.b_dim, rng)],
-            name="coupling-scale",
-        )
-        self.translate_net = Network(
-            [Dense(in_dim, hidden, rng), Relu(), Dense(hidden, self.b_dim, rng)],
-            name="coupling-translate",
-        )
+        # each net reads the class through a ConcatCondition of its own,
+        # since a layer caches its own forward pass
+        self.scale_net, self.translate_net = (
+            Network(([ConcatCondition(cond_width)] if cond_width else [])
+                    + [Dense(in_dim, hidden, rng), Relu(), Dense(hidden, self.b_dim, rng)],
+                    name=name)
+            for name in ("coupling-scale", "coupling-translate"))
         for net in (self.scale_net, self.translate_net):
             last = net.layers[-1]
             last.w[...] = 0.0
             last.b[...] = 0.0
         self._cache = None
 
-    def _net_input(self, a, cond):
-        return append_one_hot(a, cond, self.cond_width) if self.cond_width else a
-
     def apply(self, x, direction, cond=None, train=False):
         a = x[:, :self.a_dim]
         b = x[:, self.a_dim:]
-        net_in = self._net_input(a, cond)
-        tanh_raw = np.tanh(self.scale_net.forward(net_in))
+        tanh_raw = np.tanh(self.scale_net.forward(a, cond=cond))
         if direction == GENERATING:
             # sampling is never backpropagated: what a net cached would only
             # keep a large sample's hidden activations resident, so each net
@@ -175,7 +170,7 @@ class Coupling:
         log_s = LOG_SCALE_BOUND * tanh_raw
         if not np.isfinite(log_s).all():
             raise DivergenceError("coupling produced non-finite log-scales")
-        t = self.translate_net.forward(net_in)
+        t = self.translate_net.forward(a, cond=cond)
         if direction == GENERATING:
             out_b = np.exp(log_s) * b + t
             logdet = log_s.sum(axis=1)
@@ -199,8 +194,7 @@ class Coupling:
         dt = -d_in_b
         dlog_s = -db_out * y_b - grad_logdet[:, None]
         draw = dlog_s * LOG_SCALE_BOUND * (1.0 - tanh_raw ** 2)
-        d_net_in = self.scale_net.backward(draw) + self.translate_net.backward(dt)
-        da += d_net_in[:, :self.a_dim]
+        da += self.scale_net.backward(draw) + self.translate_net.backward(dt)
         return np.concatenate([da, d_in_b], axis=1)
 
     def networks(self):

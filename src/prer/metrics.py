@@ -192,8 +192,9 @@ class KnnProbe:
     labels prer_r's generated replay rows in every conditioning mode, and
     the sample pool of an unconditioned flow's coverage."""
 
-    def __init__(self, k: int = 5):
-        self.k = int(k)
+    k = 5
+
+    def __init__(self):
         self._x = None
         self._y = None
         self._sq_x = None

@@ -26,8 +26,6 @@ class ContinualModel:
     decoder. ``encode_classify`` and ``encode_reconstruct`` share E and
     nothing else."""
 
-    head_dropout = 0.2  # drop probability between hidden head layers
-
     def __init__(self, encoder: Network, proj_classify: Network, proj_reconstruct: Network,
                  decoder: Network, *, input_shape, embedding_dim: int, head_hidden):
         self.encoder = encoder
@@ -47,7 +45,7 @@ class ContinualModel:
         layers = []
         prev = self.embedding_dim
         for width in self.head_hidden:
-            layers += [Dense(prev, width, rng), Relu(), Dropout(self.head_dropout)]
+            layers += [Dense(prev, width, rng), Relu(), Dropout()]
             prev = width
         layers.append(Dense(prev, n_classes, rng))
         head = Network(layers, name=f"head-{task_id}")
@@ -127,7 +125,7 @@ def build_model(cfg, input_shape, num_classes, rng: Rng) -> ContinualModel:
         layers = []
         prev_c = input_shape[0]
         for ch in cfg.conv_channels:
-            layers += [Conv2d(prev_c, ch, 3, init, stride=2), Relu()]
+            layers += [Conv2d(prev_c, ch, init), Relu()]
             prev_c = ch
         encoder = Network(layers + [Flatten()], name="encoder")
         backbone_dim = encoder.forward(np.zeros((1,) + input_shape)).shape[1]

@@ -40,15 +40,6 @@ def one_hot(labels, width: int) -> np.ndarray:
     return out
 
 
-def append_one_hot(x, labels, width: int) -> np.ndarray:
-    """The input of a conditioned layer: the rows of ``x`` followed by the
-    one-hot of their classes ``labels``, one class per row."""
-    if labels is None or np.shape(labels) != (len(x),):
-        got = "none" if labels is None else f"shape {np.shape(labels)}"
-        raise ConfigurationError(f"a conditioned layer needs one class per row, got {got}")
-    return np.concatenate([x, one_hot(labels, width)], axis=1)
-
-
 class Layer:
     """Base layer. The attributes named in ``param_names`` hold its
     parameters; once its network binds it, they and ``grads`` are views
@@ -154,9 +145,7 @@ class Dropout(Layer):
     """Inverted dropout: training scales kept units by 1/keep so that
     evaluation mode is the identity."""
 
-    def __init__(self, drop_prob: float):
-        super().__init__()
-        self.drop_prob = float(drop_prob)
+    drop_prob = 0.2
 
     def forward(self, x, train=False, rng=None, cond=None):
         if not train:
@@ -185,15 +174,19 @@ class Flatten(Layer):
 
 
 class ConcatCondition(Layer):
-    """Appends the one-hot of each row's class to the features."""
+    """Appends the one-hot of each row's class ``cond``, one class per
+    row, to the features."""
 
     def __init__(self, num_classes: int):
         super().__init__()
         self.num_classes = int(num_classes)
 
     def forward(self, x, train=False, rng=None, cond=None):
+        if cond is None or np.shape(cond) != (len(x),):
+            got = "none" if cond is None else f"shape {np.shape(cond)}"
+            raise ConfigurationError(f"a conditioned layer needs one class per row, got {got}")
         self._cache = x.shape[1]
-        return append_one_hot(x, cond, self.num_classes)
+        return np.concatenate([x, one_hot(cond, self.num_classes)], axis=1)
 
     def backward(self, grad):
         width = self._take_cache()
@@ -202,17 +195,17 @@ class ConcatCondition(Layer):
 
 class Conv2d(Layer):
     """2-D convolution over (batch, channels, height, width) inputs with
-    a square kernel and "same" padding: ceil(size / stride) outputs per
+    a 3x3 kernel, stride 2 and "same" padding: ceil(size / 2) outputs per
     side. Implemented via im2col."""
 
     param_names = ("w", "b")
+    k = 3
+    stride = 2
 
-    def __init__(self, in_channels, out_channels, kernel_size, rng: Rng, stride):
+    def __init__(self, in_channels, out_channels, rng: Rng):
         super().__init__()
         self.in_channels = int(in_channels)
         self.out_channels = int(out_channels)
-        self.k = int(kernel_size)
-        self.stride = int(stride)
         k = self.k
         self.w = glorot_uniform(in_channels * k * k, out_channels * k * k,
                                 (out_channels, in_channels, k, k), rng)
@@ -403,8 +396,9 @@ class Adam:
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
+    lr = 0.001
 
-    def __init__(self, param_grad_pairs, lr=0.001):
+    def __init__(self, param_grad_pairs):
         self.pairs = list(param_grad_pairs)
         # gradients are only ever updated in place, so shapes checked
         # here hold for every step
@@ -415,7 +409,6 @@ class Adam:
                 )
             if p.ndim != 1:
                 raise ConfigurationError(f"Adam takes 1-D buffers, got shape {p.shape}")
-        self.lr = float(lr)
         self.t = 0
         self.m = [np.zeros_like(p) for p, _ in self.pairs]
         self.v = [np.zeros_like(p) for p, _ in self.pairs]

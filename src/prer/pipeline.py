@@ -365,7 +365,7 @@ def _past_task_probe(state: RunState, through_task: int) -> KnnProbe:
         for rows in _row_chunks(len(task), int(np.prod(model.input_shape))):
             x[start + rows.start:start + rows.stop] = model.encode_classify(task.x[rows])
         start += len(task)
-    return KnnProbe(k=5).fit(x, np.concatenate([task.y_global for task in tasks]))
+    return KnnProbe().fit(x, np.concatenate([task.y_global for task in tasks]))
 
 
 def strategy_train_task(state: RunState) -> RunState:

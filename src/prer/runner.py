@@ -82,7 +82,7 @@ def _coverage(state, through_task, cap, rng):
     else:
         needed = dict(zip(classes, counts))
         total = len(real)
-        probe = metrics.KnnProbe(k=5).fit(real, np.repeat(classes, counts))
+        probe = metrics.KnnProbe().fit(real, np.repeat(classes, counts))
         # sampling is row-independent, so a pool of 3 * total rows is
         # drawn, generated and labelled a chunk at a time, sized by the
         # widest coupling net; each class keeps its first needed[c] rows,
@@ -225,7 +225,10 @@ def write_record(record: RunRecord, out_dir) -> Path:
 def read_records(in_dir) -> list:
     records = []
     for path in sorted(Path(in_dir).glob("run_*.json")):
-        records.append(RunRecord.from_json(path.read_text(encoding="utf-8")))
+        try:
+            records.append(RunRecord.from_json(path.read_text(encoding="utf-8")))
+        except (ValueError, TypeError) as err:
+            raise ConfigurationError(f"{path} is not a run record: {err}") from None
     return records
 
 

@@ -199,7 +199,7 @@ def test_c3_density_estimation_sanity():
 
         stack = build_flow(ExperimentConfig(embedding_dim=2, flow_levels=1, flow_blocks=5),
                            2, Rng(32))
-        adam = nn.Adam(stack.parameters(), lr=1e-3)
+        adam = nn.Adam(stack.parameters())
         for step in range(8000):
             if step == 6000:
                 adam.lr = 2e-4

@@ -130,6 +130,19 @@ def test_unknown_config_key_ends_in_one_line(config_file, tmp_path):
     result = run_cli("run", "--config", str(config_file), "--out", str(tmp_path / "runs"))
     assert_one_line_error(result, "no_such_key")
 
+
+@pytest.mark.parametrize("command", ["run", "inspect-flow"])
+def test_missing_config_file_ends_in_one_line(command, tmp_path):
+    missing = tmp_path / "nope.cfg"
+    assert_one_line_error(run_cli(command, "--config", str(missing)), str(missing))
+
+
+@pytest.mark.parametrize("text", ["not json", '{"bad": 1}'])
+def test_malformed_run_record_ends_in_one_line(text, tmp_path):
+    record = tmp_path / "run_prer_1.json"
+    record.write_text(text)
+    assert_one_line_error(run_cli("aggregate", "--in", str(tmp_path)), str(record))
+
 # Runs prer.cli the way ``python -m prer.cli`` does and, at the first import
 # of numpy (before any numpy code runs), writes the environment as JSON to
 # the path given as the first argument.

@@ -272,8 +272,8 @@ def test_log_prob_identity_stack_matches_standard_normal():
 
 
 def test_logdet_matches_numeric_jacobian_random_stack():
-    stack = build_flow(ExperimentConfig(embedding_dim=4, flow_levels=1, flow_blocks=2,
-                                        flow_hidden_multiplier=2), 0, Rng(13))
+    stack = build_flow(ExperimentConfig(embedding_dim=4, flow_levels=1, flow_blocks=2),
+                       0, Rng(13))
     randomize(stack)
     initialize_batchnorms(stack)
     z0 = Rng(14).normal(size=(1, 4))
@@ -454,8 +454,8 @@ def gaussian_mixture(n, rng, centers=((-3.0, 0.0), (3.0, 0.0)), weights=(0.5, 0.
     return means + rng.normal(size=(n, 2)), comps
 
 
-def train_flow_on(stack, data, steps, rng, cond=None, lr=1e-3, batch=128):
-    adam = nn.Adam(stack.parameters(), lr=lr)
+def train_flow_on(stack, data, steps, rng, cond=None, batch=128):
+    adam = nn.Adam(stack.parameters())
     losses = []
     for _ in range(steps):
         idx = rng.choice(len(data), size=batch, replace=False)
@@ -470,7 +470,7 @@ def test_nll_training_curve_decreases_to_plateau():
     rng = Rng(31)
     data, _ = gaussian_mixture(2048, rng)
     stack = build_flow(ExperimentConfig(embedding_dim=2, flow_levels=1, flow_blocks=5), 0, Rng(32))
-    adam = nn.Adam(stack.parameters(), lr=1e-3)
+    adam = nn.Adam(stack.parameters())
     epoch_losses = []
     for _ in range(120):
         order = rng.permutation(len(data))
@@ -496,7 +496,7 @@ def test_nll_invariant_to_appended_permutation_at_identity_init():
     assert -extended.log_prob(z).mean() == pytest.approx(before, abs=1e-12)
 
 
-def test_conditioned_flow_separates_classes():
+def test_conditioned_flow_separates_classes(monkeypatch):
     rng = Rng(35)
     data, comps = gaussian_mixture(1024, rng, centers=((-4.0, 0.0), (4.0, 0.0)))
     stack = build_flow(ExperimentConfig(embedding_dim=2, flow_levels=1, flow_blocks=5,
@@ -505,7 +505,8 @@ def test_conditioned_flow_separates_classes():
 
     # linear probe fitted on the real labelled data
     probe = nn.Network([nn.Dense(2, 2, Rng(37))])
-    adam = nn.Adam(probe.parameters(), lr=0.01)
+    monkeypatch.setattr(nn.Adam, "lr", 0.01)
+    adam = nn.Adam(probe.parameters())
     for _ in range(300):
         idx = rng.choice(len(data), size=128, replace=False)
         probe.grads[...] = 0.0

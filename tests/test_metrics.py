@@ -318,10 +318,11 @@ def test_footprint_mnist_formula_vs_paper_figure():
 # probe
 
 
-def test_knn_probe_majority_vote():
+def test_knn_probe_majority_vote(monkeypatch):
+    monkeypatch.setattr(KnnProbe, "k", 3)
     x = np.array([[0.0], [0.1], [0.2], [5.0], [5.1], [5.2]])
     y = np.array([0, 0, 0, 1, 1, 1])
-    probe = KnnProbe(k=3).fit(x, y)
+    probe = KnnProbe().fit(x, y)
     assert np.array_equal(probe.predict(np.array([[0.05], [5.05]])), [0, 1])
 
 
@@ -356,7 +357,8 @@ def test_knn_probe_chunks_match_one_shot_vote(monkeypatch, k):
     monkeypatch.setattr(metrics, "CHUNK_FLOATS", 7 * len(fit_x))  # 7-row chunks
     expected, votes = one_shot_knn(fit_x, fit_y, x, k)
     assert any((v == v.max()).sum() > 1 for v in votes), "no tied vote exercised"
-    assert np.array_equal(KnnProbe(k=k).fit(fit_x, fit_y).predict(x), expected)
+    monkeypatch.setattr(KnnProbe, "k", k)
+    assert np.array_equal(KnnProbe().fit(fit_x, fit_y).predict(x), expected)
 
 
 @pytest.mark.parametrize("k", [2, 4, 5])
@@ -368,13 +370,14 @@ def test_knn_probe_sub_blocks_match_one_shot_vote(monkeypatch, k):
             for s in metrics._row_chunks(c.stop - c.start, 8 * len(fit_x))]
     assert set(subs) == {2, 3}
     expected, _ = one_shot_knn(fit_x, fit_y, x, k)
-    assert np.array_equal(KnnProbe(k=k).fit(fit_x, fit_y).predict(x), expected)
+    monkeypatch.setattr(KnnProbe, "k", k)
+    assert np.array_equal(KnnProbe().fit(fit_x, fit_y).predict(x), expected)
 
 
 def test_knn_probe_memory_stays_within_its_budget():
     rng = Rng(13)
     fit_x = rng.normal(size=(3000, 100))  # two chunks of the fit's norms
-    probe = KnnProbe(k=5).fit(fit_x, rng.integers(0, 10, size=3000))
+    probe = KnnProbe().fit(fit_x, rng.integers(0, 10, size=3000))
     assert np.array_equal(probe._sq_x, (fit_x ** 2).sum(axis=1))
     x = rng.normal(size=(9000, 100))
     tracemalloc.start()
@@ -390,7 +393,7 @@ def test_knn_probe_memory_stays_within_its_budget():
 @pytest.mark.parametrize("fitted, dim, queries", [(1200, 2, 3600), (6400, 100, 200)])
 def test_knn_probe_vote_holds_one_chunk(fitted, dim, queries):
     rng = Rng(14)
-    probe = KnnProbe(k=5).fit(rng.normal(size=(fitted, dim)), rng.integers(0, 10, size=fitted))
+    probe = KnnProbe().fit(rng.normal(size=(fitted, dim)), rng.integers(0, 10, size=fitted))
     x = rng.normal(size=(queries, dim))
     tracemalloc.start()
     try:

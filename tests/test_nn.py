@@ -168,7 +168,7 @@ def test_same_padded_stride_two_conv_takes_inputs_down_to_one_pixel():
     # room for one output per side, and its gradients hold there too
     rng = Rng(61)
     for s in range(1, 8):
-        net = Network([Conv2d(2, 3, 3, rng, stride=2)])
+        net = Network([Conv2d(2, 3, rng)])
         x = rng.normal(size=(2, 2, s, s))
         assert net.forward(x).shape == (2, 3, -(-s // 2), -(-s // 2))
         if s <= 2:
@@ -232,7 +232,7 @@ def test_adam_zero_gradient_keeps_params():
 
 def test_adam_first_step_hand_computed():
     p, g = make_scalar_param(1.0)
-    adam = Adam([(p, g)], lr=0.001)
+    adam = Adam([(p, g)])
     g[0] = 1.0
     adam.step()
     assert p[0] == pytest.approx(0.999, abs=1e-6)
@@ -269,12 +269,13 @@ def test_adam_takes_flat_buffers_only():
     (5 * nn.ADAM_CHUNK // 2 + 7, 300),  # crosses two chunk edges, then a short buffer
     (300,),  # smaller than one chunk
 ])
-def test_adam_matches_whole_array_update_bitwise(sizes):
+def test_adam_matches_whole_array_update_bitwise(monkeypatch, sizes):
     data = Rng(21)
     start = [data.normal(size=n) for n in sizes]
     fused = [(p.copy(), np.zeros_like(p)) for p in start]
     looped = [(p.copy(), np.zeros_like(p)) for p in start]
-    adam = Adam(fused, lr=0.01)
+    monkeypatch.setattr(Adam, "lr", 0.01)
+    adam = Adam(fused)
     reference = ReferenceAdam(looped, lr=0.01)
     for step in range(5):
         for (_, g1), (_, g2) in zip(fused, looped):
@@ -357,13 +358,13 @@ def test_cosine_zero_vector_convention_logged_once(caplog):
 
 
 def test_dropout_eval_is_identity():
-    layer = Dropout(0.2)
+    layer = Dropout()
     x = Rng(9).normal(size=(4, 5))
     assert np.array_equal(layer.forward(x, train=False), x)
 
 
 def test_dropout_inverted_scaling_expectation():
-    layer = Dropout(0.2)
+    layer = Dropout()
     rng = Rng(10)
     x = np.ones((1, 8))
     total = np.zeros_like(x)
@@ -375,15 +376,15 @@ def test_dropout_inverted_scaling_expectation():
 
 def test_dropout_requires_rng_in_train_mode():
     with pytest.raises(ConfigurationError):
-        Dropout(0.5).forward(np.ones((1, 2)), train=True)
+        Dropout().forward(np.ones((1, 2)), train=True)
 
 
 def test_training_determinism_bitwise():
     def run(seed):
         rng = Rng(seed)
         net = Network([Dense(6, 8, rng.fork("init")), Relu(),
-                       Dropout(0.2), Dense(8, 3, rng.fork("init2"))])
-        adam = Adam(net.parameters(), lr=0.001)
+                       Dropout(), Dense(8, 3, rng.fork("init2"))])
+        adam = Adam(net.parameters())
         data_rng = rng.fork("data")
         drop_rng = rng.fork("dropout")
         for _ in range(20):

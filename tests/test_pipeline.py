@@ -356,8 +356,8 @@ def test_nan_row_stops_every_phase(phase):
 
 def test_mnist_scale_flow_parameter_count():
     # embedding width 100, 2 levels of 5 blocks, 2x hidden
-    flow = build_flow(ExperimentConfig(embedding_dim=100, flow_levels=2, flow_blocks=5,
-                                       flow_hidden_multiplier=2), 10, Rng(16))
+    flow = build_flow(ExperimentConfig(embedding_dim=100, flow_levels=2, flow_blocks=5),
+                      10, Rng(16))
     assert 200_000 <= flow.param_count() <= 300_000
 
 

@@ -521,7 +521,8 @@ def test_parse_config_text_full():
     assert cfg.checkpoints is True
 
 
-@pytest.mark.parametrize("key", ["no_such_key", "lr", "patience", "min_delta", "head_dropout"])
+@pytest.mark.parametrize("key", ["no_such_key", "lr", "patience", "min_delta", "head_dropout",
+                                 "flow_hidden_multiplier"])
 def test_parse_config_rejects_unknown_key(key):
     with pytest.raises(ConfigurationError, match=f"unknown config key '{key}'"):
         parse_config_text(f"{key} = 1")
@@ -572,7 +573,6 @@ def test_config_validation():
 @pytest.mark.parametrize("key,value", [
     ("embedding_dim", 0),
     ("coverage_cap", 0),
-    ("flow_hidden_multiplier", 0),
     # a tuple's default id is its position in this list: pinned, so that
     # each case keeps its name when the list changes
     pytest.param("encoder_hidden", (12, 0), id="encoder_hidden-value7"),

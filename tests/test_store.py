@@ -111,7 +111,7 @@ def _train_flow(flow, make_adam, steps=50):
 
 
 def test_fused_step_matches_per_array_adam_on_the_blobs_flow():
-    fused = _train_flow(blobs_run()[1], lambda f: nn.Adam(f.parameters(), lr=1e-3))
+    fused = _train_flow(blobs_run()[1], lambda f: nn.Adam(f.parameters()))
     looped = _train_flow(blobs_run()[1], lambda f: ReferenceAdam(array_pairs(f), lr=1e-3))
     assert np.array_equal(fused, looped)
 
@@ -134,7 +134,7 @@ def _train_classifier(pairs_of, steps=50):
 
 
 def test_fused_step_matches_per_array_adam_on_an_mnist_shaped_classifier():
-    fused = _train_classifier(lambda m: nn.Adam(m.classifier_parameters(1), lr=1e-3))
+    fused = _train_classifier(lambda m: nn.Adam(m.classifier_parameters(1)))
     looped = _train_classifier(lambda m: ReferenceAdam(
         [pair for net in (m.encoder, m.proj_classify, m.heads[1]) for pair in array_pairs(net)],
         lr=1e-3))
