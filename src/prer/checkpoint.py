@@ -18,6 +18,7 @@ ConfigurationError naming it.
 
 import json
 import os
+import zipfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -75,7 +76,12 @@ def load_run_state(path):
     """Read a checkpoint into a dict: the ``PROGRESS`` fields,
     "result_matrix", the named "arrays" and "memory".
     ``restore_run_state`` puts it into a rebuilt run."""
-    with np.load(path, allow_pickle=False) as data:
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        raise ConfigurationError(
+            f"{path}: not an .npz archive; not a checkpoint of this format") from None
+    with data:
         for name in ("meta", "result_matrix"):
             if name not in data.files:
                 raise ConfigurationError(

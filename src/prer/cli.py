@@ -101,12 +101,12 @@ def main(argv=None) -> int:
     p_ins.set_defaults(func=_cmd_inspect_flow)
 
     args = parser.parse_args(argv)
-    from .data import IdxFormatError
     from .exceptions import ConfigurationError
 
+    # the one boundary for input the user can fix; an OSError names its path
     try:
         return args.func(args)
-    except (ConfigurationError, IdxFormatError) as err:
+    except (ConfigurationError, OSError) as err:
         print(f"prer: error: {err}", file=sys.stderr)
         return 2
 

@@ -155,9 +155,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
+        try:
             text = fh.read()
-    except OSError as err:
-        raise ConfigurationError(f"cannot read config {path}: {err.strerror}") from None
+        except UnicodeDecodeError as err:
+            raise ConfigurationError(f"config {path} is not UTF-8 text: {err.reason}") from None
     return parse_config_text(text)

@@ -20,10 +20,6 @@ IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 
 
-class IdxFormatError(ValueError):
-    """Raised for malformed IDX files."""
-
-
 @dataclass
 class LabeledDataset:
     x: np.ndarray
@@ -97,21 +93,21 @@ def load_idx(path) -> np.ndarray:
     with _open_maybe_gzip(path) as fh:
         raw = fh.read()
     if len(raw) < 4:
-        raise IdxFormatError(f"{path}: file too short for an IDX header")
+        raise ConfigurationError(f"{path}: file too short for an IDX header")
     (magic,) = struct.unpack(">I", raw[:4])
     if magic == LABELS_MAGIC:
         ndim = 1
     elif magic == IMAGES_MAGIC:
         ndim = 3
     else:
-        raise IdxFormatError(f"{path}: bad magic 0x{magic:08x}")
+        raise ConfigurationError(f"{path}: bad magic 0x{magic:08x}")
     header_len = 4 + 4 * ndim
     if len(raw) < header_len:
-        raise IdxFormatError(f"{path}: truncated header")
+        raise ConfigurationError(f"{path}: truncated header")
     dims = struct.unpack(f">{ndim}I", raw[4:header_len])
     expected = int(np.prod(dims))
     if len(raw) - header_len != expected:
-        raise IdxFormatError(
+        raise ConfigurationError(
             f"{path}: expected {expected} payload bytes, found {len(raw) - header_len}"
         )
     data = np.frombuffer(raw, dtype=np.uint8, offset=header_len)
@@ -126,11 +122,9 @@ def load_mnist(images_path, labels_path) -> LabeledDataset:
     images = load_idx(images_path)
     labels = load_idx(labels_path)
     if images.ndim != 4:
-        raise IdxFormatError(f"{images_path}: not an image file")
+        raise ConfigurationError(f"{images_path}: not an image file")
     if labels.ndim != 1:
-        raise IdxFormatError(f"{labels_path}: not a label file")
-    if len(images) != len(labels):
-        raise IdxFormatError("image and label counts differ")
+        raise ConfigurationError(f"{labels_path}: not a label file")
     return LabeledDataset(images, labels)
 
 

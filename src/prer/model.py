@@ -60,9 +60,8 @@ class ContinualModel:
 
     # -- forward paths --------------------------------------------------
 
-    def encode_classify(self, x, train=False, rng=None) -> np.ndarray:
-        h = self.encoder.forward(x, train=train, rng=rng)
-        return self.proj_classify.forward(h, train=train, rng=rng)
+    def encode_classify(self, x) -> np.ndarray:
+        return self.proj_classify.forward(self.encoder.forward(x))
 
     def encode_reconstruct(self, x) -> np.ndarray:
         return self.proj_reconstruct.forward(self.encoder.forward(x))
@@ -74,8 +73,7 @@ class ContinualModel:
         return flat.reshape((len(flat),) + self.input_shape)
 
     def classify(self, x, task_id: int, train=False, rng=None) -> np.ndarray:
-        z = self.encode_classify(x, train=train, rng=rng)
-        return self.head(task_id).forward(z, train=train, rng=rng)
+        return self.head(task_id).forward(self.encode_classify(x), train=train, rng=rng)
 
     # -- bookkeeping ----------------------------------------------------
 

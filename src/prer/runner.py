@@ -233,14 +233,14 @@ def read_records(in_dir) -> list:
 
 
 def aggregate(records) -> list:
-    """Mean and population standard deviation per (strategy, dataset)."""
+    """Mean and population standard deviation per (strategy, dataset, config_hash)."""
     if not records:
         raise ConfigurationError("no records to aggregate")
     groups = {}
     for rec in records:
-        groups.setdefault((rec.strategy, rec.dataset), []).append(rec)
+        groups.setdefault((rec.strategy, rec.dataset, rec.config_hash), []).append(rec)
     rows = []
-    for (strategy, dataset), recs in sorted(groups.items()):
+    for (strategy, dataset, config_hash), recs in sorted(groups.items()):
         accs = np.array([r.accuracy for r in recs])
         bwts = [r.bwt for r in recs]
         has_bwt = all(b is not None for b in bwts)
@@ -254,12 +254,13 @@ def aggregate(records) -> list:
             "bwt_mean": float(bwt_arr.mean()) if has_bwt else None,
             "bwt_std": float(bwt_arr.std()) if has_bwt else None,
             "memory_floats": float(np.mean([r.memory_floats for r in recs])),
+            "config_hash": config_hash,
         })
     return rows
 
 
 SUMMARY_COLUMNS = ("strategy", "dataset", "seed_count", "accuracy_mean", "accuracy_std",
-                   "bwt_mean", "bwt_std", "memory_floats")
+                   "bwt_mean", "bwt_std", "memory_floats", "config_hash")
 
 
 def summary_table(rows) -> str:

@@ -114,6 +114,17 @@ def test_restore_rejects_another_config(tmp_path):
         load_run_state(other_format)
 
 
+@pytest.mark.parametrize("damage", ["truncated", "text", "empty"])
+def test_a_file_that_is_not_an_npz_is_refused(tmp_path, damage):
+    path = tmp_path / "state.npz"
+    save_run_state(path, trained_state())
+    content = {"truncated": path.read_bytes()[:100], "text": b"not a checkpoint\n",
+               "empty": b""}[damage]
+    path.write_bytes(content)
+    with pytest.raises(ConfigurationError, match="not a checkpoint of this format"):
+        load_run_state(path)
+
+
 def test_per_array_layout_is_refused(tmp_path):
     # the layout before flat parameter buffers: one entry per weight and bias
     state = trained_state()

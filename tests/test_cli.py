@@ -143,6 +143,38 @@ def test_malformed_run_record_ends_in_one_line(text, tmp_path):
     record.write_text(text)
     assert_one_line_error(run_cli("aggregate", "--in", str(tmp_path)), str(record))
 
+
+def test_non_utf8_config_ends_in_one_line(tmp_path):
+    config = tmp_path / "binary.cfg"
+    config.write_bytes(b"\xff\xfe\x00bad")
+    assert_one_line_error(run_cli("run", "--config", str(config)), str(config))
+
+
+def test_run_record_that_is_a_directory_ends_in_one_line(tmp_path):
+    record = tmp_path / "run_x.json"
+    record.mkdir()
+    assert_one_line_error(run_cli("aggregate", "--in", str(tmp_path)), str(record))
+
+
+def test_missing_mnist_image_file_ends_in_one_line(tmp_path):
+    images, labels = tmp_path / "MISSING-images", tmp_path / "MISSING-labels"
+    config = tmp_path / "mnist.cfg"
+    config.write_text(f"dataset = mnist:images={images},labels={labels}\n")
+    result = run_cli("run", "--config", str(config), "--out", str(tmp_path / "runs"))
+    assert_one_line_error(result, str(images))
+
+
+def test_resume_over_truncated_checkpoint_ends_in_one_line(config_file, tmp_path):
+    config_file.write_text(CONFIG + "checkpoints = true\n")
+    out = tmp_path / "runs"
+    args = ("run", "--config", str(config_file), "--seed", "1", "--out", str(out))
+    result = run_cli(*args)
+    assert result.returncode == 0, result.stderr
+    (ckpt,) = out.glob("state_*.npz")
+    ckpt.write_bytes(ckpt.read_bytes()[:100])
+    assert_one_line_error(run_cli(*args, "--resume"), str(ckpt), "not a checkpoint")
+
+
 # Runs prer.cli the way ``python -m prer.cli`` does and, at the first import
 # of numpy (before any numpy code runs), writes the environment as JSON to
 # the path given as the first argument.

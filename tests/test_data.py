@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from prer.data import (
-    IdxFormatError,
     LabeledDataset,
     build_task_stream,
     load_idx,
@@ -71,14 +70,14 @@ def test_load_idx_truncated_payload(tmp_path, idx_files):
     img_path = idx_files[0]
     bad = tmp_path / "short-idx3-ubyte"
     bad.write_bytes(img_path.read_bytes()[:-1])  # one byte short
-    with pytest.raises(IdxFormatError, match="expected"):
+    with pytest.raises(ConfigurationError, match="expected"):
         load_idx(bad)
 
 
 def test_load_idx_bad_magic(tmp_path):
     bad = tmp_path / "bad-idx"
     bad.write_bytes(struct.pack(">I", 0xDEADBEEF) + b"\x00" * 16)
-    with pytest.raises(IdxFormatError, match="magic"):
+    with pytest.raises(ConfigurationError, match="magic"):
         load_idx(bad)
 
 

@@ -482,13 +482,21 @@ def test_aggregate_groups_by_strategy():
     assert [r["strategy"] for r in rows] == ["naive", "prer"]
 
 
+def test_aggregate_never_pools_two_configs():
+    records = [fake_record("er", 1, 80.0, -6.0), fake_record("er", 1, 74.0, -17.0)]
+    records[1].config_hash = "y"
+    rows = aggregate(records)
+    assert [(r["config_hash"], r["seed_count"], r["accuracy_mean"]) for r in rows] == [
+        ("x", 1, 80.0), ("y", 1, 74.0)]
+
+
 def test_summary_table_shape():
     rows = aggregate([fake_record("naive", 1, 90.0, -5.0)])
     table = summary_table(rows)
     lines = table.strip().split("\n")
     header = lines[0].split("\t")
     assert header == ["strategy", "dataset", "seed_count", "accuracy_mean",
-                      "accuracy_std", "bwt_mean", "bwt_std", "memory_floats"]
+                      "accuracy_std", "bwt_mean", "bwt_std", "memory_floats", "config_hash"]
     assert lines[1].split("\t")[0] == "naive"
     # floats are serialized shortest-round-trip: parse back exactly
     assert float(lines[1].split("\t")[3]) == 90.0
