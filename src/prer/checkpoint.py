@@ -79,8 +79,10 @@ def load_run_state(path):
     try:
         data = np.load(path, allow_pickle=False)
     except (ValueError, EOFError, zipfile.BadZipFile):
+        data = None  # a plain .npy array loads, but is no archive either
+    if not isinstance(data, np.lib.npyio.NpzFile):
         raise ConfigurationError(
-            f"{path}: not an .npz archive; not a checkpoint of this format") from None
+            f"{path}: not an .npz archive; not a checkpoint of this format")
     with data:
         for name in ("meta", "result_matrix"):
             if name not in data.files:

@@ -41,11 +41,7 @@ def _cmd_run(args):
 def _cmd_aggregate(args):
     from .runner import aggregate, read_records, summary_table
 
-    records = read_records(args.in_dir)
-    if not records:
-        print(f"no run records found in {args.in_dir}", file=sys.stderr)
-        return 1
-    table = summary_table(aggregate(records))
+    table = summary_table(aggregate(read_records(args.in_dir)))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(table)

@@ -1,10 +1,10 @@
 """Invertible multi-scale stack of permutation / batch-norm / coupling blocks.
 
-Two directions are exposed: "normalizing" maps data (embeddings) to the
-isotropic normal prior and is the direction used for density evaluation
-and training; "generating" maps prior draws back to data space and is
-used for sampling. Per-sample log-determinants are accumulated exactly,
-which keeps the log-likelihood tractable.
+Each layer has one method per direction. ``apply`` normalizes: it maps
+data (embeddings) to the isotropic normal prior, for density evaluation
+and training, with exact per-sample log-determinants, which keep the
+log-likelihood tractable. ``invert`` generates: it maps prior draws back
+to data space for sampling and returns only the rows.
 
 Backpropagation exists only for the normalizing direction (the one that
 is trained). Batch statistics inside the batch-norm layers are treated
@@ -21,9 +21,6 @@ import numpy as np
 from .exceptions import ConfigurationError, DivergenceError, StateError
 from .nn import ConcatCondition, Dense, Network, Relu, bind_slices
 from .rng import Rng
-
-NORMALIZING = "normalizing"
-GENERATING = "generating"
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -54,9 +51,11 @@ class Permutation:
                 self.perm = rng.permutation(dim)
         self.inv = np.argsort(self.perm)
 
-    def apply(self, x, direction, cond=None, train=False):
-        idx = self.perm if direction == NORMALIZING else self.inv
-        return x[:, idx], np.zeros(len(x))
+    def apply(self, x, cond=None, train=False):
+        return x[:, self.perm], np.zeros(len(x))
+
+    def invert(self, y, cond=None):
+        return y[:, self.inv]
 
     def backward_normalizing(self, grad, grad_logdet):
         return grad[:, self.inv]
@@ -68,8 +67,8 @@ class BatchNorm:
 
     Train mode normalizes with the current batch statistics and then
     folds them into the running estimates (the very first batch simply
-    initializes them). Eval mode and the generating direction always use
-    the running statistics.
+    initializes them). Eval mode and ``invert`` always use the running
+    statistics.
     """
 
     momentum = 0.1  # weight of the new batch
@@ -86,8 +85,8 @@ class BatchNorm:
         if not self.initialized:
             raise StateError("batch norm used in eval/generating mode before any statistics exist")
 
-    def apply(self, x, direction, cond=None, train=False):
-        if direction == NORMALIZING and train:
+    def apply(self, x, cond=None, train=False):
+        if train:
             n = len(x)
             if n < 2:
                 raise ConfigurationError("batch norm needs batch size >= 2 in train mode")
@@ -107,15 +106,14 @@ class BatchNorm:
         else:
             self._require_init()
             mean, var = self.mean, self.var
-        var_eps = var + self.eps
-        scale = np.sqrt(var_eps)
-        logdet = 0.5 * float(np.log(var_eps).sum())
-        if direction == GENERATING:
-            return x * scale + mean, np.full(len(x), logdet)
-        if not train:  # a train pass centred the batch above
             centred = x - mean
-        self._cache = scale
-        return centred / scale, np.full(len(x), -logdet)
+        var_eps = var + self.eps
+        self._cache = np.sqrt(var_eps)
+        return centred / self._cache, np.full(len(x), -0.5 * float(np.log(var_eps).sum()))
+
+    def invert(self, y, cond=None):
+        self._require_init()
+        return y * np.sqrt(self.var + self.eps) + self.mean
 
     def backward_normalizing(self, grad, grad_logdet):
         # batch statistics are constants for the gradient, so the logdet
@@ -158,30 +156,32 @@ class Coupling:
             last.b[...] = 0.0
         self._cache = None
 
-    def apply(self, x, direction, cond=None, train=False):
-        a = x[:, :self.a_dim]
-        b = x[:, self.a_dim:]
+    def apply(self, x, cond=None, train=False):
+        a, b = x[:, :self.a_dim], x[:, self.a_dim:]
         tanh_raw = np.tanh(self.scale_net.forward(a, cond=cond))
-        if direction == GENERATING:
-            # sampling is never backpropagated: what a net cached would only
-            # keep a large sample's hidden activations resident, so each net
-            # forgets its own before the next one runs
-            self.scale_net.drop_caches()
         log_s = LOG_SCALE_BOUND * tanh_raw
         if not np.isfinite(log_s).all():
             raise DivergenceError("coupling produced non-finite log-scales")
         t = self.translate_net.forward(a, cond=cond)
-        if direction == GENERATING:
-            out_b = np.exp(log_s) * b + t
-            logdet = log_s.sum(axis=1)
-            self.translate_net.drop_caches()
-            self._cache = None
-        else:
-            inv_s = np.exp(-log_s)
-            out_b = (b - t) * inv_s
-            logdet = -log_s.sum(axis=1)
-            self._cache = (tanh_raw, inv_s, out_b)
-        return np.concatenate([a, out_b], axis=1), logdet
+        inv_s = np.exp(-log_s)
+        out_b = (b - t) * inv_s
+        self._cache = (tanh_raw, inv_s, out_b)
+        return np.concatenate([a, out_b], axis=1), -log_s.sum(axis=1)
+
+    def invert(self, y, cond=None):
+        # sampling is never backpropagated: what a net or a normalizing
+        # pass cached would only keep a large sample's activations resident,
+        # so each net forgets its own before the next one runs
+        a, b = y[:, :self.a_dim], y[:, self.a_dim:]
+        tanh_raw = np.tanh(self.scale_net.forward(a, cond=cond))
+        self.scale_net.drop_caches()
+        log_s = LOG_SCALE_BOUND * tanh_raw
+        if not np.isfinite(log_s).all():
+            raise DivergenceError("coupling produced non-finite log-scales")
+        t = self.translate_net.forward(a, cond=cond)
+        self.translate_net.drop_caches()
+        self._cache = None
+        return np.concatenate([a, np.exp(log_s) * b + t], axis=1)
 
     def backward_normalizing(self, grad, grad_logdet):
         if self._cache is None:
@@ -240,7 +240,7 @@ class FlowStack:
         for lvl, layers in enumerate(self.levels):
             for i, layer in enumerate(layers):
                 try:
-                    h, ld = layer.apply(h, NORMALIZING, cond=cond, train=train)
+                    h, ld = layer.apply(h, cond=cond, train=train)
                 except DivergenceError as err:
                     raise DivergenceError(f"level {lvl}, layer {i}: {err}") from None
                 logdet += ld
@@ -269,7 +269,7 @@ class FlowStack:
         if u.ndim != 2 or u.shape[1] != self.dim:
             raise ConfigurationError(
                 f"flow expects (batch, {self.dim}) input, got shape {u.shape}")
-        return self._walk_back(u, lambda layer, h: layer.apply(h, GENERATING, cond=cond)[0])
+        return self._walk_back(u, lambda layer, h: layer.invert(h, cond=cond))
 
     def backward_normalizing(self, grad_u, grad_logdet):
         """Backpropagate through the cached normalizing pass.

@@ -83,17 +83,18 @@ def _coverage(state, through_task, cap, rng):
         needed = dict(zip(classes, counts))
         total = len(real)
         probe = metrics.KnnProbe().fit(real, np.repeat(classes, counts))
-        # sampling is row-independent, so a pool of 3 * total rows is
-        # drawn, generated and labelled a chunk at a time, sized by the
-        # widest coupling net; each class keeps its first needed[c] rows,
-        # and no chunk is drawn once every class has them
+        # sampling is row-independent, so a pool of 3 * total rows is sampled
+        # and labelled in chunks until each class has its first needed[c] rows.
+        # CHUNK_FLOATS fits one activation of the widest coupling net per chunk,
+        # though sampling holds about three (6.14 MiB at task 5 of mnist784_prer);
+        # the budget stays, as moved chunk edges can change bits: measure first
         flow = state.flow
-        prior = rng.fork("gen-pool")
+        pool_rng = rng.fork("gen-pool")
         kept = {c: np.empty((needed[c], flow.dim)) for c in classes}
         filled = dict.fromkeys(classes, 0)
         widest = max(getattr(layer, "hidden", 0) for lvl in flow.levels for layer in lvl)
         for rows in metrics._row_chunks(3 * total, widest):
-            chunk = flow.generate(prior.normal(size=(rows.stop - rows.start, flow.dim)))
+            chunk = flow.sample(rows.stop - rows.start, pool_rng)
             labels = probe.predict(chunk)
             for c in classes:
                 take = np.flatnonzero(labels == c)[:needed[c] - filled[c]]
@@ -229,13 +230,13 @@ def read_records(in_dir) -> list:
             records.append(RunRecord.from_json(path.read_text(encoding="utf-8")))
         except (ValueError, TypeError) as err:
             raise ConfigurationError(f"{path} is not a run record: {err}") from None
+    if not records:
+        raise ConfigurationError(f"no run records found in {in_dir}")
     return records
 
 
 def aggregate(records) -> list:
     """Mean and population standard deviation per (strategy, dataset, config_hash)."""
-    if not records:
-        raise ConfigurationError("no records to aggregate")
     groups = {}
     for rec in records:
         groups.setdefault((rec.strategy, rec.dataset, rec.config_hash), []).append(rec)

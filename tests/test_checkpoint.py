@@ -2,6 +2,7 @@
 state freshly built from the same (config, seed) must come back
 bit-exact, and a resumed run must continue from the stored task."""
 
+import io
 import json
 
 import numpy as np
@@ -114,12 +115,14 @@ def test_restore_rejects_another_config(tmp_path):
         load_run_state(other_format)
 
 
-@pytest.mark.parametrize("damage", ["truncated", "text", "empty"])
+@pytest.mark.parametrize("damage", ["truncated", "text", "empty", "npy"])
 def test_a_file_that_is_not_an_npz_is_refused(tmp_path, damage):
     path = tmp_path / "state.npz"
     save_run_state(path, trained_state())
+    npy = io.BytesIO()
+    np.save(npy, np.arange(6.0))  # a plain array loads, but is no archive
     content = {"truncated": path.read_bytes()[:100], "text": b"not a checkpoint\n",
-               "empty": b""}[damage]
+               "empty": b"", "npy": npy.getvalue()}[damage]
     path.write_bytes(content)
     with pytest.raises(ConfigurationError, match="not a checkpoint of this format"):
         load_run_state(path)

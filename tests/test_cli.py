@@ -84,9 +84,9 @@ def test_run_all_seeds_strategy_override_and_aggregate(config_file, tmp_path):
 
 
 def test_aggregate_empty_dir_fails(tmp_path):
-    result = run_cli("aggregate", "--in", str(tmp_path))
-    assert result.returncode == 1
-    assert "no run records" in result.stderr
+    for in_dir in (tmp_path, tmp_path / "missing"):
+        assert_one_line_error(run_cli("aggregate", "--in", str(in_dir)),
+                              f"no run records found in {in_dir}")
 
 
 def test_inspect_flow(config_file):

@@ -9,8 +9,7 @@ from prer import nn
 from prer.config import ExperimentConfig
 from prer.exceptions import ConfigurationError, DivergenceError, StateError
 from prer.flow import (
-    GENERATING,
-    NORMALIZING,
+    LOG_SCALE_BOUND,
     BatchNorm,
     Coupling,
     FlowStack,
@@ -71,7 +70,8 @@ def numeric_logdet(stack, z0, cond=None, h=1e-6):
 def test_fresh_coupling_is_identity():
     layer = Coupling(6, 12, Rng(1))
     x = Rng(2).normal(size=(4, 6))
-    y, ld = layer.apply(x, GENERATING)
+    assert np.allclose(layer.invert(x), x)
+    y, ld = layer.apply(x)
     assert np.allclose(y, x)
     assert np.allclose(ld, 0.0)
 
@@ -79,11 +79,10 @@ def test_fresh_coupling_is_identity():
 def test_coupling_hand_computed():
     layer = constant_coupling(2, 0.5, 1.0)
     x = np.array([[1.0, 2.0]])
-    y, ld = layer.apply(x, GENERATING)
+    y = layer.invert(x)
     assert y[0, 0] == pytest.approx(1.0)            # first chunk passes through
     assert y[0, 1] == pytest.approx(np.exp(0.5) * 2.0 + 1.0, abs=1e-5)
-    assert ld[0] == pytest.approx(0.5)
-    back, ld_inv = layer.apply(y, NORMALIZING)
+    back, ld_inv = layer.apply(y)
     assert np.allclose(back, x, atol=1e-12)
     assert ld_inv[0] == pytest.approx(-0.5)
 
@@ -94,19 +93,32 @@ def test_coupling_roundtrip_random():
     for p, _ in (layer.scale_net.parameters() + layer.translate_net.parameters()):
         p[...] = rng.uniform(-0.8, 0.8, p.shape)
     u = rng.normal(size=(16, 5))
-    mid, ld_gen = layer.apply(u, GENERATING)
-    back, ld_norm = layer.apply(mid, NORMALIZING)
+    back, _ = layer.apply(layer.invert(u))
     assert np.abs(back - u).max() < 1e-8
-    assert np.allclose(ld_gen, -ld_norm)
 
 
+@pytest.mark.parametrize("cond_width", [0, 3])
+def test_coupling_invert_matches_the_affine_formula_bitwise(cond_width):
+    # invert returns a followed by exp(LOG_SCALE_BOUND * tanh(s(a))) * b + t(a)
+    rng = Rng(4)
+    layer = Coupling(7, 10, rng, cond_width=cond_width)
+    for net in layer.networks():
+        net.params[...] = rng.uniform(-0.8, 0.8, net.params.shape)
+    y = rng.normal(size=(16, 7))
+    cond = rng.integers(0, 3, size=16) if cond_width else None
+    a, b = y[:, :4], y[:, 4:]
+    log_s = LOG_SCALE_BOUND * np.tanh(layer.scale_net.forward(a, cond=cond))
+    expected = np.concatenate(
+        [a, np.exp(log_s) * b + layer.translate_net.forward(a, cond=cond)], axis=1)
+    assert same_bits(layer.invert(y, cond=cond), expected)
 
 
 def test_coupling_divergence_reports():
     layer = Coupling(4, 8, Rng(5))
     layer.scale_net.layers[-1].b[0] = np.nan  # weights gone bad mid-training
-    with pytest.raises(DivergenceError):
-        layer.apply(np.ones((2, 4)), NORMALIZING)
+    for direction in (layer.apply, layer.invert):
+        with pytest.raises(DivergenceError):
+            direction(np.ones((2, 4)))
 
 
 def test_stack_divergence_names_layer():
@@ -125,16 +137,17 @@ def test_coupling_condition_contract():
     layer = Coupling(4, 8, Rng(6), cond_width=3)
     x = Rng(8).normal(size=(2, 4))
     for cond in BAD_CLASSES:
-        with pytest.raises(ConfigurationError):
-            layer.apply(x, NORMALIZING, cond=cond)
+        for direction in (layer.apply, layer.invert):
+            with pytest.raises(ConfigurationError):
+                direction(x, cond=cond)
     # an unconditioned coupling ignores the classes
     plain = Coupling(4, 8, Rng(7))
     for net in plain.networks():
         net.params[...] = Rng(9).uniform(-0.5, 0.5, net.params.shape)
-    for direction in (NORMALIZING, GENERATING):
-        out, logdet = plain.apply(x, direction)
-        out_c, logdet_c = plain.apply(x, direction, cond=np.array([0, 2]))
-        assert np.array_equal(out, out_c) and np.array_equal(logdet, logdet_c)
+    out, logdet = plain.apply(x)
+    out_c, logdet_c = plain.apply(x, cond=np.array([0, 2]))
+    assert np.array_equal(out, out_c) and np.array_equal(logdet, logdet_c)
+    assert np.array_equal(plain.invert(x), plain.invert(x, cond=np.array([0, 2])))
 
 
 @pytest.mark.parametrize("cond_width", [0, 3])
@@ -149,7 +162,7 @@ def test_coupling_backward_matches_recomputed_tanh_and_exp_bitwise(cond_width):
     cond = rng.integers(0, 3, size=32) if cond_width else None
     grad, grad_logdet = rng.normal(size=(32, 7)), rng.normal(size=32)
 
-    layer.apply(x, NORMALIZING, cond=cond)
+    layer.apply(x, cond=cond)
     dx = layer.backward_normalizing(grad, grad_logdet)
     grads = [net.grads.copy() for net in layer.networks()]
     for net in layer.networks():
@@ -174,7 +187,7 @@ def test_batchnorm_matches_numpy_mean_and_var_bitwise():
     for scale in (3.0, 0.5, 7.0):
         x = rng.normal(size=(40, 5)) * scale + 2.0
         mean, var = x.mean(axis=0), x.var(axis=0)
-        y, ld = bn.apply(x, NORMALIZING, train=True)
+        y, ld = bn.apply(x, train=True)
         assert same_bits(y, (x - mean) / np.sqrt(var + eps))
         assert same_bits(ld, np.full(40, -0.5 * float(np.log(var + eps).sum())))
         if run_mean is None:
@@ -185,12 +198,10 @@ def test_batchnorm_matches_numpy_mean_and_var_bitwise():
         assert same_bits(bn.mean, run_mean) and same_bits(bn.var, run_var)
 
     x = rng.normal(size=(9, 5))
-    y, ld = bn.apply(x, NORMALIZING)
+    y, ld = bn.apply(x)
     assert same_bits(y, (x - run_mean) / np.sqrt(run_var + eps))
     assert same_bits(ld, np.full(9, -0.5 * float(np.log(run_var + eps).sum())))
-    y, ld = bn.apply(x, GENERATING)
-    assert same_bits(y, x * np.sqrt(run_var + eps) + run_mean)
-    assert same_bits(ld, np.full(9, 0.5 * float(np.log(run_var + eps).sum())))
+    assert same_bits(bn.invert(x), x * np.sqrt(run_var + eps) + run_mean)
     assert same_bits(bn.mean, run_mean) and same_bits(bn.var, run_var)
 
 
@@ -200,7 +211,7 @@ def test_batchnorm_unit_stats_is_identity():
     bn.mean[...] = 0.0
     bn.initialized = True
     x = Rng(8).normal(size=(5, 3))
-    y, ld = bn.apply(x, NORMALIZING)
+    y, ld = bn.apply(x)
     assert np.allclose(y, x)
     assert np.allclose(ld, 0.0)
 
@@ -209,19 +220,17 @@ def test_batchnorm_logdet_hand_computed():
     bn = BatchNorm(1)
     bn.var[...] = np.exp(2.0) - bn.eps
     bn.initialized = True
-    _, ld = bn.apply(np.array([[1.0], [2.0]]), NORMALIZING)
+    _, ld = bn.apply(np.array([[1.0], [2.0]]))
     assert np.allclose(ld, -1.0)
-    _, ld_gen = bn.apply(np.array([[1.0]]), GENERATING)
-    assert ld_gen[0] == pytest.approx(1.0)
 
 
 def test_batchnorm_roundtrip_frozen_stats():
     bn = BatchNorm(4)
     rng = Rng(9)
-    bn.apply(rng.normal(size=(32, 4)) * 3.0 + 1.0, NORMALIZING, train=True)
+    bn.apply(rng.normal(size=(32, 4)) * 3.0 + 1.0, train=True)
     x = rng.normal(size=(6, 4))
-    y, _ = bn.apply(x, NORMALIZING)
-    back, _ = bn.apply(y, GENERATING)
+    y, _ = bn.apply(x)
+    back = bn.invert(y)
     assert np.abs(back - x).max() < 1e-10
 
 
@@ -229,12 +238,12 @@ def test_batchnorm_first_batch_initializes_then_blends():
     bn = BatchNorm(2)
     rng = Rng(10)
     b1 = rng.normal(size=(50, 2)) + 4.0
-    bn.apply(b1, NORMALIZING, train=True)
+    bn.apply(b1, train=True)
     assert np.allclose(bn.mean, b1.mean(axis=0))
     assert np.allclose(bn.var, b1.var(axis=0))
     old_mean, old_var = bn.mean.copy(), bn.var.copy()
     b2 = rng.normal(size=(50, 2)) - 4.0
-    bn.apply(b2, NORMALIZING, train=True)
+    bn.apply(b2, train=True)
     assert np.allclose(bn.mean, 0.9 * old_mean + 0.1 * b2.mean(axis=0))
     assert np.allclose(bn.var, 0.9 * old_var + 0.1 * b2.var(axis=0))
 
@@ -242,11 +251,11 @@ def test_batchnorm_first_batch_initializes_then_blends():
 def test_batchnorm_state_errors():
     bn = BatchNorm(2)
     with pytest.raises(StateError):
-        bn.apply(np.ones((3, 2)), NORMALIZING, train=False)
+        bn.apply(np.ones((3, 2)), train=False)
     with pytest.raises(StateError):
-        bn.apply(np.ones((3, 2)), GENERATING)
+        bn.invert(np.ones((3, 2)))
     with pytest.raises(ConfigurationError):
-        bn.apply(np.ones((1, 2)), NORMALIZING, train=True)
+        bn.apply(np.ones((1, 2)), train=True)
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +310,13 @@ def test_sampling_leaves_no_layer_cache():
     randomize(stack)
     initialize_batchnorms(stack)  # a normalizing pass fills the caches
     stack.sample(50, Rng(23))
-    layers = [layer for level in stack.levels for coupling in level
-              if isinstance(coupling, Coupling)
+    couplings = [layer for level in stack.levels for layer in level
+                 if isinstance(layer, Coupling)]
+    layers = [layer for coupling in couplings
               for net in (coupling.scale_net, coupling.translate_net)
               for layer in net.layers]
     assert len(layers) == 2 * 3 * 2 * 3  # levels, blocks, nets, Dense/Relu/Dense
-    assert all(layer._cache is None for layer in layers)
+    assert all(layer._cache is None for layer in layers + couplings)
 
 
 def test_bijectivity_random_stacks():

@@ -502,9 +502,12 @@ def test_summary_table_shape():
     assert float(lines[1].split("\t")[3]) == 90.0
 
 
-def test_aggregate_empty_rejected():
-    with pytest.raises(ConfigurationError):
-        aggregate([])
+def test_read_records_of_an_empty_dir_is_refused(tmp_path):
+    (tmp_path / "state_x.npz").write_bytes(b"")  # only run_*.json files are records
+    for in_dir in (tmp_path, tmp_path / "missing"):
+        message = re.escape(f"no run records found in {in_dir}")
+        with pytest.raises(ConfigurationError, match=message):
+            read_records(in_dir)
 
 
 # ---------------------------------------------------------------------------
