@@ -4,6 +4,12 @@ The backbone encoder is shared by two projection heads: one feeds the
 task classifiers, the other feeds the decoder. Task heads are created
 lazily when their task starts and are never trained again after it ends.
 ``build_model`` is the one builder: it builds the model a config describes.
+
+A forward path keeps the layer caches its backward pass consumes only
+under ``train=True``, which ``encode_classify`` and ``classify`` take for
+the classifier phase. Any other pass is never backpropagated: it drops
+every cache it set before it returns, so an evaluation keeps none of its
+rows or activations alive.
 """
 
 import numpy as np
@@ -60,20 +66,30 @@ class ContinualModel:
 
     # -- forward paths --------------------------------------------------
 
-    def encode_classify(self, x) -> np.ndarray:
-        return self.proj_classify.forward(self.encoder.forward(x))
+    @staticmethod
+    def _pass(nets, x, train=False, **kwargs):
+        """``x`` through ``nets`` in order; without ``train``, each net drops
+        its caches before the next one runs."""
+        for net in nets:
+            x = net.forward(x, train=train, **kwargs)
+            if not train:
+                net.drop_caches()
+        return x
+
+    def encode_classify(self, x, train=False) -> np.ndarray:
+        return self._pass((self.encoder, self.proj_classify), x, train)
 
     def encode_reconstruct(self, x) -> np.ndarray:
-        return self.proj_reconstruct.forward(self.encoder.forward(x))
+        return self._pass((self.encoder, self.proj_reconstruct), x)
 
     def decode(self, z, y=None) -> np.ndarray:
         """Images decoded from ``z``; a conditioned decoder reads the rows'
         classes ``y``."""
-        flat = self.decoder.forward(z, cond=y)
+        flat = self._pass((self.decoder,), z, cond=y)
         return flat.reshape((len(flat),) + self.input_shape)
 
     def classify(self, x, task_id: int, train=False, rng=None) -> np.ndarray:
-        return self.head(task_id).forward(self.encode_classify(x), train=train, rng=rng)
+        return self._pass((self.head(task_id),), self.encode_classify(x, train), train, rng=rng)
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -127,6 +143,7 @@ def build_model(cfg, input_shape, num_classes, rng: Rng) -> ContinualModel:
             prev_c = ch
         encoder = Network(layers + [Flatten()], name="encoder")
         backbone_dim = encoder.forward(np.zeros((1,) + input_shape)).shape[1]
+        encoder.drop_caches()
         decoder_hidden = cfg.decoder_hidden or (256,)
     proj_c = Network([Dense(backbone_dim, cfg.embedding_dim, init)], name="proj-classify")
     proj_r = Network([Dense(backbone_dim, cfg.embedding_dim, init)], name="proj-reconstruct")

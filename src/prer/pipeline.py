@@ -166,7 +166,7 @@ def _grouped_classifier_step(model, current_task_id, x, y_task, task_ids, dropou
     tasks. Each row is scored by its own task's head; only the current
     head runs in train mode, but gradients flow through the frozen past
     heads into the shared encoder."""
-    z = model.encode_classify(x)
+    z = model.encode_classify(x, train=True)
     dz = np.zeros_like(z)
     total = 0.0
     n = len(x)
@@ -224,7 +224,7 @@ def train_classifier_phase(model: ContinualModel, task, cfg, rng: Rng,
             mem_x, mem_z = penalty
             k = min(cfg.batch_size, len(mem_x))
             pick = mem_rng.choice(len(mem_x), size=k, replace=False)
-            z = model.encode_classify(mem_x[pick])
+            z = model.encode_classify(mem_x[pick], train=True)
             reg, dz = nn.mean_cosine_distance(z, mem_z[pick])
             dh = model.proj_classify.backward(cfg.beta * dz)
             model.encoder.backward(dh, input_grad=False)
@@ -264,6 +264,7 @@ def train_autoencoder_phase(model: ContinualModel, task, cfg, rng: Rng,
     def step(idx):
         xb, y_cond = _mixed_batch(task, idx, memory, cfg.replay_fraction, mem_rng)
         h = model.encoder.forward(xb)  # frozen: no backward into the backbone
+        model.encoder.drop_caches()
         z = model.proj_reconstruct.forward(h, train=True)
         flat = model.decoder.forward(z, train=True, cond=y_cond)
         target = xb.reshape(len(xb), -1)

@@ -51,6 +51,12 @@ class RunRecord:
         return cls(**data)
 
 
+# hidden activations of the widest coupling net that sampling a pool chunk
+# holds at once: about three (6.14 MiB above the call's entry for a chunk
+# of 1,286 rows through a 200-wide net, 1.96 MiB each)
+SAMPLING_ACTIVATIONS = 3
+
+
 def _coverage(state, through_task, cap, rng):
     """Class-averaged Hausdorff distance between real reconstruction
     embeddings and flow samples, per class seen so far."""
@@ -84,16 +90,15 @@ def _coverage(state, through_task, cap, rng):
         total = len(real)
         probe = metrics.KnnProbe().fit(real, np.repeat(classes, counts))
         # sampling is row-independent, so a pool of 3 * total rows is sampled
-        # and labelled in chunks until each class has its first needed[c] rows.
-        # CHUNK_FLOATS fits one activation of the widest coupling net per chunk,
-        # though sampling holds about three (6.14 MiB at task 5 of mnist784_prer);
-        # the budget stays, as moved chunk edges can change bits: measure first
+        # and labelled in chunks until each class has its first needed[c] rows;
+        # a chunk's SAMPLING_ACTIVATIONS activations of the widest coupling net
+        # hold at most CHUNK_FLOATS floats together
         flow = state.flow
         pool_rng = rng.fork("gen-pool")
         kept = {c: np.empty((needed[c], flow.dim)) for c in classes}
         filled = dict.fromkeys(classes, 0)
         widest = max(getattr(layer, "hidden", 0) for lvl in flow.levels for layer in lvl)
-        for rows in metrics._row_chunks(3 * total, widest):
+        for rows in metrics._row_chunks(3 * total, SAMPLING_ACTIVATIONS * widest):
             chunk = flow.sample(rows.stop - rows.start, pool_rng)
             labels = probe.predict(chunk)
             for c in classes:

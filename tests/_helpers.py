@@ -30,6 +30,13 @@ def get_params(net):
     return [p.copy() for p, _ in array_pairs(net)]
 
 
+def layers_holding_a_cache(model):
+    """(network name, layer index) of every model layer that still holds a
+    cached forward pass."""
+    return [(name, i) for name, net in model.all_networks().items()
+            for i, layer in enumerate(net.layers) if layer._cache is not None]
+
+
 class ReferenceAdam:
     """Adam run as a Python loop over separate arrays: the per-array
     update the flat optimizer must reproduce bit for bit."""

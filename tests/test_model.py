@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from _helpers import array_pairs, get_params
+from _helpers import array_pairs, get_params, layers_holding_a_cache
 from prer import nn
 from prer.config import ExperimentConfig
 from prer.data import Task
@@ -75,6 +75,42 @@ def test_classify_width_and_determinism():
     assert np.array_equal(logits, model.classify(x, 1))
     with pytest.raises(ConfigurationError):
         model.classify(x, 99)
+
+
+@pytest.mark.parametrize("encoder", ["mlp", "conv"])
+def test_eval_passes_leave_no_layer_cache(encoder):
+    if encoder == "mlp":
+        cfg = ExperimentConfig(encoder_hidden=(12,), embedding_dim=5, conditioning="decoder")
+    else:
+        cfg = ExperimentConfig(encoder="conv", embedding_dim=5, conv_channels=(2, 3),
+                               decoder_hidden=(8,), conditioning="decoder")
+    model = build_model(cfg, (1, 6, 6), 4, Rng(41))
+    # the conv builder's one-row pass, which finds the encoder's width
+    assert layers_holding_a_cache(model) == []
+    model.ensure_head(1, 2, Rng(42))
+    x = Rng(43).normal(size=(5, 1, 6, 6))
+    passes = {
+        "encode_classify": lambda: model.encode_classify(x),
+        "encode_reconstruct": lambda: model.encode_reconstruct(x),
+        "classify": lambda: model.classify(x, 1),
+        "decode": lambda: model.decode(Rng(44).normal(size=(5, 5)), np.array([0, 1, 2, 3, 0])),
+    }
+    for name, run in passes.items():
+        run()
+        assert layers_holding_a_cache(model) == [], name
+
+
+def test_train_pass_keeps_the_caches_backward_consumes():
+    model = small_model()
+    model.ensure_head(1, 2, Rng(45))
+    x = Rng(46).normal(size=(5, 6))
+    z = model.encode_classify(x, train=True)
+    dh = model.proj_classify.backward(np.ones_like(z))
+    assert model.encoder.backward(dh, input_grad=False) is None
+    logits = model.classify(x, 1, train=True, rng=Rng(47))
+    dz = model.head(1).backward(np.ones_like(logits))
+    model.encoder.backward(model.proj_classify.backward(dz), input_grad=False)
+    assert layers_holding_a_cache(model) == []
 
 
 def test_untrained_head_mean_softmax_near_uniform():
@@ -170,6 +206,8 @@ def test_autoencoder_phase_freezes_encoder_and_classifier_projection():
     for before, (p, g) in zip(fc_before, array_pairs(model.proj_classify)):
         assert np.array_equal(before, p)
         assert np.all(g == 0.0)
+    # the frozen encoder's pass is never backpropagated, and keeps nothing
+    assert layers_holding_a_cache(model) == []
 
 
 def test_autoencoder_overfits_four_samples(monkeypatch):

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _helpers import layers_holding_a_cache
 from prer import metrics, runner
 from prer.checkpoint import load_run_state, state_arrays
 from prer.config import ExperimentConfig, load_config, parse_config_text
@@ -230,11 +231,19 @@ def test_coverage_pool_in_uneven_chunks_gives_the_one_chunk_bits(monkeypatch):
     # changed flow samples in the last bits
     step = next(s for s in range(n // 3, 0, -1)
                 if 0 < n % s <= 48 and n % -(-n // s) != 0)
-    chunked, parts = coverage(widest * step)
+    chunked, parts = coverage(runner.SAMPLING_ACTIVATIONS * widest * step)
     lengths = [len(part) for part in parts]
     assert len(lengths) >= 3 and max(lengths) - min(lengths) == 1
     assert np.array_equal(np.concatenate(parts), pool)
     assert chunked == one
+
+
+@pytest.mark.parametrize("strategy", ["prer", "prer_r"])
+def test_a_finished_run_leaves_no_network_a_cache(monkeypatch, strategy):
+    # evaluation ends every task, and no pass of it is backpropagated
+    log = trained_tasks(monkeypatch)
+    run_experiment(tiny_config(strategy=strategy), seed=1)
+    assert layers_holding_a_cache(log["state"].model) == []
 
 
 def trained_state(monkeypatch):
@@ -284,7 +293,7 @@ def test_coverage_stops_drawing_once_every_class_is_full(monkeypatch):
     total = sum(int(np.isin(t.y_global, classes).sum()) for t in state.stream.tasks[:2])
     # a pool of 3 * total rows in three chunks; cycling labels fill every
     # class within the first, so the other two are never drawn
-    monkeypatch.setattr(metrics, "CHUNK_FLOATS", widest * total)
+    monkeypatch.setattr(metrics, "CHUNK_FLOATS", runner.SAMPLING_ACTIVATIONS * widest * total)
     d_t, outputs, real, gen = scripted_coverage(
         monkeypatch, state, cfg.coverage_cap, lambda pos: np.asarray(classes)[pos % 4])
     assert [len(out) for out in outputs] == [total]

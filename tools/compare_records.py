@@ -25,9 +25,15 @@ at seed 1 (taken from this checkout, so both trees read the same config):
   Adam step crosses a chunk edge (``nn.ADAM_CHUNK``), which no other
   run's buffers reach;
 - prer with a 64-dim embedding: the coverage pool of its unconditioned
-  flow (2,160 to 3,600 rows at tasks 3-5) is generated and labelled in
-  two chunks sized by ``metrics.CHUNK_FLOATS``, while every other run's
-  pool fits in one;
+  flow (720 to 3,600 rows at tasks 1-5) is generated and labelled in
+  2 to 6 chunks of at most 682 rows, sized by ``metrics.CHUNK_FLOATS``
+  and ``runner.SAMPLING_ACTIVATIONS`` (the old one-activation budget
+  gave two chunks at tasks 3-5), while every other run's pool but the
+  next run's fits in one;
+- prer with the ``mnist.cfg`` flow shape (a 100-dim embedding, two
+  levels) on 784-dim blobs (60 rows per class) with two epochs per
+  phase: its 200-wide coupling nets cut the 1,440-row pool of task 5
+  into four chunks of 360 rows, the only run with a 100-dim flow;
 - prer with ``c_m = 3``: tasks of 3, 3, 3 and 1 classes, so the last
   task of each stream keeps the remainder, where every other run has
   5 tasks of 2 classes;
@@ -57,7 +63,7 @@ at seed 1 (taken from this checkout, so both trees read the same config):
   chunks of ``metrics.CHUNK_FLOATS`` floats, 334 rows at 784 dims),
   where every other prer_r run's task fits in one.
 
-That is 33 runs.
+That is 34 runs.
 
 Records are compared without ``timings`` and ``config_hash``, the same
 rule as ``bench/checks.digest``. Exits 1 on any difference. Uses only the
@@ -110,6 +116,11 @@ def grid():
         "classifier_epochs": 2, "ae_max_epochs": 2, "flow_max_epochs": 2,
     }, None))
     runs.append(("prer-multi-chunk-coverage", {"strategy": "prer", "embedding_dim": 64}, None))
+    runs.append(("prer-100dim-flow-coverage-chunks", {
+        "strategy": "prer", "dataset": "blobs:classes=10,dim=784,sep=6,per_class=60",
+        "embedding_dim": 100, "flow_levels": 2,
+        "classifier_epochs": 2, "ae_max_epochs": 2, "flow_max_epochs": 2,
+    }, None))
     runs.append(("prer-c_m3-remainder-task", {"strategy": "prer", "c_m": 3}, None))
     runs.append(("prer-three-level-flow",
                  {"strategy": "prer", "flow_levels": 3, "embedding_dim": 7}, None))
