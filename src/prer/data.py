@@ -2,9 +2,11 @@
 
 Images arrive as (n, channels, height, width) float64 arrays scaled to
 [0, 1]; synthetic datasets are plain (n, dim) vectors. Labels are global
-integers 0..C-1. A task stream groups consecutive labels into tasks and
-attaches within-task labels, so a stream is fully determined by the
-dataset contents, the classes-per-task count and the seed.
+integers 0..C-1. A split and a task stream read only the labels: the
+split gives the row ids of each part, and a stream groups consecutive
+labels into tasks, each a set of row ids into the dataset's one array
+with its within-task labels. A stream is fully determined by the labels,
+the classes-per-task count and the seed.
 """
 
 import gzip
@@ -43,14 +45,22 @@ class LabeledDataset:
 
 @dataclass
 class Task:
+    """Rows `ids` of the dataset's array `x`, which every task of every
+    stream shares, in stream order; `rows` is their only reader."""
+
     index: int              # 1-based position in the stream
     classes: list           # global labels owned by this task
     x: np.ndarray
+    ids: np.ndarray
     y_task: np.ndarray
     y_global: np.ndarray
 
     def __len__(self):
-        return len(self.x)
+        return len(self.ids)
+
+    def rows(self, idx=slice(None)) -> np.ndarray:
+        """A gathered copy of the task's rows at positions `idx`."""
+        return self.x[self.ids[idx]]
 
 
 @dataclass
@@ -177,55 +187,32 @@ def synth_blobs(classes: int, per_class: int, dim: int, separation: float,
 
 
 def split_train_test(dataset: LabeledDataset, seed: int):
-    """Label-balanced 80/20 split; the test share is rounded down per class."""
+    """Row ids of a label-balanced 80/20 split; the test share is rounded
+    down per class."""
     rng = Rng(seed)
-    train_idx, test_idx = [], []
+    train_ids, test_ids = [], []
     for c in np.unique(dataset.y):
         idx = np.flatnonzero(dataset.y == c)
         if len(idx) < 5:
             raise ConfigurationError(f"class {c} has only {len(idx)} samples; need >= 5")
-        order = rng.fork(f"class{c}").permutation(len(idx))
-        idx = idx[order]
+        idx = idx[rng.fork(f"class{c}").permutation(len(idx))]
         n_test = int(len(idx) * 0.2)
-        test_idx.append(idx[:n_test])
-        train_idx.append(idx[n_test:])
-    train_idx = np.concatenate(train_idx)
-    test_idx = np.concatenate(test_idx)
-    return (
-        LabeledDataset(dataset.x[train_idx], dataset.y[train_idx]),
-        LabeledDataset(dataset.x[test_idx], dataset.y[test_idx]),
-    )
+        test_ids.append(idx[:n_test])
+        train_ids.append(idx[n_test:])
+    return np.concatenate(train_ids), np.concatenate(test_ids)
 
 
-def permute_rows(x: np.ndarray, order: np.ndarray) -> None:
-    """Reorder the rows of `x` in place so that it equals ``x[order]``,
-    following each cycle of the permutation through one row of scratch."""
-    order = order.tolist()
-    done = bytearray(len(order))
-    scratch = np.empty(x.shape[1:], dtype=x.dtype)
-    for start in range(len(order)):
-        if done[start]:
-            continue
-        scratch[...] = x[start]
-        dst, src = start, order[start]
-        while src != start:
-            x[dst] = x[src]
-            done[dst] = 1
-            dst, src = src, order[src]
-        x[dst] = scratch
-        done[dst] = 1
-
-
-def build_task_stream(dataset: LabeledDataset, classes_per_task: int, seed: int) -> TaskStream:
-    """Group ascending labels into tasks of `classes_per_task` classes;
-    the last task keeps the remainder."""
-    num_classes = dataset.num_classes
+def build_task_stream(dataset: LabeledDataset, ids: np.ndarray, classes_per_task: int,
+                      seed: int) -> TaskStream:
+    """Group the ascending labels of rows `ids` into tasks of
+    `classes_per_task` classes; the last task keeps the remainder."""
+    y = dataset.y[ids]
+    num_classes = int(y.max()) + 1 if len(y) else 0
     if classes_per_task > num_classes:
         raise ConfigurationError(
             f"c_m = {classes_per_task} classes per task exceeds the dataset's "
             f"{num_classes} classes")
-    present = np.unique(dataset.y)
-    if not np.array_equal(present, np.arange(num_classes)):
+    if not np.array_equal(np.unique(y), np.arange(num_classes)):
         raise ConfigurationError("labels must form a contiguous 0..C-1 range")
     rng = Rng(seed)
     num_tasks = -(-num_classes // classes_per_task)
@@ -233,14 +220,14 @@ def build_task_stream(dataset: LabeledDataset, classes_per_task: int, seed: int)
     for t in range(1, num_tasks + 1):
         offset = (t - 1) * classes_per_task
         classes = list(range(offset, min(offset + classes_per_task, num_classes)))
-        mask = np.isin(dataset.y, classes)
-        idx = np.flatnonzero(mask)
+        idx = np.flatnonzero(np.isin(y, classes))
         idx = idx[rng.fork(f"task{t}").permutation(len(idx))]
-        y_global = dataset.y[idx]
+        y_global = y[idx]
         tasks.append(Task(
             index=t,
             classes=classes,
-            x=dataset.x[idx],
+            x=dataset.x,
+            ids=ids[idx],
             y_task=y_global - offset,
             y_global=y_global,
         ))
@@ -276,6 +263,8 @@ def parse_dataset_spec(spec: str, seed: int) -> LabeledDataset:
         if key not in types:
             raise ConfigurationError(
                 f"unknown {kind} argument {key!r}; expected one of {', '.join(types)}")
+        if key in args:
+            raise ConfigurationError(f"{kind} argument {key} is given twice")
         try:
             args[key] = types[key](value)
         except ValueError:
@@ -296,6 +285,9 @@ def parse_dataset_spec(spec: str, seed: int) -> LabeledDataset:
             span=args.get("span"),
         )
     if "dir" in args:
+        for key in ("images", "labels"):
+            if key in args:
+                raise ConfigurationError(f"mnist argument {key} cannot be given with dir")
         base = args["dir"].rstrip("/")
         for suffix in ("", ".gz"):
             images = f"{base}/train-images-idx3-ubyte{suffix}"

@@ -238,5 +238,5 @@ class KnnProbe:
 
 def task_accuracy(model, task) -> float:
     """Percent accuracy of the task's own head on the task's data."""
-    pred = model.classify(task.x, task.index).argmax(axis=1)
+    pred = model.classify(task.rows(), task.index).argmax(axis=1)
     return float(100.0 * (pred == task.y_task).mean())

@@ -108,7 +108,7 @@ def _overwrite_rows(batch, memory, fraction, rng):
 def _mixed_batch(task, idx, memory, fraction, rng):
     """The images and classes of task rows `idx`, with a `fraction` of
     them overwritten from a handed `memory`."""
-    xb, y_cond = task.x[idx], task.y_global[idx]
+    xb, y_cond = task.rows(idx), task.y_global[idx]
     if memory is None:
         return xb, y_cond
     return _overwrite_rows((xb, y_cond), (memory.images, memory.y_global), fraction, rng)
@@ -199,14 +199,14 @@ def train_classifier_phase(model: ContinualModel, task, cfg, rng: Rng,
     n_val = int(len(task) * cfg.validation_fraction)
     order = rng.fork("val-split").permutation(len(task))
     val_idx, fit_idx = order[:n_val], order[n_val:]
-    x_val, y_val = task.x[val_idx], task.y_task[val_idx]
+    x_val, y_val = task.rows(val_idx), task.y_task[val_idx]
 
     dropout_rng = rng.fork("dropout")
     mem_rng = rng.fork("memory")
 
     def step(idx):
         rows = fit_idx[idx]
-        xb, yb = task.x[rows], task.y_task[rows]
+        xb, yb = task.rows(rows), task.y_task[rows]
         if replay is not None:
             tids = np.full(len(idx), task.index)
             xb, yb, tids = _overwrite_rows((xb, yb, tids), replay,
@@ -242,7 +242,11 @@ def train_classifier_phase(model: ContinualModel, task, cfg, rng: Rng,
             # ties go to the later epoch: equally accurate but further trained
             if acc >= best_acc:
                 best_acc = acc
-                best_params = [p.copy() for p, _ in pairs]
+                # one snapshot, overwritten in place: no second copy at a swap
+                if best_params is None:
+                    best_params = [np.empty_like(p) for p, _ in pairs]
+                for saved, (p, _) in zip(best_params, pairs):
+                    saved[...] = p
         return False
 
     history = _train_epochs("classifier", task, cfg, rng, pairs, cfg.classifier_epochs,
@@ -364,7 +368,7 @@ def _past_task_probe(state: RunState, through_task: int) -> KnnProbe:
     start = 0
     for task in tasks:
         for rows in _row_chunks(len(task), int(np.prod(model.input_shape))):
-            x[start + rows.start:start + rows.stop] = model.encode_classify(task.x[rows])
+            x[start + rows.start:start + rows.stop] = model.encode_classify(task.rows(rows))
         start += len(task)
     return KnnProbe().fit(x, np.concatenate([task.y_global for task in tasks]))
 
@@ -419,8 +423,9 @@ def strategy_train_task(state: RunState) -> RunState:
         k = min(cfg.memory_size, len(task))
         if k > 0:
             pick = rng_t.fork("store").choice(len(task), size=k, replace=False)
-            embeddings = model.encode_classify(task.x[pick]) if strategy.penalty else None
-            rows = Memory(task.x[pick], embeddings, task.y_global[pick])
+            images = task.rows(pick)
+            embeddings = model.encode_classify(images) if strategy.penalty else None
+            rows = Memory(images, embeddings, task.y_global[pick])
             state.memory = rows if state.memory is None else state.memory.extend(rows)
 
     state.completed_tasks = t

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import checkpoint, metrics, nn
 from .config import ExperimentConfig
-from .data import (LabeledDataset, build_task_stream, parse_dataset_spec, permute_rows,
-                   split_train_test)
+from .data import build_task_stream, parse_dataset_spec, split_train_test
 from .exceptions import ConfigurationError
 from .flow import build_flow
 from .model import build_model
@@ -78,7 +77,7 @@ def _coverage(state, through_task, cap, rng):
     for c, end in zip(classes, np.cumsum(counts)):
         task, rows = picked[c]
         real_by_class[c] = real[end - len(rows):end]
-        real_by_class[c][:] = model.encode_reconstruct(task.x[rows])
+        real_by_class[c][:] = model.encode_reconstruct(task.rows(rows))
 
     gen_by_class = {}
     if state.cfg.flow_conditioned:
@@ -127,20 +126,11 @@ def _checkpoint_path(out_dir, cfg, strategy, seed) -> Path:
 
 def _task_streams(cfg, seed):
     """The train and test task streams of the run's dataset, and its
-    sample shape. A stream depends only on the labels and the seed, so
-    both are built on row ids; the dataset's rows are then permuted in
-    place into train-then-test task order, and each task's rows are a
-    slice of that one array."""
+    sample shape. Every task holds row ids into the dataset's one array."""
     dataset = parse_dataset_spec(cfg.dataset, seed)
-    ids = LabeledDataset(np.arange(len(dataset))[:, None], dataset.y)
-    streams = [build_task_stream(part, cfg.c_m, seed) for part in split_train_test(ids, seed)]
-    tasks = [task for stream in streams for task in stream.tasks]
-    permute_rows(dataset.x, np.concatenate([task.x[:, 0] for task in tasks]))
-    start = 0
-    for task in tasks:
-        task.x = dataset.x[start:start + len(task)]
-        start += len(task)
-    return *streams, dataset.sample_shape
+    train, test = (build_task_stream(dataset, ids, cfg.c_m, seed)
+                   for ids in split_train_test(dataset, seed))
+    return train, test, dataset.sample_shape
 
 
 def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None, resume=False) -> RunRecord:

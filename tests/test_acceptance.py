@@ -382,8 +382,8 @@ def test_c9_generation_quality(prer_records):
         cfg = blob_config("prer")
         from prer.data import parse_dataset_spec
         dataset = parse_dataset_spec(cfg.dataset, 1)
-        train_set, _ = split_train_test(dataset, 1)
-        stream = build_task_stream(train_set, 2, 1)
+        train_ids, _ = split_train_test(dataset, 1)
+        stream = build_task_stream(dataset, train_ids, 2, 1)
         rng = Rng(1)
         model = build_model(
             ExperimentConfig(embedding_dim=2, encoder_hidden=(32,), head_hidden=(16,),

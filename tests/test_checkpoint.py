@@ -33,7 +33,7 @@ def fresh_state(seed=1, conditioning="none", encoder_hidden=(10,), with_flow=Tru
     if with_flow:
         flow = build_flow(cfg, 4, Rng(seed).fork("flow-init"))
     ds = synth_blobs(classes=4, per_class=10, dim=6, separation=5.0, seed=seed)
-    stream = build_task_stream(split_train_test(ds, seed)[0], 2, seed)
+    stream = build_task_stream(ds, split_train_test(ds, seed)[0], 2, seed)
     return RunState(model=model, flow=flow, stream=stream, cfg=cfg, rng=Rng(seed))
 
 
@@ -159,8 +159,8 @@ def test_state_arrays_hold_one_vector_per_owner():
 
 def run_tasks(seed, n_tasks, checkpoint_path=None, resume_path=None):
     ds = synth_blobs(classes=4, per_class=60, dim=6, separation=5.0, seed=seed)
-    train, test = split_train_test(ds, seed)
-    stream = build_task_stream(train, 2, seed)
+    train, _ = split_train_test(ds, seed)
+    stream = build_task_stream(ds, train, 2, seed)
     cfg = ExperimentConfig(strategy="prer", classifier_epochs=4, ae_max_epochs=8,
                            flow_max_epochs=8, memory_size=40, batch_size=32,
                            embedding_dim=4, encoder_hidden=(12,), conditioning="none",

@@ -8,11 +8,11 @@ import pytest
 
 from prer.data import (
     LabeledDataset,
+    Task,
     build_task_stream,
     load_idx,
     load_mnist,
     parse_dataset_spec,
-    permute_rows,
     split_train_test,
     synth_blobs,
 )
@@ -140,22 +140,21 @@ def test_split_exact_proportion():
     train, test = split_train_test(ds, seed=6)
     assert len(train) == 16 and len(test) == 4
     for c in (0, 1):
-        assert (train.y == c).sum() == 8
-        assert (test.y == c).sum() == 2
+        assert (ds.y[train] == c).sum() == 8
+        assert (ds.y[test] == c).sum() == 2
 
 
 def test_split_deterministic_and_partition():
-    ds = synth_blobs(classes=3, per_class=20, dim=4, separation=2.0, seed=7)
-    t1, s1 = split_train_test(ds, seed=8)
-    t2, s2 = split_train_test(ds, seed=8)
-    assert np.array_equal(t1.x, t2.x) and np.array_equal(s1.x, s2.x)
-
-    # union is the original multiset, intersection empty
-    def rows(a):
-        return {tuple(r) for r in a.x}
-    assert rows(t1) | rows(s1) == rows(ds)
-    assert rows(t1) & rows(s1) == set()
-    assert len(t1) + len(s1) == len(ds)
+    # classes of 20, 7 and 12 rows, interleaved: 4, 1 and 2 test rows
+    y = np.repeat([0, 1, 2, 0, 2], [10, 7, 6, 10, 6])
+    ds = LabeledDataset(np.zeros((len(y), 2)), y)
+    train, test = split_train_test(ds, seed=8)
+    again = split_train_test(ds, seed=8)
+    assert np.array_equal(train, again[0]) and np.array_equal(test, again[1])
+    assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(len(y)))
+    for c, n_test in ((0, 4), (1, 1), (2, 2)):
+        assert (y[test] == c).sum() == n_test
+        assert (y[train] == c).sum() == (y == c).sum() - n_test
 
 
 def test_split_small_class_rejected():
@@ -168,35 +167,46 @@ def test_split_small_class_rejected():
 # task streams
 
 
-@pytest.mark.parametrize("order", [
-    np.arange(7),
-    np.roll(np.arange(9), 1),
-    np.arange(10).reshape(5, 2)[:, ::-1].ravel(),
-    np.arange(0),
-    np.arange(1),
-    np.random.default_rng(3).permutation(50),
-], ids=["identity", "one-9-cycle", "five-2-cycles", "no-rows", "one-row", "random"])
-def test_permute_rows_in_place_equals_gather(order):
-    x = np.random.default_rng(4).normal(size=(len(order), 3, 2))
-    expected = x[order]
-    permute_rows(x, order)
-    assert np.array_equal(x, expected)
+def whole_stream(ds, c_m, seed):
+    return build_task_stream(ds, np.arange(len(ds)), c_m, seed)
+
+
+def test_task_rows_gather_the_rows_of_its_ids():
+    x = np.random.default_rng(4).normal(size=(9, 3, 2))
+    task = Task(index=1, classes=[0], x=x, ids=np.array([7, 2, 5, 0]),
+                y_task=np.zeros(4, dtype=int), y_global=np.zeros(4, dtype=int))
+    assert len(task) == 4
+    assert np.array_equal(task.rows(), x[[7, 2, 5, 0]])
+    assert np.array_equal(task.rows(slice(1, 3)), x[[2, 5]])
+    assert np.array_equal(task.rows(np.array([3, 0, 3])), x[[0, 7, 0]])
+    assert task.rows(np.array([], dtype=int)).shape == (0, 3, 2)
+    assert not np.shares_memory(task.rows(slice(1, 3)), x)
+
+
+def test_stream_tasks_hold_ids_of_the_handed_rows():
+    ds = synth_blobs(classes=4, per_class=10, dim=3, separation=2.0, seed=9)
+    train, _ = split_train_test(ds, seed=10)
+    stream = build_task_stream(ds, train, 2, seed=11)
+    assert np.array_equal(np.sort(np.concatenate([t.ids for t in stream.tasks])), np.sort(train))
+    for task in stream.tasks:
+        assert task.x is ds.x
+        assert np.array_equal(ds.y[task.ids], task.y_global)
 
 
 def test_stream_counts():
     ds10 = synth_blobs(classes=10, per_class=8, dim=6, separation=2.0, seed=10)
-    assert len(build_task_stream(ds10, 2, seed=11)) == 5
+    assert len(whole_stream(ds10, 2, seed=11)) == 5
     ds100 = LabeledDataset(np.zeros((600, 2)), np.repeat(np.arange(100), 6))
-    assert len(build_task_stream(ds100, 10, seed=12)) == 10
+    assert len(whole_stream(ds100, 10, seed=12)) == 10
     ds5 = synth_blobs(classes=5, per_class=8, dim=4, separation=2.0, seed=13)
-    stream = build_task_stream(ds5, 2, seed=14)
+    stream = whole_stream(ds5, 2, seed=14)
     assert len(stream) == 3
     assert stream.tasks[-1].classes == [4]
 
 
 def test_stream_invariants():
     ds = synth_blobs(classes=6, per_class=10, dim=4, separation=2.0, seed=15)
-    stream = build_task_stream(ds, 2, seed=16)
+    stream = whole_stream(ds, 2, seed=16)
     seen = set()
     for task in stream.tasks:
         assert not (seen & set(task.classes))
@@ -208,22 +218,22 @@ def test_stream_invariants():
 
 def test_stream_reproducible():
     ds = synth_blobs(classes=4, per_class=10, dim=4, separation=2.0, seed=17)
-    s1 = build_task_stream(ds, 2, seed=18)
-    s2 = build_task_stream(ds, 2, seed=18)
+    s1 = whole_stream(ds, 2, seed=18)
+    s2 = whole_stream(ds, 2, seed=18)
     for a, b in zip(s1.tasks, s2.tasks):
-        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a.ids, b.ids)
         assert np.array_equal(a.y_task, b.y_task)
 
 
 def test_stream_validation():
     ds = synth_blobs(classes=4, per_class=10, dim=4, separation=2.0, seed=19)
     with pytest.raises(ConfigurationError, match="c_m"):
-        build_task_stream(ds, 5, seed=21)
+        whole_stream(ds, 5, seed=21)
 
 
 def test_class_to_task_mapping():
     ds = synth_blobs(classes=6, per_class=10, dim=4, separation=2.0, seed=22)
-    stream = build_task_stream(ds, 2, seed=23)
+    stream = whole_stream(ds, 2, seed=23)
     assert stream.task_of_class(0) == 1
     assert stream.task_of_class(3) == 2
     assert stream.task_of_class(5) == 3
@@ -231,7 +241,7 @@ def test_class_to_task_mapping():
     assert stream.classes_seen(2) == [0, 1, 2, 3]
     # label arrays map row by row; the last task keeps the one leftover class
     ds = synth_blobs(classes=5, per_class=10, dim=4, separation=2.0, seed=22)
-    stream = build_task_stream(ds, 2, seed=23)
+    stream = whole_stream(ds, 2, seed=23)
     assert stream.tasks[-1].classes == [4]
     for task in stream.tasks:
         assert np.array_equal(stream.task_of_class(task.y_global),
@@ -258,8 +268,10 @@ def test_parse_dataset_spec():
 @pytest.mark.parametrize("key,value", [("classes", 0), ("per_class", 0), ("dim", 0),
                                        ("per_class", -3)])
 def test_blobs_spec_rejects_empty_sizes_naming_the_argument(key, value):
+    args = {"classes": 4, "dim": 5, "per_class": 7, key: value}
+    spec = "blobs:" + ",".join(f"{k}={v}" for k, v in args.items())
     with pytest.raises(ConfigurationError, match=f"blobs argument {key} must be >= 1"):
-        parse_dataset_spec(f"blobs:classes=4,dim=5,per_class=7,{key}={value}", seed=24)
+        parse_dataset_spec(spec, seed=24)
 
 
 @pytest.mark.parametrize("sep", ["nan", "inf", "0", "-2"])
@@ -267,3 +279,15 @@ def test_blobs_spec_rejects_a_sep_that_is_not_finite_and_positive(sep):
     # a NaN or infinite separation would only surface as a NaN loss
     with pytest.raises(ConfigurationError, match="blobs argument sep must be finite and > 0"):
         parse_dataset_spec(f"blobs:classes=4,dim=5,per_class=7,sep={sep}", seed=24)
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("blobs:classes=10,classes=4", "blobs argument classes is given twice"),
+    ("blobs:dim=5,sep=3,dim=5", "blobs argument dim is given twice"),
+    ("mnist:images=a,labels=b,images=c", "mnist argument images is given twice"),
+    ("mnist:dir=d,images=a", "mnist argument images cannot be given with dir"),
+    ("mnist:labels=b,dir=d", "mnist argument labels cannot be given with dir"),
+])
+def test_spec_rejects_a_repeated_or_conflicting_argument(spec, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        parse_dataset_spec(spec, seed=24)

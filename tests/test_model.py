@@ -186,8 +186,8 @@ def test_encoder_backward_without_input_gradient(encoder):
 
 def make_task(x, y_global, index=1, classes=(0, 1)):
     offset = classes[0]
-    return Task(index=index, classes=list(classes),
-                x=x, y_task=y_global - offset, y_global=y_global)
+    return Task(index=index, classes=list(classes), x=x, ids=np.arange(len(x)),
+                y_task=y_global - offset, y_global=y_global)
 
 
 def test_autoencoder_phase_freezes_encoder_and_classifier_projection():

@@ -34,8 +34,7 @@ from prer.rng import Rng
 def make_streams(seed, classes=4, dim=8, per_class=80, sep=6.0, c_m=2, span=None):
     ds = synth_blobs(classes=classes, per_class=per_class, dim=dim,
                      separation=sep, seed=seed, span=span)
-    train, test = split_train_test(ds, seed)
-    return (build_task_stream(train, c_m, seed), build_task_stream(test, c_m, seed))
+    return tuple(build_task_stream(ds, ids, c_m, seed) for ids in split_train_test(ds, seed))
 
 
 def make_model(seed, dim=8, classes=4, conditioning="decoder", embedding=8):
@@ -150,7 +149,7 @@ def test_past_task_probe_fits_whole_task_embeddings_bit_for_bit():
     probe = _past_task_probe(state, 3)
     tasks = stream.tasks[:2]
     assert np.array_equal(probe._x, np.concatenate(
-        [state.model.encode_classify(task.x) for task in tasks]))
+        [state.model.encode_classify(task.rows()) for task in tasks]))
     assert np.array_equal(probe._y, np.concatenate([task.y_global for task in tasks]))
 
 
@@ -163,7 +162,8 @@ def test_past_task_probe_excess_memory_does_not_grow_with_task_rows(chunks):
     rng = Rng(15)
     stream = TaskStream([
         Task(index=i + 1, classes=[2 * i, 2 * i + 1], x=rng.normal(size=(rows, 784)),
-             y_task=np.arange(rows) % 2, y_global=2 * i + np.arange(rows) % 2)
+             ids=np.arange(rows), y_task=np.arange(rows) % 2,
+             y_global=2 * i + np.arange(rows) % 2)
         for i in range(2)], num_classes=4, classes_per_task=2)
     state = mnist_shaped_state(stream, 15)
     tracemalloc.start()
@@ -207,7 +207,8 @@ def test_classifier_phase_empty_task_rejected():
     state, train_stream, _ = make_state(13)
     task = train_stream.tasks[0]
     empty = type(task)(index=1, classes=task.classes,
-                       x=task.x[:0], y_task=task.y_task[:0], y_global=task.y_global[:0])
+                       x=task.x, ids=task.ids[:0], y_task=task.y_task[:0],
+                       y_global=task.y_global[:0])
     with pytest.raises(ConfigurationError):
         train_classifier_phase(state.model, empty, state.cfg, Rng(1))
 
@@ -217,7 +218,8 @@ def test_later_phase_empty_task_rejected(phase):
     state, train_stream, _ = make_state(13)
     task = train_stream.tasks[0]
     empty = type(task)(index=1, classes=task.classes,
-                       x=task.x[:0], y_task=task.y_task[:0], y_global=task.y_global[:0])
+                       x=task.x, ids=task.ids[:0], y_task=task.y_task[:0],
+                       y_global=task.y_global[:0])
     with pytest.raises(ConfigurationError, match=f"^task 1 too small for {phase} training"):
         if phase == "autoencoder":
             train_autoencoder_phase(state.model, empty, state.cfg, Rng(1))
@@ -286,7 +288,7 @@ def test_classifier_keeps_best_validation_epoch_and_later_ties():
     # the parameters after epoch 3 must come back, not those of epoch 4
     state, train_stream, _ = make_state(18, classifier_epochs=5)
     model, task = state.model, train_stream.tasks[0]
-    label = {row.tobytes(): y for row, y in zip(task.x, task.y_task)}
+    label = {row.tobytes(): y for row, y in zip(task.rows(), task.y_task)}
     correct = iter([3, 9, 6, 9, 1])
     snapshots = []
     classify = model.classify
@@ -329,7 +331,8 @@ def test_flow_skips_a_lone_row_batch(monkeypatch):
     assert out["epochs"] == 3 and rows == [len(task) - 1] * 3
 
     lone = type(task)(index=1, classes=task.classes,
-                      x=task.x[:1], y_task=task.y_task[:1], y_global=task.y_global[:1])
+                      x=task.x, ids=task.ids[:1], y_task=task.y_task[:1],
+                      y_global=task.y_global[:1])
     with pytest.raises(ConfigurationError, match="too small"):
         train_flow_phase(state.flow, state.model, lone, state.cfg, Rng(1))
 
@@ -343,7 +346,7 @@ def test_nan_row_stops_every_phase(phase):
                                                head_hidden=(16,), conditioning="none"),
                               (8,), 4, Rng(17))
     task = train_stream.tasks[0]
-    task.x[5] = np.nan
+    task.x[task.ids[5]] = np.nan
     train = {
         "classifier": lambda: train_classifier_phase(state.model, task, state.cfg, Rng(1)),
         "autoencoder": lambda: train_autoencoder_phase(state.model, task, state.cfg, Rng(1)),

@@ -15,7 +15,7 @@ from _helpers import layers_holding_a_cache
 from prer import metrics, runner
 from prer.checkpoint import load_run_state, state_arrays
 from prer.config import ExperimentConfig, load_config, parse_config_text
-from prer.data import build_task_stream, parse_dataset_spec, split_train_test
+from prer.data import LabeledDataset, build_task_stream, parse_dataset_spec, split_train_test
 from prer.exceptions import ConfigurationError
 from prer.model import build_model
 from prer.pipeline import STRATEGIES
@@ -342,17 +342,20 @@ def _assert_same_streams(got, expected):
     assert len(got.tasks) == len(expected.tasks)
     for a, b in zip(got.tasks, expected.tasks):
         assert (a.index, a.classes) == (b.index, b.classes)
-        for name in ("x", "y_task", "y_global"):
-            x, y = getattr(a, name), getattr(b, name)
+        for name, x, y in (("rows", a.rows(), b.rows()), ("y_task", a.y_task, b.y_task),
+                           ("y_global", a.y_global, b.y_global)):
             assert x.dtype == y.dtype and x.shape == y.shape, name
             assert x.flags.c_contiguous, name
             assert np.array_equal(x, y), name
 
 
 def reference_streams(cfg, seed):
+    """The streams of each split part gathered into its own dataset."""
     dataset = parse_dataset_spec(cfg.dataset, seed)
-    return tuple(build_task_stream(part, cfg.c_m, seed)
-                 for part in split_train_test(dataset, seed)), dataset.sample_shape
+    parts = [LabeledDataset(dataset.x[ids], dataset.y[ids])
+             for ids in split_train_test(dataset, seed)]
+    return tuple(build_task_stream(part, np.arange(len(part)), cfg.c_m, seed)
+                 for part in parts), dataset.sample_shape
 
 
 def test_task_streams_in_place_match_the_gathered_streams(tmp_path):
@@ -376,7 +379,7 @@ def test_task_streams_in_place_match_the_gathered_streams(tmp_path):
         streams[name] = train
     # 10 classes in tasks of 3, 3, 3 and a last task keeping the remainder
     assert [len(task.classes) for task in streams["blobs"].tasks] == [3, 3, 3, 1]
-    assert streams["idx"].tasks[0].x.shape[1:] == (1, 6, 5)
+    assert streams["idx"].tasks[0].rows().shape[1:] == (1, 6, 5)
 
 
 def test_task_streams_hold_one_copy_of_the_rows():
@@ -390,8 +393,11 @@ def test_task_streams_hold_one_copy_of_the_rows():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    task_bytes = sum(getattr(task, name).nbytes for stream in streams
-                     for task in stream.tasks for name in ("x", "y_task", "y_global"))
+    tasks = [task for stream in streams for task in stream.tasks]
+    # every task of both streams reads the one array
+    assert all(task.x is tasks[0].x for task in tasks)
+    task_bytes = tasks[0].x.nbytes + sum(getattr(task, name).nbytes for task in tasks
+                                         for name in ("ids", "y_task", "y_global"))
     assert peak < 1.5 * task_bytes
 
 
