@@ -60,7 +60,7 @@ def _cmd_inspect_flow(args):
     seed = cfg.seeds[0]
     dataset = parse_dataset_spec(cfg.dataset, seed)
     rng = Rng(seed)
-    model = build_model(cfg, dataset.sample_shape, dataset.num_classes, rng.fork("model-init"))
+    model = build_model(cfg, dataset.dim, dataset.num_classes, rng.fork("model-init"))
     flow = build_flow(cfg, dataset.num_classes, rng.fork("flow-init"))
     cond_width = dataset.num_classes if cfg.flow_conditioned else 0
     print(f"flow: dim={flow.dim} cond_width={cond_width} params={flow.param_count()}")

@@ -3,7 +3,8 @@
 Lines are ``key = value``; blank lines and ``#`` comments are ignored.
 The keys are the fields of ``ExperimentConfig`` and each value is read
 as its field's type (``tuple`` fields are comma-separated integers).
-Unknown keys and unreadable values fail with the key and the line.
+Unknown keys, repeated keys and unreadable values fail with the key and
+the line.
 """
 
 import hashlib
@@ -26,10 +27,9 @@ class ExperimentConfig:
     conditioning: str = "decoder"
 
     # model
-    encoder: str = "mlp"
+    encoder = "mlp"  # not annotated: a constant, not a config key
     encoder_hidden: tuple = (64,)
-    conv_channels: tuple = (8, 16)
-    decoder_hidden: tuple = ()          # empty: model.build_model's default
+    decoder_hidden: tuple = ()          # empty: mirrors encoder_hidden
     embedding_dim: int = 16
     head_hidden: tuple = (64, 32)
 
@@ -64,8 +64,6 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown conditioning mode {self.conditioning!r}")
         if self.c_m <= 1:
             raise ConfigurationError("c_m must be > 1")
-        if self.encoder not in ("mlp", "conv"):
-            raise ConfigurationError(f"unknown encoder kind {self.encoder!r}")
         if not 0.0 <= self.replay_fraction < 1.0:
             raise ConfigurationError("replay fraction must be in [0, 1)")
         if self.memory_size < 0:
@@ -87,7 +85,7 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"embedding_dim = {self.embedding_dim} cannot hold a flow of flow_levels = "
                 f"{self.flow_levels}: it needs a width >= 2 that keeps >= 1 at its last level")
-        for key in ("encoder_hidden", "head_hidden", "decoder_hidden", "conv_channels"):
+        for key in ("encoder_hidden", "head_hidden", "decoder_hidden"):
             widths = getattr(self, key)
             if any(width < 1 for width in widths):
                 raise ConfigurationError(f"{key} entries must be >= 1, got {widths}")
@@ -133,7 +131,7 @@ def _parse_value(kind, raw: str):
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    values = {}
+    values, seen = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -144,6 +142,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, raw = key.strip(), raw.strip()
         if key not in _TYPES:
             raise ConfigurationError(f"line {lineno}: unknown config key {key!r}")
+        if key in seen:
+            raise ConfigurationError(
+                f"line {lineno}: config key {key} is already set on line {seen[key]}")
+        seen[key] = lineno
         try:
             values[key] = _parse_value(_TYPES[key], raw)
         except (KeyError, ValueError):

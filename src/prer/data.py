@@ -1,12 +1,12 @@
 """Datasets, deterministic splits and ordered task streams.
 
-Images arrive as (n, channels, height, width) float64 arrays scaled to
-[0, 1]; synthetic datasets are plain (n, dim) vectors. Labels are global
-integers 0..C-1. A split and a task stream read only the labels: the
-split gives the row ids of each part, and a stream groups consecutive
-labels into tasks, each a set of row ids into the dataset's one array
-with its within-task labels. A stream is fully determined by the labels,
-the classes-per-task count and the seed.
+Every dataset is (n, dim) float64 rows: an IDX image becomes one row of
+its height * width pixels scaled to [0, 1]. Labels are global integers
+0..C-1. A split and a task stream read only the labels: the split gives
+the row ids of each part, and a stream groups consecutive labels into
+tasks, each a set of row ids into the dataset's one array with its
+within-task labels. A stream is fully determined by the labels, the
+classes-per-task count and the seed.
 """
 
 import gzip
@@ -39,8 +39,8 @@ class LabeledDataset:
         return int(self.y.max()) + 1 if len(self.y) else 0
 
     @property
-    def sample_shape(self):
-        return self.x.shape[1:]
+    def dim(self) -> int:
+        return self.x.shape[1]
 
 
 @dataclass
@@ -97,9 +97,9 @@ def _open_maybe_gzip(path):
 
 
 def load_idx(path) -> np.ndarray:
-    """Parse one IDX file. Image files (magic 0x803) come back as float64
-    arrays scaled by 1/255 with an explicit channel axis; label files
-    (magic 0x801) come back as int64 vectors."""
+    """Parse one IDX file. Image files (magic 0x803) come back as (n, h*w)
+    float64 rows scaled by 1/255; label files (magic 0x801) come back as
+    int64 vectors."""
     with _open_maybe_gzip(path) as fh:
         raw = fh.read()
     if len(raw) < 4:
@@ -123,15 +123,15 @@ def load_idx(path) -> np.ndarray:
     data = np.frombuffer(raw, dtype=np.uint8, offset=header_len)
     if magic == LABELS_MAGIC:
         return data.astype(np.int64)
-    images = data.astype(np.float64).reshape(dims)
+    images = data.astype(np.float64).reshape(dims[0], dims[1] * dims[2])
     images /= 255.0
-    return images[:, None, :, :]  # channel-major
+    return images
 
 
 def load_mnist(images_path, labels_path) -> LabeledDataset:
     images = load_idx(images_path)
     labels = load_idx(labels_path)
-    if images.ndim != 4:
+    if images.ndim != 2:
         raise ConfigurationError(f"{images_path}: not an image file")
     if labels.ndim != 1:
         raise ConfigurationError(f"{labels_path}: not a label file")
@@ -244,14 +244,14 @@ def build_task_stream(dataset: LabeledDataset, ids: np.ndarray, classes_per_task
 
 _SPEC_ARGS = {
     "blobs": {"classes": int, "per_class": int, "dim": int, "sep": float, "span": int},
-    "mnist": {"images": str, "labels": str, "dir": str},
+    "mnist": {"dir": str},
 }
 
 
 def parse_dataset_spec(spec: str, seed: int) -> LabeledDataset:
     """Build a dataset from a config string such as
     ``blobs:classes=10,dim=20,sep=6,per_class=200`` or
-    ``mnist:images=PATH,labels=PATH``."""
+    ``mnist:dir=PATH``."""
     kind, _, argstr = spec.partition(":")
     if kind not in _SPEC_ARGS:
         raise ConfigurationError(f"unknown dataset kind {kind!r}")
@@ -284,19 +284,14 @@ def parse_dataset_spec(spec: str, seed: int) -> LabeledDataset:
             seed=seed,
             span=args.get("span"),
         )
-    if "dir" in args:
-        for key in ("images", "labels"):
-            if key in args:
-                raise ConfigurationError(f"mnist argument {key} cannot be given with dir")
-        base = args["dir"].rstrip("/")
-        for suffix in ("", ".gz"):
-            images = f"{base}/train-images-idx3-ubyte{suffix}"
-            labels = f"{base}/train-labels-idx1-ubyte{suffix}"
-            try:
-                return load_mnist(images, labels)
-            except FileNotFoundError:
-                continue
-        raise ConfigurationError(f"no MNIST IDX files found under {base}")
-    if "images" not in args or "labels" not in args:
-        raise ConfigurationError("mnist spec needs images=PATH,labels=PATH or dir=PATH")
-    return load_mnist(args["images"], args["labels"])
+    if "dir" not in args:
+        raise ConfigurationError("mnist spec needs dir=PATH")
+    base = args["dir"].rstrip("/")
+    for suffix in ("", ".gz"):
+        try:
+            return load_mnist(f"{base}/train-images-idx3-ubyte{suffix}",
+                              f"{base}/train-labels-idx1-ubyte{suffix}")
+        except FileNotFoundError:
+            continue
+    raise ConfigurationError(f"no MNIST IDX files found under {base}: expected "
+                             "train-images-idx3-ubyte and train-labels-idx1-ubyte, plain or .gz")

@@ -237,6 +237,10 @@ class KnnProbe:
 
 
 def task_accuracy(model, task) -> float:
-    """Percent accuracy of the task's own head on the task's data."""
-    pred = model.classify(task.rows(), task.index).argmax(axis=1)
-    return float(100.0 * (pred == task.y_task).mean())
+    """Percent accuracy of the task's own head on the task's data,
+    classified a row chunk at a time."""
+    right = 0
+    for rows in _row_chunks(len(task), model.input_dim):
+        pred = model.classify(task.rows(rows), task.index).argmax(axis=1)
+        right += int((pred == task.y_task[rows]).sum())
+    return 100.0 * (right / len(task))

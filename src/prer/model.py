@@ -1,8 +1,10 @@
 """Shared-backbone classifier/autoencoder with per-task heads.
 
-The backbone encoder is shared by two projection heads: one feeds the
-task classifiers, the other feeds the decoder. Task heads are created
-lazily when their task starts and are never trained again after it ends.
+The model reads and decodes (rows, input_dim) arrays. The backbone
+encoder, a stack of Dense layers, is shared by two projection heads: one
+feeds the task classifiers, the other feeds the decoder. Task heads are
+created lazily when their task starts and are never trained again after
+it ends.
 ``build_model`` is the one builder: it builds the model a config describes.
 
 A forward path keeps the layer caches its backward pass consumes only
@@ -15,15 +17,7 @@ rows or activations alive.
 import numpy as np
 
 from .exceptions import ConfigurationError
-from .nn import (
-    ConcatCondition,
-    Conv2d,
-    Dense,
-    Dropout,
-    Flatten,
-    Network,
-    Relu,
-)
+from .nn import ConcatCondition, Dense, Dropout, Network, Relu
 from .rng import Rng
 
 
@@ -33,13 +27,13 @@ class ContinualModel:
     nothing else."""
 
     def __init__(self, encoder: Network, proj_classify: Network, proj_reconstruct: Network,
-                 decoder: Network, *, input_shape, embedding_dim: int, head_hidden):
+                 decoder: Network, *, input_dim: int, embedding_dim: int, head_hidden):
         self.encoder = encoder
         self.proj_classify = proj_classify
         self.proj_reconstruct = proj_reconstruct
         self.decoder = decoder
         self.heads: dict[int, Network] = {}
-        self.input_shape = tuple(input_shape)
+        self.input_dim = int(input_dim)
         self.embedding_dim = int(embedding_dim)
         self.head_hidden = tuple(head_hidden)
 
@@ -83,10 +77,9 @@ class ContinualModel:
         return self._pass((self.encoder, self.proj_reconstruct), x)
 
     def decode(self, z, y=None) -> np.ndarray:
-        """Images decoded from ``z``; a conditioned decoder reads the rows'
+        """Rows decoded from ``z``; a conditioned decoder reads the rows'
         classes ``y``."""
-        flat = self._pass((self.decoder,), z, cond=y)
-        return flat.reshape((len(flat),) + self.input_shape)
+        return self._pass((self.decoder,), z, cond=y)
 
     def classify(self, x, task_id: int, train=False, rng=None) -> np.ndarray:
         return self._pass((self.head(task_id),), self.encode_classify(x, train), train, rng=rng)
@@ -115,36 +108,19 @@ class ContinualModel:
         return sum(net.param_count() for net in self.all_networks().values())
 
 
-def build_model(cfg, input_shape, num_classes, rng: Rng) -> ContinualModel:
-    """The model an ``ExperimentConfig`` describes: encoder, both
-    projections, then decoder, drawn from one ``"model-build"`` fork. The
-    mlp encoder is Dense layers of ``cfg.encoder_hidden`` widths; the conv
-    encoder reads channel-major images, one 3x3 stride-2 kernel per
-    ``cfg.conv_channels`` entry, each halving the height and width,
-    rounding up. An empty ``cfg.decoder_hidden`` mirrors the mlp widths,
-    and gives one 256-wide layer under conv."""
-    input_shape = tuple(input_shape)
+def build_model(cfg, input_dim, num_classes, rng: Rng) -> ContinualModel:
+    """The model an ``ExperimentConfig`` describes for rows of ``input_dim``
+    features: encoder, both projections, then decoder, drawn from one
+    ``"model-build"`` fork. The encoder is Dense layers of
+    ``cfg.encoder_hidden`` widths; an empty ``cfg.decoder_hidden`` mirrors
+    them."""
     init = rng.fork("model-build")
-    if cfg.encoder == "mlp":
-        layers = [Flatten()]
-        backbone_dim = int(np.prod(input_shape))
-        for width in cfg.encoder_hidden:
-            layers += [Dense(backbone_dim, width, init), Relu()]
-            backbone_dim = width
-        encoder = Network(layers, name="encoder")
-        decoder_hidden = cfg.decoder_hidden or tuple(reversed(cfg.encoder_hidden))
-    else:
-        if len(input_shape) != 3:
-            raise ConfigurationError("conv encoder needs (channels, height, width) inputs")
-        layers = []
-        prev_c = input_shape[0]
-        for ch in cfg.conv_channels:
-            layers += [Conv2d(prev_c, ch, init), Relu()]
-            prev_c = ch
-        encoder = Network(layers + [Flatten()], name="encoder")
-        backbone_dim = encoder.forward(np.zeros((1,) + input_shape)).shape[1]
-        encoder.drop_caches()
-        decoder_hidden = cfg.decoder_hidden or (256,)
+    layers = []
+    backbone_dim = input_dim
+    for width in cfg.encoder_hidden:
+        layers += [Dense(backbone_dim, width, init), Relu()]
+        backbone_dim = width
+    encoder = Network(layers, name="encoder")
     proj_c = Network([Dense(backbone_dim, cfg.embedding_dim, init)], name="proj-classify")
     proj_r = Network([Dense(backbone_dim, cfg.embedding_dim, init)], name="proj-reconstruct")
     layers = []
@@ -152,11 +128,11 @@ def build_model(cfg, input_shape, num_classes, rng: Rng) -> ContinualModel:
     if cfg.decoder_conditioned:
         layers.append(ConcatCondition(num_classes))
         prev += num_classes
-    for width in decoder_hidden:
+    for width in cfg.decoder_hidden or tuple(reversed(cfg.encoder_hidden)):
         layers += [Dense(prev, width, init), Relu()]
         prev = width
-    layers.append(Dense(prev, int(np.prod(input_shape)), init))
+    layers.append(Dense(prev, input_dim, init))
     decoder = Network(layers, name="decoder")
     return ContinualModel(
-        encoder, proj_c, proj_r, decoder, input_shape=input_shape,
+        encoder, proj_c, proj_r, decoder, input_dim=input_dim,
         embedding_dim=cfg.embedding_dim, head_hidden=cfg.head_hidden)

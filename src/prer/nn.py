@@ -1,12 +1,12 @@
-"""Dense/conv network substrate with hand-written backpropagation.
+"""Dense network substrate with hand-written backpropagation.
 
-Everything runs in float64. Layers cache their most recent forward pass;
-``backward`` consumes the cache and accumulates parameter gradients in
-place, so several loss terms can be backpropagated before a single
-optimizer step. There is no general autodiff: a network is an ordered
-list of layers and gradients flow back through that list only. Each
-loss returns its value and its gradient from one pass over the shared
-intermediates.
+Everything runs in float64 on (rows, features) arrays. Layers cache
+their most recent forward pass; ``backward`` consumes the cache and
+accumulates parameter gradients in place, so several loss terms can be
+backpropagated before a single optimizer step. There is no general
+autodiff: a network is an ordered list of layers and gradients flow back
+through that list only. Each loss returns its value and its gradient
+from one pass over the shared intermediates.
 """
 
 import logging
@@ -163,16 +163,6 @@ class Dropout(Layer):
         return grad * mask
 
 
-class Flatten(Layer):
-    def forward(self, x, train=False, rng=None, cond=None):
-        self._cache = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad):
-        shape = self._take_cache()
-        return grad.reshape(shape)
-
-
 class ConcatCondition(Layer):
     """Appends the one-hot of each row's class ``cond``, one class per
     row, to the features."""
@@ -191,69 +181,6 @@ class ConcatCondition(Layer):
     def backward(self, grad):
         width = self._take_cache()
         return grad[:, :width]
-
-
-class Conv2d(Layer):
-    """2-D convolution over (batch, channels, height, width) inputs with
-    a 3x3 kernel, stride 2 and "same" padding: ceil(size / 2) outputs per
-    side. Implemented via im2col."""
-
-    param_names = ("w", "b")
-    k = 3
-    stride = 2
-
-    def __init__(self, in_channels, out_channels, rng: Rng):
-        super().__init__()
-        self.in_channels = int(in_channels)
-        self.out_channels = int(out_channels)
-        k = self.k
-        self.w = glorot_uniform(in_channels * k * k, out_channels * k * k,
-                                (out_channels, in_channels, k, k), rng)
-        self.b = np.zeros(out_channels)
-
-    def _pads(self, size):
-        out = -(-size // self.stride)
-        total = max((out - 1) * self.stride + self.k - size, 0)
-        return total // 2, total - total // 2
-
-    def forward(self, x, train=False, rng=None, cond=None):
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ValueError(
-                f"expected (batch, {self.in_channels}, h, w) input, got shape {x.shape}"
-            )
-        n, _, h, w = x.shape
-        ph0, ph1 = self._pads(h)
-        pw0, pw1 = self._pads(w)
-        xp = np.pad(x, ((0, 0), (0, 0), (ph0, ph1), (pw0, pw1)))
-        k, s = self.k, self.stride
-        oh = (xp.shape[2] - k) // s + 1
-        ow = (xp.shape[3] - k) // s + 1
-        cols = np.empty((n, self.in_channels, k, k, oh, ow))
-        for i in range(k):
-            for j in range(k):
-                cols[:, :, i, j] = xp[:, :, i:i + s * oh:s, j:j + s * ow:s]
-        y = np.tensordot(self.w, cols, axes=([1, 2, 3], [1, 2, 3]))
-        y = y.transpose(1, 0, 2, 3) + self.b[None, :, None, None]
-        self._cache = (cols, xp.shape, (ph0, ph1, pw0, pw1), x.shape)
-        return y
-
-    def backward(self, grad, *, input_grad=True):
-        cols, xp_shape, pads, x_shape = self._take_cache()
-        self.grads[1] += grad.sum(axis=(0, 2, 3))
-        self.grads[0] += np.tensordot(grad, cols, axes=([0, 2, 3], [0, 4, 5]))
-        if not input_grad:
-            return None
-        dcols = np.tensordot(grad, self.w, axes=([1], [0]))
-        dcols = dcols.transpose(0, 3, 4, 5, 1, 2)
-        dxp = np.zeros(xp_shape)
-        s = self.stride
-        oh, ow = grad.shape[2], grad.shape[3]
-        for i in range(self.k):
-            for j in range(self.k):
-                dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dcols[:, :, i, j]
-        ph0, ph1, pw0, pw1 = pads
-        h, w = x_shape[2], x_shape[3]
-        return dxp[:, :, ph0:ph0 + h, pw0:pw0 + w]
 
 
 class Network:

@@ -271,8 +271,7 @@ def train_autoencoder_phase(model: ContinualModel, task, cfg, rng: Rng,
         model.encoder.drop_caches()
         z = model.proj_reconstruct.forward(h, train=True)
         flat = model.decoder.forward(z, train=True, cond=y_cond)
-        target = xb.reshape(len(xb), -1)
-        loss, dflat = nn.mse(flat, target)
+        loss, dflat = nn.mse(flat, xb)
         dz = model.decoder.backward(dflat)
         model.proj_reconstruct.backward(dz, input_grad=False)
         return loss
@@ -367,7 +366,7 @@ def _past_task_probe(state: RunState, through_task: int) -> KnnProbe:
     x = np.empty((sum(map(len, tasks)), model.embedding_dim))
     start = 0
     for task in tasks:
-        for rows in _row_chunks(len(task), int(np.prod(model.input_shape))):
+        for rows in _row_chunks(len(task), model.input_dim):
             x[start + rows.start:start + rows.stop] = model.encode_classify(task.rows(rows))
         start += len(task)
     return KnnProbe().fit(x, np.concatenate([task.y_global for task in tasks]))

@@ -126,11 +126,11 @@ def _checkpoint_path(out_dir, cfg, strategy, seed) -> Path:
 
 def _task_streams(cfg, seed):
     """The train and test task streams of the run's dataset, and its
-    sample shape. Every task holds row ids into the dataset's one array."""
+    row width. Every task holds row ids into the dataset's one array."""
     dataset = parse_dataset_spec(cfg.dataset, seed)
     train, test = (build_task_stream(dataset, ids, cfg.c_m, seed)
                    for ids in split_train_test(dataset, seed))
-    return train, test, dataset.sample_shape
+    return train, test, dataset.dim
 
 
 def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None, resume=False) -> RunRecord:
@@ -139,12 +139,12 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None, resume=False)
     strategy = cfg.strategy
     keeps_flow = STRATEGIES[strategy].flow
 
-    train_stream, test_stream, sample_shape = _task_streams(cfg, seed)
+    train_stream, test_stream, input_dim = _task_streams(cfg, seed)
     num_tasks = len(train_stream)
     num_classes = train_stream.num_classes
 
     rng = Rng(seed)
-    model = build_model(cfg, sample_shape, num_classes, rng.fork("model-init"))
+    model = build_model(cfg, input_dim, num_classes, rng.fork("model-init"))
     # every record prices each strategy's flow, so every strategy builds
     # it; only a strategy that keeps one trains it
     flow = build_flow(cfg, num_classes, rng.fork("flow-init"))
@@ -172,10 +172,9 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None, resume=False)
         if cfg.checkpoints and ckpt_path is not None:
             checkpoint.save_run_state(ckpt_path, state)
 
-    image_floats = int(np.prod(sample_shape))
     decoder_params = model.decoder.param_count()
     footprints = {
-        name: metrics.memory_footprint(kind, num_tasks, cfg.memory_size, image_floats,
+        name: metrics.memory_footprint(kind, num_tasks, cfg.memory_size, input_dim,
                                        cfg.embedding_dim, decoder_params + flow.param_count())
         for name, kind in STRATEGIES.items()
     }

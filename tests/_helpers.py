@@ -4,20 +4,12 @@ builders used across the suite."""
 import numpy as np
 
 from prer.flow import LOG_SCALE_BOUND, FlowStack
-from prer.nn import (
-    ConcatCondition,
-    Conv2d,
-    Dense,
-    Dropout,
-    Flatten,
-    Network,
-    Relu,
-)
+from prer.nn import ConcatCondition, Dense, Dropout, Network, Relu
 from prer.rng import Rng
 
 
 def array_pairs(owner):
-    """(parameter, gradient) views, one pair per Dense/Conv2d weight and
+    """(parameter, gradient) views, one pair per Dense weight and
     bias of a network, or of every coupling net of a flow, in buffer
     order."""
     nets = owner.networks() if isinstance(owner, FlowStack) else [owner]
@@ -205,20 +197,12 @@ def check_network_gradients(net: Network, x, *, cond=None, train=False,
 def random_layer_instance(seed: int):
     """One random (network, input, kwargs) triple covering every layer kind."""
     rng = Rng(seed)
-    kind = ["dense", "conv2d", "relu", "dropout", "flatten", "concat", "mlp"][seed % 7]
+    kind = ["dense", "relu", "dropout", "concat", "mlp"][seed % 5]
     if kind == "dense":
         d_in = int(rng.integers(1, 6))
         d_out = int(rng.integers(1, 6))
         net = Network([Dense(d_in, d_out, rng)])
         x = rng.normal(size=(int(rng.integers(1, 5)), d_in))
-        return net, x, {}
-    if kind == "conv2d":
-        # the layer the conv encoder of build_model builds: kernel 3, stride 2, "same"
-        c_in = int(rng.integers(1, 3))
-        c_out = int(rng.integers(1, 3))
-        size = int(rng.integers(1, 7))
-        net = Network([Conv2d(c_in, c_out, rng)])
-        x = rng.normal(size=(2, c_in, size, size))
         return net, x, {}
     if kind == "relu":
         d = int(rng.integers(1, 8))
@@ -230,12 +214,6 @@ def random_layer_instance(seed: int):
         net = Network([Dense(d, d, rng), Dropout()])
         x = rng.normal(size=(3, d))
         return net, x, {"train": True, "dropout_seed": seed * 31 + 7}
-    if kind == "flatten":
-        c = int(rng.integers(1, 3))
-        s = int(rng.integers(2, 5))
-        net = Network([Flatten(), Dense(c * s * s, 3, rng)])
-        x = rng.normal(size=(2, c, s, s))
-        return net, x, {}
     if kind == "concat":
         d = int(rng.integers(1, 6))
         cw = int(rng.integers(1, 4))

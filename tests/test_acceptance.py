@@ -387,7 +387,7 @@ def test_c9_generation_quality(prer_records):
         rng = Rng(1)
         model = build_model(
             ExperimentConfig(embedding_dim=2, encoder_hidden=(32,), head_hidden=(16,),
-                             conditioning="decoder"), (20,), 10, rng.fork("model-init"))
+                             conditioning="decoder"), 20, 10, rng.fork("model-init"))
         flow = build_flow(cfg, 10, rng.fork("flow-init"))
         state = RunState(model=model, flow=flow, stream=stream,
                          cfg=cfg, rng=rng)

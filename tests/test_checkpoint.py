@@ -28,7 +28,7 @@ def fresh_state(seed=1, conditioning="none", encoder_hidden=(10,), with_flow=Tru
     from."""
     cfg = ExperimentConfig(embedding_dim=6, encoder_hidden=encoder_hidden,
                            conditioning=conditioning, flow_levels=2, flow_blocks=3)
-    model = build_model(cfg, (6,), 4, Rng(seed))
+    model = build_model(cfg, 6, 4, Rng(seed))
     flow = None
     if with_flow:
         flow = build_flow(cfg, 4, Rng(seed).fork("flow-init"))
@@ -165,7 +165,7 @@ def run_tasks(seed, n_tasks, checkpoint_path=None, resume_path=None):
                            flow_max_epochs=8, memory_size=40, batch_size=32,
                            embedding_dim=4, encoder_hidden=(12,), conditioning="none",
                            flow_levels=1, flow_blocks=5).validate()
-    model = build_model(cfg, (6,), 4, Rng(seed))
+    model = build_model(cfg, 6, 4, Rng(seed))
     flow = build_flow(cfg, 4, Rng(seed).fork("flow-init"))
     state = RunState(model=model, flow=flow, stream=stream, cfg=cfg, rng=Rng(seed))
     if resume_path is not None:

@@ -156,12 +156,26 @@ def test_run_record_that_is_a_directory_ends_in_one_line(tmp_path):
     assert_one_line_error(run_cli("aggregate", "--in", str(tmp_path)), str(record))
 
 
-def test_missing_mnist_image_file_ends_in_one_line(tmp_path):
-    images, labels = tmp_path / "MISSING-images", tmp_path / "MISSING-labels"
+def test_mnist_dir_without_its_label_file_ends_in_one_line(tmp_path):
+    (tmp_path / "train-images-idx3-ubyte").write_bytes(bytes.fromhex("00000803") + bytes(12))
     config = tmp_path / "mnist.cfg"
-    config.write_text(f"dataset = mnist:images={images},labels={labels}\n")
+    config.write_text(f"dataset = mnist:dir={tmp_path}\n")
     result = run_cli("run", "--config", str(config), "--out", str(tmp_path / "runs"))
-    assert_one_line_error(result, str(images))
+    assert_one_line_error(result, str(tmp_path), "train-labels-idx1-ubyte")
+
+
+@pytest.mark.parametrize("text,names", [
+    (CONFIG + "encoder = conv\n", ("line 15", "unknown config key 'encoder'")),
+    (CONFIG + "conv_channels = 8,16\n", ("line 15", "unknown config key 'conv_channels'")),
+    ("dataset = mnist:images=a,labels=b\n", ("unknown mnist argument 'images'",)),
+    (CONFIG + "strategy = naive\n", ("line 15", "config key strategy", "line 4")),
+], ids=["encoder", "conv_channels", "mnist-images", "repeated-key"])
+def test_refused_config_line_ends_in_one_line(config_file, tmp_path, text, names):
+    # keys and dataset arguments the program does not take, and a key set
+    # twice, each stop the run before it starts
+    config_file.write_text(text)
+    result = run_cli("run", "--config", str(config_file), "--out", str(tmp_path / "runs"))
+    assert_one_line_error(result, *names)
 
 
 def test_resume_over_truncated_checkpoint_ends_in_one_line(config_file, tmp_path):

@@ -45,11 +45,12 @@ def idx_files(tmp_path):
 def test_load_idx_images_scaled(idx_files):
     img_path, _, images, _ = idx_files
     loaded = load_idx(img_path)
-    assert loaded.shape == (10, 1, 4, 4)
-    assert loaded[0, 0, 0, 0] == 1.0   # byte 255
-    assert loaded[0, 0, 0, 1] == 0.0   # byte 0
+    assert loaded.shape == (10, 16)    # one row per image
+    assert loaded[0, 0] == 1.0   # byte 255
+    assert loaded[0, 1] == 0.0   # byte 0
     assert loaded.dtype == np.float64 and loaded.flags.writeable
-    assert np.array_equal(loaded[:, 0], images / 255.0)
+    assert loaded.flags.c_contiguous
+    assert np.array_equal(loaded, images.reshape(10, 16) / 255.0)
 
 
 def test_load_idx_labels(idx_files):
@@ -84,8 +85,24 @@ def test_load_idx_bad_magic(tmp_path):
 def test_load_mnist_pairs(idx_files):
     img_path, lbl_path, _, labels = idx_files
     ds = load_mnist(img_path, lbl_path)
-    assert len(ds) == 10
+    assert len(ds) == 10 and ds.dim == 16
     assert np.array_equal(ds.y, labels)
+
+
+def test_mnist_spec_reads_the_dir_plain_or_gzipped(tmp_path, idx_files):
+    img_path, lbl_path, images, labels = idx_files
+    for suffix, pack in (("", bytes), (".gz", gzip.compress)):
+        base = tmp_path / f"mnist{suffix}"
+        base.mkdir()
+        (base / f"train-images-idx3-ubyte{suffix}").write_bytes(pack(img_path.read_bytes()))
+        (base / f"train-labels-idx1-ubyte{suffix}").write_bytes(pack(lbl_path.read_bytes()))
+        ds = parse_dataset_spec(f"mnist:dir={base}/", seed=24)
+        assert np.array_equal(ds.x, images.reshape(10, 16) / 255.0)
+        assert np.array_equal(ds.y, labels)
+    with pytest.raises(ConfigurationError, match="no MNIST IDX files found under .*missing"):
+        parse_dataset_spec(f"mnist:dir={tmp_path / 'missing'}", seed=24)
+    with pytest.raises(ConfigurationError, match="^mnist spec needs dir=PATH$"):
+        parse_dataset_spec("mnist:", seed=24)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +280,10 @@ def test_parse_dataset_spec():
         parse_dataset_spec("blobs:clases=4", seed=24)
     with pytest.raises(ConfigurationError, match="unknown mnist argument 'image'"):
         parse_dataset_spec("mnist:image=a,labels=b", seed=24)
+    # dir= is the only way to name the IDX files
+    with pytest.raises(ConfigurationError,
+                       match="^unknown mnist argument 'images'; expected one of dir$"):
+        parse_dataset_spec("mnist:images=a,labels=b", seed=24)
 
 
 @pytest.mark.parametrize("key,value", [("classes", 0), ("per_class", 0), ("dim", 0),
@@ -284,10 +305,8 @@ def test_blobs_spec_rejects_a_sep_that_is_not_finite_and_positive(sep):
 @pytest.mark.parametrize("spec,message", [
     ("blobs:classes=10,classes=4", "blobs argument classes is given twice"),
     ("blobs:dim=5,sep=3,dim=5", "blobs argument dim is given twice"),
-    ("mnist:images=a,labels=b,images=c", "mnist argument images is given twice"),
-    ("mnist:dir=d,images=a", "mnist argument images cannot be given with dir"),
-    ("mnist:labels=b,dir=d", "mnist argument labels cannot be given with dir"),
+    ("mnist:dir=d,dir=e", "mnist argument dir is given twice"),
 ])
-def test_spec_rejects_a_repeated_or_conflicting_argument(spec, message):
+def test_spec_rejects_a_repeated_argument(spec, message):
     with pytest.raises(ConfigurationError, match=f"^{message}$"):
         parse_dataset_spec(spec, seed=24)

@@ -65,7 +65,7 @@ def test_every_case_but_an_over_deep_flow_is_valid():
 def test_bench_footprint_counter_matches_the_builders(cfg):
     dataset = parse_dataset_spec(cfg.dataset, cfg.seeds[0])
     rng = Rng(cfg.seeds[0])
-    model = build_model(cfg, dataset.sample_shape, dataset.num_classes, rng.fork("model-init"))
+    model = build_model(cfg, dataset.dim, dataset.num_classes, rng.fork("model-init"))
     flow = build_flow(cfg, dataset.num_classes, rng.fork("flow-init"))
     assert checks.decoder_params(cfg) == model.decoder.param_count()
     assert checks.flow_params(cfg) == flow.param_count()

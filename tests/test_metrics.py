@@ -260,7 +260,7 @@ def test_coverage_validation():
 
 def quality_fixture():
     model = build_model(ExperimentConfig(embedding_dim=6, encoder_hidden=(8,), conditioning="none"),
-                        (5,), 4, Rng(4))
+                        5, 4, Rng(4))
     images = Rng(5).normal(size=(20, 5))
     embeddings = model.encode_classify(images)
     return model, images, embeddings

@@ -19,7 +19,7 @@ from prer.rng import Rng
 def small_model(decoder_conditioned=False, num_classes=4, embedding_dim=8):
     cfg = ExperimentConfig(embedding_dim=embedding_dim, encoder_hidden=(12,),
                            conditioning="decoder" if decoder_conditioned else "none")
-    return build_model(cfg, (6,), num_classes, Rng(1))
+    return build_model(cfg, 6, num_classes, Rng(1))
 
 
 def test_encode_classify_deterministic_in_eval():
@@ -29,10 +29,10 @@ def test_encode_classify_deterministic_in_eval():
 
 
 def test_mnist_scale_embedding_width():
-    cfg = ExperimentConfig(encoder="conv", embedding_dim=100, conditioning="none")
-    model = build_model(cfg, (1, 28, 28), 10, Rng(3))
+    cfg = ExperimentConfig(encoder_hidden=(256,), embedding_dim=100, conditioning="none")
+    model = build_model(cfg, 784, 10, Rng(3))
     assert model.embedding_dim == 100
-    x = Rng(4).random(size=(2, 1, 28, 28))
+    x = Rng(4).random(size=(2, 784))
     assert model.encode_classify(x).shape == (2, 100)
 
 
@@ -77,18 +77,11 @@ def test_classify_width_and_determinism():
         model.classify(x, 99)
 
 
-@pytest.mark.parametrize("encoder", ["mlp", "conv"])
-def test_eval_passes_leave_no_layer_cache(encoder):
-    if encoder == "mlp":
-        cfg = ExperimentConfig(encoder_hidden=(12,), embedding_dim=5, conditioning="decoder")
-    else:
-        cfg = ExperimentConfig(encoder="conv", embedding_dim=5, conv_channels=(2, 3),
-                               decoder_hidden=(8,), conditioning="decoder")
-    model = build_model(cfg, (1, 6, 6), 4, Rng(41))
-    # the conv builder's one-row pass, which finds the encoder's width
-    assert layers_holding_a_cache(model) == []
+def test_eval_passes_leave_no_layer_cache():
+    cfg = ExperimentConfig(encoder_hidden=(12,), embedding_dim=5, conditioning="decoder")
+    model = build_model(cfg, 36, 4, Rng(41))
     model.ensure_head(1, 2, Rng(42))
-    x = Rng(43).normal(size=(5, 1, 6, 6))
+    x = Rng(43).normal(size=(5, 36))
     passes = {
         "encode_classify": lambda: model.encode_classify(x),
         "encode_reconstruct": lambda: model.encode_reconstruct(x),
@@ -151,28 +144,17 @@ def test_built_parameters_keep_their_bits():
     # digests taken before the two builders shared their projections and
     # decoder: the draw order from the "model-build" fork is unchanged
     mlp = build_model(ExperimentConfig(embedding_dim=5, encoder_hidden=(12, 10),
-                                       conditioning="decoder"), (6,), 4, Rng(11))
+                                       conditioning="decoder"), 6, 4, Rng(11))
     assert mlp.param_count() == 634
     assert param_digest(mlp) == (
         "61dedefc0a5988fab60c27695a178afb7c3d3ae105fe5e2717b43d2bcf60f87e")
-    conv = build_model(ExperimentConfig(encoder="conv", embedding_dim=5, conv_channels=(2, 3),
-                                        decoder_hidden=(16,), conditioning="none"),
-                       (1, 6, 6), 4, Rng(12))
-    assert conv.param_count() == 915
-    assert param_digest(conv) == (
-        "5023d8fbbe7bb738548b5cf84e1112f3c1e3203c4b543a9e91646d3502026557")
 
 
-@pytest.mark.parametrize("encoder", ["mlp", "conv"])
-def test_encoder_backward_without_input_gradient(encoder):
-    if encoder == "mlp":
-        cfg = ExperimentConfig(encoder_hidden=(12, 10), conditioning="none")
-    else:
-        cfg = ExperimentConfig(encoder="conv", embedding_dim=5, conv_channels=(2, 3),
-                               decoder_hidden=(8,), conditioning="none")
-    model = build_model(cfg, (1, 6, 6), 4, Rng(31))
+def test_encoder_backward_without_input_gradient():
+    cfg = ExperimentConfig(encoder_hidden=(12, 10), conditioning="none")
+    model = build_model(cfg, 36, 4, Rng(31))
     data = Rng(32)
-    x = data.normal(size=(7, 1, 6, 6))
+    x = data.normal(size=(7, 36))
     net = model.encoder
     dh = data.normal(size=net.forward(x).shape)
     net.backward(dh)
@@ -212,7 +194,7 @@ def test_autoencoder_phase_freezes_encoder_and_classifier_projection():
 
 def test_autoencoder_overfits_four_samples(monkeypatch):
     model = build_model(ExperimentConfig(embedding_dim=8, encoder_hidden=(16,),
-                                         conditioning="none"), (6,), 4, Rng(15))
+                                         conditioning="none"), 6, 4, Rng(15))
     rng = Rng(16)
     x = rng.random(size=(4, 6))
     y = np.array([0, 1, 2, 3])

@@ -23,7 +23,7 @@ from _helpers import (
 )
 from prer import nn
 from prer.exceptions import ConfigurationError, StateError
-from prer.nn import Adam, Conv2d, Dense, Dropout, Flatten, Network, Relu
+from prer.nn import Adam, Dense, Dropout, Network, Relu
 from prer.rng import Rng
 
 
@@ -161,18 +161,6 @@ def test_gradient_property_all_layer_kinds():
         net, x, kwargs = random_layer_instance(seed)
         worst = max(worst, check_network_gradients(net, x, **kwargs))
     assert worst < 1e-4, f"worst relative error {worst}"
-
-
-def test_same_padded_stride_two_conv_takes_inputs_down_to_one_pixel():
-    # the encoder's layer: below the kernel's size, padding still makes
-    # room for one output per side, and its gradients hold there too
-    rng = Rng(61)
-    for s in range(1, 8):
-        net = Network([Conv2d(2, 3, rng)])
-        x = rng.normal(size=(2, 2, s, s))
-        assert net.forward(x).shape == (2, 3, -(-s // 2), -(-s // 2))
-        if s <= 2:
-            assert check_network_gradients(net, x) < 1e-4
 
 
 def test_loss_gradients_finite_difference():
@@ -420,16 +408,7 @@ def test_forked_rng_draws_are_a_pcg64_generator_seeded_by_the_digest():
 
 
 def test_backward_without_input_gradient_through_no_parameters():
-    net = Network([Flatten(), Relu()])
-    net.forward(Rng(12).normal(size=(2, 3, 4)))
+    net = Network([Relu(), Dropout()])
+    net.forward(Rng(12).normal(size=(2, 12)))
     assert net.backward(np.ones((2, 12)), input_grad=False) is None
     assert all(layer._cache is None for layer in net.layers)
-
-
-def test_flatten_roundtrip_shapes():
-    net = Network([Flatten()])
-    x = Rng(11).normal(size=(2, 3, 4, 5))
-    y = net.forward(x)
-    assert y.shape == (2, 60)
-    dx = net.backward(np.ones_like(y))
-    assert dx.shape == x.shape

@@ -40,7 +40,7 @@ def make_streams(seed, classes=4, dim=8, per_class=80, sep=6.0, c_m=2, span=None
 def make_model(seed, dim=8, classes=4, conditioning="decoder", embedding=8):
     cfg = ExperimentConfig(embedding_dim=embedding, encoder_hidden=(24,), head_hidden=(16,),
                            conditioning=conditioning)
-    return build_model(cfg, (dim,), classes, Rng(seed))
+    return build_model(cfg, dim, classes, Rng(seed))
 
 
 def make_state(seed, strategy="prer", conditioning="decoder", **cfg_kwargs):
@@ -135,7 +135,7 @@ def mnist_shaped_state(stream, seed):
     (784 -> 256 -> 100), untrained."""
     model = build_model(ExperimentConfig(embedding_dim=100, encoder_hidden=(256,),
                                          head_hidden=(16,), conditioning="none"),
-                        (784,), stream.num_classes, Rng(seed))
+                        784, stream.num_classes, Rng(seed))
     cfg = ExperimentConfig(strategy="prer_r").validate()
     return RunState(model=model, flow=None, stream=stream, cfg=cfg, rng=Rng(seed))
 
@@ -151,6 +151,25 @@ def test_past_task_probe_fits_whole_task_embeddings_bit_for_bit():
     assert np.array_equal(probe._x, np.concatenate(
         [state.model.encode_classify(task.rows()) for task in tasks]))
     assert np.array_equal(probe._y, np.concatenate([task.y_global for task in tasks]))
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7])
+def test_task_accuracy_counts_right_rows_chunk_by_chunk(monkeypatch, chunk_rows):
+    # a test task's ids are scattered over the dataset's rows; counting its
+    # right rows a chunk at a time must give the percentage of one
+    # whole-task call, with the same rounding order (19 of 30 right here,
+    # where 100 * 19 / 30 would differ in the last bit)
+    _, test_stream = make_streams(17, per_class=75)
+    task = test_stream.tasks[1]
+    model = make_model(17)
+    model.ensure_head(task.index, len(task.classes), Rng(18))
+    monkeypatch.setattr(metrics, "CHUNK_FLOATS", chunk_rows * model.input_dim)
+    chunks = list(metrics._row_chunks(len(task), model.input_dim))
+    assert len(chunks) == -(-len(task) // chunk_rows) > 1
+    pred = model.classify(task.rows(), task.index).argmax(axis=1)
+    right = int((pred == task.y_task).sum())
+    assert 0 < right < len(task)
+    assert task_accuracy(model, task) == 100.0 * (right / len(task))
 
 
 @pytest.mark.parametrize("chunks", [2, 6])
@@ -344,7 +363,7 @@ def test_nan_row_stops_every_phase(phase):
     state, train_stream, _ = make_state(17, validation_fraction=0.0)
     state.model = build_model(ExperimentConfig(embedding_dim=8, encoder_hidden=(),
                                                head_hidden=(16,), conditioning="none"),
-                              (8,), 4, Rng(17))
+                              8, 4, Rng(17))
     task = train_stream.tasks[0]
     task.x[task.ids[5]] = np.nan
     train = {
@@ -398,7 +417,7 @@ def test_generate_memory_embeddings_recompute_exactly():
 def test_generate_memory_of_conditioned_flow_and_decoder_keeps_its_bits():
     # digests taken while callers still built the one-hots themselves
     model = build_model(ExperimentConfig(embedding_dim=4, encoder_hidden=(12,),
-                                         conditioning="decoder"), (6,), 4, Rng(40))
+                                         conditioning="decoder"), 6, 4, Rng(40))
     flow = build_flow(ExperimentConfig(embedding_dim=4, flow_levels=1, flow_blocks=2,
                                        conditioning="flow"), 4, Rng(41))
     rng = Rng(42)
@@ -476,7 +495,7 @@ def test_naive_stream_shows_negative_bwt():
                                                  per_class=100, sep=5.0, span=3)
         model = build_model(ExperimentConfig(embedding_dim=2, encoder_hidden=(32,),
                                              head_hidden=(16,), conditioning="none"),
-                            (20,), 10, Rng(seed))
+                            20, 10, Rng(seed))
         cfg = ExperimentConfig(strategy="naive", classifier_epochs=30, batch_size=64).validate()
         state = RunState(model=model, flow=None, stream=train_stream, cfg=cfg, rng=Rng(seed))
         r = np.full((5, 5), np.nan)
@@ -542,7 +561,7 @@ def interference_state(seed, strategy, conditioning="decoder"):
     train_stream, test_stream = make_streams(seed, classes=10, dim=20,
                                              per_class=100, sep=5.0, span=3)
     model = build_model(ExperimentConfig(embedding_dim=2, encoder_hidden=(32,), head_hidden=(16,),
-                                         conditioning=conditioning), (20,), 10, Rng(seed))
+                                         conditioning=conditioning), 20, 10, Rng(seed))
     cfg = ExperimentConfig(strategy=strategy, classifier_epochs=30, batch_size=64,
                            memory_size=150, conditioning=conditioning, embedding_dim=2,
                            flow_levels=1, flow_blocks=5).validate()

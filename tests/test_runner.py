@@ -355,31 +355,31 @@ def reference_streams(cfg, seed):
     parts = [LabeledDataset(dataset.x[ids], dataset.y[ids])
              for ids in split_train_test(dataset, seed)]
     return tuple(build_task_stream(part, np.arange(len(part)), cfg.c_m, seed)
-                 for part in parts), dataset.sample_shape
+                 for part in parts), dataset.dim
 
 
 def test_task_streams_in_place_match_the_gathered_streams(tmp_path):
     rng = np.random.default_rng(0)
     images = rng.integers(0, 256, size=(48, 6, 5)).astype(np.uint8)
     labels = (np.arange(48) % 4).astype(np.uint8)
-    img_path = tmp_path / "images-idx3-ubyte"
-    lbl_path = tmp_path / "labels-idx1-ubyte"
-    img_path.write_bytes(struct.pack(">IIII", 0x803, 48, 6, 5) + images.tobytes())
-    lbl_path.write_bytes(struct.pack(">II", 0x801, 48) + labels.tobytes())
+    (tmp_path / "train-images-idx3-ubyte").write_bytes(
+        struct.pack(">IIII", 0x803, 48, 6, 5) + images.tobytes())
+    (tmp_path / "train-labels-idx1-ubyte").write_bytes(
+        struct.pack(">II", 0x801, 48) + labels.tobytes())
     streams = {}
     for name, cfg in (
         ("blobs", tiny_config(dataset="blobs:classes=10,dim=7,sep=5,per_class=13", c_m=3)),
-        ("idx", tiny_config(dataset=f"mnist:images={img_path},labels={lbl_path}", c_m=2)),
+        ("idx", tiny_config(dataset=f"mnist:dir={tmp_path}", c_m=2)),
     ):
-        train, test, shape = runner._task_streams(cfg, seed=3)
-        (ref_train, ref_test), ref_shape = reference_streams(cfg, seed=3)
-        assert shape == ref_shape
+        train, test, dim = runner._task_streams(cfg, seed=3)
+        (ref_train, ref_test), ref_dim = reference_streams(cfg, seed=3)
+        assert dim == ref_dim
         _assert_same_streams(train, ref_train)
         _assert_same_streams(test, ref_test)
         streams[name] = train
     # 10 classes in tasks of 3, 3, 3 and a last task keeping the remainder
     assert [len(task.classes) for task in streams["blobs"].tasks] == [3, 3, 3, 1]
-    assert streams["idx"].tasks[0].rows().shape[1:] == (1, 6, 5)
+    assert streams["idx"].tasks[0].rows().shape[1:] == (30,)
 
 
 def test_task_streams_hold_one_copy_of_the_rows():
@@ -427,39 +427,11 @@ def test_interrupted_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
     assert without_wallclock(resumed) == straight
 
 
-def test_empty_decoder_hidden_is_each_encoders_default():
-    # the MLP mirrors its encoder, the conv model gets one 256-wide layer
-    def hidden_widths(**overrides):
-        cfg = tiny_config(decoder_hidden=(), **overrides)
-        model = build_model(cfg, (1, 6, 6), 4, Rng(3))
-        return [layer.out_dim for layer in model.decoder.layers[:-1] if hasattr(layer, "out_dim")]
-
-    assert hidden_widths(encoder_hidden=(12, 10)) == [10, 12]
-    assert hidden_widths(encoder="conv", conv_channels=(2, 3)) == [256]
-
-
-def test_conv_encoder_run_on_idx_images(tmp_path):
-    # tiny IDX pair driven end to end through the runner with the conv
-    # backbone; exercises ingestion, conv backprop and all three phases
-    import struct
-
-    rng = np.random.default_rng(0)
-    images = rng.integers(0, 256, size=(48, 6, 6)).astype(np.uint8)
-    labels = (np.arange(48) % 4).astype(np.uint8)
-    for c in range(4):  # give each class a visible mean pattern
-        images[labels == c, c, :] = 255
-    img_path = tmp_path / "images-idx3-ubyte"
-    lbl_path = tmp_path / "labels-idx1-ubyte"
-    img_path.write_bytes(struct.pack(">IIII", 0x803, 48, 6, 6) + images.tobytes())
-    lbl_path.write_bytes(struct.pack(">II", 0x801, 48) + labels.tobytes())
-
-    cfg = tiny_config(dataset=f"mnist:images={img_path},labels={lbl_path}",
-                      encoder="conv", conv_channels=(4, 8), embedding_dim=6,
-                      decoder_hidden=(24,), memory_size=10, coverage_cap=10)
-    record = run_experiment(cfg, seed=1)
-    assert record.num_tasks == 2
-    assert 0.0 <= record.accuracy <= 100.0
-    assert record.flow_params > 0
+def test_empty_decoder_hidden_mirrors_the_encoder():
+    cfg = tiny_config(decoder_hidden=(), encoder_hidden=(12, 10))
+    model = build_model(cfg, 36, 4, Rng(3))
+    widths = [layer.out_dim for layer in model.decoder.layers if hasattr(layer, "out_dim")]
+    assert widths == [10, 12, 36]
 
 
 # ---------------------------------------------------------------------------
@@ -548,10 +520,20 @@ def test_parse_config_text_full():
 
 
 @pytest.mark.parametrize("key", ["no_such_key", "lr", "patience", "min_delta", "head_dropout",
-                                 "flow_hidden_multiplier"])
+                                 "flow_hidden_multiplier", "encoder", "conv_channels"])
 def test_parse_config_rejects_unknown_key(key):
     with pytest.raises(ConfigurationError, match=f"unknown config key '{key}'"):
         parse_config_text(f"{key} = 1")
+
+
+def test_parse_config_rejects_a_repeated_key():
+    # the second line is refused rather than silently winning
+    text = (Path(__file__).parent.parent / "configs" / "blobs.cfg").read_text(encoding="utf-8")
+    first = text.splitlines().index("strategy = prer") + 1
+    last = len(text.splitlines()) + 1
+    with pytest.raises(ConfigurationError,
+                       match=f"^line {last}: config key strategy is already set on line {first}$"):
+        parse_config_text(text + "strategy = naive\nembedding_dim = 3\n")
 
 
 def test_parse_config_rejects_bad_line():
@@ -571,8 +553,8 @@ def test_parse_config_rejects_bad_value(line, pattern):
 
 
 def test_config_text_round_trips_every_hashed_field():
-    cfg = tiny_config(strategy="prer_r", conditioning="both", encoder="conv",
-                      conv_channels=(3, 5), decoder_hidden=(), flow_blocks=3)
+    cfg = tiny_config(strategy="prer_r", conditioning="both", encoder_hidden=(3, 5),
+                      decoder_hidden=(), flow_blocks=3)
     text = cfg.canonical_text()
     assert "decoder_hidden = \n" in text
     parsed = parse_config_text(text)
@@ -604,7 +586,6 @@ def test_config_validation():
     pytest.param("encoder_hidden", (12, 0), id="encoder_hidden-value7"),
     pytest.param("head_hidden", (0,), id="head_hidden-value8"),
     pytest.param("decoder_hidden", (-1,), id="decoder_hidden-value9"),
-    pytest.param("conv_channels", (8, 0), id="conv_channels-value10"),
     ("beta", float("nan")),
 ])
 def test_config_rejects_nonsense_value_naming_the_key(key, value):

@@ -13,9 +13,9 @@ at seed 1 (taken from this checkout, so both trees read the same config):
   conditioning both, each with ``checkpoints = true``, crashed at the
   start of task 3 and resumed from its checkpoint: replay and er resume
   their stored memory of real rows, prer and prer_r regenerate theirs;
-- prer with the conv encoder on a tiny IDX image pair of 4 classes, which
-  the worker writes into its temp dir and reads by relative path, so
-  both trees read the same files under the same dataset string;
+- prer on a tiny IDX image pair of 4 classes, which the worker writes
+  into its temp dir under MNIST's file names and reads as ``mnist:dir=.``,
+  so both trees read the same files under the same dataset string;
 - prer_r with ``batch_size = 239`` and no validation split: each task has
   240 rows, so every epoch ends on a one-row batch, which the flow skips
   and the classifier and autoencoder train on, and the classifier keeps
@@ -87,7 +87,7 @@ CRASH_AT = 3
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 IGNORED = ("timings", "config_hash")
-IDX_FILES = ("images-idx3-ubyte", "labels-idx1-ubyte")
+IDX_FILES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte")
 
 
 def grid():
@@ -103,9 +103,8 @@ def grid():
     runs.append((f"prer_r-both-resumed-at-task{CRASH_AT}",
                  {"strategy": "prer_r", "conditioning": "both", "checkpoints": "true"},
                  CRASH_AT))
-    runs.append(("prer-conv", {
-        "strategy": "prer", "encoder": "conv", "conv_channels": "4,8",
-        "dataset": "mnist:images={},labels={}".format(*IDX_FILES),
+    runs.append(("prer-idx", {
+        "strategy": "prer", "dataset": "mnist:dir=.",
         "embedding_dim": 6, "decoder_hidden": 24, "classifier_epochs": 4,
         "ae_max_epochs": 8, "flow_max_epochs": 8, "memory_size": 10, "coverage_cap": 10,
     }, None))
@@ -148,8 +147,14 @@ def grid():
 
 
 def config_text(base: str, overrides: dict) -> str:
-    """The config text of one grid run: ``base`` with its overrides appended."""
-    return base + "".join(f"\n{k} = {v}" for k, v in overrides.items())
+    """The config text of one grid run: ``base`` with the line of each
+    overridden key replaced, and the overrides of keys it lacks appended,
+    so that every key is set once."""
+    rest, lines = dict(overrides), []
+    for line in base.splitlines():
+        key = line.split("#", 1)[0].partition("=")[0].strip()
+        lines.append(f"{key} = {rest.pop(key)}" if key in rest else line)
+    return "\n".join(lines + [f"{k} = {v}" for k, v in rest.items()]) + "\n"
 
 
 def write_idx_pair(directory):
@@ -185,7 +190,7 @@ def worker():
     train = runner.strategy_train_task
     with tempfile.TemporaryDirectory() as data_dir:
         write_idx_pair(data_dir)
-        os.chdir(data_dir)  # the conv run names its IDX files relative to here
+        os.chdir(data_dir)  # the IDX run names its directory relative to here
         for name, overrides, crash_at in job["runs"]:
             cfg = config.parse_config_text(config_text(job["config"], overrides))
             with tempfile.TemporaryDirectory() as out_dir:
