@@ -162,8 +162,7 @@ def synth_blobs(classes: int, per_class: int, dim: int, separation: float,
     if not 1 <= span <= dim:
         raise ConfigurationError(f"span must be in 1..{dim}, got {span}")
     rng = Rng(seed).fork("blobs")
-    basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-    basis = basis[:, :span]
+    basis = np.linalg.qr(rng.normal(size=(dim, dim)))[0][:, :span]
     pairs = (classes + 1) // 2
     directions = np.empty((pairs, dim))
     for p in range(pairs):
@@ -173,11 +172,14 @@ def synth_blobs(classes: int, per_class: int, dim: int, separation: float,
             combo = rng.normal(size=span)
             combo /= np.linalg.norm(combo)
             directions[p] = basis @ combo
+    del basis  # (dim, dim) floats, freed before the rows are allocated
     x = np.empty((classes * per_class, dim))
     for k in range(classes):
         center = separation * directions[k // 2] * (1.0 if k % 2 == 0 else -1.0)
-        # the draw is added into its rows in place: no second temporary
-        np.add(rng.normal(size=(per_class, dim)), center, out=x[k * per_class:(k + 1) * per_class])
+        # each class is drawn straight into its rows: no temporary
+        rows = x[k * per_class:(k + 1) * per_class]
+        rng.standard_normal(out=rows)
+        rows += center
     y = np.repeat(np.arange(classes, dtype=np.int64), per_class)
     return LabeledDataset(x, y)
 

@@ -215,7 +215,8 @@ class FlowStack:
     half is emitted straight to the output, the rest continues into the
     next level. The emitted chunks concatenated in level order form the
     prior variable, so the total dimensionality never changes. All
-    coupling nets live in two flat vectors, ``params`` and ``grads``.
+    coupling nets live in one flat vector, ``params``; their gradients
+    exist only while a phase trains the flow (see ``nn.gradients``).
     Every layer receives the rows' classes ``cond``; only a conditioned
     coupling reads them.
     """
@@ -227,7 +228,7 @@ class FlowStack:
         # each level but the last emits the larger half of its width
         self.emit_widths = [w - rest for w, rest in zip(self.level_widths, self.level_widths[1:])]
         self.emit_widths.append(self.level_widths[-1])
-        self.params, self.grads = bind_slices(self.networks())
+        self.params = bind_slices(self.networks())
 
     def normalize(self, z, cond=None, train=False):
         """Data to prior. Returns (u, per-sample log-determinant)."""
@@ -276,8 +277,9 @@ class FlowStack:
 
         grad_u is the loss gradient w.r.t. the prior variable, grad_logdet
         the per-sample gradient w.r.t. the accumulated log-determinant.
-        Parameter gradients accumulate inside the coupling nets; the
-        return value is the gradient w.r.t. the flow input.
+        Parameter gradients accumulate inside the coupling nets while
+        they are bound (see ``nn.gradients``); the return value is the
+        gradient w.r.t. the flow input.
         """
         return self._walk_back(
             grad_u, lambda layer, g: layer.backward_normalizing(g, grad_logdet))
@@ -294,13 +296,10 @@ class FlowStack:
         return self.generate(u, cond=cond)
 
     def networks(self):
-        """The coupling nets, in level and layer order: the layout of the
-        flat buffers."""
+        """The coupling nets, in level and layer order: the layout of
+        ``params`` and of a bound gradient vector."""
         return [net for layers in self.levels for layer in layers
                 if isinstance(layer, Coupling) for net in layer.networks()]
-
-    def parameters(self):
-        return [(self.params, self.grads)]
 
     def batch_norms(self):
         return [layer for layers in self.levels for layer in layers
@@ -311,7 +310,8 @@ class FlowStack:
 
 
 def nll_loss_and_backward(stack: FlowStack, z, cond=None) -> float:
-    """One train-mode NLL forward/backward pass; gradients accumulate in the stack."""
+    """One train-mode NLL forward/backward pass; gradients accumulate in
+    the vector bound to the stack, if any."""
     u, logdet = stack.normalize(z, cond=cond, train=True)
     n = len(z)
     nll = 0.5 * (u ** 2).sum(axis=1) + 0.5 * stack.dim * LOG_2PI - logdet

@@ -236,11 +236,17 @@ class KnnProbe:
         return out
 
 
-def task_accuracy(model, task) -> float:
-    """Percent accuracy of the task's own head on the task's data,
-    classified a row chunk at a time."""
+def right_rows(model, task, idx) -> int:
+    """How many of the task's rows at positions ``idx`` its own head
+    classifies right, classified a row chunk at a time."""
     right = 0
-    for rows in _row_chunks(len(task), model.input_dim):
+    for chunk in _row_chunks(len(idx), model.input_dim):
+        rows = idx[chunk]
         pred = model.classify(task.rows(rows), task.index).argmax(axis=1)
         right += int((pred == task.y_task[rows]).sum())
-    return 100.0 * (right / len(task))
+    return right
+
+
+def task_accuracy(model, task) -> float:
+    """Percent accuracy of the task's own head on the task's data."""
+    return 100.0 * (right_rows(model, task, np.arange(len(task))) / len(task))

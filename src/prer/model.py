@@ -86,12 +86,13 @@ class ContinualModel:
 
     # -- bookkeeping ----------------------------------------------------
 
-    def classifier_parameters(self, task_id: int):
-        return (self.encoder.parameters() + self.proj_classify.parameters()
-                + self.head(task_id).parameters())
+    def classifier_networks(self, task_id: int):
+        """The networks the classifier phase of task ``task_id`` trains."""
+        return [self.encoder, self.proj_classify, self.head(task_id)]
 
-    def autoencoder_parameters(self):
-        return self.proj_reconstruct.parameters() + self.decoder.parameters()
+    def autoencoder_networks(self):
+        """The networks the autoencoder phase trains."""
+        return [self.proj_reconstruct, self.decoder]
 
     def all_networks(self):
         nets = {

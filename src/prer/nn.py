@@ -2,7 +2,8 @@
 
 Everything runs in float64 on (rows, features) arrays. Layers cache
 their most recent forward pass; ``backward`` consumes the cache and
-accumulates parameter gradients in place, so several loss terms can be
+accumulates parameter gradients in place, into the vectors ``gradients``
+binds while a phase trains, so several loss terms can be
 backpropagated before a single optimizer step. There is no general
 autodiff: a network is an ordered list of layers and gradients flow back
 through that list only. Each loss returns its value and its gradient
@@ -10,6 +11,7 @@ from one pass over the shared intermediates.
 """
 
 import logging
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -42,10 +44,11 @@ def one_hot(labels, width: int) -> np.ndarray:
 
 class Layer:
     """Base layer. The attributes named in ``param_names`` hold its
-    parameters; once its network binds it, they and ``grads`` are views
-    of the network's flat buffers. ``forward`` receives the rows'
-    classes ``cond`` as it receives ``rng``: only a layer that needs
-    them reads them."""
+    parameters; once its network binds it, they are views of the
+    network's flat ``params``. ``grads`` holds views of a gradient vector
+    only while a training phase binds one (see ``gradients``), and is
+    empty otherwise. ``forward`` receives the rows' classes ``cond`` as it
+    receives ``rng``: only a layer that needs them reads them."""
 
     param_names = ()
 
@@ -67,35 +70,78 @@ class Layer:
         cache, self._cache = self._cache, None
         return cache
 
-    def bind(self, params, grads):
-        """Copy the parameters into the 1-D buffer ``params``; they and
-        ``grads`` become reshaped views of the two buffers."""
-        self.grads, start = [], 0
+    def views(self, flat):
+        """Views of the 1-D ``flat``, one per parameter, each shaped like
+        it, laid out consecutively in ``param_names`` order."""
+        out, start = [], 0
         for name in self.param_names:
             value = getattr(self, name)
-            view = params[start:start + value.size].reshape(value.shape)
-            view[...] = value
-            setattr(self, name, view)
-            self.grads.append(grads[start:start + value.size].reshape(value.shape))
+            out.append(flat[start:start + value.size].reshape(value.shape))
             start += value.size
+        return out
+
+    def bind(self, params):
+        """Copy the parameters into the 1-D buffer ``params``; they become
+        reshaped views of it."""
+        for name, view in zip(self.param_names, self.views(params)):
+            view[...] = getattr(self, name)
+            setattr(self, name, view)
 
     def param_count(self) -> int:
         return sum(getattr(self, name).size for name in self.param_names)
 
 
-def bind_slices(parts, params=None, grads=None):
-    """Bind each part (a layer or a network) to its consecutive slice of
-    the 1-D buffers ``params`` and ``grads``, which are allocated, the
-    gradients zeroed, when not given; returns both."""
-    if params is None:
-        n = sum(part.param_count() for part in parts)
-        params, grads = np.empty(n), np.zeros(n)
+def _slices(parts, flat):
+    """Each part (a layer or a network) with its consecutive slice of the
+    1-D ``flat``, sized by its parameter count."""
     start = 0
     for part in parts:
         stop = start + part.param_count()
-        part.bind(params[start:stop], grads[start:stop])
+        yield part, flat[start:stop]
         start = stop
-    return params, grads
+
+
+def bind_slices(parts, params=None):
+    """Bind each part (a layer or a network) to its consecutive slice of
+    the 1-D buffer ``params``, which is allocated when not given; returns
+    it."""
+    if params is None:
+        params = np.empty(sum(part.param_count() for part in parts))
+    for part, piece in _slices(parts, params):
+        part.bind(piece)
+    return params
+
+
+@contextmanager
+def gradients(owners):
+    """Gradient vectors for the block a phase trains ``owners`` in. An
+    owner is a Network or a flow, whose ``networks()`` lay out its
+    ``params``. Each gets one zeroed vector of its ``params.size``, and
+    every layer's ``grads`` views its slices in the layout of ``params``;
+    the block receives the (params, grads) pair of each owner. On exit
+    the views are dropped, which frees the vectors: a network no phase
+    trains holds no gradient, and its backward pass returns only its
+    input gradient."""
+    owners = list(owners)
+    pairs = []
+    for owner in owners:
+        grads = np.zeros(owner.params.size)
+        for layer, part in _slices(_layers(owner), grads):
+            layer.grads = layer.views(part)
+        pairs.append((owner.params, grads))
+    try:
+        yield pairs
+    finally:
+        for owner in owners:
+            for layer in _layers(owner):
+                layer.grads = []
+
+
+def _layers(owner):
+    """The layers of a Network, or of every net of a flow, in the layout
+    of its ``params``."""
+    nets = [owner] if isinstance(owner, Network) else owner.networks()
+    return [layer for net in nets for layer in net.layers]
 
 
 class Dense(Layer):
@@ -120,8 +166,9 @@ class Dense(Layer):
 
     def backward(self, grad, *, input_grad=True):
         x = self._take_cache()
-        self.grads[0] += grad.T @ x
-        self.grads[1] += grad.sum(axis=0)
+        if self.grads:  # a frozen layer computes no weight product
+            self.grads[0] += grad.T @ x
+            self.grads[1] += grad.sum(axis=0)
         return grad @ self.w if input_grad else None
 
 
@@ -185,12 +232,12 @@ class ConcatCondition(Layer):
 
 class Network:
     """An ordered stack of layers sharing one forward/backward pass; the
-    layers view its two flat vectors, ``params`` and ``grads``."""
+    layers' parameters view its one flat vector, ``params``."""
 
     def __init__(self, layers, name="net"):
         self.layers = list(layers)
         self.name = name
-        self.params, self.grads = bind_slices(self.layers)
+        self.params = bind_slices(self.layers)
         # the lowest layer with parameters, where a backward pass that
         # needs no input gradient stops
         self._lowest_trained = next(
@@ -207,10 +254,11 @@ class Network:
         return x
 
     def backward(self, grad, *, input_grad=True):
-        """Accumulate the parameter gradients of the cached pass and return
-        the input gradient. With ``input_grad=False`` the pass stops at
-        the lowest layer with parameters, which skips its input product;
-        the caches below it are dropped and None is returned."""
+        """Accumulate the parameter gradients of the cached pass, in the
+        layers that hold gradient views, and return the input gradient.
+        With ``input_grad=False`` the pass stops at the lowest layer with
+        parameters, which skips its input product; the caches below it
+        are dropped and None is returned."""
         if input_grad:
             for layer in reversed(self.layers):
                 grad = layer.backward(grad)
@@ -224,12 +272,9 @@ class Network:
             layer._cache = None
         return None
 
-    def bind(self, params, grads):
-        """Move the network into 1-D ``params`` and ``grads`` buffers."""
-        self.params, self.grads = bind_slices(self.layers, params, grads)
-
-    def parameters(self):
-        return [(self.params, self.grads)]
+    def bind(self, params):
+        """Move the network into the 1-D buffer ``params``."""
+        self.params = bind_slices(self.layers, params)
 
     def drop_caches(self):
         """Forget every layer's cached forward pass, for a pass that will

@@ -20,7 +20,7 @@ import numpy as np
 from . import nn
 from .exceptions import ConfigurationError, DivergenceError
 from .flow import FlowStack, nll_loss_and_backward
-from .metrics import KnnProbe, _row_chunks
+from .metrics import KnnProbe, _row_chunks, right_rows
 from .model import ContinualModel
 from .rng import Rng
 
@@ -114,50 +114,53 @@ def _mixed_batch(task, idx, memory, fraction, rng):
     return _overwrite_rows((xb, y_cond), (memory.images, memory.y_global), fraction, rng)
 
 
-def _check_finite(loss, pairs):
+def _check_finite(loss, owners):
     """Stop a phase whose epoch loss or parameters have left the finite
     numbers. Both are checked: the loss of a step is taken before its
     update, so the last update of an epoch can leave non-finite weights
     behind a finite epoch loss."""
     if not np.isfinite(loss):
         raise DivergenceError(f"loss {loss}")
-    if not all(np.isfinite(p).all() for p, _ in pairs):
+    if not all(np.isfinite(owner.params).all() for owner in owners):
         raise DivergenceError("non-finite parameters")
 
 
-def _train_epochs(phase, task, cfg, rng, pairs, max_epochs, n_rows, step, end_epoch):
-    """The epoch loop of every phase. Each epoch shuffles `n_rows` rows
-    into mini-batches from the "batches" fork; before each `step(idx)` the
-    gradients of `pairs` are zeroed, and after it Adam updates them, unless
-    the step returned None for a batch it skipped. `end_epoch(mean_loss)`
-    runs after each epoch and stops the phase by returning True. Returns
-    the mean step loss of every epoch run; each phase runs a fresh Adam."""
-    adam = nn.Adam(pairs)
+def _train_epochs(phase, task, cfg, rng, owners, max_epochs, n_rows, step, end_epoch):
+    """The epoch loop of every phase, which trains `owners` (the networks
+    of the phase, or the flow). They hold gradient vectors for the length
+    of the loop only. Each epoch shuffles `n_rows` rows into mini-batches
+    from the "batches" fork; before each `step(idx)` the gradients are
+    zeroed, and after it Adam updates the parameters, unless the step
+    returned None for a batch it skipped. `end_epoch(mean_loss)` runs
+    after each epoch and stops the phase by returning True. Returns the
+    mean step loss of every epoch run; each phase runs a fresh Adam."""
     batch_rng = rng.fork("batches")
     history = []
-    for epoch in range(max_epochs):
-        epoch_loss, steps = 0.0, 0
-        try:
-            for idx in _batches(n_rows, cfg.batch_size, batch_rng):
-                for _, grad in pairs:
-                    grad[...] = 0.0
-                loss = step(idx)
-                if loss is None:
-                    continue
-                adam.step()
-                epoch_loss += loss
-                steps += 1
-            if steps == 0:
-                raise ConfigurationError(
-                    f"task {task.index} too small for {phase} training "
-                    f"at batch size {cfg.batch_size}")
-            _check_finite(epoch_loss, pairs)
-        except DivergenceError as err:
-            raise DivergenceError(
-                f"{phase} phase, task {task.index}, epoch {epoch}: {err}") from None
-        history.append(epoch_loss / steps)
-        if end_epoch(history[-1]):
-            break
+    with nn.gradients(owners) as pairs:
+        adam = nn.Adam(pairs)
+        for epoch in range(max_epochs):
+            epoch_loss, steps = 0.0, 0
+            try:
+                for idx in _batches(n_rows, cfg.batch_size, batch_rng):
+                    for _, grad in pairs:
+                        grad[...] = 0.0
+                    loss = step(idx)
+                    if loss is None:
+                        continue
+                    adam.step()
+                    epoch_loss += loss
+                    steps += 1
+                if steps == 0:
+                    raise ConfigurationError(
+                        f"task {task.index} too small for {phase} training "
+                        f"at batch size {cfg.batch_size}")
+                _check_finite(epoch_loss, owners)
+            except DivergenceError as err:
+                raise DivergenceError(
+                    f"{phase} phase, task {task.index}, epoch {epoch}: {err}") from None
+            history.append(epoch_loss / steps)
+            if end_epoch(history[-1]):
+                break
     return history
 
 
@@ -165,7 +168,8 @@ def _grouped_classifier_step(model, current_task_id, x, y_task, task_ids, dropou
     """Cross-entropy over a batch whose rows may belong to different
     tasks. Each row is scored by its own task's head; only the current
     head runs in train mode, but gradients flow through the frozen past
-    heads into the shared encoder."""
+    heads into the shared encoder. A past head holds no gradient vector,
+    so its backward pass computes only its input gradient."""
     z = model.encode_classify(x, train=True)
     dz = np.zeros_like(z)
     total = 0.0
@@ -194,12 +198,11 @@ def train_classifier_phase(model: ContinualModel, task, cfg, rng: Rng,
     with the best held-out accuracy on the current task is kept."""
     model.ensure_head(task.index, len(task.classes), rng.fork("head-init"))
     head = model.head(task.index)
-    pairs = model.classifier_parameters(task.index)
+    nets = model.classifier_networks(task.index)
 
     n_val = int(len(task) * cfg.validation_fraction)
     order = rng.fork("val-split").permutation(len(task))
     val_idx, fit_idx = order[:n_val], order[n_val:]
-    x_val, y_val = task.rows(val_idx), task.y_task[val_idx]
 
     dropout_rng = rng.fork("dropout")
     mem_rng = rng.fork("memory")
@@ -237,23 +240,24 @@ def train_classifier_phase(model: ContinualModel, task, cfg, rng: Rng,
     def validate(_mean_loss):
         nonlocal best_acc, best_params
         if len(val_idx):
-            logits = model.classify(x_val, task.index)
-            acc = float((logits.argmax(axis=1) == y_val).mean())
+            # the held-out rows are gathered a chunk at a time, as in
+            # evaluation, so no step holds them all
+            acc = right_rows(model, task, val_idx) / len(val_idx)
             # ties go to the later epoch: equally accurate but further trained
             if acc >= best_acc:
                 best_acc = acc
                 # one snapshot, overwritten in place: no second copy at a swap
                 if best_params is None:
-                    best_params = [np.empty_like(p) for p, _ in pairs]
-                for saved, (p, _) in zip(best_params, pairs):
-                    saved[...] = p
+                    best_params = [np.empty_like(net.params) for net in nets]
+                for saved, net in zip(best_params, nets):
+                    saved[...] = net.params
         return False
 
-    history = _train_epochs("classifier", task, cfg, rng, pairs, cfg.classifier_epochs,
+    history = _train_epochs("classifier", task, cfg, rng, nets, cfg.classifier_epochs,
                             len(fit_idx), step, validate)
     if best_params is not None:
-        for (p, _), saved in zip(pairs, best_params):
-            p[...] = saved
+        for net, saved in zip(nets, best_params):
+            net.params[...] = saved
     return {"loss_history": history, "best_val_accuracy": best_acc}
 
 
@@ -276,7 +280,7 @@ def train_autoencoder_phase(model: ContinualModel, task, cfg, rng: Rng,
         model.proj_reconstruct.backward(dz, input_grad=False)
         return loss
 
-    history = _train_epochs("autoencoder", task, cfg, rng, model.autoencoder_parameters(),
+    history = _train_epochs("autoencoder", task, cfg, rng, model.autoencoder_networks(),
                             cfg.ae_max_epochs, len(task), step, EarlyStop().update)
     return {"loss_history": history, "epochs": len(history)}
 
@@ -294,7 +298,7 @@ def train_flow_phase(flow: FlowStack, model: ContinualModel, task, cfg,
         xb, y_cond = _mixed_batch(task, idx, memory, cfg.replay_fraction, mem_rng)
         return nll_loss_and_backward(flow, model.encode_reconstruct(xb), cond=y_cond)
 
-    history = _train_epochs("flow", task, cfg, rng, flow.parameters(), cfg.flow_max_epochs,
+    history = _train_epochs("flow", task, cfg, rng, [flow], cfg.flow_max_epochs,
                             len(task), step, EarlyStop().update)
     return {"loss_history": history, "epochs": len(history)}
 

@@ -4,22 +4,40 @@ builders used across the suite."""
 import numpy as np
 
 from prer.flow import LOG_SCALE_BOUND, FlowStack
-from prer.nn import ConcatCondition, Dense, Dropout, Network, Relu
+from prer.nn import ConcatCondition, Dense, Dropout, Network, Relu, gradients
 from prer.rng import Rng
 
 
-def array_pairs(owner):
-    """(parameter, gradient) views, one pair per Dense weight and
-    bias of a network, or of every coupling net of a flow, in buffer
-    order."""
+def _layers(owner):
     nets = owner.networks() if isinstance(owner, FlowStack) else [owner]
-    return [(getattr(layer, name), g) for net in nets for layer in net.layers
+    return [layer for net in nets for layer in net.layers]
+
+
+def param_arrays(owner):
+    """Parameter views, one per Dense weight and bias of a network, or of
+    every coupling net of a flow, in buffer order."""
+    return [getattr(layer, name) for layer in _layers(owner) for name in layer.param_names]
+
+
+def array_pairs(owner):
+    """(parameter, gradient) views, one pair per Dense weight and bias of
+    a network, or of every coupling net of a flow, in buffer order. The
+    owner's gradients must be bound (``nn.gradients``)."""
+    layers = [layer for layer in _layers(owner) if layer.param_names]
+    assert all(layer.grads for layer in layers), "the owner holds no gradient views"
+    return [(getattr(layer, name), g) for layer in layers
             for name, g in zip(layer.param_names, layer.grads)]
+
+
+def layers_holding_gradients(owners):
+    """Every layer of the given networks or flows that holds a gradient
+    view."""
+    return [layer for owner in owners for layer in _layers(owner) if layer.grads]
 
 
 def get_params(net):
     """Copies of every parameter array of a network, in buffer order."""
-    return [p.copy() for p, _ in array_pairs(net)]
+    return [p.copy() for p in param_arrays(net)]
 
 
 def layers_holding_a_cache(model):
@@ -155,13 +173,14 @@ def check_network_gradients(net: Network, x, *, cond=None, train=False,
     y = fwd()
     w = probe_rng.normal(size=y.shape)
 
-    net.grads[...] = 0.0
-    dx = net.backward(w)
+    with gradients([net]):
+        dx = net.backward(w)
+        pairs = array_pairs(net)  # the views keep the gradients alive
     if dx.ndim != np.asarray(x).ndim:
         dx = dx[0]
 
     worst = 0.0
-    for p, g in array_pairs(net):
+    for p, g in pairs:
         flat_p = p.ravel()
         flat_g = g.ravel()
         n = flat_p.size

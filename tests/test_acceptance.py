@@ -101,8 +101,7 @@ def test_c1_flow_correctness():
             cfg = ExperimentConfig(embedding_dim=dim, flow_levels=levels, flow_blocks=blocks,
                                    conditioning="flow" if cond_width else "none")
             stack = build_flow(cfg, cond_width, rng)
-            for p, _ in stack.parameters():
-                p[...] = rng.uniform(-0.5, 0.5, p.shape)
+            stack.params[...] = rng.uniform(-0.5, 0.5, stack.params.shape)
             init_cond = rng.integers(0, cond_width, size=64) if cond_width else None
             stack.normalize(rng.normal(size=(64, dim)), cond=init_cond, train=True)
 
@@ -199,14 +198,15 @@ def test_c3_density_estimation_sanity():
 
         stack = build_flow(ExperimentConfig(embedding_dim=2, flow_levels=1, flow_blocks=5),
                            2, Rng(32))
-        adam = nn.Adam(stack.parameters())
-        for step in range(8000):
-            if step == 6000:
-                adam.lr = 2e-4
-            idx = rng.choice(len(data), size=128, replace=False)
-            stack.grads[...] = 0.0
-            nll_loss_and_backward(stack, data[idx])
-            adam.step()
+        with nn.gradients([stack]) as pairs:
+            adam = nn.Adam(pairs)
+            for step in range(8000):
+                if step == 6000:
+                    adam.lr = 2e-4
+                idx = rng.choice(len(data), size=128, replace=False)
+                pairs[0][1][...] = 0.0
+                nll_loss_and_backward(stack, data[idx])
+                adam.step()
 
         eval_rng = Rng(77)
         eval_data = centers[eval_rng.choice(2, size=20_000)] \

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from _helpers import array_pairs
+from _helpers import param_arrays
 from prer.checkpoint import (PROGRESS, load_run_state, restore_run_state, save_run_state,
                              state_arrays)
 from prer.config import ExperimentConfig
@@ -44,11 +44,11 @@ def trained_state(seed=1, **kwargs):
     state.model.ensure_head(1, 2, Rng(7))
     state.model.ensure_head(2, 2, Rng(8))
     rng = Rng(seed + 100)
-    pairs = [pair for net in state.model.all_networks().values() for pair in net.parameters()]
+    owners = list(state.model.all_networks().values())
     if state.flow is not None:
-        pairs += state.flow.parameters()
-    for p, _ in pairs:
-        p[...] = rng.uniform(-0.5, 0.5, p.shape)
+        owners.append(state.flow)
+    for owner in owners:
+        owner.params[...] = rng.uniform(-0.5, 0.5, owner.params.shape)
     if state.flow is not None:
         cond = rng.integers(0, 4, size=64) if state.cfg.flow_conditioned else None
         state.flow.normalize(rng.normal(size=(64, 6)), cond=cond, train=True)
@@ -65,8 +65,7 @@ def roundtrip(state, tmp_path, seed=1, **kwargs):
 def test_flow_roundtrip_bit_exact(tmp_path):
     flow = trained_state().flow
     restored = roundtrip(trained_state(), tmp_path).flow
-    for (p, _), (q, _) in zip(flow.parameters(), restored.parameters()):
-        assert np.array_equal(p, q)
+    assert np.array_equal(flow.params, restored.params)
     z = Rng(2).normal(size=(8, 6))
     u1, ld1 = flow.normalize(z)
     u2, ld2 = restored.normalize(z)
@@ -136,9 +135,9 @@ def test_per_array_layout_is_refused(tmp_path):
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files if not k.startswith(("model/", "flow/p"))}
     for name, net in state.model.all_networks().items():
-        for i, (p, _) in enumerate(array_pairs(net)):
+        for i, p in enumerate(param_arrays(net)):
             arrays[f"model/{name}/p{i}"] = p
-    for i, (p, _) in enumerate(array_pairs(state.flow)):
+    for i, p in enumerate(param_arrays(state.flow)):
         arrays[f"flow/p{i}"] = p
     np.savez(path, **arrays)
     with pytest.raises(ConfigurationError,
@@ -189,11 +188,8 @@ def test_run_state_resume_matches_straight_run(tmp_path):
     assert restored["d_t"] == restored["q_t"] == {}
     resumed = run_tasks(11, n_tasks=2, resume_path=path)
 
-    for (p, _), (q, _) in zip(straight.model.encoder.parameters(),
-                              resumed.model.encoder.parameters()):
-        assert np.array_equal(p, q)
-    for (p, _), (q, _) in zip(straight.flow.parameters(), resumed.flow.parameters()):
-        assert np.array_equal(p, q)
+    assert np.array_equal(straight.model.encoder.params, resumed.model.encoder.params)
+    assert np.array_equal(straight.flow.params, resumed.flow.params)
     assert np.array_equal(straight.memory.images, resumed.memory.images)
 
 

@@ -37,8 +37,7 @@ def constant_coupling(dim, log_s_value, t_value):
 
 def randomize(stack, seed=991):
     rng = Rng(seed)
-    for p, _ in stack.parameters():
-        p[...] = rng.uniform(-0.5, 0.5, p.shape)
+    stack.params[...] = rng.uniform(-0.5, 0.5, stack.params.shape)
     return stack
 
 
@@ -90,8 +89,8 @@ def test_coupling_hand_computed():
 def test_coupling_roundtrip_random():
     rng = Rng(3)
     layer = Coupling(5, 10, rng)
-    for p, _ in (layer.scale_net.parameters() + layer.translate_net.parameters()):
-        p[...] = rng.uniform(-0.8, 0.8, p.shape)
+    for net in layer.networks():
+        net.params[...] = rng.uniform(-0.8, 0.8, net.params.shape)
     u = rng.normal(size=(16, 5))
     back, _ = layer.apply(layer.invert(u))
     assert np.abs(back - u).max() < 1e-8
@@ -162,15 +161,16 @@ def test_coupling_backward_matches_recomputed_tanh_and_exp_bitwise(cond_width):
     cond = rng.integers(0, 3, size=32) if cond_width else None
     grad, grad_logdet = rng.normal(size=(32, 7)), rng.normal(size=32)
 
-    layer.apply(x, cond=cond)
-    dx = layer.backward_normalizing(grad, grad_logdet)
-    grads = [net.grads.copy() for net in layer.networks()]
-    for net in layer.networks():
-        net.grads[...] = 0.0
-    ref_dx = reference_coupling_backward(layer, x, grad, grad_logdet, cond=cond)
+    with nn.gradients(layer.networks()) as pairs:
+        layer.apply(x, cond=cond)
+        dx = layer.backward_normalizing(grad, grad_logdet)
+        grads = [g.copy() for _, g in pairs]
+        for _, g in pairs:
+            g[...] = 0.0
+        ref_dx = reference_coupling_backward(layer, x, grad, grad_logdet, cond=cond)
     assert same_bits(dx, ref_dx)
-    for got, net in zip(grads, layer.networks()):
-        assert same_bits(got, net.grads)
+    for got, (_, g) in zip(grads, pairs):
+        assert same_bits(got, g)
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +438,12 @@ def test_nll_gradient_matches_finite_differences():
     stack = build_flow(ExperimentConfig(embedding_dim=4, flow_levels=1, flow_blocks=2), 0, Rng(26))
     randomize(stack, seed=27)
     z = Rng(29).normal(size=(16, 4))
-    stack.grads[...] = 0.0
     # the train-mode pass holds its batch statistics constant in the
     # gradient; on fresh batch norms it also makes them the running ones,
     # which the eval-mode log_prob below reads
-    nll_loss_and_backward(stack, z)
-    pairs = array_pairs(stack)
+    with nn.gradients([stack]):
+        nll_loss_and_backward(stack, z)
+        pairs = array_pairs(stack)
     check_rng = Rng(30)
     h = 1e-6
     for p, g in pairs[:6]:
@@ -465,14 +465,15 @@ def gaussian_mixture(n, rng, centers=((-3.0, 0.0), (3.0, 0.0)), weights=(0.5, 0.
 
 
 def train_flow_on(stack, data, steps, rng, cond=None, batch=128):
-    adam = nn.Adam(stack.parameters())
     losses = []
-    for _ in range(steps):
-        idx = rng.choice(len(data), size=batch, replace=False)
-        stack.grads[...] = 0.0
-        c = cond[idx] if cond is not None else None
-        losses.append(nll_loss_and_backward(stack, data[idx], cond=c))
-        adam.step()
+    with nn.gradients([stack]) as pairs:
+        adam = nn.Adam(pairs)
+        for _ in range(steps):
+            idx = rng.choice(len(data), size=batch, replace=False)
+            pairs[0][1][...] = 0.0
+            c = cond[idx] if cond is not None else None
+            losses.append(nll_loss_and_backward(stack, data[idx], cond=c))
+            adam.step()
     return losses
 
 
@@ -480,17 +481,18 @@ def test_nll_training_curve_decreases_to_plateau():
     rng = Rng(31)
     data, _ = gaussian_mixture(2048, rng)
     stack = build_flow(ExperimentConfig(embedding_dim=2, flow_levels=1, flow_blocks=5), 0, Rng(32))
-    adam = nn.Adam(stack.parameters())
     epoch_losses = []
-    for _ in range(120):
-        order = rng.permutation(len(data))
-        batch_losses = []
-        for start in range(0, len(data), 128):
-            idx = order[start:start + 128]
-            stack.grads[...] = 0.0
-            batch_losses.append(nll_loss_and_backward(stack, data[idx]))
-            adam.step()
-        epoch_losses.append(np.mean(batch_losses))
+    with nn.gradients([stack]) as pairs:
+        adam = nn.Adam(pairs)
+        for _ in range(120):
+            order = rng.permutation(len(data))
+            batch_losses = []
+            for start in range(0, len(data), 128):
+                idx = order[start:start + 128]
+                pairs[0][1][...] = 0.0
+                batch_losses.append(nll_loss_and_backward(stack, data[idx]))
+                adam.step()
+            epoch_losses.append(np.mean(batch_losses))
     smoothed = np.convolve(epoch_losses, np.ones(5) / 5, mode="valid")
     assert smoothed[-1] < smoothed[0] - 0.25
     # decreasing per epoch, up to residual mini-batch noise at the plateau
@@ -516,13 +518,14 @@ def test_conditioned_flow_separates_classes(monkeypatch):
     # linear probe fitted on the real labelled data
     probe = nn.Network([nn.Dense(2, 2, Rng(37))])
     monkeypatch.setattr(nn.Adam, "lr", 0.01)
-    adam = nn.Adam(probe.parameters())
-    for _ in range(300):
-        idx = rng.choice(len(data), size=128, replace=False)
-        probe.grads[...] = 0.0
-        logits = probe.forward(data[idx])
-        probe.backward(nn.cross_entropy(logits, comps[idx])[1])
-        adam.step()
+    with nn.gradients([probe]) as pairs:
+        adam = nn.Adam(pairs)
+        for _ in range(300):
+            idx = rng.choice(len(data), size=128, replace=False)
+            pairs[0][1][...] = 0.0
+            logits = probe.forward(data[idx])
+            probe.backward(nn.cross_entropy(logits, comps[idx])[1])
+            adam.step()
 
     n = 300
     samples0 = stack.sample(n, Rng(38), cond=np.zeros(n, dtype=int))

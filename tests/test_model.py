@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from _helpers import array_pairs, get_params, layers_holding_a_cache
+from _helpers import get_params, layers_holding_a_cache, layers_holding_gradients, param_arrays
 from prer import nn
 from prer.config import ExperimentConfig
 from prer.data import Task
@@ -41,13 +41,11 @@ def test_head_separation():
     x = Rng(5).normal(size=(4, 6))
     # perturbing the reconstruction projection must not move z_c
     z_c = model.encode_classify(x)
-    for p, _ in model.proj_reconstruct.parameters():
-        p += 1.0
+    model.proj_reconstruct.params += 1.0
     assert np.array_equal(model.encode_classify(x), z_c)
     # and perturbing the classification projection must not move x_hat
     x_hat = model.decode(model.encode_reconstruct(x))
-    for p, _ in model.proj_classify.parameters():
-        p += 1.0
+    model.proj_classify.params += 1.0
     assert np.array_equal(model.decode(model.encode_reconstruct(x)), x_hat)
 
 
@@ -126,9 +124,9 @@ def test_parameter_partition_disjoint_and_complete():
     model.ensure_head(2, 2, Rng(12))
     groups = [model.encoder, model.proj_classify, model.proj_reconstruct,
               model.decoder, model.heads[1], model.heads[2]]
-    ids = [id(p) for net in groups for p, _ in net.parameters()]
+    ids = [id(net.params) for net in groups]
     assert len(ids) == len(set(ids))
-    all_ids = {id(p) for net in model.all_networks().values() for p, _ in net.parameters()}
+    all_ids = {id(net.params) for net in model.all_networks().values()}
     assert set(ids) == all_ids
 
 
@@ -157,12 +155,13 @@ def test_encoder_backward_without_input_gradient():
     x = data.normal(size=(7, 36))
     net = model.encoder
     dh = data.normal(size=net.forward(x).shape)
-    net.backward(dh)
-    full = net.grads.copy()
-    net.grads[...] = 0.0
-    net.forward(x)
-    assert net.backward(dh, input_grad=False) is None
-    assert np.array_equal(net.grads.view(np.int64), full.view(np.int64))
+    with nn.gradients([net]) as [(_, grads)]:
+        net.backward(dh)
+        full = grads.copy()
+        grads[...] = 0.0
+        net.forward(x)
+        assert net.backward(dh, input_grad=False) is None
+    assert np.array_equal(grads.view(np.int64), full.view(np.int64))
     assert all(layer._cache is None for layer in net.layers)
 
 
@@ -182,12 +181,12 @@ def test_autoencoder_phase_freezes_encoder_and_classifier_projection():
     fc_before = get_params(model.proj_classify)
     cfg = ExperimentConfig(strategy="prer", ae_max_epochs=10).validate()
     train_autoencoder_phase(model, task, cfg, Rng(14))
-    for before, (p, g) in zip(enc_before, array_pairs(model.encoder)):
+    for before, p in zip(enc_before, param_arrays(model.encoder)):
         assert np.array_equal(before, p)
-        assert np.all(g == 0.0)
-    for before, (p, g) in zip(fc_before, array_pairs(model.proj_classify)):
+    for before, p in zip(fc_before, param_arrays(model.proj_classify)):
         assert np.array_equal(before, p)
-        assert np.all(g == 0.0)
+    # and no layer keeps a gradient view once the phase has ended
+    assert layers_holding_gradients(model.all_networks().values()) == []
     # the frozen encoder's pass is never backpropagated, and keeps nothing
     assert layers_holding_a_cache(model) == []
 

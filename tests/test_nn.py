@@ -124,10 +124,10 @@ def test_zero_upstream_gives_zero_gradients():
     rng = Rng(3)
     net = Network([Dense(4, 3, rng), Relu(), Dense(3, 2, rng)])
     y = net.forward(rng.normal(size=(5, 4)))
-    net.grads[...] = 0.0
-    dx = net.backward(np.zeros_like(y))
+    with nn.gradients([net]) as pairs:
+        dx = net.backward(np.zeros_like(y))
     assert np.all(dx == 0.0)
-    for _, g in net.parameters():
+    for _, g in pairs:
         assert np.all(g == 0.0)
 
 
@@ -135,10 +135,31 @@ def test_scalar_dense_product_rule():
     layer = make_dense([[2.0]], [0.0])
     net = Network([layer])
     net.forward(np.array([[3.0]]))
-    net.grads[...] = 0.0
-    dx = net.backward(np.array([[1.0]]))
-    assert layer.grads[0][0, 0] == pytest.approx(3.0)  # dL/dw = x
+    with nn.gradients([net]):
+        dx = net.backward(np.array([[1.0]]))
+        assert layer.grads[0][0, 0] == pytest.approx(3.0)  # dL/dw = x
     assert dx[0, 0] == pytest.approx(2.0)              # dL/dx = w
+
+
+def test_gradient_views_exist_only_inside_their_block():
+    rng = Rng(5)
+    net = Network([Dense(3, 4, rng), Relu(), Dense(4, 2, rng)])
+    x, dy = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
+    with pytest.raises(ZeroDivisionError):
+        with nn.gradients([net]) as [(params, grads)]:
+            assert params is net.params and grads.shape == params.shape
+            assert all(layer.grads for layer in net.layers if layer.param_names)
+            net.forward(x)
+            trained_dx = net.backward(dy)
+            assert grads.any()
+            1 / 0
+    # the views are gone even after an error, and a frozen pass returns
+    # the same input gradient and adds nothing to the old vector
+    assert all(layer.grads == [] for layer in net.layers)
+    kept = grads.copy()
+    net.forward(x)
+    assert same_bits(net.backward(dy), trained_dx)
+    assert same_bits(grads, kept)
 
 
 def test_backward_without_forward_raises():
@@ -372,16 +393,17 @@ def test_training_determinism_bitwise():
         rng = Rng(seed)
         net = Network([Dense(6, 8, rng.fork("init")), Relu(),
                        Dropout(), Dense(8, 3, rng.fork("init2"))])
-        adam = Adam(net.parameters())
         data_rng = rng.fork("data")
         drop_rng = rng.fork("dropout")
-        for _ in range(20):
-            x = data_rng.normal(size=(8, 6))
-            y = data_rng.integers(0, 3, size=8)
-            net.grads[...] = 0.0
-            logits = net.forward(x, train=True, rng=drop_rng)
-            net.backward(nn.cross_entropy(logits, y)[1])
-            adam.step()
+        with nn.gradients([net]) as pairs:
+            adam = Adam(pairs)
+            for _ in range(20):
+                x = data_rng.normal(size=(8, 6))
+                y = data_rng.integers(0, 3, size=8)
+                pairs[0][1][...] = 0.0
+                logits = net.forward(x, train=True, rng=drop_rng)
+                net.backward(nn.cross_entropy(logits, y)[1])
+                adam.step()
         return get_params(net)
 
     for p1, p2 in zip(run(123), run(123)):

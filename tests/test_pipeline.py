@@ -8,8 +8,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from _helpers import get_params
-from prer import metrics
+from _helpers import get_params, same_bits
+from prer import metrics, nn
 from prer.config import ExperimentConfig
 from prer.data import Task, TaskStream, build_task_stream, split_train_test, synth_blobs
 from prer.exceptions import ConfigurationError, DivergenceError, StateError
@@ -20,6 +20,7 @@ from prer.nn import one_hot
 from prer.pipeline import (
     EarlyStop,
     RunState,
+    _grouped_classifier_step,
     _past_task_probe,
     class_schedule,
     generate_memory,
@@ -60,7 +61,7 @@ def make_state(seed, strategy="prer", conditioning="decoder", **cfg_kwargs):
 
 
 def classifier_params(model, task_id):
-    return [p.copy() for p, _ in model.classifier_parameters(task_id)]
+    return [net.params.copy() for net in model.classifier_networks(task_id)]
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +171,72 @@ def test_task_accuracy_counts_right_rows_chunk_by_chunk(monkeypatch, chunk_rows)
     right = int((pred == task.y_task).sum())
     assert 0 < right < len(task)
     assert task_accuracy(model, task) == 100.0 * (right / len(task))
+
+
+def test_validation_classifies_its_rows_a_chunk_at_a_time(monkeypatch):
+    # the held-out rows are gathered and classified a row chunk at a time,
+    # never all at once, and the best epoch's count of right rows is the
+    # one a whole-set call gives on the parameters kept
+    state, train_stream, _ = make_state(19, classifier_epochs=2)
+    model, task = state.model, train_stream.tasks[0]
+    monkeypatch.setattr(metrics, "CHUNK_FLOATS", 7 * model.input_dim)
+    sizes = []
+    classify = model.classify
+
+    def recording(x, task_id, train=False, rng=None):
+        if not train:
+            sizes.append(len(x))
+        return classify(x, task_id, train=train, rng=rng)
+
+    model.classify = recording
+    out = train_classifier_phase(model, task, state.cfg, Rng(1))
+    n_val = int(len(task) * state.cfg.validation_fraction)
+    assert sum(sizes) == 2 * n_val and max(sizes) <= 7 < n_val
+    val_idx = Rng(1).fork("val-split").permutation(len(task))[:n_val]
+    pred = classify(task.rows(val_idx), task.index).argmax(axis=1)
+    assert out["best_val_accuracy"] == int((pred == task.y_task[val_idx]).sum()) / n_val
+
+
+def test_replay_step_runs_past_heads_without_gradients(monkeypatch):
+    # a past head scores its replayed rows and passes their gradient on to
+    # the encoder, but holds no gradient vector, so none of its Dense
+    # layers computes a weight product; the trained networks get the bits
+    # they get when the past head is trained as well
+    def grouped_step(train_past):
+        model = make_model(37)
+        model.ensure_head(1, 2, Rng(38))
+        model.ensure_head(2, 2, Rng(39))
+        data = Rng(40)
+        x, y = data.normal(size=(16, 8)), data.integers(0, 2, size=16)
+        tids = data.permutation(np.repeat([1, 2], 8))
+        past, trained = model.heads[1], model.classifier_networks(2)
+
+        def passing(grad):
+            passed.append(nn.Network.backward(past, grad))
+            return passed[-1]
+
+        past.backward = passing
+        with nn.gradients(trained + [past] if train_past else trained) as pairs:
+            _grouped_classifier_step(model, 2, x, y, tids, Rng(41))
+        return model, [g for _, g in pairs[:len(trained)]]
+
+    weighted, passed = [], []
+    backward = nn.Dense.backward
+
+    def spying(layer, grad, **kwargs):
+        weighted.append((layer, bool(layer.grads)))
+        return backward(layer, grad, **kwargs)
+
+    monkeypatch.setattr(nn.Dense, "backward", spying)
+    model, grads = grouped_step(train_past=False)
+    past = [layer for layer in model.heads[1].layers if isinstance(layer, nn.Dense)]
+    assert [has for layer, has in weighted if any(layer is p for p in past)] == [False] * len(past)
+    assert all(has for layer, has in weighted if not any(layer is p for p in past))
+    # the past head's input gradient reaches the encoder
+    assert passed[0].shape == (8, model.embedding_dim) and passed[0].any()
+    _, reference = grouped_step(train_past=True)
+    for a, b in zip(grads, reference):
+        assert same_bits(a, b)
 
 
 @pytest.mark.parametrize("chunks", [2, 6])

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _helpers import layers_holding_a_cache
-from prer import metrics, runner
+from _helpers import layers_holding_a_cache, layers_holding_gradients
+from prer import metrics, nn, pipeline, runner
 from prer.checkpoint import load_run_state, state_arrays
 from prer.config import ExperimentConfig, load_config, parse_config_text
 from prer.data import LabeledDataset, build_task_stream, parse_dataset_spec, split_train_test
@@ -244,6 +244,42 @@ def test_a_finished_run_leaves_no_network_a_cache(monkeypatch, strategy):
     log = trained_tasks(monkeypatch)
     run_experiment(tiny_config(strategy=strategy), seed=1)
     assert layers_holding_a_cache(log["state"].model) == []
+
+
+@pytest.mark.parametrize("strategy", ["prer", "prer_r"])
+def test_only_a_training_phase_holds_gradients(monkeypatch, strategy):
+    # every optimizer step finds gradient views on the networks its phase
+    # trains and on no other; each phase drops them when it ends
+    log = trained_tasks(monkeypatch)
+
+    def holders():
+        state = log["state"]
+        owners = dict(state.model.all_networks(), flow=state.flow)
+        return {name for name, owner in owners.items() if layers_holding_gradients([owner])}
+
+    held, after_phase = set(), []
+    step = nn.Adam.step
+
+    def spying_step(adam):
+        held.add(frozenset(holders()))
+        step(adam)
+
+    def after(phase):
+        def run(*args, **kwargs):
+            out = phase(*args, **kwargs)
+            after_phase.append(holders())
+            return out
+        return run
+
+    monkeypatch.setattr(nn.Adam, "step", spying_step)
+    for name in ("train_classifier_phase", "train_autoencoder_phase", "train_flow_phase"):
+        monkeypatch.setattr(pipeline, name, after(getattr(pipeline, name)))
+    run_experiment(tiny_config(strategy=strategy), seed=1)
+    tasks = range(1, log["tasks"][-1] + 1)
+    assert held == {frozenset({"encoder", "proj_classify", f"head_{t}"}) for t in tasks} | {
+        frozenset({"proj_reconstruct", "decoder"}), frozenset({"flow"})}
+    assert after_phase == [set()] * (3 * len(tasks))
+    assert holders() == set()
 
 
 def trained_state(monkeypatch):
