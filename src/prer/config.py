@@ -45,7 +45,7 @@ class ExperimentConfig:
 
     # flow topology
     flow_levels: int = 1
-    flow_blocks: int = 5
+    flow_blocks = 5  # not annotated: a constant, not a config key
     flow_hidden_multiplier = 2  # not annotated: a constant, not a config key
 
     # evaluation / output
@@ -77,7 +77,7 @@ class ExperimentConfig:
         # written so that a NaN fails too
         if not self.beta >= 0.0:
             raise ConfigurationError(f"beta must be >= 0, got {self.beta}")
-        for key in ("embedding_dim", "coverage_cap", "flow_levels", "flow_blocks"):
+        for key in ("embedding_dim", "coverage_cap", "flow_levels"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
         # every record prices a flow of this topology, whether the run keeps one or not

@@ -8,10 +8,10 @@ it ends.
 ``build_model`` is the one builder: it builds the model a config describes.
 
 A forward path keeps the layer caches its backward pass consumes only
-under ``train=True``, which ``encode_classify`` and ``classify`` take for
-the classifier phase. Any other pass is never backpropagated: it drops
-every cache it set before it returns, so an evaluation keeps none of its
-rows or activations alive.
+under ``train=True``, which ``encode_classify`` takes for the classifier
+phase. Any other pass is never backpropagated: it drops every cache it
+set before it returns, so an evaluation keeps none of its rows or
+activations alive.
 """
 
 import numpy as np
@@ -81,8 +81,8 @@ class ContinualModel:
         classes ``y``."""
         return self._pass((self.decoder,), z, cond=y)
 
-    def classify(self, x, task_id: int, train=False, rng=None) -> np.ndarray:
-        return self._pass((self.head(task_id),), self.encode_classify(x, train), train, rng=rng)
+    def classify(self, x, task_id: int) -> np.ndarray:
+        return self._pass((self.head(task_id),), self.encode_classify(x))
 
     # -- bookkeeping ----------------------------------------------------
 

@@ -90,19 +90,17 @@ def _batches(n, batch_size, rng):
 
 
 def _overwrite_rows(batch, memory, fraction, rng):
-    """The batch arrays with their first ceil(fraction * n) rows replaced
-    by rows drawn, with one draw for all of them, from the memory arrays
-    paired with them; a batch array whose memory array is None is kept."""
+    """Returns `batch` with the first ceil(fraction * n) rows of each array
+    overwritten in place by rows drawn, with one draw for all of them,
+    from the memory array paired with it; an array whose memory array is
+    None is kept. Callers hand fresh gathers that nothing else reads."""
     n = len(batch[0])
     k = min(int(np.ceil(fraction * n)), n)
     pick = rng.choice(len(memory[0]), size=k, replace=len(memory[0]) < k)
-    out = []
     for rows, source in zip(batch, memory):
         if source is not None:
-            rows = rows.copy()
             rows[:k] = source[pick]
-        out.append(rows)
-    return out
+    return batch
 
 
 def _mixed_batch(task, idx, memory, fraction, rng):
@@ -164,22 +162,24 @@ def _train_epochs(phase, task, cfg, rng, owners, max_epochs, n_rows, step, end_e
     return history
 
 
-def _grouped_classifier_step(model, current_task_id, x, y_task, task_ids, dropout_rng):
+def _classifier_step(model, current_task_id, x, y_task, task_ids, dropout_rng):
     """Cross-entropy over a batch whose rows may belong to different
-    tasks. Each row is scored by its own task's head; only the current
+    tasks. Each row is scored by its own task's head, and `task_ids` None
+    scores them all as the current task's, in one group. Only the current
     head runs in train mode, but gradients flow through the frozen past
     heads into the shared encoder. A past head holds no gradient vector,
     so its backward pass computes only its input gradient."""
     z = model.encode_classify(x, train=True)
     dz = np.zeros_like(z)
+    if task_ids is None:
+        groups = [(current_task_id, slice(None))]
+    else:
+        groups = [(int(tid), np.flatnonzero(task_ids == tid)) for tid in np.unique(task_ids)]
     total = 0.0
-    n = len(x)
-    for tid in np.unique(task_ids):
-        rows = np.flatnonzero(task_ids == tid)
-        head = model.head(int(tid))
-        is_current = int(tid) == current_task_id
-        logits = head.forward(z[rows], train=is_current, rng=dropout_rng)
-        weight = len(rows) / n
+    for tid, rows in groups:
+        head = model.head(tid)
+        logits = head.forward(z[rows], train=tid == current_task_id, rng=dropout_rng)
+        weight = len(logits) / len(x)
         loss, dlogits = nn.cross_entropy(logits, y_task[rows])
         total += loss * weight
         dz[rows] = head.backward(dlogits * weight)
@@ -197,7 +197,6 @@ def train_classifier_phase(model: ContinualModel, task, cfg, rng: Rng,
     overwriting; each is used whenever it is handed. The epoch snapshot
     with the best held-out accuracy on the current task is kept."""
     model.ensure_head(task.index, len(task.classes), rng.fork("head-init"))
-    head = model.head(task.index)
     nets = model.classifier_networks(task.index)
 
     n_val = int(len(task) * cfg.validation_fraction)
@@ -209,19 +208,11 @@ def train_classifier_phase(model: ContinualModel, task, cfg, rng: Rng,
 
     def step(idx):
         rows = fit_idx[idx]
-        xb, yb = task.rows(rows), task.y_task[rows]
+        xb, yb, tids = task.rows(rows), task.y_task[rows], None
         if replay is not None:
-            tids = np.full(len(idx), task.index)
-            xb, yb, tids = _overwrite_rows((xb, yb, tids), replay,
+            xb, yb, tids = _overwrite_rows((xb, yb, np.full(len(idx), task.index)), replay,
                                            cfg.replay_fraction, mem_rng)
-            loss = _grouped_classifier_step(model, task.index, xb, yb, tids, dropout_rng)
-        else:
-            # one head for every row: no per-task grouping to pay for
-            logits = model.classify(xb, task.index, train=True, rng=dropout_rng)
-            loss, dlogits = nn.cross_entropy(logits, yb)
-            dz = head.backward(dlogits)
-            dh = model.proj_classify.backward(dz)
-            model.encoder.backward(dh, input_grad=False)
+        loss = _classifier_step(model, task.index, xb, yb, tids, dropout_rng)
 
         if penalty is not None:
             mem_x, mem_z = penalty

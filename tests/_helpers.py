@@ -3,6 +3,7 @@ builders used across the suite."""
 
 import numpy as np
 
+from prer.config import ExperimentConfig
 from prer.flow import LOG_SCALE_BOUND, FlowStack
 from prer.nn import ConcatCondition, Dense, Dropout, Network, Relu, gradients
 from prer.rng import Rng
@@ -33,6 +34,15 @@ def layers_holding_gradients(owners):
     """Every layer of the given networks or flows that holds a gradient
     view."""
     return [layer for owner in owners for layer in _layers(owner) if layer.grads]
+
+
+def flow_config(flow_blocks, **kwargs):
+    """An ExperimentConfig whose flow has ``flow_blocks`` blocks per
+    level. The block count is a class constant, not a config key, so it
+    is set on the instance."""
+    cfg = ExperimentConfig(**kwargs)
+    cfg.flow_blocks = flow_blocks
+    return cfg
 
 
 def get_params(net):

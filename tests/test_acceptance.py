@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _helpers import check_network_gradients, random_layer_instance, rel_err
+from _helpers import check_network_gradients, flow_config, random_layer_instance, rel_err
 from prer import nn
 from prer.config import ExperimentConfig
 from prer.data import build_task_stream, split_train_test, synth_blobs
@@ -67,7 +67,6 @@ def blob_config(strategy="prer", conditioning="decoder"):
         ae_max_epochs=150,
         flow_max_epochs=150,
         flow_levels=1,
-        flow_blocks=5,
         coverage_cap=200,
     ).validate()
 
@@ -98,8 +97,8 @@ def test_c1_flow_correctness():
             levels = int(rng.integers(1, 4))
             blocks = int(rng.integers(1, 6))
             cond_width = int(rng.integers(0, 4)) if rng.random() < 0.4 else 0
-            cfg = ExperimentConfig(embedding_dim=dim, flow_levels=levels, flow_blocks=blocks,
-                                   conditioning="flow" if cond_width else "none")
+            cfg = flow_config(blocks, embedding_dim=dim, flow_levels=levels,
+                              conditioning="flow" if cond_width else "none")
             stack = build_flow(cfg, cond_width, rng)
             stack.params[...] = rng.uniform(-0.5, 0.5, stack.params.shape)
             init_cond = rng.integers(0, cond_width, size=64) if cond_width else None
@@ -196,7 +195,7 @@ def test_c3_density_estimation_sanity():
             + ent_rng.normal(size=(200_000, 2))
         entropy = float(-mixture_logpdf(ent_sample).mean())
 
-        stack = build_flow(ExperimentConfig(embedding_dim=2, flow_levels=1, flow_blocks=5),
+        stack = build_flow(ExperimentConfig(embedding_dim=2, flow_levels=1),
                            2, Rng(32))
         with nn.gradients([stack]) as pairs:
             adam = nn.Adam(pairs)
@@ -337,7 +336,6 @@ def test_c7_mnist_reproduction():
             ae_max_epochs=30,
             flow_max_epochs=30,
             flow_levels=2,
-            flow_blocks=5,
             coverage_cap=300,
         ).validate()
         prer = [run_experiment(cfg, seed) for seed in cfg.seeds]

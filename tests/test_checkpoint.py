@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from _helpers import param_arrays
+from _helpers import flow_config, param_arrays
 from prer.checkpoint import (PROGRESS, load_run_state, restore_run_state, save_run_state,
                              state_arrays)
 from prer.config import ExperimentConfig
@@ -26,8 +26,8 @@ def fresh_state(seed=1, conditioning="none", encoder_hidden=(10,), with_flow=Tru
     seed's "flow-init" fork, so the permutations match across rebuilds,
     and a two-task stream of 2 classes each, which the heads are rebuilt
     from."""
-    cfg = ExperimentConfig(embedding_dim=6, encoder_hidden=encoder_hidden,
-                           conditioning=conditioning, flow_levels=2, flow_blocks=3)
+    cfg = flow_config(3, embedding_dim=6, encoder_hidden=encoder_hidden,
+                      conditioning=conditioning, flow_levels=2)
     model = build_model(cfg, 6, 4, Rng(seed))
     flow = None
     if with_flow:
@@ -163,7 +163,7 @@ def run_tasks(seed, n_tasks, checkpoint_path=None, resume_path=None):
     cfg = ExperimentConfig(strategy="prer", classifier_epochs=4, ae_max_epochs=8,
                            flow_max_epochs=8, memory_size=40, batch_size=32,
                            embedding_dim=4, encoder_hidden=(12,), conditioning="none",
-                           flow_levels=1, flow_blocks=5).validate()
+                           flow_levels=1).validate()
     model = build_model(cfg, 6, 4, Rng(seed))
     flow = build_flow(cfg, 4, Rng(seed).fork("flow-init"))
     state = RunState(model=model, flow=flow, stream=stream, cfg=cfg, rng=Rng(seed))

@@ -4,7 +4,8 @@ log-determinants, multi-scale routing, sampling and conditioning."""
 import numpy as np
 import pytest
 
-from _helpers import array_pairs, auc_score, reference_coupling_backward, rel_err, same_bits
+from _helpers import (array_pairs, auc_score, flow_config, reference_coupling_backward, rel_err,
+                      same_bits)
 from prer import nn
 from prer.config import ExperimentConfig
 from prer.exceptions import ConfigurationError, DivergenceError, StateError
@@ -121,7 +122,7 @@ def test_coupling_divergence_reports():
 
 
 def test_stack_divergence_names_layer():
-    stack = build_flow(ExperimentConfig(embedding_dim=4, flow_levels=1, flow_blocks=2), 0, Rng(50))
+    stack = build_flow(flow_config(2, embedding_dim=4, flow_levels=1), 0, Rng(50))
     stack.levels[0][5].scale_net.layers[-1].b[0] = np.nan  # second block's coupling
     with pytest.raises(DivergenceError, match="level 0, layer 5"):
         stack.normalize(np.ones((4, 4)), train=True)
@@ -281,7 +282,7 @@ def test_log_prob_identity_stack_matches_standard_normal():
 
 
 def test_logdet_matches_numeric_jacobian_random_stack():
-    stack = build_flow(ExperimentConfig(embedding_dim=4, flow_levels=1, flow_blocks=2),
+    stack = build_flow(flow_config(2, embedding_dim=4, flow_levels=1),
                        0, Rng(13))
     randomize(stack)
     initialize_batchnorms(stack)
@@ -298,7 +299,7 @@ def test_sample_identity_stack_matches_prior_moments():
 
 
 def test_log_prob_of_samples_is_finite():
-    stack = build_flow(ExperimentConfig(embedding_dim=6, flow_levels=2, flow_blocks=3), 0, Rng(17))
+    stack = build_flow(flow_config(3, embedding_dim=6, flow_levels=2), 0, Rng(17))
     randomize(stack)
     initialize_batchnorms(stack)
     samples = stack.sample(256, Rng(18))
@@ -306,7 +307,7 @@ def test_log_prob_of_samples_is_finite():
 
 
 def test_sampling_leaves_no_layer_cache():
-    stack = build_flow(ExperimentConfig(embedding_dim=6, flow_levels=2, flow_blocks=3), 0, Rng(21))
+    stack = build_flow(flow_config(3, embedding_dim=6, flow_levels=2), 0, Rng(21))
     randomize(stack)
     initialize_batchnorms(stack)  # a normalizing pass fills the caches
     stack.sample(50, Rng(23))
@@ -326,8 +327,7 @@ def test_bijectivity_random_stacks():
         blocks = int(rng.integers(1, 4))
         dim = int(rng.integers(2, 8))
         levels = min(levels, max(1, int(np.log2(dim)) + 1))
-        stack = build_flow(ExperimentConfig(embedding_dim=dim, flow_levels=levels,
-                                            flow_blocks=blocks), 0, rng)
+        stack = build_flow(flow_config(blocks, embedding_dim=dim, flow_levels=levels), 0, rng)
         randomize(stack, seed=200 + seed)
         initialize_batchnorms(stack, seed=300 + seed)
         z = Rng(400 + seed).normal(size=(12, dim))
@@ -340,7 +340,7 @@ def test_bijectivity_random_stacks():
 
 
 def test_multi_scale_preserves_dimensionality():
-    cfg = ExperimentConfig(embedding_dim=10, flow_levels=3, flow_blocks=2)
+    cfg = flow_config(2, embedding_dim=10, flow_levels=3)
     stack = build_flow(cfg, 0, Rng(19))
     assert stack.level_widths == [10, 5, 2]
     assert stack.emit_widths == [5, 3, 2]
@@ -355,8 +355,7 @@ def test_width_one_level_holds_no_coupling_and_stays_exact(conditioning):
     # a width-1 level has nothing to split: its blocks are a permutation
     # and a batch norm each, and the stack still inverts with the exact
     # log-determinant
-    cfg = ExperimentConfig(embedding_dim=7, flow_levels=3, flow_blocks=2,
-                           conditioning=conditioning)
+    cfg = flow_config(2, embedding_dim=7, flow_levels=3, conditioning=conditioning)
     stack = build_flow(cfg, 3, Rng(60))
     assert stack.level_widths == [7, 3, 1]
     assert [[type(layer) for layer in layers] for layers in stack.levels[1:]] == [
@@ -382,15 +381,15 @@ def test_level_widths_match_the_halving_loop():
                 w -= (w + 1) // 2
             assert level_widths(dim, levels) == widths
             if widths[-1] >= 1:
-                stack = build_flow(ExperimentConfig(embedding_dim=dim, flow_levels=levels,
-                                                    flow_blocks=1), 0, Rng(dim))
+                stack = build_flow(flow_config(1, embedding_dim=dim, flow_levels=levels),
+                                   0, Rng(dim))
                 assert stack.level_widths == widths
                 assert sum(stack.emit_widths) == dim
 
 
 def test_conditioning_placement():
-    stack = build_flow(ExperimentConfig(embedding_dim=8, flow_levels=2, flow_blocks=3,
-                                        conditioning="flow"), 5, Rng(21))
+    stack = build_flow(flow_config(3, embedding_dim=8, flow_levels=2, conditioning="flow"),
+                       5, Rng(21))
     conditioned = [
         (li, bi) for li, layers in enumerate(stack.levels)
         for bi, layer in enumerate(layers)
@@ -404,8 +403,8 @@ def test_conditioning_placement():
 
 
 def test_flow_condition_required_and_rejected():
-    stack = build_flow(ExperimentConfig(embedding_dim=4, flow_levels=1, flow_blocks=1,
-                                        conditioning="flow"), 3, Rng(22))
+    stack = build_flow(flow_config(1, embedding_dim=4, flow_levels=1, conditioning="flow"),
+                       3, Rng(22))
     z = Rng(24).normal(size=(2, 4))
     stack.normalize(Rng(25).normal(size=(8, 4)), cond=np.arange(8) % 3, train=True)
     for cond in BAD_CLASSES:
@@ -414,7 +413,7 @@ def test_flow_condition_required_and_rejected():
         with pytest.raises(ConfigurationError):
             stack.generate(z, cond=cond)
     # an unconditioned flow ignores the classes
-    plain = build_flow(ExperimentConfig(embedding_dim=4, flow_levels=1, flow_blocks=2), 3, Rng(23))
+    plain = build_flow(flow_config(2, embedding_dim=4, flow_levels=1), 3, Rng(23))
     plain.params[...] = Rng(26).uniform(-0.5, 0.5, plain.params.shape)
     plain.normalize(Rng(25).normal(size=(8, 4)), train=True)
     u, logdet = plain.normalize(z)
@@ -435,7 +434,7 @@ def test_nll_identity_stack_on_standard_normal():
 
 
 def test_nll_gradient_matches_finite_differences():
-    stack = build_flow(ExperimentConfig(embedding_dim=4, flow_levels=1, flow_blocks=2), 0, Rng(26))
+    stack = build_flow(flow_config(2, embedding_dim=4, flow_levels=1), 0, Rng(26))
     randomize(stack, seed=27)
     z = Rng(29).normal(size=(16, 4))
     # the train-mode pass holds its batch statistics constant in the
@@ -480,7 +479,7 @@ def train_flow_on(stack, data, steps, rng, cond=None, batch=128):
 def test_nll_training_curve_decreases_to_plateau():
     rng = Rng(31)
     data, _ = gaussian_mixture(2048, rng)
-    stack = build_flow(ExperimentConfig(embedding_dim=2, flow_levels=1, flow_blocks=5), 0, Rng(32))
+    stack = build_flow(ExperimentConfig(embedding_dim=2, flow_levels=1), 0, Rng(32))
     epoch_losses = []
     with nn.gradients([stack]) as pairs:
         adam = nn.Adam(pairs)
@@ -511,7 +510,7 @@ def test_nll_invariant_to_appended_permutation_at_identity_init():
 def test_conditioned_flow_separates_classes(monkeypatch):
     rng = Rng(35)
     data, comps = gaussian_mixture(1024, rng, centers=((-4.0, 0.0), (4.0, 0.0)))
-    stack = build_flow(ExperimentConfig(embedding_dim=2, flow_levels=1, flow_blocks=5,
+    stack = build_flow(ExperimentConfig(embedding_dim=2, flow_levels=1,
                                         conditioning="flow"), 2, Rng(36))
     train_flow_on(stack, data, steps=800, rng=rng, cond=comps)
 

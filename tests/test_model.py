@@ -98,7 +98,7 @@ def test_train_pass_keeps_the_caches_backward_consumes():
     z = model.encode_classify(x, train=True)
     dh = model.proj_classify.backward(np.ones_like(z))
     assert model.encoder.backward(dh, input_grad=False) is None
-    logits = model.classify(x, 1, train=True, rng=Rng(47))
+    logits = model.head(1).forward(model.encode_classify(x, train=True), train=True, rng=Rng(47))
     dz = model.head(1).backward(np.ones_like(logits))
     model.encoder.backward(model.proj_classify.backward(dz), input_grad=False)
     assert layers_holding_a_cache(model) == []

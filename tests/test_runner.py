@@ -556,7 +556,8 @@ def test_parse_config_text_full():
 
 
 @pytest.mark.parametrize("key", ["no_such_key", "lr", "patience", "min_delta", "head_dropout",
-                                 "flow_hidden_multiplier", "encoder", "conv_channels"])
+                                 "flow_hidden_multiplier", "flow_blocks", "encoder",
+                                 "conv_channels"])
 def test_parse_config_rejects_unknown_key(key):
     with pytest.raises(ConfigurationError, match=f"unknown config key '{key}'"):
         parse_config_text(f"{key} = 1")
@@ -590,7 +591,7 @@ def test_parse_config_rejects_bad_value(line, pattern):
 
 def test_config_text_round_trips_every_hashed_field():
     cfg = tiny_config(strategy="prer_r", conditioning="both", encoder_hidden=(3, 5),
-                      decoder_hidden=(), flow_blocks=3)
+                      decoder_hidden=())
     text = cfg.canonical_text()
     assert "decoder_hidden = \n" in text
     parsed = parse_config_text(text)
@@ -654,12 +655,10 @@ def test_readme_config_table_lists_every_key():
 
 
 def test_flow_topology_takes_any_size_that_fits():
-    # any levels x blocks >= 1 is a valid flow once the embedding can hold it
-    assert tiny_config(flow_blocks=3).flow_blocks == 3
+    # any level count >= 1 is a valid flow once the embedding can hold it
     assert tiny_config(flow_levels=4, embedding_dim=16).flow_levels == 4
-    for key in ("flow_levels", "flow_blocks"):
-        with pytest.raises(ConfigurationError, match=f"{key} must be >= 1"):
-            tiny_config(**{key: 0})
+    with pytest.raises(ConfigurationError, match="flow_levels must be >= 1"):
+        tiny_config(flow_levels=0)
 
 
 def test_config_hash_stable_and_sensitive():

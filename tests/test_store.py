@@ -127,7 +127,7 @@ def _train_classifier(make_adam, steps=50):
             x, y = data.random(size=(32, 784)), data.integers(0, 2, size=32)
             for _, g in pairs:
                 g[...] = 0.0
-            logits = model.classify(x, 1, train=True, rng=dropout)
+            logits = head.forward(model.encode_classify(x, train=True), train=True, rng=dropout)
             dz = head.backward(nn.cross_entropy(logits, y)[1])
             model.encoder.backward(model.proj_classify.backward(dz))
             adam.step()

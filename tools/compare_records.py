@@ -54,6 +54,10 @@ at seed 1 (taken from this checkout, so both trees read the same config):
 - each knob that keeps the memory from a phase, at 0: er and prer with
   ``beta = 0``, prer and prer_r with ``replay_fraction = 0``, replay and
   prer with ``memory_size = 0``;
+- replay and prer_r with ``replay_fraction = 0.99``: ceil(0.99 n) = n
+  for every batch of at most 100 rows, so each classifier batch from
+  task 2 on holds memory rows only, and the current task's head scores
+  none of them;
 - prer, and prer_r with conditioning both, each with ``coverage_cap = 50``:
   the config leaves 120 training rows per class, so the coverage step
   draws the capped rows of every class, which no other run does;
@@ -63,7 +67,7 @@ at seed 1 (taken from this checkout, so both trees read the same config):
   chunks of ``metrics.CHUNK_FLOATS`` floats, 334 rows at 784 dims),
   where every other prer_r run's task fits in one.
 
-That is 34 runs.
+That is 36 runs.
 
 Records are compared without ``timings`` and ``config_hash``, the same
 rule as ``bench/checks.digest``. Exits 1 on any difference. Uses only the
@@ -135,6 +139,9 @@ def grid():
                            ("prer_r", "replay_fraction"), ("replay", "memory_size"),
                            ("prer", "memory_size")):
         runs.append((f"{strategy}-{knob}-0", {"strategy": strategy, knob: 0}, None))
+    for strategy in ("replay", "prer_r"):
+        runs.append((f"{strategy}-replay_fraction-0.99",
+                     {"strategy": strategy, "replay_fraction": 0.99}, None))
     runs.append(("prer-cap50", {"strategy": "prer", "coverage_cap": 50}, None))
     runs.append(("prer_r-both-cap50",
                  {"strategy": "prer_r", "conditioning": "both", "coverage_cap": 50}, None))
