@@ -10,10 +10,12 @@ Backpropagation exists only for the normalizing direction (the one that
 is trained). Batch statistics inside the batch-norm layers are treated
 as constants in the gradient.
 
-Layer cache slots serve the single training thread: a backward pass must
-follow its own forward pass. Concurrent sampling or density evaluation
-on a frozen stack returns correct values regardless (results never read
-the caches), training concurrently with anything is not supported.
+A layer caches what its backward pass consumes only on a training pass
+(``train=True``), which updates the batch-norm statistics too; a
+backward pass must follow its own forward pass on the single training
+thread. Sampling and density evaluation write no state, so they may run
+concurrently on a frozen stack; training concurrently with anything is
+not supported.
 """
 
 import numpy as np
@@ -108,8 +110,10 @@ class BatchNorm:
             mean, var = self.mean, self.var
             centred = x - mean
         var_eps = var + self.eps
-        self._cache = np.sqrt(var_eps)
-        return centred / self._cache, np.full(len(x), -0.5 * float(np.log(var_eps).sum()))
+        denom = np.sqrt(var_eps)
+        if train:
+            self._cache = denom
+        return centred / denom, np.full(len(x), -0.5 * float(np.log(var_eps).sum()))
 
     def invert(self, y, cond=None):
         self._require_init()
@@ -158,29 +162,24 @@ class Coupling:
 
     def apply(self, x, cond=None, train=False):
         a, b = x[:, :self.a_dim], x[:, self.a_dim:]
-        tanh_raw = np.tanh(self.scale_net.forward(a, cond=cond))
+        tanh_raw = np.tanh(self.scale_net.forward(a, train=train, cond=cond))
         log_s = LOG_SCALE_BOUND * tanh_raw
         if not np.isfinite(log_s).all():
             raise DivergenceError("coupling produced non-finite log-scales")
-        t = self.translate_net.forward(a, cond=cond)
+        t = self.translate_net.forward(a, train=train, cond=cond)
         inv_s = np.exp(-log_s)
         out_b = (b - t) * inv_s
-        self._cache = (tanh_raw, inv_s, out_b)
+        if train:
+            self._cache = (tanh_raw, inv_s, out_b)
         return np.concatenate([a, out_b], axis=1), -log_s.sum(axis=1)
 
     def invert(self, y, cond=None):
-        # sampling is never backpropagated: what a net or a normalizing
-        # pass cached would only keep a large sample's activations resident,
-        # so each net forgets its own before the next one runs
         a, b = y[:, :self.a_dim], y[:, self.a_dim:]
         tanh_raw = np.tanh(self.scale_net.forward(a, cond=cond))
-        self.scale_net.drop_caches()
         log_s = LOG_SCALE_BOUND * tanh_raw
         if not np.isfinite(log_s).all():
             raise DivergenceError("coupling produced non-finite log-scales")
         t = self.translate_net.forward(a, cond=cond)
-        self.translate_net.drop_caches()
-        self._cache = None
         return np.concatenate([a, np.exp(log_s) * b + t], axis=1)
 
     def backward_normalizing(self, grad, grad_logdet):

@@ -170,13 +170,15 @@ def generation_quality(memory, model) -> float:
 
 def memory_footprint(strategy, num_tasks: int, samples_per_task: int,
                      image_floats: int, embedding_floats: int = 0,
-                     model_params: int = 0) -> float:
+                     model_params: int = 0, probe_rows: int = 0) -> float:
     """Float count of the extra storage a strategy carries; ``strategy``
     is a ``pipeline.Strategy``. A flow strategy stores its generative
-    model, one that replays or penalizes stores real rows (with their
-    embeddings for a penalty), any other stores nothing."""
+    model, and one that also replays keeps the ``probe_rows`` real rows
+    its label probe reads; one that replays or penalizes without a flow
+    stores real rows (with their embeddings for a penalty), any other
+    stores nothing."""
     if strategy.flow:
-        return float(model_params)
+        return float(model_params + (probe_rows * image_floats if strategy.replay else 0))
     if strategy.replay or strategy.penalty:
         row = image_floats + (embedding_floats if strategy.penalty else 0)
         return float(num_tasks * samples_per_task * row)

@@ -7,11 +7,10 @@ created lazily when their task starts and are never trained again after
 it ends.
 ``build_model`` is the one builder: it builds the model a config describes.
 
-A forward path keeps the layer caches its backward pass consumes only
-under ``train=True``, which ``encode_classify`` takes for the classifier
-phase. Any other pass is never backpropagated: it drops every cache it
-set before it returns, so an evaluation keeps none of its rows or
-activations alive.
+A forward path caches what its backward pass consumes only under
+``train=True``, which ``encode_classify`` takes for the classifier
+phase. Every other path is never backpropagated and writes no layer
+state, so an evaluation keeps none of its rows or activations alive.
 """
 
 import numpy as np
@@ -60,29 +59,19 @@ class ContinualModel:
 
     # -- forward paths --------------------------------------------------
 
-    @staticmethod
-    def _pass(nets, x, train=False, **kwargs):
-        """``x`` through ``nets`` in order; without ``train``, each net drops
-        its caches before the next one runs."""
-        for net in nets:
-            x = net.forward(x, train=train, **kwargs)
-            if not train:
-                net.drop_caches()
-        return x
-
     def encode_classify(self, x, train=False) -> np.ndarray:
-        return self._pass((self.encoder, self.proj_classify), x, train)
+        return self.proj_classify.forward(self.encoder.forward(x, train=train), train=train)
 
     def encode_reconstruct(self, x) -> np.ndarray:
-        return self._pass((self.encoder, self.proj_reconstruct), x)
+        return self.proj_reconstruct.forward(self.encoder.forward(x))
 
     def decode(self, z, y=None) -> np.ndarray:
         """Rows decoded from ``z``; a conditioned decoder reads the rows'
         classes ``y``."""
-        return self._pass((self.decoder,), z, cond=y)
+        return self.decoder.forward(z, cond=y)
 
     def classify(self, x, task_id: int) -> np.ndarray:
-        return self._pass((self.head(task_id),), self.encode_classify(x))
+        return self.head(task_id).forward(self.encode_classify(x))
 
     # -- bookkeeping ----------------------------------------------------
 

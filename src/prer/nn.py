@@ -1,13 +1,15 @@
 """Dense network substrate with hand-written backpropagation.
 
-Everything runs in float64 on (rows, features) arrays. Layers cache
-their most recent forward pass; ``backward`` consumes the cache and
-accumulates parameter gradients in place, into the vectors ``gradients``
-binds while a phase trains, so several loss terms can be
-backpropagated before a single optimizer step. There is no general
-autodiff: a network is an ordered list of layers and gradients flow back
-through that list only. Each loss returns its value and its gradient
-from one pass over the shared intermediates.
+Everything runs in float64 on (rows, features) arrays. ``train=True``
+means that a pass will be backpropagated, and only such a pass caches
+what its layers' ``backward`` needs; any other pass writes no state.
+``backward`` consumes the cache and accumulates parameter gradients in
+place, into the vectors ``gradients`` binds while a phase trains, so
+several loss terms can be backpropagated before a single optimizer
+step. There is no general autodiff: a network is an ordered list of
+layers and gradients flow back through that list only. Each loss
+returns its value and its gradient from one pass over the shared
+intermediates.
 """
 
 import logging
@@ -47,7 +49,8 @@ class Layer:
     parameters; once its network binds it, they are views of the
     network's flat ``params``. ``grads`` holds views of a gradient vector
     only while a training phase binds one (see ``gradients``), and is
-    empty otherwise. ``forward`` receives the rows' classes ``cond`` as it
+    empty otherwise. ``forward`` caches what ``backward`` consumes only
+    under ``train=True``. It receives the rows' classes ``cond`` as it
     receives ``rng``: only a layer that needs them reads them."""
 
     param_names = ()
@@ -161,7 +164,8 @@ class Dense(Layer):
             raise ValueError(
                 f"expected input of width {self.in_dim}, got shape {x.shape}"
             )
-        self._cache = x
+        if train:
+            self._cache = x
         return x @ self.w.T + self.b
 
     def backward(self, grad, *, input_grad=True):
@@ -174,13 +178,14 @@ class Dense(Layer):
 
 class Relu(Layer):
     def forward(self, x, train=False, rng=None, cond=None):
-        self._cache = x > 0
+        if train:
+            self._cache = x > 0
         return np.maximum(x, 0.0)  # NaN stays NaN; -0.0 becomes 0.0
 
     def backward(self, grad):
         # np.where(mask, grad, 0.0) bit for bit (NaN, inf and -0.0
         # included) as an AND of grad's bits with 0 or -1 per element;
-        # the cast happens here so eval-only forwards pay nothing for it.
+        # the cast happens here, once per pass that is backpropagated.
         # The AND allocates its output as np.where does, in the memory
         # order both inputs imply: later sums depend on that order.
         keep = self._take_cache().astype(np.int64)
@@ -189,21 +194,21 @@ class Relu(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout: training scales kept units by 1/keep so that
-    evaluation mode is the identity."""
+    """Inverted dropout: a pass handed an ``rng`` draws a mask that scales
+    kept units by 1/keep; without one the layer is the identity, so a
+    backpropagated pass can run without a mask (its cached mask is 1.0)."""
 
     drop_prob = 0.2
 
     def forward(self, x, train=False, rng=None, cond=None):
-        if not train:
-            self._cache = 1.0
-            return x
-        if rng is None:
-            raise ConfigurationError("dropout in train mode needs an rng")
-        keep = 1.0 - self.drop_prob
-        mask = (rng.random(x.shape) >= self.drop_prob) / keep
-        self._cache = mask
-        return x * mask
+        mask = 1.0
+        if rng is not None:
+            keep = 1.0 - self.drop_prob
+            mask = (rng.random(x.shape) >= self.drop_prob) / keep
+            x = x * mask
+        if train:
+            self._cache = mask
+        return x
 
     def backward(self, grad):
         mask = self._take_cache()
@@ -222,7 +227,8 @@ class ConcatCondition(Layer):
         if cond is None or np.shape(cond) != (len(x),):
             got = "none" if cond is None else f"shape {np.shape(cond)}"
             raise ConfigurationError(f"a conditioned layer needs one class per row, got {got}")
-        self._cache = x.shape[1]
+        if train:
+            self._cache = x.shape[1]
         return np.concatenate([x, one_hot(cond, self.num_classes)], axis=1)
 
     def backward(self, grad):
@@ -275,12 +281,6 @@ class Network:
     def bind(self, params):
         """Move the network into the 1-D buffer ``params``."""
         self.params = bind_slices(self.layers, params)
-
-    def drop_caches(self):
-        """Forget every layer's cached forward pass, for a pass that will
-        never be backpropagated."""
-        for layer in self.layers:
-            layer._cache = None
 
     def param_count(self):
         return self.params.size

@@ -165,10 +165,11 @@ def _train_epochs(phase, task, cfg, rng, owners, max_epochs, n_rows, step, end_e
 def _classifier_step(model, current_task_id, x, y_task, task_ids, dropout_rng):
     """Cross-entropy over a batch whose rows may belong to different
     tasks. Each row is scored by its own task's head, and `task_ids` None
-    scores them all as the current task's, in one group. Only the current
-    head runs in train mode, but gradients flow through the frozen past
-    heads into the shared encoder. A past head holds no gradient vector,
-    so its backward pass computes only its input gradient."""
+    scores them all as the current task's, in one group. Every head runs
+    a training pass, since gradients flow through the frozen past heads
+    into the shared encoder, but only the current head is handed
+    `dropout_rng` and draws dropout masks. A past head holds no gradient
+    vector, so its backward pass computes only its input gradient."""
     z = model.encode_classify(x, train=True)
     dz = np.zeros_like(z)
     if task_ids is None:
@@ -178,7 +179,8 @@ def _classifier_step(model, current_task_id, x, y_task, task_ids, dropout_rng):
     total = 0.0
     for tid, rows in groups:
         head = model.head(tid)
-        logits = head.forward(z[rows], train=tid == current_task_id, rng=dropout_rng)
+        logits = head.forward(z[rows], train=True,
+                              rng=dropout_rng if tid == current_task_id else None)
         weight = len(logits) / len(x)
         loss, dlogits = nn.cross_entropy(logits, y_task[rows])
         total += loss * weight
@@ -263,7 +265,6 @@ def train_autoencoder_phase(model: ContinualModel, task, cfg, rng: Rng,
     def step(idx):
         xb, y_cond = _mixed_batch(task, idx, memory, cfg.replay_fraction, mem_rng)
         h = model.encoder.forward(xb)  # frozen: no backward into the backbone
-        model.encoder.drop_caches()
         z = model.proj_reconstruct.forward(h, train=True)
         flat = model.decoder.forward(z, train=True, cond=y_cond)
         loss, dflat = nn.mse(flat, xb)

@@ -42,7 +42,8 @@ class RunRecord:
     decoder_params: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        # strict JSON: a non-finite number fails the write
+        return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
@@ -51,8 +52,10 @@ class RunRecord:
 
 
 # hidden activations of the widest coupling net that sampling a pool chunk
-# holds at once: about three (6.14 MiB above the call's entry for a chunk
-# of 1,286 rows through a 200-wide net, 1.96 MiB each)
+# holds at once: about three (tracemalloc: 5.95 MiB above the entry of
+# `generate` for a chunk of 1,286 rows through a 200-wide net, 1.96 MiB
+# each; sampling writes no layer cache). It sets the pool's chunk sizes,
+# and with them the samples' bits and d_t.
 SAMPLING_ACTIVATIONS = 3
 
 
@@ -173,9 +176,12 @@ def run_experiment(cfg: ExperimentConfig, seed: int, out_dir=None, resume=False)
             checkpoint.save_run_state(ckpt_path, state)
 
     decoder_params = model.decoder.param_count()
+    # the real rows prer_r's label probe encodes at the last task
+    probe_rows = sum(len(task) for task in train_stream.tasks[:-1])
     footprints = {
         name: metrics.memory_footprint(kind, num_tasks, cfg.memory_size, input_dim,
-                                       cfg.embedding_dim, decoder_params + flow.param_count())
+                                       cfg.embedding_dim, decoder_params + flow.param_count(),
+                                       probe_rows)
         for name, kind in STRATEGIES.items()
     }
 

@@ -144,9 +144,9 @@ def reference_coupling_backward(coupling, x, grad, grad_logdet, cond=None):
     gradient."""
     a_dim = coupling.a_dim
     a, b = x[:, :a_dim], x[:, a_dim:]
-    raw = coupling.scale_net.forward(a, cond=cond)
+    raw = coupling.scale_net.forward(a, train=True, cond=cond)
     log_s = LOG_SCALE_BOUND * np.tanh(raw)
-    t = coupling.translate_net.forward(a, cond=cond)
+    t = coupling.translate_net.forward(a, train=True, cond=cond)
     y_b = (b - t) * np.exp(-log_s)
     da = grad[:, :a_dim].copy()
     db_out = grad[:, a_dim:]
@@ -165,19 +165,19 @@ def rel_err(a, b, floor=1e-7):
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def check_network_gradients(net: Network, x, *, cond=None, train=False,
-                            dropout_seed=None, h=1e-5, max_entries=8,
-                            probe_seed=424242):
+def check_network_gradients(net: Network, x, *, cond=None, dropout_seed=None, h=1e-5,
+                            max_entries=8, probe_seed=424242):
     """Backprop a fixed random upstream gradient through `net` and compare
     every parameter gradient (subsampled) and the input gradient against
-    central finite differences of the scalar loss sum(y * w).
+    central finite differences of the scalar loss sum(y * w). Every
+    forward is a training pass, which caches what the backward reads.
 
     `dropout_seed`, when given, rebuilds the same rng for every forward so
     stochastic layers redraw identical masks.
     """
     def fwd():
         rng = Rng(dropout_seed) if dropout_seed is not None else None
-        return net.forward(x, train=train, rng=rng, cond=cond)
+        return net.forward(x, train=True, rng=rng, cond=cond)
 
     probe_rng = Rng(probe_seed)
     y = fwd()
@@ -242,7 +242,7 @@ def random_layer_instance(seed: int):
         d = int(rng.integers(2, 8))
         net = Network([Dense(d, d, rng), Dropout()])
         x = rng.normal(size=(3, d))
-        return net, x, {"train": True, "dropout_seed": seed * 31 + 7}
+        return net, x, {"dropout_seed": seed * 31 + 7}
     if kind == "concat":
         d = int(rng.integers(1, 6))
         cw = int(rng.integers(1, 4))

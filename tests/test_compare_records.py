@@ -31,3 +31,20 @@ def test_grid_runs_parse_have_unique_names_and_match_the_documented_count():
     documented = re.search(r"That is (\d+) runs\.", tool.__doc__)
     assert documented is not None
     assert int(documented.group(1)) == len(runs)
+
+
+def test_differences_name_the_field_that_differs():
+    tool = load_tool()
+    base = {"prer_r": {"seed": 1, "footprints": {"prer": 5.0, "prer_r": 5.0},
+                       "d_t": {"1": 0.5}},
+            "prer": {"seed": 1}}
+    head = {"prer_r": {"seed": 1, "footprints": {"prer": 5.0, "prer_r": 9.0},
+                       "d_t": {"1": 0.5, "2": 0.25}},
+            "naive": {"seed": 1}}
+    assert tool.differences(base, head) == [
+        "naive: only in working tree",
+        "prer: only in base",
+        "prer_r.d_t.2: base None != working tree 0.25",
+        "prer_r.footprints.prer_r: base 5.0 != working tree 9.0",
+    ]
+    assert tool.differences(base, base) == []

@@ -163,7 +163,7 @@ def test_coupling_backward_matches_recomputed_tanh_and_exp_bitwise(cond_width):
     grad, grad_logdet = rng.normal(size=(32, 7)), rng.normal(size=32)
 
     with nn.gradients(layer.networks()) as pairs:
-        layer.apply(x, cond=cond)
+        layer.apply(x, cond=cond, train=True)
         dx = layer.backward_normalizing(grad, grad_logdet)
         grads = [g.copy() for _, g in pairs]
         for _, g in pairs:
@@ -307,17 +307,19 @@ def test_log_prob_of_samples_is_finite():
 
 
 def test_sampling_leaves_no_layer_cache():
+    # only a training pass caches: sampling and density evaluation on a
+    # stack that holds no cache leave it holding none
     stack = build_flow(flow_config(3, embedding_dim=6, flow_levels=2), 0, Rng(21))
     randomize(stack)
-    initialize_batchnorms(stack)  # a normalizing pass fills the caches
-    stack.sample(50, Rng(23))
+    for bn in stack.batch_norms():  # running statistics without a training pass
+        bn.initialized = True
+    samples = stack.sample(50, Rng(23))
+    assert np.isfinite(stack.log_prob(samples)).all()
     couplings = [layer for level in stack.levels for layer in level
                  if isinstance(layer, Coupling)]
-    layers = [layer for coupling in couplings
-              for net in (coupling.scale_net, coupling.translate_net)
-              for layer in net.layers]
+    layers = [layer for net in stack.networks() for layer in net.layers]
     assert len(layers) == 2 * 3 * 2 * 3  # levels, blocks, nets, Dense/Relu/Dense
-    assert all(layer._cache is None for layer in layers + couplings)
+    assert all(layer._cache is None for layer in layers + couplings + stack.batch_norms())
 
 
 def test_bijectivity_random_stacks():
@@ -522,7 +524,7 @@ def test_conditioned_flow_separates_classes(monkeypatch):
         for _ in range(300):
             idx = rng.choice(len(data), size=128, replace=False)
             pairs[0][1][...] = 0.0
-            logits = probe.forward(data[idx])
+            logits = probe.forward(data[idx], train=True)
             probe.backward(nn.cross_entropy(logits, comps[idx])[1])
             adam.step()
 

@@ -307,6 +307,16 @@ def test_footprint_prer_counts_model_params():
                             model_params=250_000) == 250_000
 
 
+def test_footprint_prer_r_adds_the_probe_rows():
+    # the label probe's real rows count only for a flow strategy that replays
+    assert memory_footprint(STRATEGIES["prer_r"], 5, 200, 784, 100, model_params=250_000,
+                            probe_rows=1_000) == 250_000 + 1_000 * 784
+    for name in STRATEGIES:
+        if name != "prer_r":
+            assert (memory_footprint(STRATEGIES[name], 5, 200, 784, 100, 250_000, 1_000)
+                    == memory_footprint(STRATEGIES[name], 5, 200, 784, 100, 250_000))
+
+
 def test_footprint_mnist_formula_vs_paper_figure():
     # with 28x28 images the formula gives 884k floats for ER at 200/task;
     # the reference 676k figure implies a 576-float image and is documented

@@ -154,12 +154,12 @@ def test_encoder_backward_without_input_gradient():
     data = Rng(32)
     x = data.normal(size=(7, 36))
     net = model.encoder
-    dh = data.normal(size=net.forward(x).shape)
+    dh = data.normal(size=net.forward(x, train=True).shape)
     with nn.gradients([net]) as [(_, grads)]:
         net.backward(dh)
         full = grads.copy()
         grads[...] = 0.0
-        net.forward(x)
+        net.forward(x, train=True)
         assert net.backward(dh, input_grad=False) is None
     assert np.array_equal(grads.view(np.int64), full.view(np.int64))
     assert all(layer._cache is None for layer in net.layers)

@@ -71,7 +71,7 @@ def test_relu_backward_is_where_bit_for_bit(x_order):
     grad[:, :8] = special
     assert not grad.flags.c_contiguous
     layer = Relu()
-    layer.forward(x)
+    layer.forward(x, train=True)
     got = layer.backward(grad)
     want = np.where(x > 0, grad, 0.0)
     assert got.dtype == want.dtype and got.strides == want.strides
@@ -123,7 +123,7 @@ def test_condition_contract():
 def test_zero_upstream_gives_zero_gradients():
     rng = Rng(3)
     net = Network([Dense(4, 3, rng), Relu(), Dense(3, 2, rng)])
-    y = net.forward(rng.normal(size=(5, 4)))
+    y = net.forward(rng.normal(size=(5, 4)), train=True)
     with nn.gradients([net]) as pairs:
         dx = net.backward(np.zeros_like(y))
     assert np.all(dx == 0.0)
@@ -134,7 +134,7 @@ def test_zero_upstream_gives_zero_gradients():
 def test_scalar_dense_product_rule():
     layer = make_dense([[2.0]], [0.0])
     net = Network([layer])
-    net.forward(np.array([[3.0]]))
+    net.forward(np.array([[3.0]]), train=True)
     with nn.gradients([net]):
         dx = net.backward(np.array([[1.0]]))
         assert layer.grads[0][0, 0] == pytest.approx(3.0)  # dL/dw = x
@@ -149,7 +149,7 @@ def test_gradient_views_exist_only_inside_their_block():
         with nn.gradients([net]) as [(params, grads)]:
             assert params is net.params and grads.shape == params.shape
             assert all(layer.grads for layer in net.layers if layer.param_names)
-            net.forward(x)
+            net.forward(x, train=True)
             trained_dx = net.backward(dy)
             assert grads.any()
             1 / 0
@@ -157,7 +157,7 @@ def test_gradient_views_exist_only_inside_their_block():
     # the same input gradient and adds nothing to the old vector
     assert all(layer.grads == [] for layer in net.layers)
     kept = grads.copy()
-    net.forward(x)
+    net.forward(x, train=True)
     assert same_bits(net.backward(dy), trained_dx)
     assert same_bits(grads, kept)
 
@@ -383,9 +383,25 @@ def test_dropout_inverted_scaling_expectation():
     assert np.abs(total / n - x).max() < 1e-2
 
 
-def test_dropout_requires_rng_in_train_mode():
-    with pytest.raises(ConfigurationError):
-        Dropout().forward(np.ones((1, 2)), train=True)
+@pytest.mark.parametrize("train", [False, True])
+def test_only_a_training_pass_caches(train):
+    rng = Rng(13)
+    net = Network([nn.ConcatCondition(2), Dense(5, 4, rng), Relu(), Dropout()])
+    net.forward(rng.normal(size=(3, 3)), train=train, rng=Rng(14), cond=np.array([0, 1, 1]))
+    assert [layer._cache is not None for layer in net.layers] == [train] * 4
+
+
+def test_dropout_without_rng_is_a_cached_identity():
+    # a training pass without an rng draws no mask: it returns its input,
+    # caches 1.0 and passes the upstream gradient back bit for bit
+    layer = Dropout()
+    x = Rng(11).normal(size=(3, 4))
+    assert layer.forward(x, train=True) is x
+    assert layer._cache == 1.0
+    grad = Rng(12).normal(size=(3, 4))
+    grad[0, :3] = [np.nan, -0.0, np.inf]
+    assert same_bits(layer.backward(grad), grad)
+    assert layer._cache is None
 
 
 def test_training_determinism_bitwise():
@@ -431,6 +447,6 @@ def test_forked_rng_draws_are_a_pcg64_generator_seeded_by_the_digest():
 
 def test_backward_without_input_gradient_through_no_parameters():
     net = Network([Relu(), Dropout()])
-    net.forward(Rng(12).normal(size=(2, 12)))
+    net.forward(Rng(12).normal(size=(2, 12)), train=True)
     assert net.backward(np.ones((2, 12)), input_grad=False) is None
     assert all(layer._cache is None for layer in net.layers)

@@ -17,6 +17,7 @@ from prer.checkpoint import load_run_state, state_arrays
 from prer.config import ExperimentConfig, load_config, parse_config_text
 from prer.data import LabeledDataset, build_task_stream, parse_dataset_spec, split_train_test
 from prer.exceptions import ConfigurationError
+from prer.flow import Coupling
 from prer.model import build_model
 from prer.pipeline import STRATEGIES
 from prer.rng import Rng
@@ -103,6 +104,34 @@ def test_prer_memory_stays_constant_as_tasks_grow():
         assert memory[strategy, 10] == 2 * memory[strategy, 5] > 0
 
 
+def test_prer_r_footprint_counts_the_rows_its_probe_reads(monkeypatch):
+    """prer_r keeps prer's decoder and flow, and its label probe encodes
+    the real rows of every past task at each task start: its footprint is
+    prer's plus the rows the probe reads at the last task, so it grows
+    with the stream where prer's stays constant."""
+    probe = pipeline._past_task_probe
+    rows = []
+
+    def counted(state, through_task):
+        fitted = probe(state, through_task)
+        rows.append(len(fitted._x))
+        return fitted
+
+    monkeypatch.setattr(pipeline, "_past_task_probe", counted)
+    extra = {}
+    for classes in (10, 20):
+        cfg = tiny_config(dataset=f"blobs:classes={classes},dim=6,sep=5,per_class=10",
+                          strategy="prer_r", conditioning="none", memory_size=4,
+                          classifier_epochs=1, ae_max_epochs=1, flow_max_epochs=1)
+        rows.clear()
+        record = run_experiment(cfg, seed=1)
+        assert len(rows) == record.num_tasks - 1
+        assert record.memory_floats == record.footprints["prer_r"]
+        extra[record.num_tasks] = record.footprints["prer_r"] - record.footprints["prer"]
+        assert extra[record.num_tasks] == rows[-1] * 6
+    assert extra[10] > extra[5] > 0
+
+
 def test_naive_record_footprint_zero():
     record = run_experiment(tiny_config(strategy="naive"), seed=1)
     assert record.memory_floats == 0.0
@@ -137,6 +166,18 @@ def test_record_json_roundtrip(tmp_path):
     write_record(record, tmp_path)
     loaded = read_records(tmp_path)
     assert loaded == [record]
+
+
+def test_a_record_with_a_non_finite_number_is_refused(tmp_path):
+    # records are strict JSON, in which NaN and Infinity are not numbers
+    record = RunRecord(config_hash="0", seed=1, strategy="prer", dataset="blobs",
+                       num_tasks=1, r_matrix=[[50.0]], accuracy=50.0, bwt=None,
+                       d_t={"1": float("inf")})
+    with pytest.raises(ValueError):
+        record.to_json()
+    with pytest.raises(ValueError):
+        write_record(record, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 THREE_TASKS = "blobs:classes=6,dim=6,sep=5,per_class=40"
@@ -240,10 +281,18 @@ def test_coverage_pool_in_uneven_chunks_gives_the_one_chunk_bits(monkeypatch):
 
 @pytest.mark.parametrize("strategy", ["prer", "prer_r"])
 def test_a_finished_run_leaves_no_network_a_cache(monkeypatch, strategy):
-    # evaluation ends every task, and no pass of it is backpropagated
+    # evaluation ends every task, and no pass of it is backpropagated;
+    # the flow's training passes consumed every cache they wrote
     log = trained_tasks(monkeypatch)
     run_experiment(tiny_config(strategy=strategy), seed=1)
-    assert layers_holding_a_cache(log["state"].model) == []
+    state = log["state"]
+    assert layers_holding_a_cache(state.model) == []
+    couplings = [layer for level in state.flow.levels for layer in level
+                 if isinstance(layer, Coupling)]
+    flow_layers = (state.flow.batch_norms() + couplings
+                   + [layer for net in state.flow.networks() for layer in net.layers])
+    assert len(couplings) > 0 and len(state.flow.batch_norms()) > 0
+    assert [layer for layer in flow_layers if layer._cache is not None] == []
 
 
 @pytest.mark.parametrize("strategy", ["prer", "prer_r"])

@@ -232,15 +232,23 @@ def run_tree(tree: Path, job: dict) -> dict:
 
 
 def differences(base: dict, head: dict) -> list:
+    """One line per field that differs, named by its full path: dicts are
+    descended into, so ``<run>.footprints.prer_r`` names one footprint."""
     lines = []
+
+    def walk(path, a, b):
+        if isinstance(a, dict) and isinstance(b, dict):
+            for key in sorted(a.keys() | b.keys()):
+                walk(f"{path}.{key}", a.get(key), b.get(key))
+        elif a != b:
+            lines.append(f"{path}: base {a!r} != working tree {b!r}")
+
     for name in base.keys() | head.keys():
         a, b = base.get(name), head.get(name)
         if a is None or b is None:
             lines.append(f"{name}: only in {'base' if b is None else 'working tree'}")
-            continue
-        for key in sorted(a.keys() | b.keys()):
-            if a.get(key) != b.get(key):
-                lines.append(f"{name}.{key}: base {a.get(key)!r} != working tree {b.get(key)!r}")
+        else:
+            walk(name, a, b)
     return sorted(lines)
 
 
