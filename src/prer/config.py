@@ -29,7 +29,7 @@ class ExperimentConfig:
     # model
     encoder = "mlp"  # not annotated: a constant, not a config key
     encoder_hidden: tuple = (64,)
-    decoder_hidden: tuple = ()          # empty: mirrors encoder_hidden
+    decoder_hidden = ()  # not annotated: a constant; the decoder mirrors encoder_hidden
     embedding_dim: int = 16
     head_hidden: tuple = (64, 32)
 
@@ -41,7 +41,7 @@ class ExperimentConfig:
     memory_size: int = 200
     replay_fraction: float = 0.5
     batch_size: int = 64
-    validation_fraction: float = 0.1
+    validation_fraction = 0.1  # not annotated: a constant, not a config key
 
     # flow topology
     flow_levels: int = 1
@@ -72,8 +72,6 @@ class ExperimentConfig:
             raise ConfigurationError("epoch counts must be >= 1")
         if self.batch_size < 1:
             raise ConfigurationError("batch size must be >= 1")
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise ConfigurationError("validation fraction must be in [0, 1)")
         # written so that a NaN fails too
         if not self.beta >= 0.0:
             raise ConfigurationError(f"beta must be >= 0, got {self.beta}")
@@ -81,11 +79,11 @@ class ExperimentConfig:
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
         # every record prices a flow of this topology, whether the run keeps one or not
-        if self.embedding_dim < 2 or level_widths(self.embedding_dim, self.flow_levels)[-1] < 1:
+        if level_widths(self.embedding_dim, self.flow_levels)[-1] < 2:
             raise ConfigurationError(
                 f"embedding_dim = {self.embedding_dim} cannot hold a flow of flow_levels = "
-                f"{self.flow_levels}: it needs a width >= 2 that keeps >= 1 at its last level")
-        for key in ("encoder_hidden", "head_hidden", "decoder_hidden"):
+                f"{self.flow_levels}: every level needs a width >= 2")
+        for key in ("encoder_hidden", "head_hidden"):
             widths = getattr(self, key)
             if any(width < 1 for width in widths):
                 raise ConfigurationError(f"{key} entries must be >= 1, got {widths}")

@@ -39,18 +39,18 @@ class Permutation:
     the halves would leave the next block transforming the same
     coordinates again, which for small widths happens often enough to
     cripple the stack (at width 2 a uniform draw is the identity half
-    the time).
+    the time). It needs a width of at least 2, so that a draw can leave
+    the half.
     """
 
     def __init__(self, dim: int, rng: Rng):
         self.dim = int(dim)
         half = set(range((dim + 1) // 2))
         self.perm = rng.permutation(dim)
-        if dim > 1:
-            for _ in range(100):
-                if set(int(p) for p in self.perm[:len(half)]) != half:
-                    break
-                self.perm = rng.permutation(dim)
+        for _ in range(100):
+            if set(int(p) for p in self.perm[:len(half)]) != half:
+                break
+            self.perm = rng.permutation(dim)
         self.inv = np.argsort(self.perm)
 
     def apply(self, x, cond=None, train=False):
@@ -325,7 +325,8 @@ def build_flow(cfg, num_classes: int, rng: Rng) -> FlowStack:
     levels of ``cfg.flow_blocks`` blocks on ``cfg.embedding_dim`` inputs,
     each block permutation -> batch norm -> coupling in normalizing order,
     a coupling on width w having ``cfg.flow_hidden_multiplier * w`` hidden
-    units. A width-1 level has nothing to split and holds no coupling.
+    units. ``ExperimentConfig.validate`` keeps every level at least 2 wide,
+    so every block holds a coupling.
 
     Under ``cfg.flow_conditioned`` exactly one coupling reads the class
     one-hot of ``num_classes``: the first one met walking from the prior
@@ -336,10 +337,9 @@ def build_flow(cfg, num_classes: int, rng: Rng) -> FlowStack:
     for lvl, w in enumerate(level_widths(cfg.embedding_dim, cfg.flow_levels)):
         layers = []
         for blk in range(cfg.flow_blocks):
-            layers += [Permutation(w, rng), BatchNorm(w)]
-            if w > 1:
-                conditioned = cfg.flow_conditioned and lvl == 0 and blk == cfg.flow_blocks - 1
-                layers.append(Coupling(w, cfg.flow_hidden_multiplier * w, rng,
-                                       cond_width=num_classes if conditioned else 0))
+            conditioned = cfg.flow_conditioned and lvl == 0 and blk == cfg.flow_blocks - 1
+            layers += [Permutation(w, rng), BatchNorm(w),
+                       Coupling(w, cfg.flow_hidden_multiplier * w, rng,
+                                cond_width=num_classes if conditioned else 0)]
         level_layers.append(layers)
     return FlowStack(level_layers, cfg.embedding_dim)

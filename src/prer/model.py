@@ -102,8 +102,7 @@ def build_model(cfg, input_dim, num_classes, rng: Rng) -> ContinualModel:
     """The model an ``ExperimentConfig`` describes for rows of ``input_dim``
     features: encoder, both projections, then decoder, drawn from one
     ``"model-build"`` fork. The encoder is Dense layers of
-    ``cfg.encoder_hidden`` widths; an empty ``cfg.decoder_hidden`` mirrors
-    them."""
+    ``cfg.encoder_hidden`` widths, and the decoder mirrors them."""
     init = rng.fork("model-build")
     layers = []
     backbone_dim = input_dim
@@ -118,7 +117,7 @@ def build_model(cfg, input_dim, num_classes, rng: Rng) -> ContinualModel:
     if cfg.decoder_conditioned:
         layers.append(ConcatCondition(num_classes))
         prev += num_classes
-    for width in cfg.decoder_hidden or tuple(reversed(cfg.encoder_hidden)):
+    for width in reversed(cfg.encoder_hidden):
         layers += [Dense(prev, width, init), Relu()]
         prev = width
     layers.append(Dense(prev, input_dim, init))

@@ -171,7 +171,7 @@ def _classifier_step(model, current_task_id, x, y_task, task_ids, dropout_rng):
     `dropout_rng` and draws dropout masks. A past head holds no gradient
     vector, so its backward pass computes only its input gradient."""
     z = model.encode_classify(x, train=True)
-    dz = np.zeros_like(z)
+    dz = np.empty_like(z)  # the groups partition the rows
     if task_ids is None:
         groups = [(current_task_id, slice(None))]
     else:
@@ -184,7 +184,8 @@ def _classifier_step(model, current_task_id, x, y_task, task_ids, dropout_rng):
         weight = len(logits) / len(x)
         loss, dlogits = nn.cross_entropy(logits, y_task[rows])
         total += loss * weight
-        dz[rows] = head.backward(dlogits * weight)
+        dlogits *= weight
+        dz[rows] = head.backward(dlogits)
     dh = model.proj_classify.backward(dz)
     # the encoder's input is data: nothing reads its gradient
     model.encoder.backward(dh, input_grad=False)

@@ -1,6 +1,8 @@
 """Shared test utilities: finite-difference gradient checking and small
 builders used across the suite."""
 
+from dataclasses import fields
+
 import numpy as np
 
 from prer.config import ExperimentConfig
@@ -36,13 +38,23 @@ def layers_holding_gradients(owners):
     return [layer for owner in owners for layer in _layers(owner) if layer.grads]
 
 
+def config_with_constants(**kwargs):
+    """An ExperimentConfig built from ``kwargs``, where a keyword naming
+    a class constant rather than a config key (``flow_blocks``,
+    ``validation_fraction``) is set on the instance."""
+    keys = {f.name for f in fields(ExperimentConfig)}
+    cfg = ExperimentConfig(**{k: v for k, v in kwargs.items() if k in keys})
+    for name, value in kwargs.items():
+        if name not in keys:
+            assert hasattr(ExperimentConfig, name), f"{name} is neither a key nor a constant"
+            setattr(cfg, name, value)
+    return cfg
+
+
 def flow_config(flow_blocks, **kwargs):
     """An ExperimentConfig whose flow has ``flow_blocks`` blocks per
-    level. The block count is a class constant, not a config key, so it
-    is set on the instance."""
-    cfg = ExperimentConfig(**kwargs)
-    cfg.flow_blocks = flow_blocks
-    return cfg
+    level."""
+    return config_with_constants(flow_blocks=flow_blocks, **kwargs)
 
 
 def get_params(net):

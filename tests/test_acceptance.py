@@ -93,7 +93,8 @@ def test_c1_flow_correctness():
         checked = 0
         for i in range(50):
             rng = Rng(1000 + i)
-            dim = int(rng.choice([4, 6], size=1)[0])
+            # wide enough for three levels of width >= 2, one split odd
+            dim = int(rng.choice([8, 12], size=1)[0])
             levels = int(rng.integers(1, 4))
             blocks = int(rng.integers(1, 6))
             cond_width = int(rng.integers(0, 4)) if rng.random() < 0.4 else 0

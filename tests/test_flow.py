@@ -328,7 +328,7 @@ def test_bijectivity_random_stacks():
         levels = int(rng.integers(1, 4))
         blocks = int(rng.integers(1, 4))
         dim = int(rng.integers(2, 8))
-        levels = min(levels, max(1, int(np.log2(dim)) + 1))
+        levels = min(levels, int(np.log2(dim)))  # every level at least 2 wide
         stack = build_flow(flow_config(blocks, embedding_dim=dim, flow_levels=levels), 0, rng)
         randomize(stack, seed=200 + seed)
         initialize_batchnorms(stack, seed=300 + seed)
@@ -352,20 +352,24 @@ def test_multi_scale_preserves_dimensionality():
     assert u.shape == (4, 10)
 
 
-@pytest.mark.parametrize("conditioning", ["none", "flow"])
-def test_width_one_level_holds_no_coupling_and_stays_exact(conditioning):
-    # a width-1 level has nothing to split: its blocks are a permutation
-    # and a batch norm each, and the stack still inverts with the exact
-    # log-determinant
-    cfg = flow_config(2, embedding_dim=7, flow_levels=3, conditioning=conditioning)
+@pytest.mark.parametrize("dim,levels,conditioning", [
+    (2, 1, "none"), (3, 1, "flow"), (4, 2, "none"), (5, 2, "flow"), (8, 3, "none"),
+    (11, 3, "flow")])
+def test_every_level_of_a_valid_flow_holds_a_coupling_and_stays_exact(dim, levels, conditioning):
+    # the narrowest flows validate admits, their last level 2 or 3 wide:
+    # every block is a permutation, a batch norm and a coupling, and the
+    # stack still inverts with the exact log-determinant
+    cfg = flow_config(2, embedding_dim=dim, flow_levels=levels,
+                      conditioning=conditioning).validate()
     stack = build_flow(cfg, 3, Rng(60))
-    assert stack.level_widths == [7, 3, 1]
-    assert [[type(layer) for layer in layers] for layers in stack.levels[1:]] == [
-        [Permutation, BatchNorm, Coupling] * 2, [Permutation, BatchNorm] * 2]
+    assert stack.level_widths == level_widths(dim, levels)
+    assert stack.level_widths[-1] in (2, 3)
+    assert [[type(layer) for layer in layers] for layers in stack.levels] == [
+        [Permutation, BatchNorm, Coupling] * 2] * levels
     randomize(stack, seed=61)
     rng = Rng(62)
-    stack.normalize(rng.normal(size=(64, 7)), cond=rng.integers(0, 3, size=64), train=True)
-    z = rng.normal(size=(12, 7))
+    stack.normalize(rng.normal(size=(64, dim)), cond=rng.integers(0, 3, size=64), train=True)
+    z = rng.normal(size=(12, dim))
     cond = rng.integers(0, 3, size=12)
     u, _ = stack.normalize(z, cond=cond)
     assert np.abs(stack.generate(u, cond=cond) - z).max() < 1e-6
@@ -382,7 +386,7 @@ def test_level_widths_match_the_halving_loop():
                 widths.append(w)
                 w -= (w + 1) // 2
             assert level_widths(dim, levels) == widths
-            if widths[-1] >= 1:
+            if widths[-1] >= 2:
                 stack = build_flow(flow_config(1, embedding_dim=dim, flow_levels=levels),
                                    0, Rng(dim))
                 assert stack.level_widths == widths

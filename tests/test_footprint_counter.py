@@ -32,24 +32,25 @@ checks = load_bench_checks()
 
 def footprint_cases():
     """Every valid config of blobs.cfg and of mnist.cfg on MNIST_SHAPED
-    over the conditioning modes, 1-3 flow levels and an empty or explicit
-    decoder_hidden; a flow too deep for the embedding is not valid."""
+    over the conditioning modes, 1-3 flow levels and the config's own or
+    a two-layer encoder_hidden, which the decoder mirrors in reverse; a
+    flow too deep for the embedding is not valid."""
     cases = []
     for name, dataset in (("blobs.cfg", None), ("mnist.cfg", MNIST_SHAPED)):
         for conditioning in CONDITIONING_MODES:
             for levels in (1, 2, 3):
-                for decoder_hidden in ((), (48, 24)):
+                for encoder_hidden in (None, (48, 24)):
                     cfg = load_config(ROOT / "configs" / name)
                     cfg.dataset = dataset or cfg.dataset
                     cfg.conditioning, cfg.flow_levels = conditioning, levels
-                    cfg.decoder_hidden = decoder_hidden
+                    cfg.encoder_hidden = encoder_hidden or cfg.encoder_hidden
                     try:
                         cfg.validate()
                     except ConfigurationError:
                         continue
-                    hidden = ",".join(map(str, decoder_hidden)) or "default"
+                    hidden = ",".join(map(str, encoder_hidden or ())) or "default"
                     cases.append(pytest.param(
-                        cfg, id=f"{name}-{conditioning}-levels{levels}-decoder{hidden}"))
+                        cfg, id=f"{name}-{conditioning}-levels{levels}-encoder{hidden}"))
     return cases
 
 
@@ -57,8 +58,9 @@ CASES = footprint_cases()
 
 
 def test_every_case_but_an_over_deep_flow_is_valid():
-    # blobs.cfg's 2-dim embedding holds at most two flow levels
-    assert len(CASES) == 2 * 4 * 2 + 3 * 4 * 2
+    # blobs.cfg's 2-dim embedding holds one flow level, every level being
+    # at least 2 wide
+    assert len(CASES) == (1 * 4 + 3 * 4) * 2
 
 
 @pytest.mark.parametrize("cfg", CASES)

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from _helpers import flow_config, get_params, same_bits
+from _helpers import config_with_constants, flow_config, get_params, same_bits
 from prer import metrics, nn
 from prer.config import ExperimentConfig
 from prer.data import Task, TaskStream, build_task_stream, split_train_test, synth_blobs
@@ -52,7 +52,7 @@ def make_state(seed, strategy="prer", conditioning="decoder", **cfg_kwargs):
                     conditioning=conditioning, embedding_dim=model.embedding_dim,
                     flow_levels=1)
     defaults.update(cfg_kwargs)
-    cfg = ExperimentConfig(**defaults).validate()
+    cfg = config_with_constants(**defaults).validate()
     flow = None
     if strategy in ("prer", "prer_r"):
         flow = build_flow(cfg, 4, Rng(seed).fork("flow-init"))

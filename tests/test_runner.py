@@ -513,7 +513,7 @@ def test_interrupted_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
 
 
 def test_empty_decoder_hidden_mirrors_the_encoder():
-    cfg = tiny_config(decoder_hidden=(), encoder_hidden=(12, 10))
+    cfg = tiny_config(encoder_hidden=(12, 10))
     model = build_model(cfg, 36, 4, Rng(3))
     widths = [layer.out_dim for layer in model.decoder.layers if hasattr(layer, "out_dim")]
     assert widths == [10, 12, 36]
@@ -606,7 +606,7 @@ def test_parse_config_text_full():
 
 @pytest.mark.parametrize("key", ["no_such_key", "lr", "patience", "min_delta", "head_dropout",
                                  "flow_hidden_multiplier", "flow_blocks", "encoder",
-                                 "conv_channels"])
+                                 "conv_channels", "decoder_hidden", "validation_fraction"])
 def test_parse_config_rejects_unknown_key(key):
     with pytest.raises(ConfigurationError, match=f"unknown config key '{key}'"):
         parse_config_text(f"{key} = 1")
@@ -639,10 +639,10 @@ def test_parse_config_rejects_bad_value(line, pattern):
 
 
 def test_config_text_round_trips_every_hashed_field():
-    cfg = tiny_config(strategy="prer_r", conditioning="both", encoder_hidden=(3, 5),
-                      decoder_hidden=())
+    cfg = tiny_config(strategy="prer_r", conditioning="both", encoder_hidden=(),
+                      head_hidden=(3, 5))
     text = cfg.canonical_text()
-    assert "decoder_hidden = \n" in text
+    assert "encoder_hidden = \n" in text
     parsed = parse_config_text(text)
     assert parsed.canonical_text() == text
     for line in text.splitlines():
@@ -671,7 +671,6 @@ def test_config_validation():
     # each case keeps its name when the list changes
     pytest.param("encoder_hidden", (12, 0), id="encoder_hidden-value7"),
     pytest.param("head_hidden", (0,), id="head_hidden-value8"),
-    pytest.param("decoder_hidden", (-1,), id="decoder_hidden-value9"),
     ("beta", float("nan")),
 ])
 def test_config_rejects_nonsense_value_naming_the_key(key, value):
@@ -679,9 +678,11 @@ def test_config_rejects_nonsense_value_naming_the_key(key, value):
         tiny_config(**{key: value})
 
 
-@pytest.mark.parametrize("embedding_dim,flow_levels", [(1, 1), (2, 3), (3, 3)])
+@pytest.mark.parametrize("embedding_dim,flow_levels", [(1, 1), (2, 2), (2, 3), (3, 3),
+                                                       (3, 2), (6, 3), (7, 3)])
 def test_config_rejects_a_flow_too_deep_for_the_embedding(embedding_dim, flow_levels):
-    # a flowless strategy still prices the flow in every record
+    # a flowless strategy still prices the flow in every record; a last
+    # level of width 1 (3 -> 1, 6 -> 3 -> 1, 7 -> 3 -> 1) is too deep
     with pytest.raises(ConfigurationError, match=r"embedding_dim = \d+ .*flow_levels = \d+"):
         tiny_config(strategy="naive", embedding_dim=embedding_dim, flow_levels=flow_levels)
 

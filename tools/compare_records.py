@@ -16,10 +16,14 @@ at seed 1 (taken from this checkout, so both trees read the same config):
 - prer on a tiny IDX image pair of 4 classes, which the worker writes
   into its temp dir under MNIST's file names and reads as ``mnist:dir=.``,
   so both trees read the same files under the same dataset string;
-- prer_r with ``batch_size = 239`` and no validation split: each task has
-  240 rows, so every epoch ends on a one-row batch, which the flow skips
-  and the classifier and autoencoder train on, and the classifier keeps
-  its last epoch instead of restoring a snapshot;
+- prer_r with ``batch_size = 239``: each task has 240 rows, so every
+  autoencoder and flow epoch ends on a one-row batch, which the flow
+  skips and the autoencoder trains on;
+- prer_r with ``batch_size = 215``: the classifier holds out 24 of each
+  task's 240 rows, so every classifier epoch ends on a one-row batch;
+- prer_r on 5 rows per class: each task has 8 training rows, fewer than
+  the 10 that hold out one validation row, so the classifier keeps its
+  last epoch instead of restoring a snapshot;
 - prer on 784-dim blobs (60 rows per class) with two epochs per phase:
   its encoder and decoder buffers hold about 25 k floats each, so every
   Adam step crosses a chunk edge (``nn.ADAM_CHUNK``), which no other
@@ -37,11 +41,10 @@ at seed 1 (taken from this checkout, so both trees read the same config):
 - prer with ``c_m = 3``: tasks of 3, 3, 3 and 1 classes, so the last
   task of each stream keeps the remainder, where every other run has
   5 tasks of 2 classes;
-- prer with three flow levels on a 7-dim embedding: levels of width 7,
-  3 and 1, so it has more than one level, an odd-width split and a level
-  of width 1, which holds no coupling;
+- prer with three flow levels on a 14-dim embedding: levels of width 14,
+  7 and 3, so it has more than one level and an odd-width split;
 - the same flow under prer_r with conditioning both: the only run whose
-  conditioned flow has more than one level and a level of width 1;
+  conditioned flow has more than one level;
 - prer with a flow conditioned on the class and an 8-dim embedding,
   twice: the generated sets of a conditioned flow reach the Hausdorff
   distance in a layout that is not C-ordered (a permutation's column
@@ -67,7 +70,7 @@ at seed 1 (taken from this checkout, so both trees read the same config):
   chunks of ``metrics.CHUNK_FLOATS`` floats, 334 rows at 784 dims),
   where every other prer_r run's task fits in one.
 
-That is 36 runs.
+That is 38 runs.
 
 Records are compared without ``timings`` and ``config_hash``, the same
 rule as ``bench/checks.digest``. Exits 1 on any difference. Uses only the
@@ -109,11 +112,15 @@ def grid():
                  CRASH_AT))
     runs.append(("prer-idx", {
         "strategy": "prer", "dataset": "mnist:dir=.",
-        "embedding_dim": 6, "decoder_hidden": 24, "classifier_epochs": 4,
+        "embedding_dim": 6, "classifier_epochs": 4,
         "ae_max_epochs": 8, "flow_max_epochs": 8, "memory_size": 10, "coverage_cap": 10,
     }, None))
-    runs.append(("prer_r-lone-row-batches",
-                 {"strategy": "prer_r", "batch_size": 239, "validation_fraction": 0}, None))
+    runs.append(("prer_r-lone-row-batches", {"strategy": "prer_r", "batch_size": 239}, None))
+    runs.append(("prer_r-lone-row-classifier-batches",
+                 {"strategy": "prer_r", "batch_size": 215}, None))
+    runs.append(("prer_r-no-validation-rows", {
+        "strategy": "prer_r", "dataset": "blobs:classes=10,dim=20,sep=5,per_class=5,span=3",
+    }, None))
     runs.append(("prer-multi-chunk-adam", {
         "strategy": "prer", "dataset": "blobs:classes=10,dim=784,sep=6,per_class=60",
         "classifier_epochs": 2, "ae_max_epochs": 2, "flow_max_epochs": 2,
@@ -126,9 +133,9 @@ def grid():
     }, None))
     runs.append(("prer-c_m3-remainder-task", {"strategy": "prer", "c_m": 3}, None))
     runs.append(("prer-three-level-flow",
-                 {"strategy": "prer", "flow_levels": 3, "embedding_dim": 7}, None))
+                 {"strategy": "prer", "flow_levels": 3, "embedding_dim": 14}, None))
     runs.append(("prer_r-both-three-level-flow", {"strategy": "prer_r", "conditioning": "both",
-                                                   "flow_levels": 3, "embedding_dim": 7}, None))
+                                                   "flow_levels": 3, "embedding_dim": 14}, None))
     runs.append(("prer-flow-8dim", {"strategy": "prer", "conditioning": "flow",
                                     "embedding_dim": 8}, None))
     runs.append(("prer-flow-8dim-two-chunk-hausdorff", {
