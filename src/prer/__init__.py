@@ -2,9 +2,7 @@
 regularization, plus the rehearsal/regularization baselines and the full
 evaluation protocol, at desk scale.
 
-Import from the submodules (``prer.runner``, ``prer.flow``, ...). This
-package imports none of them, so that ``prer.cli`` can set the BLAS thread
-variables before numpy is first imported.
+Import from the submodules (``prer.runner``, ``prer.flow``, ...).
 """
 
 __version__ = "0.1.0"

@@ -88,7 +88,12 @@ def load_run_state(path):
             if name not in data.files:
                 raise ConfigurationError(
                     f"{path}: no {name!r} entry; not a checkpoint of this format")
-        meta = json.loads(str(data["meta"][()]))
+        try:
+            meta = json.loads(str(data["meta"][()]))
+        except ValueError:
+            meta = None
+        if not isinstance(meta, dict):
+            raise ConfigurationError(f"{path}: the checkpoint meta is not a JSON object")
         for name in PROGRESS:
             if name not in meta:
                 raise ConfigurationError(f"{path}: the checkpoint meta has no {name!r} field")

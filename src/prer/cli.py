@@ -1,29 +1,19 @@
 """Command-line interface: run experiments, aggregate records, inspect
-a flow topology.
-
-The PRER_NUM_THREADS environment variable, when set, caps the BLAS
-thread pools before numpy is imported, which makes timing comparisons
-across strategies deterministic.
-"""
+a flow topology."""
 
 import argparse
-import os
 import sys
 
-
-def _apply_thread_cap():
-    cap = os.environ.get("PRER_NUM_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
+from .config import load_config
+from .data import parse_dataset_spec
+from .exceptions import ConfigurationError
+from .flow import build_flow
+from .model import build_model
+from .rng import Rng
+from .runner import aggregate, read_records, run_experiment, summary_table, write_record
 
 
 def _cmd_run(args):
-    from .config import load_config
-    from .runner import run_experiment, write_record
-
     cfg = load_config(args.config)
     if args.strategy:
         cfg.strategy = args.strategy
@@ -39,23 +29,11 @@ def _cmd_run(args):
 
 
 def _cmd_aggregate(args):
-    from .runner import aggregate, read_records, summary_table
-
-    table = summary_table(aggregate(read_records(args.in_dir)))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(table)
-    print(table, end="")
+    print(summary_table(aggregate(read_records(args.in_dir))), end="")
     return 0
 
 
 def _cmd_inspect_flow(args):
-    from .config import load_config
-    from .data import parse_dataset_spec
-    from .flow import build_flow
-    from .model import build_model
-    from .rng import Rng
-
     cfg = load_config(args.config)
     seed = cfg.seeds[0]
     dataset = parse_dataset_spec(cfg.dataset, seed)
@@ -73,7 +51,6 @@ def _cmd_inspect_flow(args):
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = argparse.ArgumentParser(prog="prer",
                                      description="Continual-learning experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -89,7 +66,6 @@ def main(argv=None) -> int:
 
     p_agg = sub.add_parser("aggregate", help="summarize run records into a table")
     p_agg.add_argument("--in", dest="in_dir", required=True, help="directory of run records")
-    p_agg.add_argument("--out", default=None, help="also write the table to this file")
     p_agg.set_defaults(func=_cmd_aggregate)
 
     p_ins = sub.add_parser("inspect-flow", help="print flow parameter counts and level dims")
@@ -97,8 +73,6 @@ def main(argv=None) -> int:
     p_ins.set_defaults(func=_cmd_inspect_flow)
 
     args = parser.parse_args(argv)
-    from .exceptions import ConfigurationError
-
     # the one boundary for input the user can fix; an OSError names its path
     try:
         return args.func(args)

@@ -112,6 +112,10 @@ def test_restore_rejects_another_config(tmp_path):
     np.savez(other_format, manifest=np.array("{}"), result_matrix=np.zeros((2, 2)))
     with pytest.raises(ConfigurationError, match="no 'meta' entry"):
         load_run_state(other_format)
+    for meta in ("not json", "5"):
+        np.savez(other_format, meta=np.array(meta), result_matrix=np.zeros((2, 2)))
+        with pytest.raises(ConfigurationError, match="the checkpoint meta is not a JSON object"):
+            load_run_state(other_format)
 
 
 @pytest.mark.parametrize("damage", ["truncated", "text", "empty", "npy"])

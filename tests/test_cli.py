@@ -10,8 +10,6 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "NUMEXPR_NUM_THREADS")
 
 CONFIG = """
 dataset = blobs:classes=4,dim=6,sep=5,per_class=40
@@ -37,13 +35,9 @@ def child_env():
     return env
 
 
-def run_python(*args, env=None):
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          timeout=300, env=child_env() if env is None else env)
-
-
-def run_cli(*args, env=None):
-    return run_python("-m", "prer.cli", *args, env=env)
+def run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "prer.cli", *args], capture_output=True,
+                          text=True, timeout=300, env=child_env())
 
 
 @pytest.fixture
@@ -73,10 +67,9 @@ def test_run_all_seeds_strategy_override_and_aggregate(config_file, tmp_path):
     assert result.returncode == 0, result.stderr
     assert len(list(out.glob("run_naive_*.json"))) == 2
 
-    table_file = tmp_path / "summary.tsv"
-    result = run_cli("aggregate", "--in", str(out), "--out", str(table_file))
+    result = run_cli("aggregate", "--in", str(out))
     assert result.returncode == 0, result.stderr
-    lines = table_file.read_text().strip().split("\n")
+    lines = result.stdout.strip().split("\n")
     assert lines[0].startswith("strategy\tdataset\tseed_count")
     row = lines[1].split("\t")
     assert row[0] == "naive"
@@ -137,7 +130,14 @@ def test_missing_config_file_ends_in_one_line(command, tmp_path):
     assert_one_line_error(run_cli(command, "--config", str(missing)), str(missing))
 
 
-@pytest.mark.parametrize("text", ["not json", '{"bad": 1}'])
+# a whole record but for one field of the wrong type
+WRONG_TYPE_RECORD = json.dumps({"config_hash": "x", "seed": 1, "strategy": "prer",
+                                "dataset": "d", "num_tasks": 1, "r_matrix": [[90.0]],
+                                "accuracy": "high", "bwt": None})
+
+
+@pytest.mark.parametrize("text", ["not json", '{"bad": 1}',
+                                  pytest.param(WRONG_TYPE_RECORD, id="accuracy-high")])
 def test_malformed_run_record_ends_in_one_line(text, tmp_path):
     record = tmp_path / "run_prer_1.json"
     record.write_text(text)
@@ -187,36 +187,3 @@ def test_resume_over_truncated_checkpoint_ends_in_one_line(config_file, tmp_path
     (ckpt,) = out.glob("state_*.npz")
     ckpt.write_bytes(ckpt.read_bytes()[:100])
     assert_one_line_error(run_cli(*args, "--resume"), str(ckpt), "not a checkpoint")
-
-
-# Runs prer.cli the way ``python -m prer.cli`` does and, at the first import
-# of numpy (before any numpy code runs), writes the environment as JSON to
-# the path given as the first argument.
-THREAD_PROBE = """
-import json, os, runpy, sys
-
-out_path = sys.argv.pop(1)
-
-def hook(event, args):
-    if event == "import" and args[0] == "numpy" and not os.path.exists(out_path):
-        with open(out_path, "w") as fh:
-            json.dump(dict(os.environ), fh)
-
-sys.addaudithook(hook)
-runpy.run_module("prer.cli", run_name="__main__", alter_sys=True)
-"""
-
-
-def test_thread_cap_env(config_file, tmp_path):
-    env = child_env()
-    for var in THREAD_VARS:
-        env.pop(var, None)
-    env["PRER_NUM_THREADS"] = "1"
-    seen_path = tmp_path / "env_at_numpy_import.json"
-    result = run_python("-c", THREAD_PROBE, str(seen_path), "inspect-flow",
-                        "--config", str(config_file), env=env)
-    assert result.returncode == 0, result.stderr
-    assert "flow: dim=4" in result.stdout
-    assert seen_path.exists(), "the CLI never imported numpy"
-    seen = json.loads(seen_path.read_text())
-    assert {var: seen.get(var) for var in THREAD_VARS} == {var: "1" for var in THREAD_VARS}

@@ -563,15 +563,20 @@ def test_aggregate_never_pools_two_configs():
 
 
 def test_summary_table_shape():
-    rows = aggregate([fake_record("naive", 1, 90.0, -5.0)])
-    table = summary_table(rows)
-    lines = table.strip().split("\n")
-    header = lines[0].split("\t")
-    assert header == ["strategy", "dataset", "seed_count", "accuracy_mean",
-                      "accuracy_std", "bwt_mean", "bwt_std", "memory_floats", "config_hash"]
-    assert lines[1].split("\t")[0] == "naive"
-    # floats are serialized shortest-round-trip: parse back exactly
-    assert float(lines[1].split("\t")[3]) == 90.0
+    # a single-task record has no BWT, and its cells stay empty
+    for bwt_value, bwt_stats, bwt_cells in ((-5.0, (-5.0, 0.0), ["-5.0", "0.0"]),
+                                            (None, (None, None), ["", ""])):
+        rows = aggregate([fake_record("naive", 1, 90.0, bwt_value)])
+        assert (rows[0]["bwt_mean"], rows[0]["bwt_std"]) == bwt_stats
+        lines = summary_table(rows).split("\n")
+        header = lines[0].split("\t")
+        assert header == ["strategy", "dataset", "seed_count", "accuracy_mean",
+                          "accuracy_std", "bwt_mean", "bwt_std", "memory_floats", "config_hash"]
+        cells = lines[1].split("\t")
+        assert cells[0] == "naive"
+        # floats are serialized shortest-round-trip: parse back exactly
+        assert float(cells[3]) == 90.0
+        assert cells[5:7] == bwt_cells
 
 
 def test_read_records_of_an_empty_dir_is_refused(tmp_path):
