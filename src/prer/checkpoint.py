@@ -9,11 +9,11 @@ seed, and the finished tasks' heads from its stream, then copies the
 arrays back bit-exactly and sets every ``PROGRESS`` field. Flow
 permutations are not stored, since the "flow-init" fork redraws them,
 and neither is a flow's memory, which every task after the first
-regenerates. A checkpoint resumes only the config that wrote it: a
-state array or the result matrix missing or reshaped, an extra array,
-or a ``PROGRESS`` field the meta lacks, as in any checkpoint written
-before these fields had their own meta entries, raises a
-ConfigurationError naming it.
+regenerates. A checkpoint resumes only the config that wrote it: an
+array missing, extra or reshaped, a ``PROGRESS`` field missing (as in
+checkpoints older than these meta entries) or mistyped, an R entry or
+a stored class that ``completed_tasks`` rules out each raise a
+ConfigurationError naming it, before anything is copied.
 """
 
 import json
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import ConfigurationError
-from .pipeline import Memory
+from .pipeline import STRATEGIES, Memory, RunState
 
 # the RunState fields a checkpoint's JSON meta holds, each under its own name
 PROGRESS = ("completed_tasks", "timings", "d_t", "q_t")
@@ -42,6 +42,19 @@ def state_arrays(state) -> dict:
             arrays[f"flow/bn{i}/mean"] = bn.mean
             arrays[f"flow/bn{i}/var"] = bn.var
     return arrays
+
+
+def field_type_error(cls, data):
+    """Name the first key of ``data`` whose value is not of the type the
+    dataclass ``cls`` annotates its field with, or return None. A bool is
+    no int."""
+    for f in fields(cls):
+        if f.name in data:
+            value = data[f.name]
+            if not isinstance(value, f.type) or (isinstance(value, bool) and f.type is int):
+                return (f"{f.name} is {type(value).__name__}, not "
+                        f"{getattr(f.type, '__name__', f.type)}")
+    return None
 
 
 def atomic_write(path, write):
@@ -73,9 +86,9 @@ def save_run_state(path, state):
 
 
 def load_run_state(path):
-    """Read a checkpoint into a dict: the ``PROGRESS`` fields,
-    "result_matrix", the named "arrays" and "memory".
-    ``restore_run_state`` puts it into a rebuilt run."""
+    """Read a checkpoint into a dict: the ``PROGRESS`` fields, of their
+    ``RunState`` types, "result_matrix" and the named "arrays".
+    ``restore_run_state`` checks and puts it into a rebuilt run."""
     try:
         data = np.load(path, allow_pickle=False)
     except (ValueError, EOFError, zipfile.BadZipFile):
@@ -98,27 +111,53 @@ def load_run_state(path):
             if name not in meta:
                 raise ConfigurationError(f"{path}: the checkpoint meta has no {name!r} field")
         out = {name: meta[name] for name in PROGRESS}
+        if (err := field_type_error(RunState, out)) is not None:
+            raise ConfigurationError(f"{path}: in the checkpoint meta, {err}")
         out["result_matrix"] = data["result_matrix"]
-        out["arrays"] = {k: data[k] for k in data.files if k.startswith(("model/", "flow/"))}
-        memory = {f.name: data.get(f"er_memory/{f.name}") for f in fields(Memory)}
-        out["memory"] = Memory(**memory) if memory["images"] is not None else None
+        out["arrays"] = {k: data[k] for k in data.files
+                         if k.startswith(("model/", "flow/", "er_memory/"))}
         return out
 
 
 def restore_run_state(state, restored):
     """Copy a loaded checkpoint into ``state``, freshly built from the
-    (config, seed) that wrote it."""
-    for task in state.stream.tasks[:restored["completed_tasks"]]:
+    (config, seed) that wrote it, once every array is what this run
+    holds after ``completed_tasks`` tasks."""
+    done = restored["completed_tasks"]
+    if not 0 <= done <= len(state.stream):
+        raise ConfigurationError(
+            f"the checkpoint's completed_tasks is {done}; this run has {len(state.stream)} tasks")
+    for task in state.stream.tasks[:done]:
         # the initial weights are overwritten below, so any rng will do
         state.model.ensure_head(task.index, len(task.classes), state.rng.fork("restored-head"))
     want = {**state_arrays(state), "result_matrix": state.r}
     got = {**restored["arrays"], "result_matrix": restored["result_matrix"]}
-    for name in [*want, *sorted(got.keys() - want.keys())]:
+    shapes = {name: array.shape for name, array in want.items()}
+    strategy = STRATEGIES[state.cfg.strategy]
+    if "er_memory/images" in got and not strategy.flow and (strategy.penalty or strategy.replay):
+        k = got["er_memory/images"].shape[:1]
+        shapes.update({"er_memory/images": (*k, state.model.input_dim), "er_memory/y_global": k})
+        if strategy.penalty:
+            shapes["er_memory/embeddings"] = (*k, state.model.embedding_dim)
+    for name in [*shapes, *sorted(got.keys() - shapes.keys())]:
         saved = got[name].shape if name in got else "absent"
-        needed = want[name].shape if name in want else "absent"
+        needed = shapes.get(name, "absent")
         if saved != needed:
             raise ConfigurationError(
                 f"checkpoint array {name!r} is {saved} in the file, {needed} in this run")
+    r = got["result_matrix"]
+    filled = np.tri(len(r), dtype=bool) & (np.arange(len(r)) < done)[:, None]
+    bad = np.argwhere(~np.where(filled, np.isfinite(r), np.isnan(r)))
+    if len(bad):
+        i, j = bad[0]
+        raise ConfigurationError(f"checkpoint result matrix entry R[{i + 1},{j + 1}] is "
+                                 f"{r[i, j]}; with completed_tasks {done} it must be "
+                                 f"{'finite' if filled[i, j] else 'NaN'}")
+    y = got.get("er_memory/y_global", np.empty(0, int))
+    wrong = y[~np.isin(y, state.stream.classes_seen(done))] if y.dtype.kind in "iu" else y
+    if len(wrong):
+        raise ConfigurationError(f"checkpoint array 'er_memory/y_global' holds {wrong[0]}, "
+                                 f"not a class of the first {done} tasks")
     for name, array in want.items():
         array[...] = got[name]
     if state.flow is not None:
@@ -127,5 +166,6 @@ def restore_run_state(state, restored):
             bn.initialized = True
     for name in PROGRESS:
         setattr(state, name, restored[name])
-    state.memory = restored["memory"]
+    memory = {f.name: got.get(f"er_memory/{f.name}") for f in fields(Memory)}
+    state.memory = Memory(**memory) if memory["images"] is not None else None
     return state

@@ -20,7 +20,7 @@ not supported.
 
 import numpy as np
 
-from .exceptions import ConfigurationError, DivergenceError, StateError
+from .exceptions import DivergenceError, StateError
 from .nn import ConcatCondition, Dense, Network, Relu, bind_slices
 from .rng import Rng
 
@@ -90,8 +90,6 @@ class BatchNorm:
     def apply(self, x, cond=None, train=False):
         if train:
             n = len(x)
-            if n < 2:
-                raise ConfigurationError("batch norm needs batch size >= 2 in train mode")
             # numpy's mean and variance formulas, bit for bit, with the
             # sum and the centring taken once
             mean = x.sum(axis=0) / n
@@ -231,9 +229,6 @@ class FlowStack:
 
     def normalize(self, z, cond=None, train=False):
         """Data to prior. Returns (u, per-sample log-determinant)."""
-        if z.ndim != 2 or z.shape[1] != self.dim:
-            raise ConfigurationError(
-                f"flow expects (batch, {self.dim}) input, got shape {z.shape}")
         h = z
         logdet = np.zeros(len(z))
         outs = []
@@ -266,9 +261,6 @@ class FlowStack:
 
     def generate(self, u, cond=None):
         """Prior to data, using running batch-norm statistics."""
-        if u.ndim != 2 or u.shape[1] != self.dim:
-            raise ConfigurationError(
-                f"flow expects (batch, {self.dim}) input, got shape {u.shape}")
         return self._walk_back(u, lambda layer, h: layer.invert(h, cond=cond))
 
     def backward_normalizing(self, grad_u, grad_logdet):

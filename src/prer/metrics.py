@@ -7,35 +7,21 @@ task j after training task i; entries above the diagonal may stay NaN.
 
 import numpy as np
 
-from .exceptions import ConfigurationError
 from .nn import row_cosine_similarity
 
 
 def accuracy(r: np.ndarray) -> float:
     """Mean accuracy over the last row of the result matrix."""
-    r = np.asarray(r, dtype=float)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ConfigurationError("result matrix must be square")
-    last = r[-1]
-    if np.isnan(last).any():
-        raise ConfigurationError("final row of the result matrix is incomplete")
-    return float(last.mean())
+    return float(r[-1].mean())
 
 
 def bwt(r: np.ndarray) -> float:
     """Average change of past-task accuracy relative to the accuracy each
-    task had right after its own training."""
-    r = np.asarray(r, dtype=float)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ConfigurationError("result matrix must be square")
-    m = r.shape[0]
-    if m < 2:
-        raise ConfigurationError("backward transfer needs at least two tasks")
+    task had right after its own training; it needs two tasks or more."""
+    m = len(r)
     total = 0.0
     for i in range(1, m):
         for j in range(i):
-            if np.isnan(r[i, j]) or np.isnan(r[j, j]):
-                raise ConfigurationError("result matrix missing required entries")
             total += r[i, j] - r[j, j]
     return float(total / (m * (m - 1) / 2))
 
@@ -78,8 +64,6 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     rows, so numpy sums each pair in its pairwise order whatever the
     caller's layout and d(a, b) == d(b, a) bitwise. A matmul screen picks
     those pairs (after Taha & Hanbury, TPAMI 2015)."""
-    if len(a) == 0 or len(b) == 0:
-        raise ConfigurationError("Hausdorff distance needs non-empty sets")
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     dim = a.shape[1]
     sq_a, sq_b = (a ** 2).sum(axis=1), (b ** 2).sum(axis=1)
@@ -132,21 +116,9 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def coverage_hausdorff(real_by_class: dict, generated_by_class: dict) -> float:
     """Class-averaged Hausdorff distance between real and generated
-    embedding sets. Both dicts must share keys and per-class counts."""
-    if set(real_by_class) != set(generated_by_class):
-        raise ConfigurationError("real and generated sets cover different classes")
-    if not real_by_class:
-        raise ConfigurationError("no classes to compare")
-    values = []
-    for c in sorted(real_by_class):
-        real, gen = real_by_class[c], generated_by_class[c]
-        if len(real) == 0 or len(gen) == 0:
-            raise ConfigurationError(f"class {c} has an empty set")
-        if len(real) != len(gen):
-            raise ConfigurationError(
-                f"class {c}: real and generated counts differ ({len(real)} vs {len(gen)})"
-            )
-        values.append(hausdorff_distance(real, gen))
+    embedding sets. Both dicts must share keys and non-empty per-class counts."""
+    values = [hausdorff_distance(real_by_class[c], generated_by_class[c])
+              for c in sorted(real_by_class)]
     return float(np.mean(values))
 
 
@@ -157,8 +129,6 @@ def coverage_hausdorff(real_by_class: dict, generated_by_class: dict) -> float:
 def generation_quality(memory, model) -> float:
     """Mean cosine similarity (x100) between the embeddings stored with
     generated images and the embeddings the current model assigns them."""
-    if len(memory) == 0:
-        raise ConfigurationError("memory is empty")
     z_now = model.encode_classify(memory.images)
     sims = row_cosine_similarity(z_now, memory.embeddings)
     return float(100.0 * sims.mean())
@@ -190,22 +160,14 @@ def memory_footprint(strategy, num_tasks: int, samples_per_task: int,
 
 
 class KnnProbe:
-    """k-nearest-neighbour class assigner, fitted on real embeddings. It
-    labels prer_r's generated replay rows in every conditioning mode, and
-    the sample pool of an unconditioned flow's coverage."""
+    """k-nearest-neighbour class assigner, fitted on a non-empty set of real
+    embeddings and their classes, which are >= 0; ``predict`` needs a fit.
+    It labels prer_r's generated replay rows in every conditioning mode,
+    and the sample pool of an unconditioned flow's coverage."""
 
     k = 5
 
-    def __init__(self):
-        self._x = None
-        self._y = None
-        self._sq_x = None
-
     def fit(self, x, y):
-        if len(x) == 0:
-            raise ConfigurationError("cannot fit a probe on an empty set")
-        if y.min() < 0:
-            raise ConfigurationError("probe labels must be non-negative")
         self._x, self._y = x, y
         self._sq_x = np.empty(len(x))
         for rows in _row_chunks(len(x), x.shape[1]):
@@ -215,8 +177,6 @@ class KnnProbe:
     def predict(self, x) -> np.ndarray:
         """The majority label of each row's k nearest fitted points; a tied
         vote goes to the smallest label."""
-        if self._x is None:
-            raise ConfigurationError("probe used before fit")
         k = min(self.k, len(self._x))
         num_labels = self._y.max() + 1
         out = np.empty(len(x), dtype=int)

@@ -160,10 +160,6 @@ class Dense(Layer):
         self.b = np.zeros(out_dim)
 
     def forward(self, x, train=False, rng=None, cond=None):
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ValueError(
-                f"expected input of width {self.in_dim}, got shape {x.shape}"
-            )
         if train:
             self._cache = x
         return x @ self.w.T + self.b
@@ -372,15 +368,6 @@ class Adam:
 
     def __init__(self, param_grad_pairs):
         self.pairs = list(param_grad_pairs)
-        # gradients are only ever updated in place, so shapes checked
-        # here hold for every step
-        for p, g in self.pairs:
-            if g.shape != p.shape:
-                raise ConfigurationError(
-                    f"gradient shape {g.shape} does not match parameter shape {p.shape}"
-                )
-            if p.ndim != 1:
-                raise ConfigurationError(f"Adam takes 1-D buffers, got shape {p.shape}")
         self.t = 0
         self.m = [np.zeros_like(p) for p, _ in self.pairs]
         self.v = [np.zeros_like(p) for p, _ in self.pairs]

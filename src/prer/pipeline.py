@@ -50,9 +50,6 @@ class Memory:
     embeddings: np.ndarray | None
     y_global: np.ndarray | None
 
-    def __len__(self):
-        return len(self.images)
-
     def extend(self, rows: "Memory") -> "Memory":
         """This memory of real rows followed by `rows`; embeddings that
         are None stay None."""

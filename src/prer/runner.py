@@ -8,7 +8,7 @@ re-running reproduces the record exactly.
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -48,10 +48,8 @@ class RunRecord:
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
         data = json.loads(text)
-        for f in fields(cls):
-            if f.name in data and not isinstance(data[f.name], f.type):
-                raise TypeError(f"{f.name} is {type(data[f.name]).__name__}, not "
-                                f"{getattr(f.type, '__name__', f.type)}")
+        if (err := checkpoint.field_type_error(cls, data)) is not None:
+            raise TypeError(err)
         return cls(**data)
 
 

@@ -1,14 +1,18 @@
 """Checkpoint round-trips: a state saved, loaded and restored into a
 state freshly built from the same (config, seed) must come back
-bit-exact, and a resumed run must continue from the stored task."""
+bit-exact, and a resumed run must continue from the stored task. A
+checkpoint this run could not have written is refused at ``--resume``
+in one line, before any task trains."""
 
 import io
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from _helpers import flow_config, param_arrays
+from prer import cli, runner
 from prer.checkpoint import (PROGRESS, load_run_state, restore_run_state, save_run_state,
                              state_arrays)
 from prer.config import ExperimentConfig
@@ -38,8 +42,8 @@ def fresh_state(seed=1, conditioning="none", encoder_hidden=(10,), with_flow=Tru
 
 
 def trained_state(seed=1, **kwargs):
-    """A fresh state with two heads, random parameters everywhere and
-    batch-norm statistics from one train-mode pass."""
+    """A fresh state with two heads, random parameters everywhere,
+    batch-norm statistics from one train-mode pass and a filled R."""
     state = fresh_state(seed, **kwargs)
     state.model.ensure_head(1, 2, Rng(7))
     state.model.ensure_head(2, 2, Rng(8))
@@ -52,6 +56,8 @@ def trained_state(seed=1, **kwargs):
     if state.flow is not None:
         cond = rng.integers(0, 4, size=64) if state.cfg.flow_conditioned else None
         state.flow.normalize(rng.normal(size=(64, 6)), cond=cond, train=True)
+    # after its two tasks, R is filled at and below the diagonal
+    state.r[np.tril_indices(2)] = 90.0
     state.completed_tasks = 2
     return state
 
@@ -173,8 +179,9 @@ def run_tasks(seed, n_tasks, checkpoint_path=None, resume_path=None):
     state = RunState(model=model, flow=flow, stream=stream, cfg=cfg, rng=Rng(seed))
     if resume_path is not None:
         restore_run_state(state, load_run_state(resume_path))
-    for _ in range(state.completed_tasks, n_tasks):
+    for t in range(state.completed_tasks + 1, n_tasks + 1):
         strategy_train_task(state)
+        state.r[t - 1, :t] = 100.0  # where the runner writes its evaluation
     if checkpoint_path is not None:
         save_run_state(checkpoint_path, state)
     return state
@@ -247,3 +254,160 @@ def test_missing_result_matrix_is_refused_by_name(tmp_path):
     rewrite_checkpoint(path, lambda arrays: arrays.pop("result_matrix"))
     with pytest.raises(ConfigurationError, match="no 'result_matrix' entry"):
         restore_run_state(fresh_state(), load_run_state(path))
+
+
+# ---------------------------------------------------------------------------
+# refusals at --resume, through the command line
+
+RESUME_CONFIG = """
+dataset = blobs:classes=4,dim=6,sep=5,per_class=40
+c_m = 2
+embedding_dim = 4
+encoder_hidden = 12
+head_hidden = 8
+classifier_epochs = 2
+ae_max_epochs = 2
+flow_max_epochs = 2
+memory_size = 10
+batch_size = 32
+coverage_cap = 20
+checkpoints = true
+"""
+
+
+class _Crash(Exception):
+    pass
+
+
+@pytest.fixture(scope="module")
+def crashed(tmp_path_factory):
+    """Strategy -> directory of a two-task run of it that crashed in task 2,
+    holding its config and the checkpoint it wrote after task 1."""
+    train = runner.strategy_train_task
+
+    def crash_in_task_2(state):
+        if state.completed_tasks == 1:
+            raise _Crash
+        return train(state)
+
+    runs = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "strategy_train_task", crash_in_task_2)
+        for strategy in ("prer", "er", "replay"):
+            base = tmp_path_factory.mktemp(strategy)
+            (base / "run.cfg").write_text(RESUME_CONFIG + f"strategy = {strategy}\n")
+            with pytest.raises(_Crash):
+                cli.main(run_args(base))
+            runs[strategy] = base
+    return runs
+
+
+def run_args(base):
+    return ["run", "--config", str(base / "run.cfg"), "--seed", "1", "--out", str(base / "out")]
+
+
+def crashed_copy(crashed, strategy, tmp_path, change):
+    """A copy of the crashed run of ``strategy``, whose checkpoint entries
+    ``change`` edits (see ``rewrite_checkpoint``); returns its directory."""
+    base = shutil.copytree(crashed[strategy], tmp_path / strategy)
+    (path,) = (base / "out").glob("state_*.npz")
+    rewrite_checkpoint(path, change)
+    return base
+
+
+def assert_refused(base, monkeypatch, capsys, *names):
+    """Resuming the run in ``base`` through ``cli.main`` ends in one
+    ``prer: error:`` line naming each of ``names``, with exit code 2,
+    before any task trains."""
+    trained, real_train = [], runner.strategy_train_task
+
+    def train(state):
+        trained.append(state.completed_tasks + 1)
+        return real_train(state)
+
+    monkeypatch.setattr(runner, "strategy_train_task", train)
+    code = cli.main([*run_args(base), "--resume"])
+    err = capsys.readouterr().err.splitlines()
+    assert (code, trained) == (2, []), err
+    assert len(err) == 1 and err[0].startswith("prer: error: "), err
+    for name in names:
+        assert name in err[0], err
+
+
+def set_meta(field, value):
+    def change(arrays):
+        meta = json.loads(str(arrays["meta"][()]))
+        meta[field] = value
+        arrays["meta"] = np.array(json.dumps(meta))
+    return change
+
+
+@pytest.mark.parametrize("field,value,names", [
+    ("completed_tasks", "1", ("completed_tasks is str, not int",)),
+    ("completed_tasks", True, ("completed_tasks is bool, not int",)),
+    ("completed_tasks", -1, ("completed_tasks is -1", "2 tasks")),
+    ("timings", [], ("timings is list, not dict",)),
+    ("d_t", 0.5, ("d_t is float, not dict",)),
+    ("q_t", "none", ("q_t is str, not dict",)),
+], ids=["completed_tasks-str", "completed_tasks-bool", "completed_tasks-negative", "timings",
+        "d_t", "q_t"])
+def test_a_bad_meta_field_is_refused(crashed, tmp_path, monkeypatch, capsys, field, value, names):
+    base = crashed_copy(crashed, "prer", tmp_path, set_meta(field, value))
+    assert_refused(base, monkeypatch, capsys, *names)
+
+
+def set_entry(i, j, value):
+    def change(arrays):
+        arrays["result_matrix"][i, j] = value
+    return change
+
+
+@pytest.mark.parametrize("i,j,value,names", [
+    (0, 0, np.nan, ("R[1,1] is nan", "completed_tasks 1", "finite")),
+    (0, 0, np.inf, ("R[1,1] is inf",)),
+    (1, 0, 50.0, ("R[2,1] is 50.0", "NaN")),
+], ids=["nan-diagonal", "inf-diagonal", "unfinished-row"])
+def test_an_r_entry_that_completed_tasks_rules_out_is_refused(crashed, tmp_path, monkeypatch,
+                                                              capsys, i, j, value, names):
+    base = crashed_copy(crashed, "prer", tmp_path, set_entry(i, j, value))
+    assert_refused(base, monkeypatch, capsys, *names)
+
+
+def edit_memory(name, edit):
+    def change(arrays):
+        key = f"er_memory/{name}"
+        arrays[key] = edit(arrays.get(key))
+        if arrays[key] is None:
+            del arrays[key]
+    return change
+
+
+def unseen_class(y):
+    """A class of task 2 that task 1's stored rows do not hold."""
+    y = y.copy()
+    y[0] = min(set(range(4)) - set(y.tolist()))
+    return y
+
+
+@pytest.mark.parametrize("strategy,name,edit,names", [
+    ("replay", "images", lambda x: x[:, :5],
+     ("'er_memory/images' is (10, 5) in the file, (10, 6) in this run",)),
+    ("replay", "y_global", lambda y: y[:5],
+     ("'er_memory/y_global' is (5,) in the file, (10,) in this run",)),
+    ("replay", "y_global", unseen_class, ("'er_memory/y_global' holds", "first 1 tasks")),
+    ("replay", "y_global", lambda y: y.astype(float), ("'er_memory/y_global' holds",)),
+    ("replay", "embeddings", lambda _: np.zeros((10, 4)),
+     ("'er_memory/embeddings' is (10, 4) in the file, absent in this run",)),
+    ("er", "embeddings", lambda _: None,
+     ("'er_memory/embeddings' is absent in the file, (10, 4) in this run",)),
+    ("er", "embeddings", lambda z: z[:, :3],
+     ("'er_memory/embeddings' is (10, 3) in the file, (10, 4) in this run",)),
+    ("prer", "images", lambda _: np.zeros((10, 6)),
+     ("'er_memory/images' is (10, 6) in the file, absent in this run",)),
+], ids=["narrow-images", "short-classes", "unseen-class", "float-classes",
+        "embeddings-without-penalty", "penalty-without-embeddings", "narrow-embeddings",
+        "real-rows-in-a-flow-run"])
+def test_a_misshapen_memory_is_refused(crashed, tmp_path, monkeypatch, capsys, strategy, name,
+                                       edit, names):
+    base = crashed_copy(crashed, strategy, tmp_path, edit_memory(name, edit))
+    assert_refused(base, monkeypatch, capsys, *names)

@@ -128,7 +128,7 @@ def test_prer_r_without_replay_builds_no_label_probe(monkeypatch):
                                         replay_fraction=0.0)
     for task in train_stream.tasks[:2]:
         strategy_train_task(state)
-    assert state.completed_tasks == 2 and len(state.memory) > 0
+    assert state.completed_tasks == 2 and len(state.memory.images) > 0
 
 
 @pytest.mark.parametrize("strategy", [
@@ -551,7 +551,7 @@ def test_generate_memory_embeddings_recompute_exactly():
     memory = generate_memory(state.flow, state.model, 50, schedule, Rng(19))
     recomputed = state.model.encode_classify(memory.images)
     assert np.array_equal(recomputed, memory.embeddings)
-    assert len(memory) == 50
+    assert len(memory.images) == 50
     assert set(memory.y_global) <= {0, 1}
 
 
@@ -653,10 +653,10 @@ def test_er_memory_grows_per_task_and_stores_embeddings():
     state, train_stream, _ = make_state(33, strategy="er", classifier_epochs=3,
                                         memory_size=40)
     strategy_train_task(state)
-    assert len(state.memory) == 40
+    assert len(state.memory.images) == 40
     assert state.memory.embeddings.shape == (40, state.model.embedding_dim)
     strategy_train_task(state)
-    assert len(state.memory) == 80
+    assert len(state.memory.images) == 80
     assert len(state.memory.embeddings) == 80
     # each task's rows keep their own task's global classes
     assert set(state.memory.y_global[:40]) <= set(train_stream.tasks[0].classes)

@@ -209,12 +209,10 @@ def worker():
             cfg = config.parse_config_text(config_text(job["config"], overrides))
             with tempfile.TemporaryDirectory() as out_dir:
                 if crash_at is not None:
-                    # the state comes first under either signature, (state,
-                    # task) or (state), and its next task is the one trained
-                    def crashing(*args):
-                        if args[0].completed_tasks + 1 == crash_at:
+                    def crashing(state):
+                        if state.completed_tasks + 1 == crash_at:
                             raise _Crash
-                        return train(*args)
+                        return train(state)
                     runner.strategy_train_task = crashing
                     try:
                         runner.run_experiment(cfg, SEED, out_dir=out_dir)
